@@ -9,7 +9,6 @@ which make a recorded run replayable into other integrators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +135,7 @@ class WinfreeField(DrivingField):
             vals = 1.0 + points @ self.pole
         else:
             vals = np.asarray(self.influence(points), dtype=float)
-        return self.kappa * (math.fsum(vals.tolist()) / points.shape[0]) * self.pole
+        return self.kappa * exact_mean(vals[:, None])[0] * self.pole
 
 
 class PrescribedField(DrivingField):

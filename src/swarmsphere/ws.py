@@ -57,9 +57,9 @@ class WsState:
         rot = np.array(self.rotation, dtype=float)
         if w.ndim != 1 or rot.shape != (w.size, w.size):
             raise ValueError("w must be a vector and rotation a matching square matrix")
-        if float(w @ w) >= 1.0:
+        if not float(w @ w) < 1.0:
             raise ValueError("ball vector must have norm strictly below one")
-        if np.linalg.norm(rot.T @ rot - np.eye(w.size)) > 1e-8:
+        if not np.linalg.norm(rot.T @ rot - np.eye(w.size)) <= 1e-8:
             raise ValueError("rotation is not orthogonal within tolerance")
         w.flags.writeable = False
         rot.flags.writeable = False

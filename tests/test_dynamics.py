@@ -53,6 +53,15 @@ def test_winfree_default_influence_is_affine_in_pole_alignment():
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
+def test_winfree_default_influence_mean_is_exact():
+    pole = np.array([0.0, 0.0, 1.0])
+    for n in (50, 1000):
+        ens = sample_uniform(2, n, 13)
+        got = eval_field(WinfreeField(2.0, pole), ens, 0.0)
+        vals = (1.0 + ens.points @ pole).tolist()
+        assert got.tobytes() == (2.0 * (math.fsum(vals) / n) * pole).tobytes()
+
+
 def test_frustrated_field_applies_matrix_to_mean():
     from swarmsphere import FrustratedField
 

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swarmsphere import (
     Ensemble,
@@ -15,6 +18,7 @@ from swarmsphere import (
     sphere_surface,
     tangent_project,
 )
+from swarmsphere.geometry import _FOLD_MIN_ROWS
 
 
 def test_tangent_project_radial_vector_vanishes():
@@ -207,6 +211,11 @@ def test_ensemble_validation_and_immutability():
         Ensemble(pts, (SkewMatrix.zero(2),) * 3)
 
 
+def test_ensemble_rejects_nan_points():
+    with pytest.raises(ValueError):
+        Ensemble([[np.nan, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+
 def test_ensemble_omega_groups():
     pts = sample_uniform(2, 6, 4).points
     om_a = SkewMatrix.zero(2)
@@ -222,6 +231,113 @@ def test_exact_mean_cancels_antipodal_pairs():
     half = sample_uniform(2, 101, 13).points
     paired = np.vstack([half, -half])
     assert np.all(exact_mean(paired) == 0.0)
+
+
+# Row counts on both sides of the switch from per-column fsum to the
+# vectorised extraction inside exact_mean.
+MEAN_SIZES = [1, _FOLD_MIN_ROWS - 1, _FOLD_MIN_ROWS, 1000]
+
+
+def _fsum_mean(x):
+    n = x.shape[0]
+    return np.array([math.fsum(col) / n for col in x.T.tolist()])
+
+
+def _assert_mean_is_fsum(x, rng):
+    """exact_mean(x) has the bits of fsum(col)/n, whatever the row order."""
+    got = exact_mean(x)
+    assert got.tobytes() == _fsum_mean(x).tobytes()
+    assert exact_mean(x[rng.permutation(x.shape[0])]).tobytes() == got.tobytes()
+    return got
+
+
+def _mean_case(kind, rng, n, m):
+    if kind == "gaussian":
+        return rng.standard_normal((n, m))
+    if kind == "scaled":
+        return rng.standard_normal((n, m)) * np.ldexp(1.0, rng.integers(-300, 301, size=(n, m)))
+    if kind == "subnormal":
+        return rng.integers(-3, 4, size=(n, m)) * 5e-324
+    if kind == "near_tie":
+        base = np.array([1.0, 2.0**-53, 2.0**-106, -(2.0**-106), 3 * 2.0**-54])
+        return rng.choice(base, size=(n, m)) * rng.choice([1.0, -1.0], size=(n, m))
+    if kind in ("big_cancel", "max_cancel"):
+        big = 1e200 if kind == "big_cancel" else np.finfo(float).max
+        x = rng.standard_normal((n + 1, m))
+        x[0], x[-1] = big, -big
+        return x
+    raise AssertionError(kind)  # pragma: no cover
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    kind=st.sampled_from(["gaussian", "scaled", "subnormal", "near_tie", "big_cancel", "max_cancel"]),
+    n=st.sampled_from(MEAN_SIZES),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_mean_bitwise_equals_fsum(kind, n, m, seed):
+    rng = np.random.default_rng(seed)
+    _assert_mean_is_fsum(_mean_case(kind, rng, n, m), rng)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    x=st.sampled_from(MEAN_SIZES).flatmap(
+        lambda n: arrays(
+            np.float64,
+            (n, 3),
+            elements=st.floats(-1e300, 1e300, allow_subnormal=True)
+            | st.sampled_from([1.0, -1.0, 2.0**-53, 2.0**-106, 5e-324, -0.0, 1e200, -1e200]),
+        )
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_mean_bitwise_equals_fsum_adversarial(x, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        _fsum_mean(x)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            exact_mean(x)
+        return
+    _assert_mean_is_fsum(x, rng)
+
+
+@settings(deadline=None, max_examples=30)
+@given(n=st.sampled_from(MEAN_SIZES), seed=st.integers(0, 2**32 - 1))
+def test_exact_mean_shuffled_antipodal_pairs_are_exactly_zero(n, seed):
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((n, 3)) * np.ldexp(1.0, rng.integers(-60, 61, size=(n, 3)))
+    paired = np.vstack([half, -half])[rng.permutation(2 * n)]
+    got = _assert_mean_is_fsum(paired, rng)
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("n", MEAN_SIZES)
+def test_exact_mean_negative_zero_columns_give_positive_zero(n):
+    rng = np.random.default_rng(n)
+    x = np.full((n, 3), -0.0)
+    got = _assert_mean_is_fsum(x, rng)
+    assert np.all(got == 0.0) and not np.any(np.signbit(got))
+    x[:, 1] = 0.5
+    got = _assert_mean_is_fsum(x, rng)
+    assert got[0] == 0.0 and not np.signbit(got[0])
+
+
+@pytest.mark.parametrize("n", MEAN_SIZES)
+def test_exact_mean_non_finite_matches_fsum(n):
+    x = sample_uniform(2, n, 3).points.copy()
+    x[0, 0] = np.nan
+    x[-1, 1] = np.inf
+    got = _assert_mean_is_fsum(x, np.random.default_rng(n))
+    assert np.isnan(got[0]) and got[1] == np.inf
+    x = np.ones((n + 1, 3))
+    x[0, 2], x[-1, 2] = np.inf, -np.inf
+    with pytest.raises(ValueError):
+        math.fsum(x[:, 2].tolist())
+    with pytest.raises(ValueError):
+        exact_mean(x)
 
 
 def test_sphere_surface_known_values():

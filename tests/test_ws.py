@@ -307,3 +307,10 @@ def test_ws_state_validation():
         WsState(np.array([1.0, 0.0, 0.0]), np.eye(3))  # |w| must be < 1
     with pytest.raises(ValueError):
         WsState(np.zeros(3), 2 * np.eye(3))
+
+
+def test_ws_state_rejects_nan():
+    with pytest.raises(ValueError):
+        WsState(w=np.array([np.nan, 0.0, 0.0]), rotation=np.eye(3))
+    with pytest.raises(ValueError):
+        WsState(np.zeros(3), np.full((3, 3), np.nan))
