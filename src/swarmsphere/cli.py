@@ -62,6 +62,13 @@ def _check_keys(obj: dict, allowed: set[str], path: str = ""):
             raise ConfigError(f"unknown key: {path}{key}")
 
 
+def _check_plane(spec: dict, path: str, d: int):
+    plane = spec.get("plane", [0, 1])
+    _require(isinstance(plane, list) and len(plane) == 2 and all(_is_int(i) for i in plane)
+             and 0 <= plane[0] <= d and 0 <= plane[1] <= d and plane[0] != plane[1],
+             f"{path}.plane: expected two distinct axis indices in range")
+
+
 def _validate_omega_spec(spec, path: str, d: int):
     _require(isinstance(spec, dict), f"{path}: expected an object")
     kind = spec.get("kind")
@@ -75,10 +82,7 @@ def _validate_omega_spec(spec, path: str, d: int):
     else:
         _check_keys(spec, {"kind", "rate", "plane"}, path + ".")
         _require(_is_num(spec.get("rate")), f"{path}.rate: expected a number")
-        plane = spec.get("plane", [0, 1])
-        _require(isinstance(plane, list) and len(plane) == 2 and all(_is_int(i) for i in plane)
-                 and 0 <= plane[0] <= d and 0 <= plane[1] <= d and plane[0] != plane[1],
-                 f"{path}.plane: expected two distinct axis indices in range")
+        _check_plane(spec, path, d)
 
 
 def _build_omega(spec, d: int):
@@ -128,10 +132,7 @@ def _validate_field(spec, path: str, d: int, dt: float):
     if variant == "prescribed_rotating":
         _require(_is_num(spec.get("amplitude")), f"{path}.amplitude: expected a number")
         _require(_is_num(spec.get("rate")), f"{path}.rate: expected a number")
-        plane = spec.get("plane", [0, 1])
-        _require(isinstance(plane, list) and len(plane) == 2 and all(_is_int(i) for i in plane)
-                 and 0 <= plane[0] <= d and 0 <= plane[1] <= d and plane[0] != plane[1],
-                 f"{path}.plane: expected two distinct axis indices in range")
+        _check_plane(spec, path, d)
 
 
 def _build_field(spec, d: int):
@@ -271,15 +272,7 @@ def parse_config(path) -> dict:
         _require(_is_num(cfg["drift_tol"]) and cfg["drift_tol"] > 0,
                  "drift_tol: expected a positive number")
         cfg.setdefault("sampler", {"kind": "uniform"})
-        samp = cfg["sampler"]
-        _require(isinstance(samp, dict) and samp.get("kind") in ("uniform", "vmf"),
-                 "sampler.kind: expected uniform|vmf")
-        if samp["kind"] == "uniform":
-            _check_keys(samp, {"kind"}, "sampler.")
-        else:
-            _check_keys(samp, {"kind", "concentration"}, "sampler.")
-            _require(_is_num(samp.get("concentration", 1.0)) and samp.get("concentration", 1.0) >= 0,
-                     "sampler.concentration: expected a nonnegative number")
+        _validate_initial(cfg["sampler"], "sampler")
 
     if exp == "existence":
         grid_max = d / 2.0 + 0.5

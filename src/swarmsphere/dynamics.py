@@ -163,10 +163,14 @@ class ReplayField(DrivingField):
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ValueError("replay needs at least two recorded samples")
+        if not np.isfinite(times).all():
+            raise ValueError("replay times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("replay times must be strictly increasing")
         if values.shape[0] != times.size or values.ndim != 2:
             raise ValueError("replay values must be an (m, d+1) array matching times")
+        if not np.isfinite(values).all():
+            raise ValueError("replay values must be finite")
         self.times = times
         self.values = values
         self._tol = 1e-9 * (times[-1] - times[0]) + 1e-12
@@ -185,9 +189,10 @@ class TimeDelayField(DrivingField):
     """Delayed mean field: X(t) = kappa * mean(points at t - tau).
 
     The buffer stores the population mean once per accepted step; the history
-    before t = 0 is the constant initial configuration.  ``initialize`` must
-    run before stepping (``simulate`` does this), and the delay must be at
-    least one step so stage queries never outrun the buffer.
+    before t = 0 is the constant initial configuration.  The stepping loop
+    behind ``simulate`` and ``order_parameter_series`` calls ``initialize``
+    and records every accepted step; ``step`` alone records nothing.  The
+    delay must be at least one step so stage queries never outrun the buffer.
     """
 
     state_dependent = False
@@ -223,7 +228,8 @@ class TimeDelayField(DrivingField):
         if s <= 0.0:
             return self.kappa * self._means[0]
         if s > self._times[-1] + 1e-9:
-            raise ValueError("time-delay query beyond the recorded history")
+            raise ValueError("time-delay query beyond the recorded history; step it through "
+                             "simulate() or order_parameter_series(), which record it")
         # the buffer is uniform at dt, so a six-sample window around the query
         # suffices for the interpolation and keeps the lookup O(1)
         center = int(s / self._dt)
@@ -264,34 +270,41 @@ def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
     return v
 
 
+def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None) -> np.ndarray:
+    """One classical RK4 step of dy/dt = rhs(y, t).
+
+    ``project`` maps every stage point and the update back onto the state
+    manifold; without it the stages are used as they are.
+    """
+    proj = project if project is not None else (lambda a: a)
+    k1 = rhs(y, t)
+    k2 = rhs(proj(y + (0.5 * dt) * k1), t + 0.5 * dt)
+    k3 = rhs(proj(y + (0.5 * dt) * k2), t + 0.5 * dt)
+    k4 = rhs(proj(y + dt * k3), t + dt)
+    return proj(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
 def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
     """One classical RK4 step for every particle.
 
     State-dependent fields are re-evaluated from each stage's (renormalized)
     points, clock-driven fields at the stage time; the final update is
-    renormalized so the output sits exactly on the sphere.
+    renormalized so the output sits exactly on the sphere.  A non-finite
+    update raises, naming the step time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pts = ens.points
-    t = ens.time
     groups = ens.omega_groups()
 
     def rhs(stage_pts, ts):
         x = np.asarray(field.evaluate(stage_pts, ts), dtype=float)
         return _velocities(stage_pts, groups, x)
 
-    k1 = rhs(pts, t)
-    p2 = renormalize_rows(pts + (0.5 * dt) * k1)
-    k2 = rhs(p2, t + 0.5 * dt)
-    p3 = renormalize_rows(pts + (0.5 * dt) * k2)
-    k3 = rhs(p3, t + 0.5 * dt)
-    p4 = renormalize_rows(pts + dt * k3)
-    k4 = rhs(p4, t + dt)
-    new_pts = renormalize_rows(pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    if isinstance(field, TimeDelayField):
-        field.record(t + dt, new_pts)
-    return Ensemble(new_pts, ens.omega, t + dt)
+    new_pts = _rk4(ens.points, rhs, ens.time, dt, renormalize_rows)
+    t = ens.time + dt
+    if not np.isfinite(new_pts).all():
+        raise ValueError(f"non-finite particle state at step time t = {t}")
+    return Ensemble(new_pts, ens.omega, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,12 +336,12 @@ class Trajectory:
         return self.states[0].d
 
 
-def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
-             record_every: int = 1) -> Trajectory:
-    """Integrate and record snapshots every ``record_every`` steps.
+def _run(ens0: Ensemble, field: DrivingField, t_end: float, dt: float, record_every: int):
+    """Step with RK4 and yield the initial state, every ``record_every``-th
+    state and the final state.
 
-    The initial state and the final state are always recorded.  The number of
-    steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
+    The number of steps is round(t_end / dt).  A delayed field has its
+    history initialised here and extended after every step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -337,18 +350,31 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     steps = int(round(t_end / dt))
-    if isinstance(field, TimeDelayField):
+    delayed = isinstance(field, TimeDelayField)
+    if delayed:
         field.initialize(ens0, dt)
-    times = [ens0.time]
-    states = [ens0]
-    fields = [eval_field(field, ens0, ens0.time)]
     ens = ens0
+    yield ens
     for s in range(1, steps + 1):
         ens = step(ens, field, dt)
+        if delayed:
+            field.record(ens.time, ens.points)
         if s % record_every == 0 or s == steps:
-            times.append(ens.time)
-            states.append(ens)
-            fields.append(eval_field(field, ens, ens.time))
+            yield ens
+
+
+def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
+             record_every: int = 1) -> Trajectory:
+    """Integrate and record snapshots every ``record_every`` steps.
+
+    The initial state and the final state are always recorded.  The number of
+    steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
+    """
+    times, states, fields = [], [], []
+    for ens in _run(ens0, field, t_end, dt, record_every):
+        times.append(ens.time)
+        states.append(ens)
+        fields.append(eval_field(field, ens, ens.time))
     return Trajectory(np.asarray(times), tuple(states), np.asarray(fields))
 
 

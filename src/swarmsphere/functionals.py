@@ -154,47 +154,44 @@ class FunctionalEstimate:
 
 
 def _draw_index_tuples(rng: np.random.Generator, points: np.ndarray, count: int, k: int,
-                       reject_budget: list[int]) -> np.ndarray:
+                       reject_cap: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Index cycles of length 2k with no cyclically adjacent repeats and no
-    degenerate chords at the given configuration."""
+    degenerate chords at the given configuration, redrawn until ``count``
+    are found; returns them with their cycle ratios and the number of
+    rejected draws, which may not exceed ``reject_cap``."""
     n = points.shape[0]
     if n < 2:
         raise ValueError("ensemble too small to form nondegenerate cycles")
     out = np.empty((count, 2 * k), dtype=np.int64)
+    vals = np.empty(count)
+    rejected = 0
     todo = np.arange(count)
     while todo.size:
         cand = rng.integers(0, n, size=(todo.size, 2 * k))
         bad = (cand == np.roll(cand, -1, axis=1)).any(axis=1)
-        vals_pts = points[cand]
-        _, degenerate = _cycle_ratios_batch(vals_pts)
+        ratios, degenerate = _cycle_ratios_batch(points[cand])
         bad |= degenerate
         good = ~bad
         out[todo[good]] = cand[good]
-        reject_budget[0] -= int(bad.sum())
-        if reject_budget[0] < 0:
+        vals[todo[good]] = ratios[good]
+        rejected += int(bad.sum())
+        if rejected > reject_cap:
             raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
         todo = todo[bad]
-    return out
+    return out, vals, rejected
 
 
 def _estimate_block(source, p: float, k: int, seed: int, block_index: int, need: int,
                     reject_cap: int) -> tuple[np.ndarray, int]:
     rng = rng_stream(seed, stream=block_index + 1)
+    if isinstance(source, Ensemble):
+        _, ratios, rejected = _draw_index_tuples(rng, source.points, need, k, reject_cap)
+        return ratios ** p, rejected
     rejected = 0
     vals = np.empty(need)
     todo = np.arange(need)
     while todo.size:
-        if isinstance(source, Ensemble):
-            n = source.n
-            if n < 2:
-                raise ValueError("ensemble too small to form nondegenerate cycles")
-            cand = rng.integers(0, n, size=(todo.size, 2 * k))
-            bad = (cand == np.roll(cand, -1, axis=1)).any(axis=1)
-            ratios, degenerate = _cycle_ratios_batch(source.points[cand])
-            bad |= degenerate
-        else:
-            pts = source.draw(rng, todo.size, 2 * k)
-            ratios, bad = _cycle_ratios_batch(pts)
+        ratios, bad = _cycle_ratios_batch(source.draw(rng, todo.size, 2 * k))
         good = ~bad
         vals[todo[good]] = ratios[good] ** p
         rejected += int(bad.sum())
@@ -389,17 +386,20 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
     if k < 2 or m < 1:
         raise ValueError("need k >= 2 and m >= 1")
     rng = rng_stream(seed, stream=0)
-    budget = [100 * m]
-    tuples = _draw_index_tuples(rng, traj.states[0].points, m, k, budget)
-    ratios = np.empty((len(traj.states), m))
+    tuples, _, _ = _draw_index_tuples(rng, traj.states[0].points, m, k, 100 * m)
+    return _drift_report(traj, tuples, p, k)
+
+
+def _drift_report(traj: Trajectory, tuples: np.ndarray, p: float, k: int) -> DriftReport:
+    """Drift of the cycle ratios of fixed index tuples over every snapshot."""
+    ratios = np.empty((len(traj.states), tuples.shape[0]))
     for i, st in enumerate(traj.states):
         vals, bad = _cycle_ratios_batch(st.points[tuples])
         if bad.any():
             raise ValueError("tuple became degenerate along the trajectory")
         ratios[i] = vals
     estimates = (ratios ** p).mean(axis=1)
-    base = estimates[0]
-    rel = np.abs(estimates - base) / abs(base)
+    rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
     per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
     return DriftReport(times=traj.times.copy(), estimates=estimates, relative_drift=rel,
                        max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, MeanField, TimeDelayField, Trajectory, simulate, step
-from .functionals import DriftReport, _cycle_ratios_batch, _draw_index_tuples, conservation_drift
+from .dynamics import DrivingField, MeanField, Trajectory, _run, simulate
+from .functionals import (DriftReport, _cycle_ratios_batch, _draw_index_tuples, _drift_report,
+                          conservation_drift)
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
 __all__ = [
@@ -85,11 +86,6 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
                            ) -> tuple[OrderParameterSeries, Ensemble]:
     """Integrate and record the order-parameter diagnostics without storing
     the full trajectory; returns the series and the final ensemble."""
-    if dt <= 0 or t_end < 0 or record_every < 1:
-        raise ValueError("need dt > 0, t_end >= 0 and record_every >= 1")
-    steps = int(round(t_end / dt))
-    if isinstance(field, TimeDelayField):
-        field.initialize(ens0, dt)
     times, r2s, dr2s, gammas, mplus, mminus = [], [], [], [], [], []
 
     def record(ens: Ensemble):
@@ -107,12 +103,8 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
             mplus.append(math.nan)
             mminus.append(math.nan)
 
-    ens = ens0
-    record(ens)
-    for s in range(1, steps + 1):
-        ens = step(ens, field, dt)
-        if s % record_every == 0 or s == steps:
-            record(ens)
+    for ens in _run(ens0, field, t_end, dt, record_every):
+        record(ens)
     series = OrderParameterSeries(np.asarray(times), np.asarray(r2s), np.asarray(dr2s),
                                   np.asarray(gammas), np.asarray(mplus), np.asarray(mminus),
                                   float(epsilon))
@@ -313,23 +305,6 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     """
     first = traj.states[0]
     groups = first.omega_groups()
-    points_t = np.array([st.points for st in traj.states])
-    n_snap = len(traj.states)
-
-    def drift_from_tuples(tuples: np.ndarray) -> DriftReport:
-        ratios = np.empty((n_snap, tuples.shape[0]))
-        for i in range(n_snap):
-            vals, bad = _cycle_ratios_batch(points_t[i][tuples])
-            if bad.any():
-                raise ValueError("tuple became degenerate along the trajectory")
-            ratios[i] = vals
-        estimates = (ratios ** p).mean(axis=1)
-        rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
-        per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
-        return DriftReport(times=traj.times.copy(), estimates=estimates, relative_drift=rel,
-                           max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,
-                           tuples=tuples, p=float(p), k=int(k))
-
     per_group = []
     skipped = []
     for gi, (om, idx) in enumerate(groups):
@@ -337,9 +312,8 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
             skipped.append((gi, int(idx.size)))
             continue
         rng = rng_stream(seed, stream=gi + 1)
-        budget = [100 * m]
-        local = _draw_index_tuples(rng, first.points[idx], m, k, budget)
-        per_group.append((gi, int(idx.size), drift_from_tuples(idx[local])))
+        local, _, _ = _draw_index_tuples(rng, first.points[idx], m, k, 100 * m)
+        per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], p, k)))
 
     mixed = None
     if len(groups) >= 2:
@@ -363,7 +337,7 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
             guard += 1
             if guard > 200:
                 raise ValueError("could not draw mixed-group tuples")
-        mixed = drift_from_tuples(chosen)
+        mixed = _drift_report(traj, chosen, p, k)
 
     fractions = np.array([idx.size / first.n for _, idx in groups])
     constant = all(st.omega is first.omega or st.omega == first.omega for st in traj.states)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, _velocities
+from .dynamics import DrivingField, _rk4, _velocities
 from .geometry import Ensemble, SkewMatrix, reorthonormalize
 
 __all__ = [
@@ -106,7 +106,8 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     The driving field must be clock-driven (a replayed recording or a
     prescribed function); the orthogonality of R is re-established every
     ``reorth_every`` steps and at the end, and the ball vector is clamped
-    just inside the unit ball if floating-point drift pushes it out.
+    just inside the unit ball if floating-point drift pushes it out.  A
+    non-finite update raises, naming the step time.
     """
     if field.state_dependent:
         raise ValueError("ws evolution needs a prescribed or replayed driving field")
@@ -120,33 +121,32 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
         raise ValueError("generator dimension must match the driving field")
     steps = int(round(t_end / dt))
     eye = np.eye(dim)
-    w = np.zeros(dim)
-    rot = eye.copy()
-    path = WsPath([WsState(w, rot, 0.0)])
+    # rows 0..d hold R and the last row holds w; the leading-row slice keeps
+    # R C-contiguous like a standalone matrix, so ws_rhs rounds the same way
+    y = np.vstack((eye, np.zeros(dim)))
+    path = WsPath([WsState(y[-1], y[:-1], 0.0)])
     guard = 0
 
-    def rhs(wc, rc, ts):
-        return ws_rhs(wc, rc, omega, field.evaluate(None, ts))
+    def rhs(yc, ts):
+        dw, drot = ws_rhs(yc[-1], yc[:-1], omega, field.evaluate(None, ts))
+        return np.concatenate((drot, dw[None]))
 
     for s in range(1, steps + 1):
-        t = (s - 1) * dt
-        kw1, kr1 = rhs(w, rot, t)
-        kw2, kr2 = rhs(w + 0.5 * dt * kw1, rot + 0.5 * dt * kr1, t + 0.5 * dt)
-        kw3, kr3 = rhs(w + 0.5 * dt * kw2, rot + 0.5 * dt * kr2, t + 0.5 * dt)
-        kw4, kr4 = rhs(w + dt * kw3, rot + dt * kr3, t + dt)
-        w = w + (dt / 6.0) * (kw1 + 2.0 * kw2 + 2.0 * kw3 + kw4)
-        rot = rot + (dt / 6.0) * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)
-        wn = float(np.linalg.norm(w))
+        y = _rk4(y, rhs, (s - 1) * dt, dt)
+        if not np.isfinite(y).all():
+            raise ValueError(f"non-finite (w, R) state at step time t = {s * dt}")
+        wn = float(np.linalg.norm(y[-1]))
         if wn >= 1.0 - _BALL_GUARD:
             # analytically |w| < 1 always; any excursion is pure float drift
-            w = w * ((1.0 - _BALL_GUARD) / wn)
+            y[-1] *= (1.0 - _BALL_GUARD) / wn
             guard += 1
         # cadence plus a defect trigger, so coarse steps cannot outrun the
         # 1e-8 orthogonality invariant between scheduled corrections
+        rot = y[:-1]
         if s % reorth_every == 0 or s == steps \
                 or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
-            rot = reorthonormalize(rot)
-        path.append(WsState(w, rot, s * dt))
+            y[:-1] = reorthonormalize(rot)
+        path.append(WsState(y[-1], y[:-1], s * dt))
     path.guard_events = guard
     return path
 
@@ -186,6 +186,14 @@ def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     return w + s * ((1.0 - float(w @ w)) / q)[:, None]
 
 
+def _apply_map(state: WsState, points: np.ndarray) -> np.ndarray:
+    """The reduction map of ``state`` on an (n, d+1) array; the identity map
+    returns ``points`` itself."""
+    if not state.w.any() and np.array_equal(state.rotation, np.eye(state.d + 1)):
+        return points
+    return _mobius_rows(state.w, points @ state.rotation.T)
+
+
 def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
     """Apply the reduction map of ``state`` to every point of an ensemble.
 
@@ -193,12 +201,10 @@ def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
     """
     if state.d != ens0.d:
         raise ValueError("state and ensemble dimensions do not match")
-    if not state.w.any() and np.array_equal(state.rotation, np.eye(state.d + 1)):
-        if state.time == ens0.time:
-            return ens0
-        return Ensemble(ens0.points, ens0.omega, state.time)
-    rotated = ens0.points @ state.rotation.T
-    return Ensemble(_mobius_rows(state.w, rotated), ens0.omega, state.time)
+    points = _apply_map(state, ens0.points)
+    if points is ens0.points and state.time == ens0.time:
+        return ens0
+    return Ensemble(points, ens0.omega, state.time)
 
 
 def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemble) -> Ensemble:
@@ -207,11 +213,9 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
     Every distinct generator label in the ensemble must have a state, all at
     the same time; labels are carried to the output unchanged.
     """
-    groups = ens0.omega_groups()
     times = set()
-    eye = np.eye(ens0.d + 1)
     out = np.empty_like(ens0.points)
-    for om, idx in groups:
+    for om, idx in ens0.omega_groups():
         if om is None:
             raise ValueError("ensemble carries no generator labels")
         if om not in states:
@@ -220,11 +224,7 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
         if st.d != ens0.d:
             raise ValueError("state and ensemble dimensions do not match")
         times.add(st.time)
-        if not st.w.any() and np.array_equal(st.rotation, eye):
-            out[idx] = ens0.points[idx]
-            continue
-        rotated = ens0.points[idx] @ st.rotation.T
-        out[idx] = _mobius_rows(st.w, rotated)
+        out[idx] = _apply_map(st, ens0.points[idx])
     if len(times) > 1:
         raise ValueError("group states are not synchronous")
     return Ensemble(out, ens0.omega, times.pop())

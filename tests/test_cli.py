@@ -169,6 +169,18 @@ def test_aborted_run_leaves_partial_manifest(tmp_path):
     assert "aborted" in manifest
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_aborts_naming_non_finite_state(tmp_path):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "simulate", "d": 2, "N": 8, "t_end": 0.05, "dt": 1e-2, "seed": 1,
+        "field": {"variant": "prescribed_constant", "vector": [1e308, 0, 0]},
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "non-finite" in manifest["aborted"]
+
+
 def test_kinetic_csv_column_contract(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "kinetic", "d": 2, "N": 32, "t_end": 0.5, "dt": 1e-2,

@@ -203,6 +203,23 @@ def test_replay_field_roundtrip_and_span():
         replay.evaluate(None, 0.5 + 1e-3)
 
 
+def test_replay_field_rejects_nan_time():
+    with pytest.raises(ValueError, match="times must be finite"):
+        ReplayField([0.0, math.nan, 1.0], np.zeros((3, 2)))
+
+
+def test_replay_field_rejects_nan_value():
+    values = np.zeros((3, 2))
+    values[1, 0] = math.nan
+    with pytest.raises(ValueError, match="values must be finite"):
+        ReplayField([0.0, 0.5, 1.0], values)
+
+
+def test_replay_field_rejects_infinite_end_time():
+    with pytest.raises(ValueError, match="times must be finite"):
+        ReplayField([0.0, 0.5, math.inf], np.zeros((3, 2)))
+
+
 def test_replay_interpolation_accuracy():
     times = np.linspace(0.0, 1.0, 101)
     values = np.stack([np.sin(3 * times), np.cos(2 * times)], axis=1)
@@ -232,6 +249,24 @@ def test_time_delay_runs_and_errors():
         field.evaluate(ens.points, -0.1)
     with pytest.raises(ValueError, match="delay shorter"):
         TimeDelayField(1.0, 1e-3).initialize(ens, 1e-2)
+
+
+def test_bare_step_past_tau_points_at_the_stepping_loop():
+    # step does not record delay history; only simulate/order_parameter_series do
+    ens = sample_uniform(2, 8, 9)
+    field = TimeDelayField(1.0, 1e-2)
+    field.initialize(ens, 1e-2)
+    ens = step(ens, field, 1e-2)
+    with pytest.raises(ValueError, match=r"beyond the recorded history; step it through simulate\(\)"):
+        step(ens, field, 1e-2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_simulate_names_the_non_finite_step():
+    # the field turns infinite inside the step from t = 0.04 to t = 0.05
+    field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))
+    with pytest.raises(ValueError, match=r"non-finite particle state at step time t = 0\.05"):
+        simulate(sample_uniform(2, 8, 3), field, 0.1, 1e-2)
 
 
 def test_time_delay_constant_history_matches_plain_mean_field_initially():

@@ -116,6 +116,19 @@ def test_estimate_deterministic_and_thread_invariant(monkeypatch):
     assert threaded.value == base.value
 
 
+def test_ensemble_estimate_thread_invariant(monkeypatch):
+    # repeated rows make some draws degenerate, so rejections are counted too
+    pts = sample_uniform(2, 30, 4).points
+    ens = Ensemble(np.vstack([pts, pts[:10]]))
+    monkeypatch.delenv("SWARMSPHERE_THREADS", raising=False)
+    base = estimate_cycle_moment(ens, 0.3, 2, 40_000, seed=3)
+    monkeypatch.setenv("SWARMSPHERE_THREADS", "4")
+    threaded = estimate_cycle_moment(ens, 0.3, 2, 40_000, seed=3)
+    assert base.rejected > 0
+    assert (threaded.value, threaded.std_error, threaded.rejected) == \
+        (base.value, base.std_error, base.rejected)
+
+
 def test_estimate_reports_median_of_means_for_heavy_tails():
     src = UniformSphereSampler(2)
     heavy = estimate_cycle_moment(src, 0.6, 2, 4096, seed=5)

@@ -7,6 +7,7 @@ from swarmsphere import (
     Ensemble,
     MeanField,
     SkewMatrix,
+    TimeDelayField,
     ball_mass,
     bipolar_report,
     conservation_drift,
@@ -103,6 +104,16 @@ def test_order_parameter_series_monotone_and_bounds():
     norms = np.linalg.norm(series.gamma[alive], axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
     assert final.time == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("make_field", [lambda: MeanField(1.0), lambda: TimeDelayField(1.0, 0.01)])
+def test_order_parameter_series_matches_simulate_snapshots(make_field):
+    ens = sample_uniform(2, 40, 5)
+    series, final = order_parameter_series(ens, make_field(), 0.5, 1e-2, record_every=3)
+    traj = simulate(ens, make_field(), 0.5, 1e-2, record_every=3)
+    assert np.array_equal(series.times, traj.times)
+    assert np.array_equal(series.R2, [order_parameter(st)[0] for st in traj.states])
+    assert np.array_equal(final.points, traj.states[-1].points)
 
 
 def test_sandwich_inequality_along_run():

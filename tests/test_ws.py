@@ -314,3 +314,11 @@ def test_ws_state_rejects_nan():
         WsState(w=np.array([np.nan, 0.0, 0.0]), rotation=np.eye(3))
     with pytest.raises(ValueError):
         WsState(np.zeros(3), np.full((3, 3), np.nan))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ws_evolve_names_the_non_finite_step():
+    # the field turns infinite inside the step from t = 0.04 to t = 0.05
+    field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))
+    with pytest.raises(ValueError, match=r"non-finite \(w, R\) state at step time t = 0\.05"):
+        ws_evolve(None, field, 0.1, 1e-2)
