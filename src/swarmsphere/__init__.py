@@ -31,10 +31,12 @@ from .functionals import (
     UniformSphereSampler,
     VmfSampler,
     conservation_drift,
+    conservation_drifts,
     cross_ratio,
     cycle_ratio,
     divergence_probe,
     estimate_cycle_moment,
+    estimate_cycle_moments,
     existence_check,
     mixture_functional,
     reduced_pair_integral,

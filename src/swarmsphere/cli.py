@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
                        TimeDelayField, WinfreeField, simulate)
-from .functionals import (UniformSphereSampler, VmfSampler, conservation_drift,
-                          divergence_probe, estimate_cycle_moment, existence_check)
+from .functionals import (UniformSphereSampler, VmfSampler, conservation_drifts,
+                          divergence_probe, estimate_cycle_moments, existence_check)
 from .geometry import Ensemble, SkewMatrix, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
 from .kinetic import (instability_experiment, order_parameter, order_parameter_series,
@@ -405,14 +405,14 @@ def _run_functional(cfg: dict, outdir: Path):
     drift_max = 0.0
     estimates = {}
     for k in cfg["k_list"]:
-        for p in cfg["p_list"]:
-            est = estimate_cycle_moment(sampler, p, k, cfg["m"], cfg["seed"])
+        ests = estimate_cycle_moments(sampler, cfg["p_list"], k, cfg["m"], cfg["seed"])
+        drifts = conservation_drifts(traj, cfg["p_list"], k, cfg["drift_tuples"], cfg["seed"])
+        for p, est, drift in zip(cfg["p_list"], ests, drifts):
             if not est.existence_flag:
                 print(f"warning: moment p={p} d={d} lies outside the existence range |p| < d/2",
                       file=sys.stderr)
             records.append(est.record())
             estimates[(p, k)] = est
-            drift = conservation_drift(traj, p, k, cfg["drift_tuples"], cfg["seed"])
             drift_max = max(drift_max, drift.max_relative_drift)
             name = f"drift_p{p:g}_k{k}.csv"
             outputs.append(write_csv(outdir / name, ["t", "estimate", "relative_drift"],

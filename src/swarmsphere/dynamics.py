@@ -9,6 +9,9 @@ which make a recorded run replayable into other integrators.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,51 +35,63 @@ __all__ = [
 ]
 
 
-def _hermite_point(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    """Piecewise-cubic Hermite interpolation with finite-difference slopes.
+def _hermite_slopes(times: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Finite-difference slopes at every knot for cubic Hermite interpolation.
 
-    On a uniform interior grid the slopes use the five-point fourth-order
-    stencil so the interpolant error is O(h^4); near the ends and on
-    non-uniform grids it falls back to centered or one-sided differences.
+    Where the grid is uniform over a five-point stencil the slope uses the
+    fourth-order stencil, so the interpolant error is O(h^4).  Elsewhere the
+    interior slopes are centered (weighted) differences and the end slopes
+    are one-sided: second order when the two steps next to the end agree,
+    else first order.  A single sample has slope zero.
     """
     m = times.size
-    if t <= times[0]:
+    slopes = np.zeros_like(values)
+    if m < 2:
+        return slopes
+    h = np.diff(times)
+    h0 = h[0]
+    if m >= 3 and abs(h[1] - h0) < 1e-12 * h0:
+        slopes[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h0)
+    else:
+        slopes[0] = (values[1] - values[0]) / h0
+    h0 = h[-1]
+    if m >= 3 and abs(h[-2] - h0) < 1e-12 * h0:
+        slopes[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h0)
+    else:
+        slopes[-1] = (values[-1] - values[-2]) / h0
+    if m >= 3:
+        hl, hr = h[:-1, None], h[1:, None]
+        dl = (values[1:-1] - values[:-2]) / hl
+        dr = (values[2:] - values[1:-1]) / hr
+        slopes[1:-1] = (dl * hr + dr * hl) / (hl + hr)
+    if m >= 5:
+        # knots 2..m-3 whose four neighbouring steps all match the right one
+        hr = h[2:-1]
+        tol = 1e-12 * hr
+        uniform = (np.abs(h[1:-2] - hr) < tol) & (np.abs(h[3:] - hr) < tol) \
+            & (np.abs(h[:-3] - hr) < tol)
+        j = np.flatnonzero(uniform) + 2
+        slopes[j] = (values[j - 2] - 8.0 * values[j - 1] + 8.0 * values[j + 1] - values[j + 2]) \
+            / (12.0 * h[j])[:, None]
+    return slopes
+
+
+def _hermite_at(knots: Sequence[float], values: np.ndarray, slopes: np.ndarray,
+                t: float) -> np.ndarray:
+    """Piecewise-cubic Hermite interpolant at t from knot times, values and
+    slopes; constant beyond either end."""
+    if t <= knots[0]:
         return values[0].copy()
-    if t >= times[-1]:
+    if t >= knots[-1]:
         return values[-1].copy()
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(max(i, 0), m - 2)
-    h = times[i + 1] - times[i]
-
-    def slope(j: int) -> np.ndarray:
-        if 2 <= j <= m - 3:
-            hl = times[j] - times[j - 1]
-            hr = times[j + 1] - times[j]
-            if abs(hl - hr) < 1e-12 * hr and abs(times[j + 2] - times[j + 1] - hr) < 1e-12 * hr \
-                    and abs(times[j - 1] - times[j - 2] - hr) < 1e-12 * hr:
-                return (values[j - 2] - 8.0 * values[j - 1] + 8.0 * values[j + 1] - values[j + 2]) / (12.0 * hr)
-        if j == 0:
-            h0 = times[1] - times[0]
-            if m >= 3 and abs((times[2] - times[1]) - h0) < 1e-12 * h0:
-                return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h0)
-            return (values[1] - values[0]) / h0
-        if j == m - 1:
-            h0 = times[-1] - times[-2]
-            if m >= 3 and abs((times[-2] - times[-3]) - h0) < 1e-12 * h0:
-                return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h0)
-            return (values[-1] - values[-2]) / h0
-        hl = times[j] - times[j - 1]
-        hr = times[j + 1] - times[j]
-        dl = (values[j] - values[j - 1]) / hl
-        dr = (values[j + 1] - values[j]) / hr
-        return (dl * hr + dr * hl) / (hl + hr)
-
-    s = (t - times[i]) / h
+    i = bisect_right(knots, t) - 1
+    h = knots[i + 1] - knots[i]
+    s = (t - knots[i]) / h
     h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
     h10 = s * (1.0 - s) ** 2
     h01 = s * s * (3.0 - 2.0 * s)
     h11 = s * s * (s - 1.0)
-    return h00 * values[i] + h10 * h * slope(i) + h01 * values[i + 1] + h11 * h * slope(i + 1)
+    return h00 * values[i] + h10 * h * slopes[i] + h01 * values[i + 1] + h11 * h * slopes[i + 1]
 
 
 class DrivingField:
@@ -174,6 +189,8 @@ class ReplayField(DrivingField):
         self.times = times
         self.values = values
         self._tol = 1e-9 * (times[-1] - times[0]) + 1e-12
+        self._knots = array("d", times)  # bisect-able, a fifth of a list's memory
+        self._slopes = _hermite_slopes(times, values)
 
     @classmethod
     def from_trajectory(cls, traj: "Trajectory") -> "ReplayField":
@@ -182,7 +199,7 @@ class ReplayField(DrivingField):
     def evaluate(self, points, t):
         if t < self.times[0] - self._tol or t > self.times[-1] + self._tol:
             raise ValueError("replay query outside the recorded span")
-        return _hermite_point(self.times, self.values, float(t))
+        return _hermite_at(self._knots, self.values, self._slopes, float(t))
 
 
 class TimeDelayField(DrivingField):
@@ -205,6 +222,7 @@ class TimeDelayField(DrivingField):
         self._dt: float | None = None
         self._times: list[float] | None = None
         self._means: list[np.ndarray] | None = None
+        self._window: tuple | None = None  # (lo, hi), knots, means, slopes
 
     def initialize(self, ens: Ensemble, dt: float) -> None:
         if self.tau < dt - 1e-12:
@@ -214,6 +232,7 @@ class TimeDelayField(DrivingField):
         self._dt = float(dt)
         self._times = [0.0]
         self._means = [exact_mean(ens.points)]
+        self._window = None
 
     def record(self, t: float, points: np.ndarray) -> None:
         self._times.append(float(t))
@@ -235,9 +254,14 @@ class TimeDelayField(DrivingField):
         center = int(s / self._dt)
         lo = max(0, center - 2)
         hi = min(len(self._times), center + 4)
-        times = np.asarray(self._times[lo:hi])
-        means = np.asarray(self._means[lo:hi])
-        return self.kappa * _hermite_point(times, means, float(s))
+        if self._window is None or self._window[0] != (lo, hi):
+            # the history only grows, so a window's slopes never change; the
+            # stages of one step mostly share a window
+            knots = self._times[lo:hi]
+            means = np.asarray(self._means[lo:hi])
+            self._window = ((lo, hi), knots, means, _hermite_slopes(np.asarray(knots), means))
+        _, knots, means, slopes = self._window
+        return self.kappa * _hermite_at(knots, means, slopes, float(s))
 
 
 def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
@@ -371,10 +395,12 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
     """
     times, states, fields = [], [], []
-    for ens in _run(ens0, field, t_end, dt, record_every):
-        times.append(ens.time)
-        states.append(ens)
-        fields.append(eval_field(field, ens, ens.time))
+    # a blow-up is reported by the finite check in step, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ens in _run(ens0, field, t_end, dt, record_every):
+            times.append(ens.time)
+            states.append(ens)
+            fields.append(eval_field(field, ens, ens.time))
     return Trajectory(np.asarray(times), tuple(states), np.asarray(fields))
 
 

@@ -35,10 +35,12 @@ __all__ = [
     "UniformSphereSampler",
     "VmfSampler",
     "conservation_drift",
+    "conservation_drifts",
     "cross_ratio",
     "cycle_ratio",
     "divergence_probe",
     "estimate_cycle_moment",
+    "estimate_cycle_moments",
     "existence_check",
     "mixture_functional",
     "reduced_pair_integral",
@@ -181,19 +183,20 @@ def _draw_index_tuples(rng: np.random.Generator, points: np.ndarray, count: int,
     return out, vals, rejected
 
 
-def _estimate_block(source, p: float, k: int, seed: int, block_index: int, need: int,
+def _estimate_block(source, k: int, seed: int, block_index: int, need: int,
                     reject_cap: int) -> tuple[np.ndarray, int]:
+    """Cycle ratios of one block of nondegenerate draws and its rejections."""
     rng = rng_stream(seed, stream=block_index + 1)
     if isinstance(source, Ensemble):
         _, ratios, rejected = _draw_index_tuples(rng, source.points, need, k, reject_cap)
-        return ratios ** p, rejected
+        return ratios, rejected
     rejected = 0
     vals = np.empty(need)
     todo = np.arange(need)
     while todo.size:
         ratios, bad = _cycle_ratios_batch(source.draw(rng, todo.size, 2 * k))
         good = ~bad
-        vals[todo[good]] = ratios[good] ** p
+        vals[todo[good]] = ratios[good]
         rejected += int(bad.sum())
         if rejected > reject_cap:
             raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
@@ -201,15 +204,18 @@ def _estimate_block(source, p: float, k: int, seed: int, block_index: int, need:
     return vals, rejected
 
 
-def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> FunctionalEstimate:
-    """Monte-Carlo mean of (cycle ratio)^p over m random 2k-cycles.
+def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[FunctionalEstimate]:
+    """Monte-Carlo means of (cycle ratio)^p over m random 2k-cycles, one
+    estimate per p in ``ps``.
 
-    With an Ensemble source the cycles are index tuples drawn uniformly over
-    the adjacent-distinct index cycles; with a continuous sampler each cycle
-    uses 2k fresh i.i.d. points.  Degenerate draws are rejected and redrawn
-    (capped at 100 m rejections).  The work is split into fixed blocks with
-    per-block counter-based streams, so the result does not depend on how
-    many threads execute the blocks (SWARMSPHERE_THREADS, default 1).
+    The draws do not depend on p, so the m cycle ratios are computed once and
+    raised to every p.  With an Ensemble source the cycles are index tuples
+    drawn uniformly over the adjacent-distinct index cycles; with a
+    continuous sampler each cycle uses 2k fresh i.i.d. points.  Degenerate
+    draws are rejected and redrawn (capped at 100 m rejections).  The work is
+    split into fixed blocks with per-block counter-based streams, so the
+    result does not depend on how many threads execute the blocks
+    (SWARMSPHERE_THREADS, default 1).
 
     For |p| >= d/4 the tail of (cycle ratio)^p is heavy enough that the plain
     standard error is optimistic, so a 32-block median of means is reported
@@ -222,13 +228,13 @@ def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> Functi
     d = source.d
     reject_cap = 100 * m
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
-    values = np.empty(m)
+    ratios = np.empty(m)
     rejected_total = 0
     workers = int(os.environ.get("SWARMSPHERE_THREADS", "1") or "1")
 
     def run_block(args):
         b, need = args
-        return b, _estimate_block(source, p, k, seed, b, need, reject_cap)
+        return b, _estimate_block(source, k, seed, b, need, reject_cap)
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -236,25 +242,38 @@ def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> Functi
     else:
         results = [run_block(args) for args in blocks]
     for b, (vals, rej) in results:
-        values[b * _BLOCK : b * _BLOCK + vals.size] = vals
+        ratios[b * _BLOCK : b * _BLOCK + vals.size] = vals
         rejected_total += rej
+    del results, vals  # free the block arrays before the per-p temporaries
     if rejected_total > reject_cap:
         raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
 
-    value = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-    mom = None
-    if abs(p) >= d / 4.0 and m >= 32:
-        mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
-    return FunctionalEstimate(value=value, std_error=std_error, samples=m, p=float(p), k=int(k),
-                              d=d, seed=int(seed), existence_flag=existence_check(p, d),
-                              median_of_means=mom, rejected=rejected_total)
+    estimates = []
+    for p in ps:
+        values = ratios ** p
+        value = float(np.mean(values))
+        std_error = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
+        mom = None
+        if abs(p) >= d / 4.0 and m >= 32:
+            mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
+        estimates.append(FunctionalEstimate(
+            value=value, std_error=std_error, samples=m, p=float(p), k=int(k), d=d,
+            seed=int(seed), existence_flag=existence_check(p, d), median_of_means=mom,
+            rejected=rejected_total))
+    return estimates
+
+
+def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> FunctionalEstimate:
+    """``estimate_cycle_moments`` for a single p."""
+    return estimate_cycle_moments(source, [p], k, m, seed)[0]
 
 
 def mixture_functional(source, weights, k: int, m: int, seed: int) -> float:
-    """Weighted sum of cycle moments over a finite grid of (p, weight) pairs."""
-    return math.fsum(wt * estimate_cycle_moment(source, p, k, m, seed).value
-                     for p, wt in weights)
+    """Weighted sum of cycle moments over a finite grid of (p, weight) pairs,
+    all from one set of draws."""
+    weights = list(weights)
+    estimates = estimate_cycle_moments(source, [p for p, _ in weights], k, m, seed)
+    return math.fsum(wt * est.value for (_, wt), est in zip(weights, estimates))
 
 
 def existence_check(p: float, d: int) -> bool:
@@ -373,13 +392,14 @@ class DriftReport:
         return [(t, e, r) for t, e, r in zip(self.times, self.estimates, self.relative_drift)]
 
 
-def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) -> DriftReport:
-    """Evaluate a fixed set of index cycles at every snapshot of a trajectory.
+def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list[DriftReport]:
+    """Evaluate a fixed set of index cycles at every snapshot of a trajectory,
+    one report per p in ``ps``.
 
-    The m cycles are drawn once from the initial snapshot; the report carries
-    the estimate's relative drift from its initial value and the worst
-    per-tuple relative drift of the raw cycle ratio.  Both are integrator
-    error for the exact dynamics.
+    The m cycles are drawn once from the initial snapshot and their ratios
+    are computed once for all p; each report carries the estimate's relative
+    drift from its initial value and the worst per-tuple relative drift of
+    the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
     if len(traj.states) < 2:
         raise ValueError("need at least two snapshots")
@@ -387,20 +407,35 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
         raise ValueError("need k >= 2 and m >= 1")
     rng = rng_stream(seed, stream=0)
     tuples, _, _ = _draw_index_tuples(rng, traj.states[0].points, m, k, 100 * m)
-    return _drift_report(traj, tuples, p, k)
+    return _drift_report(traj, tuples, ps, k)
 
 
-def _drift_report(traj: Trajectory, tuples: np.ndarray, p: float, k: int) -> DriftReport:
-    """Drift of the cycle ratios of fixed index tuples over every snapshot."""
+def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) -> DriftReport:
+    """``conservation_drifts`` for a single p."""
+    return conservation_drifts(traj, [p], k, m, seed)[0]
+
+
+def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[DriftReport]:
+    """Drift of the cycle ratios of fixed index tuples over every snapshot,
+    one report per p."""
     ratios = np.empty((len(traj.states), tuples.shape[0]))
     for i, st in enumerate(traj.states):
         vals, bad = _cycle_ratios_batch(st.points[tuples])
         if bad.any():
             raise ValueError("tuple became degenerate along the trajectory")
         ratios[i] = vals
-    estimates = (ratios ** p).mean(axis=1)
-    rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
-    per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
-    return DriftReport(times=traj.times.copy(), estimates=estimates, relative_drift=rel,
-                       max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,
-                       tuples=tuples, p=float(p), k=int(k))
+    # the per-tuple drift does not depend on p; build it in one buffer
+    dev = ratios - ratios[0]
+    np.abs(dev, out=dev)
+    dev /= ratios[0]
+    per_tuple = float(np.max(dev))
+    del dev
+    reports = []
+    for p in ps:
+        estimates = (ratios ** p).mean(axis=1)
+        rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
+        reports.append(DriftReport(
+            times=traj.times.copy(), estimates=estimates, relative_drift=rel,
+            max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,
+            tuples=tuples, p=float(p), k=int(k)))
+    return reports

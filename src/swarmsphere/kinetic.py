@@ -103,8 +103,10 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
             mplus.append(math.nan)
             mminus.append(math.nan)
 
-    for ens in _run(ens0, field, t_end, dt, record_every):
-        record(ens)
+    # a blow-up is reported by the finite check in step, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ens in _run(ens0, field, t_end, dt, record_every):
+            record(ens)
     series = OrderParameterSeries(np.asarray(times), np.asarray(r2s), np.asarray(dr2s),
                                   np.asarray(gammas), np.asarray(mplus), np.asarray(mminus),
                                   float(epsilon))
@@ -313,7 +315,7 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
             continue
         rng = rng_stream(seed, stream=gi + 1)
         local, _, _ = _draw_index_tuples(rng, first.points[idx], m, k, 100 * m)
-        per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], p, k)))
+        per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], [p], k)[0]))
 
     mixed = None
     if len(groups) >= 2:
@@ -337,7 +339,7 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
             guard += 1
             if guard > 200:
                 raise ValueError("could not draw mixed-group tuples")
-        mixed = _drift_report(traj, chosen, p, k)
+        mixed = _drift_report(traj, chosen, [p], k)[0]
 
     fractions = np.array([idx.size / first.n for _, idx in groups])
     constant = all(st.omega is first.omega or st.omega == first.omega for st in traj.states)

@@ -92,7 +92,7 @@ def ws_rhs(w: np.ndarray, rotation: np.ndarray, omega: SkewMatrix | None,
     dw = 0.5 * (1.0 + w2) * x - wx * w
     if om_mat is not None:
         dw = dw + om_mat @ w
-    coupling = np.outer(x, w) - np.outer(w, x)
+    coupling = x[:, None] * w - w[:, None] * x
     if om_mat is not None:
         coupling = coupling + om_mat
     drot = coupling @ rotation
@@ -131,22 +131,24 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
         dw, drot = ws_rhs(yc[-1], yc[:-1], omega, field.evaluate(None, ts))
         return np.concatenate((drot, dw[None]))
 
-    for s in range(1, steps + 1):
-        y = _rk4(y, rhs, (s - 1) * dt, dt)
-        if not np.isfinite(y).all():
-            raise ValueError(f"non-finite (w, R) state at step time t = {s * dt}")
-        wn = float(np.linalg.norm(y[-1]))
-        if wn >= 1.0 - _BALL_GUARD:
-            # analytically |w| < 1 always; any excursion is pure float drift
-            y[-1] *= (1.0 - _BALL_GUARD) / wn
-            guard += 1
-        # cadence plus a defect trigger, so coarse steps cannot outrun the
-        # 1e-8 orthogonality invariant between scheduled corrections
-        rot = y[:-1]
-        if s % reorth_every == 0 or s == steps \
-                or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
-            y[:-1] = reorthonormalize(rot)
-        path.append(WsState(y[-1], y[:-1], s * dt))
+    # a blow-up is reported by the finite check below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, steps + 1):
+            y = _rk4(y, rhs, (s - 1) * dt, dt)
+            if not np.isfinite(y).all():
+                raise ValueError(f"non-finite (w, R) state at step time t = {s * dt}")
+            wn = float(np.linalg.norm(y[-1]))
+            if wn >= 1.0 - _BALL_GUARD:
+                # analytically |w| < 1 always; any excursion is pure float drift
+                y[-1] *= (1.0 - _BALL_GUARD) / wn
+                guard += 1
+            # cadence plus a defect trigger, so coarse steps cannot outrun the
+            # 1e-8 orthogonality invariant between scheduled corrections
+            rot = y[:-1]
+            if s % reorth_every == 0 or s == steps \
+                    or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
+                y[:-1] = reorthonormalize(rot)
+            path.append(WsState(y[-1], y[:-1], s * dt))
     path.guard_events = guard
     return path
 

@@ -142,6 +142,26 @@ def test_out_of_range_exponent_warns_but_runs(tmp_path, capsys):
     assert records[0]["existence_flag"] is False
 
 
+def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
+    from swarmsphere import UniformSphereSampler, estimate_cycle_moment
+
+    p_list, k_list = [0.3, 0.0, -0.3], [3, 2]
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "functional", "d": 2, "N": 16, "t_end": 0.05, "dt": 1e-2,
+        "p_list": p_list, "k_list": k_list, "m": 3000, "drift_tuples": 20, "seed": 6,
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    records = json.loads((out / "estimates.json").read_text())
+    assert [(r["k"], r["p"]) for r in records] == [(k, p) for k in k_list for p in p_list]
+    for r in records:
+        est = estimate_cycle_moment(UniformSphereSampler(2), r["p"], r["k"], 3000, 6)
+        assert r["value"] == est.value and r["std_error"] == est.std_error
+    for k in k_list:
+        for p in p_list:
+            assert (out / f"drift_p{p:g}_k{k}.csv").is_file()
+
+
 def test_gate_failure_exit_code(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "ws-verify", "d": 2, "N": 4, "t_end": 0.1, "dt": 1e-3,
@@ -169,7 +189,6 @@ def test_aborted_run_leaves_partial_manifest(tmp_path):
     assert "aborted" in manifest
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blow_up_aborts_naming_non_finite_state(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "simulate", "d": 2, "N": 8, "t_end": 0.05, "dt": 1e-2, "seed": 1,

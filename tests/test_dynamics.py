@@ -237,6 +237,99 @@ def test_replay_interpolation_accuracy():
     assert worst(0.0, 1.0) <= 5e-6      # second-order one-sided slopes at the edges
 
 
+def _reference_hermite_point(times, values, t):
+    """Per-point cubic Hermite interpolation with the slope rules written out
+    knot by knot; the slope table behind ReplayField must agree bitwise."""
+    m = times.size
+    if t <= times[0]:
+        return values[0].copy()
+    if t >= times[-1]:
+        return values[-1].copy()
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(max(i, 0), m - 2)
+    h = times[i + 1] - times[i]
+
+    def slope(j):
+        if 2 <= j <= m - 3:
+            hl = times[j] - times[j - 1]
+            hr = times[j + 1] - times[j]
+            if abs(hl - hr) < 1e-12 * hr and abs(times[j + 2] - times[j + 1] - hr) < 1e-12 * hr \
+                    and abs(times[j - 1] - times[j - 2] - hr) < 1e-12 * hr:
+                return (values[j - 2] - 8.0 * values[j - 1] + 8.0 * values[j + 1]
+                        - values[j + 2]) / (12.0 * hr)
+        if j == 0:
+            h0 = times[1] - times[0]
+            if m >= 3 and abs((times[2] - times[1]) - h0) < 1e-12 * h0:
+                return (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h0)
+            return (values[1] - values[0]) / h0
+        if j == m - 1:
+            h0 = times[-1] - times[-2]
+            if m >= 3 and abs((times[-2] - times[-3]) - h0) < 1e-12 * h0:
+                return (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h0)
+            return (values[-1] - values[-2]) / h0
+        hl = times[j] - times[j - 1]
+        hr = times[j + 1] - times[j]
+        dl = (values[j] - values[j - 1]) / hl
+        dr = (values[j + 1] - values[j]) / hr
+        return (dl * hr + dr * hl) / (hl + hr)
+
+    s = (t - times[i]) / h
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    return h00 * values[i] + h10 * h * slope(i) + h01 * values[i + 1] + h11 * h * slope(i + 1)
+
+
+def _replay_grid(kind, m, rng):
+    if kind == "uniform":
+        return np.arange(m) * 0.1
+    if kind == "nonuniform":
+        return np.cumsum(rng.uniform(0.01, 1.0, m))
+    # uniform with one wider step in the middle: the stencil switches near it
+    times = np.arange(m) * 0.1
+    times[m // 2:] += 0.05
+    return times
+
+
+@pytest.mark.parametrize("kind", ["uniform", "nonuniform", "kinked"])
+def test_replay_slope_table_matches_reference_stencil(kind):
+    rng = np.random.default_rng(17)
+    for m in list(range(2, 13)) + [40, 5001]:
+        times = _replay_grid(kind, m, rng)
+        values = rng.normal(size=(m, 3))
+        replay = ReplayField(times, values)
+        probes = rng.uniform(times[0], times[-1], 200 if m < 5001 else 2000)
+        slack = 1e-10 * (times[-1] - times[0])  # inside the span tolerance
+        ends = [times[0] - slack, times[-1] + slack]
+        for t in np.concatenate([times, probes, ends]):
+            got = replay.evaluate(None, float(t))
+            want = _reference_hermite_point(times, values, float(t))
+            assert got.tobytes() == want.tobytes(), (kind, m, float(t))
+
+
+class _ReferenceDelayField(TimeDelayField):
+    """The delayed mean field interpolated with the reference stencil."""
+
+    def evaluate(self, points, t):
+        s = t - self.tau
+        if s <= 0.0:
+            return self.kappa * self._means[0]
+        center = int(s / self._dt)
+        lo, hi = max(0, center - 2), min(len(self._times), center + 4)
+        return self.kappa * _reference_hermite_point(
+            np.asarray(self._times[lo:hi]), np.asarray(self._means[lo:hi]), float(s))
+
+
+@pytest.mark.parametrize("tau", [1e-2, 5e-2])
+def test_time_delay_slopes_match_reference_stencil(tau):
+    ens = sample_uniform(2, 16, 21).with_omega(SkewMatrix.random(2, 5, 1.0))
+    got = simulate(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
+    want = simulate(ens, _ReferenceDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
+    assert got.field_samples.tobytes() == want.field_samples.tobytes()
+    assert got.states[-1].points.tobytes() == want.states[-1].points.tobytes()
+
+
 def test_time_delay_runs_and_errors():
     field = TimeDelayField(1.0, 0.05)
     ens = sample_uniform(2, 8, 9)
@@ -261,7 +354,6 @@ def test_bare_step_past_tau_points_at_the_stepping_loop():
         step(ens, field, 1e-2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_names_the_non_finite_step():
     # the field turns infinite inside the step from t = 0.04 to t = 0.05
     field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))

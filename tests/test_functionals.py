@@ -13,10 +13,12 @@ from swarmsphere import (
     UniformSphereSampler,
     VmfSampler,
     conservation_drift,
+    conservation_drifts,
     cross_ratio,
     cycle_ratio,
     divergence_probe,
     estimate_cycle_moment,
+    estimate_cycle_moments,
     existence_check,
     mixture_functional,
     reduced_pair_integral,
@@ -162,6 +164,48 @@ def test_estimate_ensemble_two_points_works():
     assert est.value == pytest.approx(1.0)  # all chords equal by construction
 
 
+def _estimate_bits(est):
+    mom = None if est.median_of_means is None else est.median_of_means.hex()
+    return (est.value.hex(), est.std_error.hex(), mom, est.rejected, est.samples, est.p, est.k)
+
+
+def _repeated_rows_ensemble():
+    # repeated rows make some draws degenerate, so rejections are counted too
+    pts = sample_uniform(2, 30, 4).points
+    return Ensemble(np.vstack([pts, pts[:10]]))
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("source, k", [
+    (UniformSphereSampler(2), 2),
+    (VmfSampler(np.array([0.0, 0.0, 1.0]), 2.0), 3),
+    (_repeated_rows_ensemble(), 2),
+])
+def test_estimate_list_form_matches_single_p_bitwise(monkeypatch, threads, source, k):
+    if threads is None:
+        monkeypatch.delenv("SWARMSPHERE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SWARMSPHERE_THREADS", threads)
+    ps = [0.0, 0.3, -0.3, 0.6, -1.5]  # |p| >= d/4 also reports a median of means
+    m = 20_000  # more than one block
+    many = estimate_cycle_moments(source, ps, k, m, seed=13)
+    assert [est.p for est in many] == ps
+    for p, est in zip(ps, many):
+        one = estimate_cycle_moment(source, p, k, m, seed=13)
+        assert _estimate_bits(est) == _estimate_bits(one)
+    assert many[3].median_of_means is not None
+    if isinstance(source, Ensemble):
+        assert many[0].rejected > 0
+
+
+def test_mixture_functional_is_fsum_of_single_p_estimates():
+    src = VmfSampler(np.array([0.0, 1.0, 0.0]), 1.0)
+    weights = [(0.2, 0.5), (-0.2, 1.5), (0.0, -1.0)]
+    total = mixture_functional(src, weights, 2, 5000, seed=4)
+    assert total == math.fsum(wt * estimate_cycle_moment(src, p, 2, 5000, seed=4).value
+                              for p, wt in weights)
+
+
 def test_mixture_functional_thin_wrapper():
     src = UniformSphereSampler(2)
     total = mixture_functional(src, [(0.0, 2.0), (0.1, 0.0)], 2, 1000, seed=4)
@@ -292,6 +336,22 @@ def test_conservation_holds_for_every_common_field_variant():
         traj = simulate(ens, field, 1.0, 1e-3, record_every=100)
         rep = conservation_drift(traj, 1.0, 2, 40, seed=6)
         assert rep.per_tuple_max_drift <= 1e-6, type(field).__name__
+
+
+def test_conservation_drifts_match_single_p_bitwise():
+    om = SkewMatrix.random(2, 31, 1.0)
+    ens = sample_uniform(2, 24, 43).with_omega(om)
+    traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=5)
+    ps = [0.0, 0.4, -0.4, 1.1]
+    reports = conservation_drifts(traj, ps, 3, 60, seed=8)
+    assert [rep.p for rep in reports] == ps
+    for p, rep in zip(ps, reports):
+        one = conservation_drift(traj, p, 3, 60, seed=8)
+        for name in ("times", "estimates", "relative_drift", "tuples"):
+            assert getattr(rep, name).tobytes() == getattr(one, name).tobytes(), name
+        assert rep.max_relative_drift.hex() == one.max_relative_drift.hex()
+        assert rep.per_tuple_max_drift.hex() == one.per_tuple_max_drift.hex()
+        assert rep.k == one.k == 3
 
 
 def test_conservation_drift_needs_two_snapshots():

@@ -316,7 +316,6 @@ def test_ws_state_rejects_nan():
         WsState(np.zeros(3), np.full((3, 3), np.nan))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_ws_evolve_names_the_non_finite_step():
     # the field turns infinite inside the step from t = 0.04 to t = 0.05
     field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))
