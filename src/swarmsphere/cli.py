@@ -14,6 +14,7 @@ aborted run.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -26,17 +27,15 @@ import numpy as np
 from . import __version__
 from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
                        TimeDelayField, WinfreeField, simulate)
-from .functionals import (UniformSphereSampler, VmfSampler, conservation_drifts,
-                          divergence_probe, estimate_cycle_moments, existence_check)
-from .geometry import Ensemble, SkewMatrix, sample_uniform, sample_vmf
+from .functionals import (VmfSampler, conservation_drifts, divergence_probe,
+                          estimate_cycle_moments, existence_check)
+from .geometry import SkewMatrix, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
 from .kinetic import (instability_experiment, order_parameter, order_parameter_series,
                       per_omega_conservation)
 from .ws import conjugacy_residual, push_forward, ws_evolve
 
 __all__ = ["ConfigError", "main", "parse_config", "run_experiment"]
-
-EXPERIMENTS = ("simulate", "ws-verify", "functional", "existence", "kinetic", "heterogeneous")
 
 
 class ConfigError(ValueError):
@@ -56,107 +55,97 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str = ""):
+# A key table maps each key, in checking order, to (default, test, phrase).
+# The default is _REQUIRED (a missing key is tested as None, so it fails),
+# _OPTIONAL (left absent; the kind's builder supplies the value), a value, or a
+# function of the config.  test(value, cfg) sees the whole top-level config,
+# which carries the cross-key rules; it returns False to reject with
+# "<path><key>: expected <phrase>", or raises ConfigError with its own message.
+# A _Kinds test checks a nested spec.
+_REQUIRED, _OPTIONAL = object(), object()
+
+
+def _check_keys(obj: dict, table: dict, prefix: str, cfg: dict, tag: str | None = None):
+    """Reject keys outside ``table`` (``tag`` names the spec's kind), then test
+    each key in table order.  Only the top-level config (empty prefix) is
+    default-filled; nested specs keep what was written."""
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key: {path}{key}")
+        _require(key in table or key == tag, f"unknown key: {prefix}{key}")
+    for key, (default, test, phrase) in table.items():
+        if key in obj:
+            value = obj[key]
+        elif default is _OPTIONAL:
+            continue
+        elif default is _REQUIRED:
+            value = None
+        else:
+            value = default(cfg) if callable(default) else copy.deepcopy(default)
+            if not prefix:
+                obj[key] = value
+        if isinstance(test, _Kinds):
+            test.check(value, prefix + key, cfg)
+        else:
+            _require(test(value, cfg), f"{prefix}{key}: expected {phrase}")
 
 
-def _check_plane(spec: dict, path: str, d: int):
-    plane = spec.get("plane", [0, 1])
-    _require(isinstance(plane, list) and len(plane) == 2 and all(_is_int(i) for i in plane)
-             and 0 <= plane[0] <= d and 0 <= plane[1] <= d and plane[0] != plane[1],
-             f"{path}.plane: expected two distinct axis indices in range")
+class _Kinds:
+    """A spec whose ``tag`` key names its kind; each kind has a key table and
+    the builder the runners call."""
+
+    def __init__(self, tag: str, kinds: dict, phrase):
+        self.tag, self.kinds, self.phrase = tag, kinds, phrase(list(kinds))
+
+    def check(self, spec, path: str, cfg: dict):
+        prefix = path + "." if path else ""
+        _require(isinstance(spec, dict), f"{path}: expected an object")
+        kind = spec.get(self.tag)
+        _require(isinstance(kind, str) and kind in self.kinds,
+                 f"{prefix}{self.tag}: expected {self.phrase}")
+        _check_keys(spec, self.kinds[kind][0], prefix, cfg, self.tag)
+
+    def build(self, spec: dict, *args):
+        return self.kinds[spec[self.tag]][1](spec, *args)
 
 
-def _validate_omega_spec(spec, path: str, d: int):
-    _require(isinstance(spec, dict), f"{path}: expected an object")
-    kind = spec.get("kind")
-    _require(kind in ("zero", "random", "planar"), f"{path}.kind: expected zero|random|planar")
-    if kind == "zero":
-        _check_keys(spec, {"kind"}, path + ".")
-    elif kind == "random":
-        _check_keys(spec, {"kind", "seed", "scale"}, path + ".")
-        _require(_is_int(spec.get("seed")) and spec["seed"] >= 0, f"{path}.seed: expected a nonnegative integer")
-        _require(_is_num(spec.get("scale", 1.0)), f"{path}.scale: expected a number")
-    else:
-        _check_keys(spec, {"kind", "rate", "plane"}, path + ".")
-        _require(_is_num(spec.get("rate")), f"{path}.rate: expected a number")
-        _check_plane(spec, path, d)
+def _int_at_least(lo: int):
+    return (lambda v, cfg: _is_int(v) and v >= lo), f"an integer >= {lo}"
 
 
-def _build_omega(spec, d: int):
-    kind = spec["kind"]
-    if kind == "zero":
-        return SkewMatrix.zero(d)
-    if kind == "random":
-        return SkewMatrix.random(d, spec["seed"], float(spec.get("scale", 1.0)))
-    plane = spec.get("plane", [0, 1])
-    return SkewMatrix.planar(d, float(spec["rate"]), (plane[0], plane[1]))
+def _vector(v, cfg) -> bool:
+    return isinstance(v, list) and len(v) == cfg["d"] + 1 and all(_is_num(x) for x in v)
 
 
-_FIELD_KEYS = {
-    "mean_field": {"variant", "kappa"},
-    "frustrated": {"variant", "kappa", "matrix"},
-    "winfree": {"variant", "kappa", "pole"},
-    "time_delay": {"variant", "kappa", "tau"},
-    "prescribed_constant": {"variant", "vector"},
-    "prescribed_rotating": {"variant", "amplitude", "rate", "plane"},
-}
+_NUMBER = (lambda v, cfg: _is_num(v)), "a number"
+_POSITIVE = (lambda v, cfg: _is_num(v) and v > 0), "a positive number"
+_NUMBERS = (lambda v, cfg: isinstance(v, list) and v and all(_is_num(p) for p in v)), \
+    "a list of numbers"
+# rng_stream keys Philox with 64-bit words
+_SEED = (lambda v, cfg: _is_int(v) and 0 <= v < 2**64), "a nonnegative 64-bit integer"
+_PLANE = (lambda v, cfg: isinstance(v, list) and len(v) == 2 and all(_is_int(i) for i in v)
+          and 0 <= v[0] <= cfg["d"] and 0 <= v[1] <= cfg["d"] and v[0] != v[1]), \
+    "two distinct axis indices in range"
+
+_OMEGA = _Kinds("kind", {
+    "zero": ({}, lambda spec, d: SkewMatrix.zero(d)),
+    "random": ({"seed": (_REQUIRED, *_SEED), "scale": (_OPTIONAL, *_NUMBER)},
+               lambda spec, d: SkewMatrix.random(d, spec["seed"], float(spec.get("scale", 1.0)))),
+    "planar": ({"rate": (_REQUIRED, *_NUMBER), "plane": (_OPTIONAL, *_PLANE)},
+               lambda spec, d: SkewMatrix.planar(d, float(spec["rate"]),
+                                                 tuple(spec.get("plane", [0, 1])))),
+}, "|".join)
 
 
-def _validate_field(spec, path: str, d: int, dt: float):
-    _require(isinstance(spec, dict), f"{path}: expected an object")
-    variant = spec.get("variant")
-    _require(variant in _FIELD_KEYS, f"{path}.variant: expected one of {sorted(_FIELD_KEYS)}")
-    _check_keys(spec, _FIELD_KEYS[variant], path + ".")
-    if variant in ("mean_field", "frustrated", "winfree", "time_delay"):
-        _require(_is_num(spec.get("kappa", 1.0)), f"{path}.kappa: expected a number")
-    if variant == "frustrated":
-        mat = spec.get("matrix")
-        _require(isinstance(mat, list) and len(mat) == d + 1
-                 and all(isinstance(r, list) and len(r) == d + 1 and all(_is_num(v) for v in r) for r in mat),
-                 f"{path}.matrix: expected a (d+1)x(d+1) numeric matrix")
-    if variant == "winfree" and "pole" in spec:
-        pole = spec["pole"]
-        _require(isinstance(pole, list) and len(pole) == d + 1 and all(_is_num(v) for v in pole)
-                 and any(v != 0 for v in pole),
-                 f"{path}.pole: expected a nonzero numeric vector of length d+1")
-    if variant == "time_delay":
-        tau = spec.get("tau")
-        _require(_is_num(tau) and tau >= dt, f"{path}.tau: expected a number >= dt")
-    if variant == "prescribed_constant":
-        vec = spec.get("vector")
-        _require(isinstance(vec, list) and len(vec) == d + 1 and all(_is_num(v) for v in vec),
-                 f"{path}.vector: expected a numeric vector of length d+1")
-    if variant == "prescribed_rotating":
-        _require(_is_num(spec.get("amplitude")), f"{path}.amplitude: expected a number")
-        _require(_is_num(spec.get("rate")), f"{path}.rate: expected a number")
-        _check_plane(spec, path, d)
+def _kappa(spec: dict) -> float:
+    return float(spec.get("kappa", 1.0))
 
 
-def _build_field(spec, d: int):
-    variant = spec["variant"]
-    kappa = float(spec.get("kappa", 1.0))
-    if variant == "mean_field":
-        return MeanField(kappa)
-    if variant == "frustrated":
-        return FrustratedField(kappa, np.array(spec["matrix"], dtype=float))
-    if variant == "winfree":
-        pole = np.array(spec["pole"], dtype=float) if "pole" in spec else np.eye(d + 1)[-1]
-        return WinfreeField(kappa, pole)
-    if variant == "time_delay":
-        return TimeDelayField(kappa, float(spec["tau"]))
-    if variant == "prescribed_constant":
-        vec = np.array(spec["vector"], dtype=float)
-        return PrescribedField(lambda t: vec)
+def _rotating_field(spec: dict, d: int):
     amp = float(spec["amplitude"])
     rate = float(spec["rate"])
     i, j = spec.get("plane", [0, 1])
-    dim = d + 1
 
     def rotating(t):
-        x = np.zeros(dim)
+        x = np.zeros(d + 1)
         x[i] = amp * math.cos(rate * t)
         x[j] = amp * math.sin(rate * t)
         return x
@@ -164,56 +153,92 @@ def _build_field(spec, d: int):
     return PrescribedField(rotating)
 
 
-def _validate_initial(spec, path: str):
-    _require(isinstance(spec, dict), f"{path}: expected an object")
-    kind = spec.get("kind")
-    _require(kind in ("uniform", "vmf"), f"{path}.kind: expected uniform|vmf")
-    if kind == "uniform":
-        _check_keys(spec, {"kind"}, path + ".")
-    else:
-        _check_keys(spec, {"kind", "concentration"}, path + ".")
-        conc = spec.get("concentration", 1.0)
-        _require(_is_num(conc) and conc >= 0, f"{path}.concentration: expected a nonnegative number")
+def _constant_field(spec: dict, d: int):
+    vec = np.array(spec["vector"], dtype=float)
+    return PrescribedField(lambda t: vec)
 
 
-def _build_initial(spec, d: int, n: int, seed: int) -> Ensemble:
-    if spec["kind"] == "uniform":
-        return sample_uniform(d, n, seed)
-    return sample_vmf(np.eye(d + 1)[-1], float(spec.get("concentration", 1.0)), n, seed)
+_COUPLED = {"kappa": (_OPTIONAL, *_NUMBER)}
+_FIELD = _Kinds("variant", {
+    "mean_field": (_COUPLED, lambda spec, d: MeanField(_kappa(spec))),
+    "frustrated": ({**_COUPLED, "matrix": (
+        _REQUIRED, lambda v, cfg: isinstance(v, list) and len(v) == cfg["d"] + 1
+        and all(_vector(r, cfg) for r in v),
+        "a (d+1)x(d+1) numeric matrix")},
+        lambda spec, d: FrustratedField(_kappa(spec), np.array(spec["matrix"], dtype=float))),
+    "winfree": ({**_COUPLED, "pole": (
+        _OPTIONAL, lambda v, cfg: _vector(v, cfg) and any(x != 0 for x in v),
+        "a nonzero numeric vector of length d+1")},
+        lambda spec, d: WinfreeField(_kappa(spec), np.array(spec["pole"], dtype=float)
+                                     if "pole" in spec else np.eye(d + 1)[-1])),
+    "time_delay": ({**_COUPLED, "tau": (
+        _REQUIRED, lambda v, cfg: _is_num(v) and v >= cfg["dt"], "a number >= dt")},
+        lambda spec, d: TimeDelayField(_kappa(spec), float(spec["tau"]))),
+    "prescribed_constant": ({"vector": (_REQUIRED, _vector, "a numeric vector of length d+1")},
+                            _constant_field),
+    "prescribed_rotating": ({"amplitude": (_REQUIRED, *_NUMBER), "rate": (_REQUIRED, *_NUMBER),
+                             "plane": (_OPTIONAL, *_PLANE)}, _rotating_field),
+}, lambda names: f"one of {sorted(names)}")
+
+# densities on S^d about the last axis; the builder gives the vMF
+# concentration, and uniform is its zero
+_DENSITY = _Kinds("kind", {
+    "uniform": ({}, lambda spec: 0.0),
+    "vmf": ({"concentration": (_OPTIONAL, lambda v, cfg: _is_num(v) and v >= 0,
+                               "a nonnegative number")},
+            lambda spec: float(spec.get("concentration", 1.0))),
+}, "|".join)
 
 
-def _common_checks(cfg: dict):
-    _require(_is_int(cfg.get("d")) and cfg["d"] >= 1, "d: expected an integer >= 1")
-    _require(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed: expected a nonnegative integer")
-    if "output_dir" in cfg:
-        _require(isinstance(cfg["output_dir"], str), "output_dir: expected a string")
+def _replayable(spec, cfg: dict) -> bool:
+    _FIELD.check(spec, "field", cfg)
+    _require(spec["variant"] != "time_delay",
+             "field.variant: time_delay is not replayable into the reduced system")
+    return True
 
 
-def _run_params(cfg: dict, dt_default: float, t_default: float | None = None):
-    cfg.setdefault("dt", dt_default)
-    if t_default is not None:
-        cfg.setdefault("t_end", t_default)
-    _require(_is_num(cfg.get("t_end")) and cfg["t_end"] >= 0, "t_end: expected a number >= 0")
-    _require(_is_num(cfg.get("dt")) and cfg["dt"] > 0, "dt: expected a positive number")
-    cfg.setdefault("record_every", 1)
-    _require(_is_int(cfg["record_every"]) and cfg["record_every"] >= 1,
-             "record_every: expected an integer >= 1")
+def _instability(delta, cfg: dict) -> bool:
+    """delta turns on the instability experiment, which splits N into
+    antipodal pairs and runs its control from seed + 1."""
+    if not (_is_num(delta) and delta > 0):
+        return False
+    _require(cfg["N"] >= 4, "N: the instability experiment needs N >= 4")
+    _require(cfg["N"] % 2 == 0, "N: the instability experiment needs an even N")
+    _require(cfg["seed"] < 2**64 - 1,
+             "seed: the instability experiment needs seed < 2**64 - 1 (its control uses seed + 1)")
+    return True
 
 
-_COMMON = {"experiment", "d", "seed", "output_dir"}
+def _groups(groups, cfg: dict) -> bool:
+    if not (isinstance(groups, list) and groups):
+        return False
+    for gi, g in enumerate(groups):
+        _require(isinstance(g, dict), f"groups[{gi}]: expected an object")
+        _check_keys(g, _GROUP, f"groups[{gi}].", cfg)
+    return True
 
-_SCHEMA_KEYS = {
-    "simulate": _COMMON | {"N", "omega_spec", "field", "t_end", "dt", "record_every"},
-    "ws-verify": _COMMON | {"N", "omega_spec", "field", "t_end", "dt", "checkpoints",
-                            "tol_mismatch", "tol_conjugacy"},
-    "functional": _COMMON | {"N", "omega_spec", "field", "t_end", "dt", "record_every",
-                             "p_list", "k_list", "m", "drift_tuples", "drift_tol", "sampler"},
-    "existence": _COMMON | {"p_list"},
-    "kinetic": _COMMON | {"N", "kappa", "t_end", "dt", "record_every", "epsilon",
-                          "initial", "delta"},
-    "heterogeneous": _COMMON | {"groups", "kappa", "t_end", "dt", "record_every",
-                                "p", "k", "m"},
-}
+
+def _p_grid(cfg: dict) -> list:
+    """Existence default: p from -(d + 1)/2 to 0 in steps of 1/4."""
+    grid_max = cfg["d"] / 2.0 + 0.5
+    return [round(-grid_max + 0.25 * i, 10) for i in range(int(round(8 * grid_max / 2)) + 1)]
+
+
+def _span(t_end, dt) -> dict:
+    return {"t_end": (t_end, lambda v, cfg: _is_num(v) and v >= 0, "a number >= 0"),
+            "dt": (dt, *_POSITIVE)}
+
+
+# nested entries carry no phrase: the spec check names the offending key itself
+_GROUP = {"count": (_REQUIRED, *_int_at_least(1)), "omega_spec": ({}, _OMEGA, None)}
+_COMMON = {"d": (_REQUIRED, *_int_at_least(1)), "seed": (_REQUIRED, *_SEED),
+           "output_dir": (_OPTIONAL, lambda v, cfg: isinstance(v, str), "a string")}
+_N = {"N": (_REQUIRED, *_int_at_least(1))}
+_RECORD = {"record_every": (1, *_int_at_least(1))}
+_KAPPA = {"kappa": (1.0, *_POSITIVE)}
+_ENSEMBLE = {"omega_spec": ({"kind": "zero"}, _OMEGA, None),
+             "field": ({"variant": "mean_field", "kappa": 1.0}, _FIELD, None)}
+_SIMULATE = {**_COMMON, **_N, **_span(_REQUIRED, 1e-3), **_RECORD, **_ENSEMBLE}
 
 
 def parse_config(path) -> dict:
@@ -229,91 +254,7 @@ def parse_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(cfg, dict), "config must be a JSON object")
-    exp = cfg.get("experiment")
-    _require(exp in EXPERIMENTS, f"experiment: expected one of {list(EXPERIMENTS)}")
-    _check_keys(cfg, _SCHEMA_KEYS[exp])
-    _common_checks(cfg)
-    d = cfg["d"]
-
-    if exp in ("simulate", "ws-verify", "functional"):
-        _require(_is_int(cfg.get("N")) and cfg["N"] >= 1, "N: expected an integer >= 1")
-        _run_params(cfg, 1e-3)
-        cfg.setdefault("omega_spec", {"kind": "zero"})
-        _validate_omega_spec(cfg["omega_spec"], "omega_spec", d)
-        cfg.setdefault("field", {"variant": "mean_field", "kappa": 1.0})
-        _validate_field(cfg["field"], "field", d, cfg["dt"])
-
-    if exp == "ws-verify":
-        _require(not cfg["field"]["variant"] == "time_delay",
-                 "field.variant: time_delay is not replayable into the reduced system")
-        cfg.setdefault("checkpoints", 10)
-        _require(_is_int(cfg["checkpoints"]) and cfg["checkpoints"] >= 1,
-                 "checkpoints: expected an integer >= 1")
-        cfg.setdefault("tol_mismatch", 1e-5)
-        cfg.setdefault("tol_conjugacy", 1e-4)
-        _require(_is_num(cfg["tol_mismatch"]) and cfg["tol_mismatch"] > 0,
-                 "tol_mismatch: expected a positive number")
-        _require(_is_num(cfg["tol_conjugacy"]) and cfg["tol_conjugacy"] > 0,
-                 "tol_conjugacy: expected a positive number")
-
-    if exp == "functional":
-        _require(isinstance(cfg.get("p_list"), list) and cfg["p_list"]
-                 and all(_is_num(p) for p in cfg["p_list"]), "p_list: expected a list of numbers")
-        cfg.setdefault("k_list", [2])
-        _require(isinstance(cfg["k_list"], list) and cfg["k_list"]
-                 and all(_is_int(k) and k >= 2 for k in cfg["k_list"]),
-                 "k_list: expected a list of integers >= 2")
-        cfg.setdefault("m", 10000)
-        _require(_is_int(cfg["m"]) and cfg["m"] >= 1, "m: expected an integer >= 1")
-        cfg.setdefault("drift_tuples", 100)
-        _require(_is_int(cfg["drift_tuples"]) and cfg["drift_tuples"] >= 1,
-                 "drift_tuples: expected an integer >= 1")
-        cfg.setdefault("drift_tol", 1e-6)
-        _require(_is_num(cfg["drift_tol"]) and cfg["drift_tol"] > 0,
-                 "drift_tol: expected a positive number")
-        cfg.setdefault("sampler", {"kind": "uniform"})
-        _validate_initial(cfg["sampler"], "sampler")
-
-    if exp == "existence":
-        grid_max = d / 2.0 + 0.5
-        default_grid = [round(-grid_max + 0.25 * i, 10) for i in range(int(round(8 * grid_max / 2)) + 1)]
-        cfg.setdefault("p_list", default_grid)
-        _require(isinstance(cfg["p_list"], list) and cfg["p_list"]
-                 and all(_is_num(p) for p in cfg["p_list"]), "p_list: expected a list of numbers")
-
-    if exp == "kinetic":
-        _require(_is_int(cfg.get("N")) and cfg["N"] >= 1, "N: expected an integer >= 1")
-        cfg.setdefault("kappa", 1.0)
-        _require(_is_num(cfg["kappa"]) and cfg["kappa"] > 0, "kappa: expected a positive number")
-        _run_params(cfg, 1e-2, 50.0)
-        cfg.setdefault("epsilon", 0.5)
-        _require(_is_num(cfg["epsilon"]) and 0 < cfg["epsilon"] < 2,
-                 "epsilon: expected a number in (0, 2)")
-        cfg.setdefault("initial", {"kind": "vmf", "concentration": 1.0})
-        _validate_initial(cfg["initial"], "initial")
-        if "delta" in cfg:
-            _require(_is_num(cfg["delta"]) and cfg["delta"] > 0, "delta: expected a positive number")
-            _require(cfg["N"] >= 4, "N: the instability experiment needs N >= 4")
-            _require(cfg["N"] % 2 == 0, "N: the instability experiment needs an even N")
-
-    if exp == "heterogeneous":
-        groups = cfg.get("groups")
-        _require(isinstance(groups, list) and len(groups) >= 1, "groups: expected a nonempty list")
-        for gi, g in enumerate(groups):
-            _require(isinstance(g, dict), f"groups[{gi}]: expected an object")
-            _check_keys(g, {"count", "omega_spec"}, f"groups[{gi}].")
-            _require(_is_int(g.get("count")) and g["count"] >= 1,
-                     f"groups[{gi}].count: expected an integer >= 1")
-            _validate_omega_spec(g.get("omega_spec", {}), f"groups[{gi}].omega_spec", d)
-        cfg.setdefault("kappa", 1.0)
-        _require(_is_num(cfg["kappa"]) and cfg["kappa"] > 0, "kappa: expected a positive number")
-        _run_params(cfg, 1e-3, 5.0)
-        cfg.setdefault("p", 0.3)
-        _require(_is_num(cfg["p"]), "p: expected a number")
-        cfg.setdefault("k", 2)
-        _require(_is_int(cfg["k"]) and cfg["k"] >= 2, "k: expected an integer >= 2")
-        cfg.setdefault("m", 50)
-        _require(_is_int(cfg["m"]) and cfg["m"] >= 1, "m: expected an integer >= 1")
+    _CONFIG.check(cfg, "", cfg)
     return cfg
 
 
@@ -336,12 +277,16 @@ def _export_trajectory(traj, outdir: Path):
     return [p1, p2]
 
 
+def _ensemble_run(cfg: dict, record_every: int):
+    """N uniform points under omega_spec, simulated in field."""
+    omega = _OMEGA.build(cfg["omega_spec"], cfg["d"])
+    ens0 = sample_uniform(cfg["d"], cfg["N"], cfg["seed"]).with_omega(omega)
+    field = _FIELD.build(cfg["field"], cfg["d"])
+    return omega, ens0, simulate(ens0, field, cfg["t_end"], cfg["dt"], record_every)
+
+
 def _run_simulate(cfg: dict, outdir: Path):
-    d = cfg["d"]
-    omega = _build_omega(cfg["omega_spec"], d)
-    ens0 = sample_uniform(d, cfg["N"], cfg["seed"]).with_omega(omega)
-    field = _build_field(cfg["field"], d)
-    traj = simulate(ens0, field, cfg["t_end"], cfg["dt"], cfg["record_every"])
+    _, _, traj = _ensemble_run(cfg, cfg["record_every"])
     outputs = _export_trajectory(traj, outdir)
     worst_norm = max(float(np.max(np.abs(np.linalg.norm(st.points, axis=1) - 1.0)))
                      for st in traj.states)
@@ -351,10 +296,7 @@ def _run_simulate(cfg: dict, outdir: Path):
 
 def _run_ws_verify(cfg: dict, outdir: Path):
     d = cfg["d"]
-    omega = _build_omega(cfg["omega_spec"], d)
-    ens0 = sample_uniform(d, cfg["N"], cfg["seed"]).with_omega(omega)
-    field = _build_field(cfg["field"], d)
-    traj = simulate(ens0, field, cfg["t_end"], cfg["dt"], record_every=1)
+    omega, ens0, traj = _ensemble_run(cfg, record_every=1)
     replay = ReplayField.from_trajectory(traj)
     path = ws_evolve(omega, replay, cfg["t_end"], cfg["dt"])
     steps = len(path) - 1
@@ -392,14 +334,8 @@ def _run_ws_verify(cfg: dict, outdir: Path):
 
 def _run_functional(cfg: dict, outdir: Path):
     d = cfg["d"]
-    omega = _build_omega(cfg["omega_spec"], d)
-    ens0 = sample_uniform(d, cfg["N"], cfg["seed"]).with_omega(omega)
-    field = _build_field(cfg["field"], d)
-    traj = simulate(ens0, field, cfg["t_end"], cfg["dt"], cfg["record_every"])
-    if cfg["sampler"]["kind"] == "uniform":
-        sampler = UniformSphereSampler(d)
-    else:
-        sampler = VmfSampler(np.eye(d + 1)[-1], float(cfg["sampler"].get("concentration", 1.0)))
+    _, _, traj = _ensemble_run(cfg, cfg["record_every"])
+    sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
     records = []
     outputs = []
     drift_max = 0.0
@@ -467,7 +403,7 @@ def _run_existence(cfg: dict, outdir: Path):
 
 def _run_kinetic(cfg: dict, outdir: Path):
     d = cfg["d"]
-    ens0 = _build_initial(cfg["initial"], d, cfg["N"], cfg["seed"])
+    ens0 = sample_vmf(np.eye(d + 1)[-1], _DENSITY.build(cfg["initial"]), cfg["N"], cfg["seed"])
     r2_0, _ = order_parameter(ens0)
     series, final = order_parameter_series(ens0, MeanField(cfg["kappa"]), cfg["t_end"],
                                            cfg["dt"], cfg["record_every"], cfg["epsilon"])
@@ -525,7 +461,7 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
     total = sum(counts)
     omegas = []
     for g in cfg["groups"]:
-        om = _build_omega(g["omega_spec"], d)
+        om = _OMEGA.build(g["omega_spec"], d)
         omegas.extend([om] * g["count"])
     ens0 = sample_uniform(d, total, cfg["seed"]).with_omega(tuple(omegas))
     traj = simulate(ens0, MeanField(cfg["kappa"]), cfg["t_end"], cfg["dt"], cfg["record_every"])
@@ -559,14 +495,33 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
     return outputs, gates, summary
 
 
-_RUNNERS = {
-    "simulate": _run_simulate,
-    "ws-verify": _run_ws_verify,
-    "functional": _run_functional,
-    "existence": _run_existence,
-    "kinetic": _run_kinetic,
-    "heterogeneous": _run_heterogeneous,
-}
+# the experiments: each one's key table and runner
+_CONFIG = _Kinds("experiment", {
+    "simulate": (_SIMULATE, _run_simulate),
+    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3), **_ENSEMBLE,
+                   "field": (_ENSEMBLE["field"][0], _replayable, None),
+                   "checkpoints": (10, *_int_at_least(1)),
+                   "tol_mismatch": (1e-5, *_POSITIVE), "tol_conjugacy": (1e-4, *_POSITIVE)},
+                  _run_ws_verify),
+    "functional": ({**_SIMULATE, "p_list": (_REQUIRED, *_NUMBERS),
+                    "k_list": ([2], lambda v, cfg: isinstance(v, list) and v
+                               and all(_is_int(k) and k >= 2 for k in v),
+                               "a list of integers >= 2"),
+                    "m": (10000, *_int_at_least(1)), "drift_tuples": (100, *_int_at_least(1)),
+                    "drift_tol": (1e-6, *_POSITIVE),
+                    "sampler": ({"kind": "uniform"}, _DENSITY, None)},
+                   _run_functional),
+    "existence": ({**_COMMON, "p_list": (_p_grid, *_NUMBERS)}, _run_existence),
+    "kinetic": ({**_COMMON, **_N, **_KAPPA, **_span(50.0, 1e-2), **_RECORD,
+                 "epsilon": (0.5, lambda v, cfg: _is_num(v) and 0 < v < 2, "a number in (0, 2)"),
+                 "initial": ({"kind": "vmf", "concentration": 1.0}, _DENSITY, None),
+                 "delta": (_OPTIONAL, _instability, "a positive number")},
+                _run_kinetic),
+    "heterogeneous": ({**_COMMON, "groups": (_REQUIRED, _groups, "a nonempty list"), **_KAPPA,
+                       **_span(5.0, 1e-3), **_RECORD, "p": (0.3, *_NUMBER),
+                       "k": (2, *_int_at_least(2)), "m": (50, *_int_at_least(1))},
+                      _run_heterogeneous),
+}, lambda names: f"one of {names}")
 
 
 def run_experiment(cfg: dict, outdir: Path, config_sha: str) -> int:
@@ -582,7 +537,7 @@ def run_experiment(cfg: dict, outdir: Path, config_sha: str) -> int:
         "config_sha256": config_sha,
     }
     try:
-        outputs, gates, summary = _RUNNERS[cfg["experiment"]](cfg, outdir)
+        outputs, gates, summary = _CONFIG.build(cfg, outdir)
     except Exception as exc:  # noqa: BLE001 - abort path must still leave a manifest
         manifest["aborted"] = f"{type(exc).__name__}: {exc}"
         manifest["wall_time_s"] = time.perf_counter() - t0
@@ -616,17 +571,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
+        if args.command == "run" and args.seed_override is not None:
+            cfg["seed"] = args.seed_override
+            _CONFIG.check(cfg, "", cfg)  # the override obeys the rules of a written seed
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "validate":
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
-    if args.seed_override is not None:
-        if args.seed_override < 0:
-            print("config error: seed override must be nonnegative", file=sys.stderr)
-            return 2
-        cfg["seed"] = args.seed_override
     outdir = Path(args.out or cfg.get("output_dir", "out"))
     config_sha = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     return run_experiment(cfg, outdir, config_sha)

@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .dynamics import Trajectory
 from .geometry import Ensemble, _uniform_rows, _vmf_rows, renormalize, rng_stream, sphere_surface
@@ -292,6 +291,10 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
     the integral exists only for d - 2p > 0; otherwise this raises and
     ``divergence_probe`` is the tool to use.
     """
+    # imported here: only the existence experiment integrates, and scipy
+    # costs every other run its import time and memory
+    from scipy.integrate import IntegrationWarning, quad
+
     if d < 1:
         raise ValueError("need d >= 1")
     if not 0.0 <= cutoff < math.pi:

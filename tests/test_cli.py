@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,50 @@ def test_validate_command_round_trips(tmp_path, capsys):
     # the echoed effective config is itself a valid config
     path2 = write_config(tmp_path, "c2.json", echoed)
     assert parse_config(path2)["p_list"] == echoed["p_list"]
+
+
+ECHO_CONFIGS = {
+    "simulate": {"experiment": "simulate", "d": 2, "N": 4, "t_end": 0.1, "seed": 1},
+    "ws-verify": {"experiment": "ws-verify", "d": 2, "N": 4, "t_end": 0.1, "seed": 1},
+    "functional": {"experiment": "functional", "d": 2, "N": 4, "t_end": 0.1, "seed": 1,
+                   "p_list": [0.3], "sampler": {"kind": "vmf"}},
+    "existence": {"experiment": "existence", "d": 3, "seed": 0},
+    "kinetic": {"experiment": "kinetic", "d": 2, "N": 8, "seed": 1, "delta": 1e-3},
+    "heterogeneous": {"experiment": "heterogeneous", "d": 2, "seed": 1,
+                      "groups": [{"count": 2, "omega_spec": {"kind": "zero"}}]},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(ECHO_CONFIGS))
+def test_validate_echo_round_trips_for_every_experiment(tmp_path, capsys, experiment):
+    path = write_config(tmp_path, "c.json", ECHO_CONFIGS[experiment])
+    assert main(["validate", "--config", str(path)]) == 0
+    echoed = json.loads(capsys.readouterr().out)
+    path2 = write_config(tmp_path, "c2.json", echoed)
+    assert parse_config(path2) == echoed
+
+
+def test_seed_override_beyond_64_bits_rejected_before_the_run(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "kinetic", "d": 2, "N": 8, "t_end": 0.05, "seed": 1, "delta": 1e-3,
+    })
+    for override in (2**64, 2**64 - 1, -1):
+        out = tmp_path / f"o{override}"
+        code = main(["run", "--config", str(path), "--out", str(out),
+                     "--seed-override", str(override)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: seed: ")
+        assert not out.exists()
+
+
+def test_readme_command_line_configs_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    body = "\n".join(line for line in block.splitlines() if not line.lstrip().startswith("//"))
+    configs = [json.loads(chunk) for chunk in body.split("\n\n") if chunk.strip()]
+    assert sorted(c["experiment"] for c in configs) == sorted(ECHO_CONFIGS)
+    for i, cfg in enumerate(configs):
+        parse_config(write_config(tmp_path, f"c{i}.json", cfg))
 
 
 def test_ws_verify_small_run_fast_and_accurate(tmp_path):
