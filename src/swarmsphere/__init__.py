@@ -55,12 +55,10 @@ from .geometry import (
     tangent_project,
 )
 from .kinetic import (
-    BipolarSeries,
     InstabilityReport,
     OrderParameterSeries,
     PerOmegaReport,
     ball_mass,
-    bipolar_report,
     dR2_dt_analytic,
     instability_experiment,
     order_parameter,

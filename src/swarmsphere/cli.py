@@ -218,6 +218,11 @@ def _groups(groups, cfg: dict) -> bool:
     return True
 
 
+# the existence probe scales by the area |S^(d-1)|, a float only up to d = 343
+_EXISTENCE_D = (lambda v, cfg: _is_int(v) and 1 <= v <= 343), \
+    "an integer in [1, 343] (the area of S^(d-1) overflows a float beyond)"
+
+
 def _p_grid(cfg: dict) -> list:
     """Existence default: p from -(d + 1)/2 to 0 in steps of 1/4."""
     grid_max = cfg["d"] / 2.0 + 0.5
@@ -411,22 +416,18 @@ def _run_kinetic(cfg: dict, outdir: Path):
                         ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"], series.rows())
     increments = np.diff(series.R2)
     min_increment = float(np.min(increments)) if increments.size else 0.0
-    fd_defect = 0.0
-    if series.times.size >= 3:
-        fd = (series.R2[2:] - series.R2[:-2]) / (series.times[2:] - series.times[:-2])
-        fd_defect = float(np.max(np.abs(series.dR2_analytic[1:-1] - fd)))
     r_end = math.sqrt(float(series.R2[-1]))
     summary = {
         "R_initial": math.sqrt(r2_0),
         "R_infinity_estimate": r_end,
         "min_R2_increment": min_increment,
-        "derivative_identity_defect": fd_defect,
+        "derivative_identity_defect": series.derivative_defect,
         "mass_plus_end": float(series.mass_plus[-1]),
         "mass_minus_end": float(series.mass_minus[-1]),
     }
     gates = {
         "monotone_R2": _gate(-min_increment, 1e-10),
-        "derivative_identity": _gate(fd_defect, 1e-4),
+        "derivative_identity": _gate(series.derivative_defect, 1e-4),
     }
     if math.sqrt(r2_0) >= 0.1:
         gates["synchronization"] = _gate(r_end, 0.99, kind="min")
@@ -511,7 +512,8 @@ _CONFIG = _Kinds("experiment", {
                     "drift_tol": (1e-6, *_POSITIVE),
                     "sampler": ({"kind": "uniform"}, _DENSITY, None)},
                    _run_functional),
-    "existence": ({**_COMMON, "p_list": (_p_grid, *_NUMBERS)}, _run_existence),
+    "existence": ({**_COMMON, "d": (_REQUIRED, *_EXISTENCE_D), "p_list": (_p_grid, *_NUMBERS)},
+                  _run_existence),
     "kinetic": ({**_COMMON, **_N, **_KAPPA, **_span(50.0, 1e-2), **_RECORD,
                  "epsilon": (0.5, lambda v, cfg: _is_num(v) and 0 < v < 2, "a number in (0, 2)"),
                  "initial": ({"kind": "vmf", "concentration": 1.0}, _DENSITY, None),

@@ -154,53 +154,40 @@ class FunctionalEstimate:
         }
 
 
-def _draw_index_tuples(rng: np.random.Generator, points: np.ndarray, count: int, k: int,
-                       reject_cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Index cycles of length 2k with no cyclically adjacent repeats and no
-    degenerate chords at the given configuration, redrawn until ``count``
-    are found; returns them with their cycle ratios and the number of
-    rejected draws, which may not exceed ``reject_cap``."""
-    n = points.shape[0]
-    if n < 2:
+def _draw_cycles(rng: np.random.Generator, source, count: int, k: int, reject_cap: int,
+                 label: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray, int]:
+    """``count`` random 2k-cycles without a degenerate chord, redrawn until
+    found; returns their index cycles, their cycle ratios and the number of
+    rejected draws, which may not exceed ``reject_cap``.
+
+    A points array as source gives index cycles drawn uniformly over its
+    rows; a sampler gives 2k fresh points per cycle and no index cycles
+    (None).  A cyclically repeated index makes a zero chord, so it is
+    rejected with the degenerate draws.  With group ``label``s per row, a
+    cycle must also span at least two groups.
+    """
+    indexed = isinstance(source, np.ndarray)
+    if indexed and source.shape[0] < 2:
         raise ValueError("ensemble too small to form nondegenerate cycles")
-    out = np.empty((count, 2 * k), dtype=np.int64)
+    cycles = np.empty((count, 2 * k), dtype=np.int64) if indexed else None
     vals = np.empty(count)
     rejected = 0
     todo = np.arange(count)
     while todo.size:
-        cand = rng.integers(0, n, size=(todo.size, 2 * k))
-        bad = (cand == np.roll(cand, -1, axis=1)).any(axis=1)
-        ratios, degenerate = _cycle_ratios_batch(points[cand])
-        bad |= degenerate
-        good = ~bad
-        out[todo[good]] = cand[good]
-        vals[todo[good]] = ratios[good]
+        if indexed:
+            cand = rng.integers(0, source.shape[0], size=(todo.size, 2 * k))
+            ratios, bad = _cycle_ratios_batch(source[cand])
+            if label is not None:
+                bad |= ~(label[cand] != label[cand[:, :1]]).any(axis=1)
+            cycles[todo[~bad]] = cand[~bad]
+        else:
+            ratios, bad = _cycle_ratios_batch(source.draw(rng, todo.size, 2 * k))
+        vals[todo[~bad]] = ratios[~bad]
         rejected += int(bad.sum())
         if rejected > reject_cap:
             raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
         todo = todo[bad]
-    return out, vals, rejected
-
-
-def _estimate_block(source, k: int, seed: int, block_index: int, need: int,
-                    reject_cap: int) -> tuple[np.ndarray, int]:
-    """Cycle ratios of one block of nondegenerate draws and its rejections."""
-    rng = rng_stream(seed, stream=block_index + 1)
-    if isinstance(source, Ensemble):
-        _, ratios, rejected = _draw_index_tuples(rng, source.points, need, k, reject_cap)
-        return ratios, rejected
-    rejected = 0
-    vals = np.empty(need)
-    todo = np.arange(need)
-    while todo.size:
-        ratios, bad = _cycle_ratios_batch(source.draw(rng, todo.size, 2 * k))
-        good = ~bad
-        vals[todo[good]] = ratios[good]
-        rejected += int(bad.sum())
-        if rejected > reject_cap:
-            raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
-        todo = todo[bad]
-    return vals, rejected
+    return cycles, vals, rejected
 
 
 def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[FunctionalEstimate]:
@@ -212,9 +199,9 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     drawn uniformly over the adjacent-distinct index cycles; with a
     continuous sampler each cycle uses 2k fresh i.i.d. points.  Degenerate
     draws are rejected and redrawn (capped at 100 m rejections).  The work is
-    split into fixed blocks with per-block counter-based streams, so the
-    result does not depend on how many threads execute the blocks
-    (SWARMSPHERE_THREADS, default 1).
+    split into fixed blocks with per-block counter-based streams, run on one
+    thread per CPU the process may use (at most one per block), so the result
+    does not depend on the worker count.
 
     For |p| >= d/4 the tail of (cycle ratio)^p is heavy enough that the plain
     standard error is optimistic, so a 32-block median of means is reported
@@ -225,22 +212,24 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     if m < 1:
         raise ValueError("need at least one tuple")
     d = source.d
+    draw_from = source.points if isinstance(source, Ensemble) else source
     reject_cap = 100 * m
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
-    ratios = np.empty(m)
-    rejected_total = 0
-    workers = int(os.environ.get("SWARMSPHERE_THREADS", "1") or "1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(blocks))
 
-    def run_block(args):
+    def run_block(args):  # the ratios and rejections of one block; its cycles are dropped
         b, need = args
-        return b, _estimate_block(source, k, seed, b, need, reject_cap)
+        return _draw_cycles(rng_stream(seed, stream=b + 1), draw_from, need, k, reject_cap)[1:]
 
-    if workers > 1 and len(blocks) > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_block, blocks))
     else:
         results = [run_block(args) for args in blocks]
-    for b, (vals, rej) in results:
+    ratios = np.empty(m)
+    rejected_total = 0
+    for b, (vals, rej) in enumerate(results):
         ratios[b * _BLOCK : b * _BLOCK + vals.size] = vals
         rejected_total += rej
     del results, vals  # free the block arrays before the per-p temporaries
@@ -409,7 +398,7 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     if k < 2 or m < 1:
         raise ValueError("need k >= 2 and m >= 1")
     rng = rng_stream(seed, stream=0)
-    tuples, _, _ = _draw_index_tuples(rng, traj.states[0].points, m, k, 100 * m)
+    tuples, _, _ = _draw_cycles(rng, traj.states[0].points, m, k, 100 * m)
     return _drift_report(traj, tuples, ps, k)
 
 

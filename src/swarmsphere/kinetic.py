@@ -17,17 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DrivingField, MeanField, Trajectory, _run, simulate
-from .functionals import (DriftReport, _cycle_ratios_batch, _draw_index_tuples, _drift_report,
-                          conservation_drift)
+from .functionals import DriftReport, _draw_cycles, _drift_report, conservation_drift
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
 __all__ = [
-    "BipolarSeries",
     "InstabilityReport",
     "OrderParameterSeries",
     "PerOmegaReport",
     "ball_mass",
-    "bipolar_report",
     "dR2_dt_analytic",
     "instability_experiment",
     "order_parameter",
@@ -36,6 +33,7 @@ __all__ = [
 ]
 
 _R_POSITIVE = 1e-12
+_RECORD_EVERY = 50  # snapshot spacing, in steps, of the instability experiment's branches
 
 
 def order_parameter(ens: Ensemble) -> tuple[float, np.ndarray]:
@@ -67,7 +65,9 @@ def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
 @dataclass(frozen=True, eq=False)
 class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
-    axis and the chordal masses around it."""
+    axis and the chordal masses around it, with the derivative identity's
+    defect: the largest gap between the analytic derivative and the central
+    difference of R^2 over the neighbouring steps."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -76,6 +76,7 @@ class OrderParameterSeries:
     mass_plus: np.ndarray
     mass_minus: np.ndarray
     epsilon: float
+    derivative_defect: float
 
     def rows(self):
         return list(zip(self.times, self.R2, self.dR2_analytic, self.mass_plus, self.mass_minus))
@@ -85,14 +86,22 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
                            record_every: int = 1, epsilon: float = 0.5
                            ) -> tuple[OrderParameterSeries, Ensemble]:
     """Integrate and record the order-parameter diagnostics without storing
-    the full trajectory; returns the series and the final ensemble."""
-    times, r2s, dr2s, gammas, mplus, mminus = [], [], [], [], [], []
+    the full trajectory; returns the series and the final ensemble.
 
-    def record(ens: Ensemble):
-        r2, x_c = order_parameter(ens)
+    R^2 and its analytic derivative are evaluated at every step, so the
+    derivative defect is measured at the step spacing whatever
+    ``record_every`` is; the initial and final states are always recorded.
+    """
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    times, r2s, dr2s, gammas, mplus, mminus = [], [], [], [], [], []
+    recent = []  # (time, R2, dR2) of the last three steps
+    defect = 0.0
+
+    def record(ens: Ensemble, r2: float, x_c: np.ndarray, dr2: float):
         times.append(ens.time)
         r2s.append(r2)
-        dr2s.append(dR2_dt_analytic(ens))
+        dr2s.append(dr2)
         if r2 > _R_POSITIVE ** 2:
             g = x_c / math.sqrt(r2)
             gammas.append(g)
@@ -105,47 +114,21 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
 
     # a blow-up is reported by the finite check in step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for ens in _run(ens0, field, t_end, dt, record_every):
-            record(ens)
+        for s, ens in enumerate(_run(ens0, field, t_end, dt, 1)):
+            r2, x_c = order_parameter(ens)
+            dr2 = dR2_dt_analytic(ens)
+            recent = recent[-2:] + [(ens.time, r2, dr2)]
+            if len(recent) == 3:
+                (t0, a, _), (_, _, mid), (t2, b, _) = recent
+                defect = max(defect, abs(mid - (b - a) / (t2 - t0)))
+            if s % record_every == 0:
+                record(ens, r2, x_c, dr2)
+    if s % record_every:  # the final state is always recorded
+        record(ens, r2, x_c, dr2)
     series = OrderParameterSeries(np.asarray(times), np.asarray(r2s), np.asarray(dr2s),
                                   np.asarray(gammas), np.asarray(mplus), np.asarray(mminus),
-                                  float(epsilon))
+                                  float(epsilon), defect)
     return series, ens
-
-
-@dataclass(frozen=True, eq=False)
-class BipolarSeries:
-    """Per-snapshot masses near the two poles of the polarisation axis."""
-
-    times: np.ndarray
-    mass_plus: np.ndarray
-    mass_minus: np.ndarray
-    epsilon: float
-    R_series: np.ndarray
-    R_infinity_estimate: float
-
-
-def bipolar_report(traj: Trajectory, epsilon: float = 0.5) -> BipolarSeries:
-    """Masses in the chordal balls around +/- gamma(t) along a trajectory.
-
-    gamma is the normalised ensemble mean; on snapshots where the mean
-    vanishes the axis of the first polarised snapshot is used instead, and
-    if the mean vanishes on every snapshot there is no axis to report.
-    """
-    means = [exact_mean(st.points) for st in traj.states]
-    rs = np.array([math.sqrt(float(m @ m)) for m in means])
-    alive = np.nonzero(rs > _R_POSITIVE)[0]
-    if alive.size == 0:
-        raise ValueError("polarisation axis undefined: order parameter vanishes on every snapshot")
-    first = int(alive[0])
-    mass_p, mass_m = [], []
-    for i, st in enumerate(traj.states):
-        j = i if rs[i] > _R_POSITIVE else first
-        gamma = means[j] / rs[j]
-        mass_p.append(ball_mass(st, gamma, epsilon))
-        mass_m.append(ball_mass(st, -gamma, epsilon))
-    return BipolarSeries(traj.times.copy(), np.asarray(mass_p), np.asarray(mass_m),
-                         float(epsilon), rs, float(rs[-1]))
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -197,8 +180,7 @@ class InstabilityReport:
 
 
 def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int,
-                           t_end: float = 50.0, dt: float = 1e-2,
-                           record_every: int = 50) -> InstabilityReport:
+                           t_end: float = 50.0, dt: float = 1e-2) -> InstabilityReport:
     """Contrast an exactly balanced population with a delta-perturbed one.
 
     Branch (a) starts from points paired with their exact antipodes: the
@@ -223,9 +205,8 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     sym_points = np.vstack([half, -half])
 
     # (a) exact symmetry: reports the worst recorded order parameter
-    series_sym, _ = order_parameter_series(Ensemble(sym_points), MeanField(kappa),
-                                           t_end, dt, record_every=record_every)
-    r_max_sym = math.sqrt(float(np.max(series_sym.R2)))
+    r_max_sym = math.sqrt(max(order_parameter(ens)[0] for ens in _run(
+        Ensemble(sym_points), MeanField(kappa), t_end, dt, _RECORD_EVERY)))
 
     # (b) one particle displaced by delta along a tangent direction
     x0 = sym_points[0]
@@ -234,7 +215,7 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     direction = direction / np.linalg.norm(direction)
     pert_points = sym_points.copy()
     pert_points[0] = renormalize(x0 + delta * direction)
-    traj = simulate(Ensemble(pert_points), MeanField(kappa), t_end, dt, record_every)
+    traj = simulate(Ensemble(pert_points), MeanField(kappa), t_end, dt, _RECORD_EVERY)
     means = [exact_mean(st.points) for st in traj.states]
     rs = np.array([math.sqrt(float(m @ m)) for m in means])
 
@@ -314,7 +295,7 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
             skipped.append((gi, int(idx.size)))
             continue
         rng = rng_stream(seed, stream=gi + 1)
-        local, _, _ = _draw_index_tuples(rng, first.points[idx], m, k, 100 * m)
+        local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
         per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], [p], k)[0]))
 
     mixed = None
@@ -322,23 +303,9 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
         label = np.empty(first.n, dtype=np.int64)
         for gi, (_, idx) in enumerate(groups):
             label[idx] = gi
-        rng = rng_stream(seed, stream=0)
-        want = m
-        chosen = np.empty((want, 2 * k), dtype=np.int64)
-        have = 0
-        guard = 0
-        while have < want:
-            cand = rng.integers(0, first.n, size=(4 * want, 2 * k))
-            ok_adj = ~(cand == np.roll(cand, -1, axis=1)).any(axis=1)
-            spans = np.array([np.unique(label[row]).size >= 2 for row in cand])
-            _, degenerate = _cycle_ratios_batch(first.points[cand])
-            keep = cand[ok_adj & spans & ~degenerate]
-            take = min(keep.shape[0], want - have)
-            chosen[have : have + take] = keep[:take]
-            have += take
-            guard += 1
-            if guard > 200:
-                raise ValueError("could not draw mixed-group tuples")
+        # a mixed cycle may be rare (one member of a small group), hence the cap
+        chosen, _, _ = _draw_cycles(rng_stream(seed, stream=0), first.points, m, k, 800 * m,
+                                    label)
         mixed = _drift_report(traj, chosen, [p], k)[0]
 
     fractions = np.array([idx.size / first.n for _, idx in groups])

@@ -38,6 +38,7 @@ __all__ = [
 
 _BALL_GUARD = 1e-10
 _POLE_TOL = 1e-14
+_REORTH_EVERY = 100  # steps between scheduled re-orthonormalisations of R
 
 
 class MobiusPoleError(ValueError):
@@ -99,13 +100,12 @@ def ws_rhs(w: np.ndarray, rotation: np.ndarray, omega: SkewMatrix | None,
     return dw, drot
 
 
-def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: float,
-              reorth_every: int = 100) -> WsPath:
+def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: float) -> WsPath:
     """RK4 integration of the reduced system from (0, I).
 
     The driving field must be clock-driven (a replayed recording or a
     prescribed function); the orthogonality of R is re-established every
-    ``reorth_every`` steps and at the end, and the ball vector is clamped
+    ``_REORTH_EVERY`` steps and at the end, and the ball vector is clamped
     just inside the unit ball if floating-point drift pushes it out.  A
     non-finite update raises, naming the step time.
     """
@@ -145,7 +145,7 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
             # cadence plus a defect trigger, so coarse steps cannot outrun the
             # 1e-8 orthogonality invariant between scheduled corrections
             rot = y[:-1]
-            if s % reorth_every == 0 or s == steps \
+            if s % _REORTH_EVERY == 0 or s == steps \
                     or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
                 y[:-1] = reorthonormalize(rot)
             path.append(WsState(y[-1], y[:-1], s * dt))
@@ -153,13 +153,13 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     return path
 
 
-def ws_evolve_groups(omegas, field: DrivingField, t_end: float, dt: float,
-                     reorth_every: int = 100) -> dict[SkewMatrix, WsPath]:
+def ws_evolve_groups(omegas, field: DrivingField, t_end: float, dt: float
+                     ) -> dict[SkewMatrix, WsPath]:
     """Evolve one reduction per distinct generator, all driven by the same field."""
     out: dict[SkewMatrix, WsPath] = {}
     for om in omegas:
         if om not in out:
-            out[om] = ws_evolve(om, field, t_end, dt, reorth_every)
+            out[om] = ws_evolve(om, field, t_end, dt)
     return out
 
 

@@ -256,6 +256,32 @@ def test_kinetic_csv_column_contract(tmp_path):
     assert header == "t,R2,dR2_analytic,mass_plus,mass_minus"
 
 
+KINETIC_SPACED = {"experiment": "kinetic", "d": 3, "N": 300, "dt": 0.01, "record_every": 5,
+                  "t_end": 10, "seed": 5}
+
+
+def test_derivative_identity_is_measured_at_the_step_spacing(tmp_path):
+    # over the recorded spacing (5 dt) this correct run read 2.29e-4 against 1e-4
+    path = write_config(tmp_path, "c.json", KINETIC_SPACED)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["gates"]["derivative_identity"]["value"] <= 1e-5
+
+
+def test_wrong_derivative_fails_the_identity_gate(tmp_path, monkeypatch):
+    import swarmsphere.kinetic as kinetic
+
+    exact = kinetic.dR2_dt_analytic
+    monkeypatch.setattr(kinetic, "dR2_dt_analytic", lambda ens: 1.01 * exact(ens))
+    path = write_config(tmp_path, "c.json", {**KINETIC_SPACED, "t_end": 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert not gates["derivative_identity"]["passed"]
+    assert gates["monotone_R2"]["passed"]
+
+
 def test_trajectory_csv_column_contract(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "simulate", "d": 2, "N": 4, "t_end": 0.02, "seed": 5,

@@ -1,7 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmsphere import (
     DivergentIntegralError,
@@ -27,6 +30,7 @@ from swarmsphere import (
     sample_uniform,
     simulate,
 )
+from swarmsphere.functionals import _draw_cycles
 
 
 def circle_point(theta):
@@ -108,27 +112,50 @@ def test_estimate_two_seed_consistency_large_m():
     assert abs(a.value - b.value) <= 3.0 * (a.std_error + b.std_error)
 
 
+def use_cpus(monkeypatch, count):
+    """Make the process's CPU set, and so the Monte-Carlo worker count, read ``count``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_estimate_deterministic_and_thread_invariant(monkeypatch):
     src = UniformSphereSampler(2)
+    use_cpus(monkeypatch, 1)
     base = estimate_cycle_moment(src, 0.3, 2, 50_000, seed=7)
     again = estimate_cycle_moment(src, 0.3, 2, 50_000, seed=7)
     assert base.value == again.value and base.std_error == again.std_error
-    monkeypatch.setenv("SWARMSPHERE_THREADS", "4")
+    use_cpus(monkeypatch, 4)
     threaded = estimate_cycle_moment(src, 0.3, 2, 50_000, seed=7)
-    assert threaded.value == base.value
+    assert _estimate_bits(threaded) == _estimate_bits(base)
 
 
 def test_ensemble_estimate_thread_invariant(monkeypatch):
     # repeated rows make some draws degenerate, so rejections are counted too
     pts = sample_uniform(2, 30, 4).points
     ens = Ensemble(np.vstack([pts, pts[:10]]))
-    monkeypatch.delenv("SWARMSPHERE_THREADS", raising=False)
+    use_cpus(monkeypatch, 1)
     base = estimate_cycle_moment(ens, 0.3, 2, 40_000, seed=3)
-    monkeypatch.setenv("SWARMSPHERE_THREADS", "4")
+    use_cpus(monkeypatch, 4)
     threaded = estimate_cycle_moment(ens, 0.3, 2, 40_000, seed=3)
     assert base.rejected > 0
-    assert (threaded.value, threaded.std_error, threaded.rejected) == \
-        (base.value, base.std_error, base.rejected)
+    assert _estimate_bits(threaded) == _estimate_bits(base)
+
+
+@pytest.mark.parametrize("cpus, m, workers", [(1, 50_000, None), (4, 50_000, 4), (4, 20_000, 2),
+                                              (4, 100, None)])
+def test_worker_count_is_the_cpu_set_capped_by_the_blocks(monkeypatch, cpus, m, workers):
+    import swarmsphere.functionals as functionals
+
+    seen = []
+    real_pool = functionals.ThreadPoolExecutor
+
+    def pool(max_workers):
+        seen.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(functionals, "ThreadPoolExecutor", pool)
+    use_cpus(monkeypatch, cpus)
+    estimate_cycle_moment(UniformSphereSampler(2), 0.3, 2, m, seed=1)  # blocks of 2**14
+    assert seen == ([] if workers is None else [workers])
 
 
 def test_estimate_reports_median_of_means_for_heavy_tails():
@@ -175,17 +202,15 @@ def _repeated_rows_ensemble():
     return Ensemble(np.vstack([pts, pts[:10]]))
 
 
-@pytest.mark.parametrize("threads", [None, "2"])
+# None: one CPU, so one worker; 2: two CPUs, so the two blocks run on two workers
+@pytest.mark.parametrize("cpus", [None, 2])
 @pytest.mark.parametrize("source, k", [
     (UniformSphereSampler(2), 2),
     (VmfSampler(np.array([0.0, 0.0, 1.0]), 2.0), 3),
     (_repeated_rows_ensemble(), 2),
 ])
-def test_estimate_list_form_matches_single_p_bitwise(monkeypatch, threads, source, k):
-    if threads is None:
-        monkeypatch.delenv("SWARMSPHERE_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SWARMSPHERE_THREADS", threads)
+def test_estimate_list_form_matches_single_p_bitwise(monkeypatch, cpus, source, k):
+    use_cpus(monkeypatch, cpus or 1)
     ps = [0.0, 0.3, -0.3, 0.6, -1.5]  # |p| >= d/4 also reports a median of means
     m = 20_000  # more than one block
     many = estimate_cycle_moments(source, ps, k, m, seed=13)
@@ -196,6 +221,35 @@ def test_estimate_list_form_matches_single_p_bitwise(monkeypatch, threads, sourc
     assert many[3].median_of_means is not None
     if isinstance(source, Ensemble):
         assert many[0].rejected > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(2, 12), k=st.integers(2, 4), count=st.integers(1, 40),
+       seed=st.integers(0, 2**64 - 1), grouped=st.booleans())
+def test_draw_cycles_returns_nondegenerate_cycles_and_their_ratios(data, n, k, count, seed,
+                                                                   grouped):
+    base = sample_uniform(2, n, seed % 997).points
+    repeats = data.draw(st.integers(0, n), label="repeated rows")  # zero chords to reject
+    pts = np.vstack([base, base[:repeats]])
+    label = None
+    if grouped:
+        label = np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(pts),
+                                            max_size=len(pts)), label="group labels"))
+        assume(np.unique(label).size >= 2)
+    cycles, ratios, rejected = _draw_cycles(rng_stream(seed), pts, count, k, 10**6, label)
+    assert cycles.shape == (count, 2 * k) and ratios.shape == (count,) and rejected >= 0
+    for cycle, ratio in zip(cycles, ratios):
+        cyc = pts[cycle]
+        diffs = cyc - np.roll(cyc, -1, axis=0)
+        assert np.einsum("ij,ij->i", diffs, diffs).min() > 1e-14
+        assert ratio == pytest.approx(cycle_ratio(cyc), rel=1e-12)
+        if label is not None:
+            assert np.unique(label[cycle]).size >= 2
+
+
+def test_draw_cycles_from_a_sampler_returns_no_index_cycles():
+    cycles, ratios, rejected = _draw_cycles(rng_stream(3), UniformSphereSampler(2), 50, 3, 0)
+    assert cycles is None and ratios.shape == (50,) and rejected == 0
 
 
 def test_mixture_functional_is_fsum_of_single_p_estimates():

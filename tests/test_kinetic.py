@@ -9,7 +9,6 @@ from swarmsphere import (
     SkewMatrix,
     TimeDelayField,
     ball_mass,
-    bipolar_report,
     conservation_drift,
     dR2_dt_analytic,
     exact_mean,
@@ -17,10 +16,12 @@ from swarmsphere import (
     order_parameter,
     order_parameter_series,
     per_omega_conservation,
+    rng_stream,
     sample_uniform,
     sample_vmf,
     simulate,
 )
+from swarmsphere.functionals import _draw_cycles
 
 
 def consensus(d, n):
@@ -62,6 +63,20 @@ def test_dR2_analytic_matches_finite_difference():
     fd = (series.R2[2:] - series.R2[:-2]) / (series.times[2:] - series.times[:-2])
     defect = np.max(np.abs(series.dR2_analytic[1:-1] - fd))
     assert defect <= 1e-4
+
+
+def test_derivative_defect_is_measured_at_the_step_spacing():
+    ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 64, 5)
+    every, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=1)
+    fd = (every.R2[2:] - every.R2[:-2]) / (every.times[2:] - every.times[:-2])
+    assert every.derivative_defect == float(np.max(np.abs(every.dR2_analytic[1:-1] - fd)))
+    spaced, final = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=7)
+    assert spaced.derivative_defect == every.derivative_defect
+    kept = np.r_[0:50:7, 50]  # every 7th of the 50 steps, and the last
+    assert np.array_equal(spaced.times, every.times[kept])
+    assert np.array_equal(spaced.R2, every.R2[kept])
+    assert np.array_equal(spaced.dR2_analytic, every.dR2_analytic[kept])
+    assert final.time == every.times[-1]
 
 
 def test_dR2_analytic_free_rotation_term_cancels():
@@ -128,24 +143,19 @@ def test_sandwich_inequality_along_run():
         assert mean_sq - 1e-12 <= mean_abs <= 1.0 + 1e-12
 
 
-def test_bipolar_report_consensus_and_bounds():
+def test_order_parameter_series_consensus_masses():
+    # R is monotone and bounded by 1, and the whole mass gathers at +gamma
     ens = sample_vmf([0.0, 0.0, 1.0], 5.0, 200, 29)
-    traj = simulate(ens, MeanField(1.0), 10.0, 1e-2, record_every=100)
-    rep = bipolar_report(traj, 0.5)
-    assert rep.mass_plus[-1] >= 0.99
-    assert rep.R_infinity_estimate <= 1.0 + 1e-12
-    assert rep.R_infinity_estimate >= rep.R_series[0] - 1e-12
-
-
-def test_bipolar_report_gamma_undefined():
-    traj = simulate(bipolar(2, 4, 4), MeanField(1.0), 0.05, 1e-2)
-    with pytest.raises(ValueError, match="undefined"):
-        bipolar_report(traj, 0.5)
+    series, _ = order_parameter_series(ens, MeanField(1.0), 10.0, 1e-2, record_every=100)
+    r_end = math.sqrt(series.R2[-1])
+    assert series.mass_plus[-1] >= 0.99
+    assert r_end <= 1.0 + 1e-12
+    assert r_end >= math.sqrt(series.R2[0]) - 1e-12
 
 
 def test_instability_experiment_small_scale():
     rep = instability_experiment(N=200, d=2, kappa=1.0, delta=1e-3, seed=3,
-                                 t_end=40.0, dt=1e-2, record_every=50)
+                                 t_end=40.0, dt=1e-2)
     assert rep.R_max_symmetric <= 1e-6
     assert rep.R_initial_perturbed > 0.0
     assert rep.R_end_perturbed >= 0.99
@@ -190,6 +200,21 @@ def test_per_omega_single_group_reduces_to_conservation_drift():
     assert rep.groups[0][2].max_relative_drift <= 1e-6
     plain = conservation_drift(traj, 0.3, 2, 30, seed=7)
     assert plain.max_relative_drift <= 1e-6
+
+
+def test_per_omega_mixed_tuples_reach_a_one_member_group():
+    # 999 + 1: about one draw in 250 spans both groups, so the mixed draw
+    # rejects far more than the 100 m draws the other draws may reject
+    om_a, om_b = SkewMatrix.zero(2), SkewMatrix.planar(2, 1.0)
+    ens = Ensemble(sample_uniform(2, 1000, 8).points, (om_a,) * 999 + (om_b,))
+    traj = simulate(ens, MeanField(1.0), 0.01, 1e-3, record_every=5)
+    rep = per_omega_conservation(traj, 0.3, 2, 50, seed=8)
+    assert rep.skipped == [(1, 1)]
+    assert rep.mixed_drift.tuples.shape == (50, 4)
+    assert np.all((rep.mixed_drift.tuples == 999).any(axis=1))
+    label = np.r_[np.zeros(999, dtype=np.int64), 1]
+    with pytest.raises(ValueError, match="too many degenerate"):
+        _draw_cycles(rng_stream(8, stream=0), ens.points, 50, 2, 100 * 50, label)
 
 
 def test_per_omega_small_group_skipped():
