@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ensemble, SkewMatrix, exact_mean, renormalize, renormalize_rows
+from .geometry import Ensemble, SkewMatrix, _renormalize_rows_in_place, exact_mean, renormalize
 
 __all__ = [
     "DrivingField",
@@ -99,27 +99,42 @@ class DrivingField:
 
     ``state_dependent`` distinguishes fields computed from the instantaneous
     ensemble (evaluated per integrator stage from the stage points) from
-    fields that only read the clock.
+    fields that only read the clock.  A field with ``_reads_mean`` set uses
+    the exact mean of every accepted state (in ``_at_state``, or for its
+    history), which the stepping loop computes once per state and hands over.
     """
 
     state_dependent = True
+    _reads_mean = False
 
     def evaluate(self, points: np.ndarray, t: float) -> np.ndarray:
         raise NotImplementedError
 
+    def _at_state(self, points: np.ndarray, t: float, mean: np.ndarray) -> np.ndarray:
+        """``evaluate`` at an accepted state whose exact mean is ``mean``."""
+        return self.evaluate(points, t)
+
 
 class MeanField(DrivingField):
-    """X = kappa * (population mean).  The mean is accumulated exactly."""
+    """X = kappa * (population mean).  The mean is accumulated exactly; a
+    stack of populations (..., n, d+1) gets one X per member."""
+
+    _reads_mean = True
 
     def __init__(self, kappa: float):
         self.kappa = float(kappa)
 
     def evaluate(self, points, t):
-        return self.kappa * exact_mean(points)
+        return self._at_state(points, t, exact_mean(points))
+
+    def _at_state(self, points, t, mean):
+        return self.kappa * mean
 
 
 class FrustratedField(DrivingField):
     """X = kappa * V @ (population mean) for a fixed frustration matrix V."""
+
+    _reads_mean = True
 
     def __init__(self, kappa: float, frustration):
         self.kappa = float(kappa)
@@ -129,7 +144,10 @@ class FrustratedField(DrivingField):
         self.frustration = v
 
     def evaluate(self, points, t):
-        return self.kappa * (self.frustration @ exact_mean(points))
+        return self._at_state(points, t, exact_mean(points))
+
+    def _at_state(self, points, t, mean):
+        return self.kappa * (self.frustration @ mean)
 
 
 class WinfreeField(DrivingField):
@@ -213,6 +231,7 @@ class TimeDelayField(DrivingField):
     """
 
     state_dependent = False
+    _reads_mean = True
 
     def __init__(self, kappa: float, tau: float):
         if tau <= 0:
@@ -234,9 +253,10 @@ class TimeDelayField(DrivingField):
         self._means = [exact_mean(ens.points)]
         self._window = None
 
-    def record(self, t: float, points: np.ndarray) -> None:
+    def record(self, t: float, mean: np.ndarray) -> None:
+        """Append the exact population mean of the state accepted at time t."""
         self._times.append(float(t))
-        self._means.append(exact_mean(points))
+        self._means.append(mean)
 
     def evaluate(self, points, t):
         if self._times is None:
@@ -283,52 +303,81 @@ def velocity(x, omega: SkewMatrix | None, x_field) -> np.ndarray:
 
 
 def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
-    v = x_field - np.einsum("ij,j->i", points, x_field)[:, None] * points
+    """Velocities of an (..., n, d+1) stack of points under driving vectors
+    (..., d+1), one per member."""
+    v = x_field[..., None, :] - np.einsum("...ij,...j->...i", points, x_field)[..., None] * points
     for om, idx in groups:
         if om is None:
             continue
-        if idx.size == points.shape[0]:
-            v = v + points @ om.matrix.T
+        if idx.size == points.shape[-2]:
+            v += points @ om.matrix.T
         else:
-            v[idx] += points[idx] @ om.matrix.T
+            v[..., idx, :] += points[..., idx, :] @ om.matrix.T
     return v
 
 
-def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None) -> np.ndarray:
+def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.ndarray:
     """One classical RK4 step of dy/dt = rhs(y, t).
 
     ``project`` maps every stage point and the update back onto the state
-    manifold; without it the stages are used as they are.
+    manifold in place; without it the stages are used as they are.  ``k1``
+    is rhs(y, t) when the caller has it already.  ``rhs`` must return a new
+    array on every call: the stages are formed in one buffer and the update
+    in the second stage's result, in place but with the operand order of
+    y + h * k and ((k1 + 2 k2) + 2 k3) + k4, so the bits are those of the
+    plain expressions.
     """
     proj = project if project is not None else (lambda a: a)
-    k1 = rhs(y, t)
-    k2 = rhs(proj(y + (0.5 * dt) * k1), t + 0.5 * dt)
-    k3 = rhs(proj(y + (0.5 * dt) * k2), t + 0.5 * dt)
-    k4 = rhs(proj(y + dt * k3), t + dt)
-    return proj(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    ks = [rhs(y, t) if k1 is None else k1]
+    stage = np.empty_like(y, dtype=float)
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        np.multiply(ks[-1], h, out=stage)
+        stage += y
+        ks.append(rhs(proj(stage), t + h))
+    k1, k2, k3, k4 = ks
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return proj(k2)
 
 
-def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
+def _advance(points: np.ndarray, t: float, field: DrivingField, dt: float, groups,
+             x1: np.ndarray) -> np.ndarray:
+    """One RK4 step from time t of an (..., n, d+1) stack of particle states,
+    given the driving vectors ``x1`` of its first stage; every member gets
+    the bits it gets on its own.  Raises on a non-finite update, naming the
+    step time."""
+
+    def rhs(stage_pts, ts):
+        return _velocities(stage_pts, groups, np.asarray(field.evaluate(stage_pts, ts), dtype=float))
+
+    new_pts = _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
+    if not np.isfinite(new_pts).all():
+        raise ValueError(f"non-finite particle state at step time t = {t + dt}")
+    return new_pts
+
+
+def step(ens: Ensemble, field: DrivingField, dt: float, *, _groups=None, _mean=None) -> Ensemble:
     """One classical RK4 step for every particle.
 
     State-dependent fields are re-evaluated from each stage's (renormalized)
     points, clock-driven fields at the stage time; the final update is
     renormalized so the output sits exactly on the sphere.  A non-finite
-    update raises, naming the step time.
+    update raises, naming the step time.  The stepping loop passes the
+    ensemble's generator groups and, for a field that reads it, its exact
+    mean, which a bare call works out itself.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    groups = ens.omega_groups()
-
-    def rhs(stage_pts, ts):
-        x = np.asarray(field.evaluate(stage_pts, ts), dtype=float)
-        return _velocities(stage_pts, groups, x)
-
-    new_pts = _rk4(ens.points, rhs, ens.time, dt, renormalize_rows)
-    t = ens.time + dt
-    if not np.isfinite(new_pts).all():
-        raise ValueError(f"non-finite particle state at step time t = {t}")
-    return Ensemble(new_pts, ens.omega, t)
+    groups = ens.omega_groups() if _groups is None else _groups
+    x1 = field.evaluate(ens.points, ens.time) if _mean is None \
+        else field._at_state(ens.points, ens.time, _mean)
+    new_pts = _advance(ens.points, ens.time, field, dt, groups, np.asarray(x1, dtype=float))
+    return Ensemble._trusted(new_pts, ens.omega, ens.time + dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,31 +409,60 @@ class Trajectory:
         return self.states[0].d
 
 
-def _run(ens0: Ensemble, field: DrivingField, t_end: float, dt: float, record_every: int):
-    """Step with RK4 and yield the initial state, every ``record_every``-th
-    state and the final state.
-
-    The number of steps is round(t_end / dt).  A delayed field has its
-    history initialised here and extended after every step.
-    """
+def _step_count(t_end: float, dt: float, record_every: int) -> int:
+    """round(t_end / dt), once the run's arguments are checked."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
-    steps = int(round(t_end / dt))
+    return int(round(t_end / dt))
+
+
+def _run(ens0: Ensemble, field: DrivingField, t_end: float, dt: float, record_every: int):
+    """Step with RK4 and yield (state, exact mean) for the initial state,
+    every ``record_every``-th state and the final state.
+
+    The number of steps is round(t_end / dt).  The generator groups are
+    worked out once per run, and the exact mean of every state once, for a
+    field that reads it (else the mean is None): it feeds the next step's
+    first stage and the caller.  A delayed field has its history initialised
+    here and extended after every step.
+    """
+    steps = _step_count(t_end, dt, record_every)
+    groups = ens0.omega_groups()
     delayed = isinstance(field, TimeDelayField)
     if delayed:
         field.initialize(ens0, dt)
     ens = ens0
-    yield ens
+    mean = exact_mean(ens.points) if field._reads_mean else None
+    yield ens, mean
     for s in range(1, steps + 1):
-        ens = step(ens, field, dt)
+        ens = step(ens, field, dt, _groups=groups, _mean=mean)
+        mean = exact_mean(ens.points) if field._reads_mean else None
         if delayed:
-            field.record(ens.time, ens.points)
+            field.record(ens.time, mean)
         if s % record_every == 0 or s == steps:
-            yield ens
+            yield ens, mean
+
+
+def _run_stacked(points0: np.ndarray, field: MeanField, t_end: float, dt: float, record_every: int):
+    """``_run`` for a (B, n, d+1) stack of populations without free flow,
+    started at t = 0 and stepped as one array under a mean field; yields
+    (time, points, means).  Each member gets the bits that ``_run`` gives it
+    on its own, with one exact-mean and field call per stage for the stack.
+    """
+    steps = _step_count(t_end, dt, record_every)
+    t, points = 0.0, points0
+    means = exact_mean(points)
+    yield t, points, means
+    for s in range(1, steps + 1):
+        points = _advance(points, t, field, dt, (), field._at_state(points, t, means))
+        t = t + dt
+        means = exact_mean(points)
+        if s % record_every == 0 or s == steps:
+            yield t, points, means
 
 
 def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -397,10 +475,11 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     times, states, fields = [], [], []
     # a blow-up is reported by the finite check in step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for ens in _run(ens0, field, t_end, dt, record_every):
+        for ens, mean in _run(ens0, field, t_end, dt, record_every):
             times.append(ens.time)
             states.append(ens)
-            fields.append(eval_field(field, ens, ens.time))
+            fields.append(eval_field(field, ens, ens.time) if mean is None
+                          else field._at_state(ens.points, ens.time, mean))
     return Trajectory(np.asarray(times), tuple(states), np.asarray(fields))
 
 

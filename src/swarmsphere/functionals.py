@@ -154,6 +154,16 @@ class FunctionalEstimate:
         }
 
 
+def _rejection_error(source, label: np.ndarray | None = None) -> ValueError:
+    """The error for a spent rejection budget, naming its usual cause."""
+    if not isinstance(source, np.ndarray):
+        return ValueError("too many degenerate tuple draws; the sampler's points nearly coincide")
+    if label is not None:
+        return ValueError("too many degenerate or single-group tuple draws; usually a group is "
+                          "too small to appear in 2k-cycles")
+    return ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
+
+
 def _draw_cycles(rng: np.random.Generator, source, count: int, k: int, reject_cap: int,
                  label: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray, int]:
     """``count`` random 2k-cycles without a degenerate chord, redrawn until
@@ -185,7 +195,7 @@ def _draw_cycles(rng: np.random.Generator, source, count: int, k: int, reject_ca
         vals[todo[~bad]] = ratios[~bad]
         rejected += int(bad.sum())
         if rejected > reject_cap:
-            raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
+            raise _rejection_error(source, label)
         todo = todo[bad]
     return cycles, vals, rejected
 
@@ -234,7 +244,7 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
         rejected_total += rej
     del results, vals  # free the block arrays before the per-p temporaries
     if rejected_total > reject_cap:
-        raise ValueError("too many degenerate tuple draws; ensemble lacks distinct points")
+        raise _rejection_error(draw_from)
 
     estimates = []
     for p in ps:

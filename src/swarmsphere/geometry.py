@@ -3,8 +3,8 @@
 A point on the d-sphere is a plain float64 array of length d+1 with unit
 Euclidean norm; an ensemble of n points is an (n, d+1) array.  The dimension
 d is a runtime quantity, nothing here is specialised to a fixed d.  All
-operations are pure: inputs are never mutated and returned arrays are marked
-read-only where they are shared.
+public operations are pure: inputs are never mutated and returned arrays are
+marked read-only where they are shared.
 """
 
 from __future__ import annotations
@@ -60,12 +60,26 @@ def renormalize(y) -> np.ndarray:
 
 
 def renormalize_rows(points: np.ndarray) -> np.ndarray:
-    """Row-wise renormalization of an (n, d+1) array."""
-    points = np.asarray(points, dtype=float)
-    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-    if np.any(norms <= _DEGENERATE_NORM):
+    """Row-wise renormalization of an (n, d+1) array, or of a stack of them."""
+    return _renormalize_rows_in_place(np.array(points, dtype=float))
+
+
+def _renormalize_rows_in_place(points: np.ndarray) -> np.ndarray:
+    """``renormalize_rows`` that divides the caller's float array in place.
+
+    A row whose squared norm overflows has no finite norm to divide by; it
+    comes out as NaN, like a row holding NaN, so every finite row returned
+    has unit norm.
+    """
+    norms = np.einsum("...ij,...ij->...i", points, points)
+    np.sqrt(norms, out=norms)
+    # fmin and fmax skip NaN rows, which stay NaN
+    if np.fmin.reduce(norms, axis=None, initial=math.inf) <= _DEGENERATE_NORM:
         raise ValueError("degenerate point: cannot renormalize a near-zero vector")
-    return points / norms[:, None]
+    if np.fmax.reduce(norms, axis=None, initial=0.0) == math.inf:
+        norms[norms == math.inf] = math.nan
+    points /= norms[..., None]
+    return points
 
 
 def tangent_project(x, v) -> np.ndarray:
@@ -115,6 +129,9 @@ def sphere_surface(n: int) -> float:
 def exact_mean(points: np.ndarray) -> np.ndarray:
     """Column mean of an (n, m) array, bitwise equal to ``fsum(col) / n``.
 
+    A stack of such arrays, shape (..., n, m), gives one mean per member,
+    shape (..., m), with the same bits as each member on its own.
+
     The exactness matters: when an ensemble consists of exact antipodal
     pairs the mean must come out as exactly zero, otherwise summation noise
     seeds a spurious symmetry-breaking drift in mean-field runs.
@@ -126,12 +143,17 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     entry exactly as ``x = q + r`` with ``q = (x + sigma) - sigma``.  Every
     ``q`` is a multiple of ``2**-53 * sigma`` and ``sum|q| < sigma``, so the
     column sums of ``q`` are exact in any summation order; every ``r`` is
-    exact and at most ``2**-53 * sigma`` in size, so a pass removes about
-    ``53 - log2(n)`` bits and two passes empty unit-sphere data.  The few
-    exact partial sums are then rounded once (by ``fsum``, or by a single
-    addition when there are two), which gives the correctly rounded column
-    total and hence the same bits as ``fsum`` over the column, independent
-    of row order.
+    exact and at most ``2**-53 * sigma`` in size.  That bound, not a fresh
+    maximum, sets the next ``sigma``, so a later pass only checks whether
+    any remainder is left.  A pass removes about ``52 - log2(n)`` bits, and
+    two passes empty unit-sphere data unless a coordinate is below about
+    ``2**-32``.  The few exact partial sums are then rounded once (by
+    ``fsum``, or by a single addition when there are two), which gives the
+    correctly rounded column total and hence the same bits as ``fsum`` over
+    the column, independent of row order.  A stack shares one ``sigma`` per
+    pass, first taken from the largest entry of all members: that keeps
+    every split exact, and a member whose entries are emptied early just
+    adds zero parts.
 
     Below ``_FOLD_MIN_ROWS`` rows the fixed numpy call overhead of a pass
     costs more than ``fsum`` itself, and inputs with a non-finite entry or
@@ -139,9 +161,9 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     per-column ``fsum`` with its exact NaN and infinity behaviour.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
+    n, m = points.shape[-2:]
     if n >= _FOLD_MIN_ROWS and points.size:
-        cols = points.T.copy()
+        cols = np.swapaxes(points, -1, -2).copy()  # (..., m, n): each column contiguous
         amax = float(np.abs(cols).max())
         if amax < _FOLD_MAX_ABS:
             shift = (n + 1).bit_length()
@@ -150,16 +172,22 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
                 sigma = math.ldexp(1.0, math.frexp(amax)[1] + shift)
                 q = cols + sigma
                 q -= sigma
-                parts.append(q.sum(axis=1))
+                parts.append(q.sum(axis=-1))
                 cols -= q
-                amax = float(np.abs(cols).max())
+                amax = math.ldexp(sigma, -53) if cols.any() else 0.0
+            if not parts:
+                return np.zeros(cols.shape[:-1])
             if len(parts) == 1:
                 return parts[0] / n
             if len(parts) == 2:
                 # One IEEE addition rounds the exact total correctly, as fsum does.
                 return (parts[0] + parts[1]) / n
-            return np.array([math.fsum(p[j] for p in parts) / n for j in range(cols.shape[0])])
-    return np.array([math.fsum(points[:, j].tolist()) / n for j in range(points.shape[1])])
+            totals = np.stack(parts, axis=-1)
+            return np.array([math.fsum(t) / n for t in totals.reshape(-1, len(parts)).tolist()]
+                            ).reshape(totals.shape[:-1])
+    members = points.reshape((math.prod(points.shape[:-2]), n, m))
+    return np.array([[math.fsum(x[:, j].tolist()) / n for j in range(m)] for x in members]
+                    ).reshape(points.shape[:-2] + (m,))
 
 
 class SkewMatrix:
@@ -289,6 +317,19 @@ class Ensemble:
                 raise ValueError("generator dimension must match the ambient dimension")
         elif omega is not None:
             raise TypeError("omega must be None, a SkewMatrix, or a tuple of SkewMatrix")
+
+    @classmethod
+    def _trusted(cls, points: np.ndarray, omega, time: float) -> "Ensemble":
+        """An ensemble on a C-contiguous float array that the caller hands
+        over, finite and row-renormalised, with an ``omega`` taken from a
+        checked ensemble of the same shape; the unit-norm check is skipped,
+        because renormalising finite rows already guarantees it."""
+        ens = object.__new__(cls)
+        points.flags.writeable = False
+        object.__setattr__(ens, "points", points)
+        object.__setattr__(ens, "omega", omega)
+        object.__setattr__(ens, "time", time)
+        return ens
 
     @property
     def n(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, MeanField, Trajectory, _run, simulate
+from .dynamics import DrivingField, MeanField, Trajectory, _run, _run_stacked, simulate
 from .functionals import DriftReport, _draw_cycles, _drift_report, conservation_drift
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
@@ -48,9 +48,13 @@ def order_parameter(ens: Ensemble) -> tuple[float, np.ndarray]:
 
 def dR2_dt_analytic(ens: Ensemble) -> float:
     """Analytic derivative of R^2 for the mean-field swarm: always >= 0."""
-    x_c = exact_mean(ens.points)
-    resid = x_c - np.einsum("ij,j->i", ens.points, x_c)[:, None] * ens.points
-    return 2.0 * float(np.einsum("ij,ij->", resid, resid)) / ens.n
+    return _dR2_dt(ens.points, exact_mean(ens.points))
+
+
+def _dR2_dt(points: np.ndarray, x_c: np.ndarray) -> float:
+    """``dR2_dt_analytic`` given the exact mean ``x_c`` of the points."""
+    resid = x_c - np.einsum("ij,j->i", points, x_c)[:, None] * points
+    return 2.0 * float(np.einsum("ij,ij->", resid, resid)) / points.shape[0]
 
 
 def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
@@ -114,9 +118,10 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
 
     # a blow-up is reported by the finite check in step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, ens in enumerate(_run(ens0, field, t_end, dt, 1)):
-            r2, x_c = order_parameter(ens)
-            dr2 = dR2_dt_analytic(ens)
+        for s, (ens, mean) in enumerate(_run(ens0, field, t_end, dt, 1)):
+            x_c = exact_mean(ens.points) if mean is None else mean
+            r2 = float(x_c @ x_c)
+            dr2 = _dR2_dt(ens.points, x_c)
             recent = recent[-2:] + [(ens.time, r2, dr2)]
             if len(recent) == 3:
                 (t0, a, _), (_, _, mid), (t2, b, _) = recent
@@ -203,20 +208,28 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
         raise ValueError("kappa and delta must be positive")
     half = sample_uniform(d, N // 2, seed).points
     sym_points = np.vstack([half, -half])
-
-    # (a) exact symmetry: reports the worst recorded order parameter
-    r_max_sym = math.sqrt(max(order_parameter(ens)[0] for ens in _run(
-        Ensemble(sym_points), MeanField(kappa), t_end, dt, _RECORD_EVERY)))
-
-    # (b) one particle displaced by delta along a tangent direction
+    # (b) displaces one particle by delta along a tangent direction
     x0 = sym_points[0]
     axis = int(np.argmin(np.abs(x0)))
     direction = tangent_project(x0, np.eye(d + 1)[axis])
     direction = direction / np.linalg.norm(direction)
     pert_points = sym_points.copy()
     pert_points[0] = renormalize(x0 + delta * direction)
-    traj = simulate(Ensemble(pert_points), MeanField(kappa), t_end, dt, _RECORD_EVERY)
-    means = [exact_mean(st.points) for st in traj.states]
+
+    # both branches are stepped as one stack; (a) reports the worst recorded
+    # order parameter, (b) records what simulate(..., _RECORD_EVERY) records
+    field = MeanField(kappa)
+    r2_sym, times, states, means = [], [], [], []
+    stack = np.stack([sym_points, pert_points])
+    # a blow-up is reported by the finite check of the step, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, points, mean in _run_stacked(stack, field, t_end, dt, _RECORD_EVERY):
+            r2_sym.append(float(mean[0] @ mean[0]))
+            times.append(t)
+            states.append(Ensemble._trusted(points[1].copy(), None, t))
+            means.append(mean[1])
+    r_max_sym = math.sqrt(max(r2_sym))
+    traj = Trajectory(np.asarray(times), tuple(states), field.kappa * np.asarray(means))
     rs = np.array([math.sqrt(float(m @ m)) for m in means])
 
     # mixed tuples: two indices per emergent cluster at the first snapshot

@@ -272,8 +272,9 @@ def test_derivative_identity_is_measured_at_the_step_spacing(tmp_path):
 def test_wrong_derivative_fails_the_identity_gate(tmp_path, monkeypatch):
     import swarmsphere.kinetic as kinetic
 
-    exact = kinetic.dR2_dt_analytic
-    monkeypatch.setattr(kinetic, "dR2_dt_analytic", lambda ens: 1.01 * exact(ens))
+    # the series reads the derivative from each state's points and exact mean
+    exact = kinetic._dR2_dt
+    monkeypatch.setattr(kinetic, "_dR2_dt", lambda points, x_c: 1.01 * exact(points, x_c))
     path = write_config(tmp_path, "c.json", {**KINETIC_SPACED, "t_end": 1})
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 1

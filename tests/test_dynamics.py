@@ -5,6 +5,7 @@ import pytest
 
 from swarmsphere import (
     Ensemble,
+    FrustratedField,
     MeanField,
     PrescribedField,
     ReplayField,
@@ -12,7 +13,11 @@ from swarmsphere import (
     TimeDelayField,
     WinfreeField,
     collision_residual,
+    dR2_dt_analytic,
     eval_field,
+    exact_mean,
+    order_parameter,
+    order_parameter_series,
     rng_stream,
     sample_uniform,
     simulate,
@@ -361,6 +366,13 @@ def test_simulate_names_the_non_finite_step():
         simulate(sample_uniform(2, 8, 3), field, 0.1, 1e-2)
 
 
+def test_simulate_names_a_step_whose_row_norm_overflows():
+    # finite entries whose squared norm overflows leave no unit direction
+    field = PrescribedField(lambda t: np.array([1e200, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"non-finite particle state at step time t = 0\.01"):
+        simulate(sample_uniform(2, 8, 3), field, 0.05, 1e-2)
+
+
 def test_time_delay_constant_history_matches_plain_mean_field_initially():
     # during t < tau the delayed field sees the frozen initial mean
     ens = sample_uniform(2, 32, 12)
@@ -376,3 +388,104 @@ def test_simulate_deterministic():
     a = simulate(ens, MeanField(1.0), 0.2, 1e-3).states[-1].points
     b = simulate(ens, MeanField(1.0), 0.2, 1e-3).states[-1].points
     np.testing.assert_array_equal(a, b)
+
+
+# Reference particle step that reuses nothing: every stage evaluated afresh
+# from its points, the groups worked out per step, out-of-place arithmetic,
+# every state validated.  The stepping loop must reproduce it bit for bit.
+def _reference_step(ens, field, dt):
+    groups = ens.omega_groups()
+
+    def rhs(pts, ts):
+        x = np.asarray(field.evaluate(pts, ts), dtype=float)
+        v = x - np.einsum("ij,j->i", pts, x)[:, None] * pts
+        for om, idx in groups:
+            if om is None:
+                continue
+            if idx.size == pts.shape[0]:
+                v = v + pts @ om.matrix.T
+            else:
+                v[idx] += pts[idx] @ om.matrix.T
+        return v
+
+    def project(pts):
+        return pts / np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
+
+    y, t = ens.points, ens.time
+    k1 = rhs(y, t)
+    k2 = rhs(project(y + (0.5 * dt) * k1), t + 0.5 * dt)
+    k3 = rhs(project(y + (0.5 * dt) * k2), t + 0.5 * dt)
+    k4 = rhs(project(y + dt * k3), t + dt)
+    return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega, t + dt)
+
+
+def _reference_run(ens0, field, t_end, dt, record_every):
+    """(state, field sample) pairs as recorded with the reference step."""
+    steps = int(round(t_end / dt))
+    delayed = isinstance(field, TimeDelayField)
+    if delayed:
+        field.initialize(ens0, dt)
+    ens = ens0
+    out = [(ens, eval_field(field, ens, ens.time))]
+    for s in range(1, steps + 1):
+        ens = _reference_step(ens, field, dt)
+        if delayed:
+            field.record(ens.time, exact_mean(ens.points))
+        if s % record_every == 0 or s == steps:
+            out.append((ens, eval_field(field, ens, ens.time)))
+    return out
+
+
+REF_DT = 1e-2
+REF_N = 200  # above the row count where exact_mean switches to the vector extraction
+
+
+def _replay_field():
+    traj = simulate(sample_uniform(2, 16, 3), MeanField(1.0), 0.5, REF_DT)
+    return ReplayField.from_trajectory(traj)
+
+
+TWO_GROUPS = (SkewMatrix.planar(2, 1.0),) * (REF_N // 2) \
+    + (SkewMatrix.random(2, 9, 0.7),) * (REF_N - REF_N // 2)
+
+# field factory (a delayed field keeps history, so each run gets its own) and omega
+FIELD_CASES = {
+    "mean": (lambda: MeanField(1.3), SkewMatrix.random(2, 5, 1.0)),
+    "frustrated": (lambda: FrustratedField(0.8, [[1.0, 0.3, 0.0], [-0.3, 1.0, 0.1], [0.0, -0.1, 1.0]]),
+                   None),
+    "winfree": (lambda: WinfreeField(1.1, [0.2, 0.0, 1.0]), None),
+    "delay_dt": (lambda: TimeDelayField(1.0, REF_DT), None),
+    "delay_5dt": (lambda: TimeDelayField(1.0, 5 * REF_DT), SkewMatrix.random(2, 6, 1.0)),
+    "replay": (_replay_field, SkewMatrix.random(2, 7, 1.0)),
+    "two_groups": (lambda: MeanField(1.0), TWO_GROUPS),
+}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_simulate_matches_the_reference_step_bit_for_bit(case):
+    make_field, omega = FIELD_CASES[case]
+    ens = Ensemble(sample_uniform(2, REF_N, 17).points, omega)
+    traj = simulate(ens, make_field(), 0.3, REF_DT, record_every=4)
+    want = _reference_run(ens, make_field(), 0.3, REF_DT, 4)
+    assert traj.times.tobytes() == np.array([st.time for st, _ in want]).tobytes()
+    for got, (st, _) in zip(traj.states, want, strict=True):
+        assert got.points.tobytes() == st.points.tobytes()
+        assert got.omega is st.omega
+    assert traj.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
+
+    series, final = order_parameter_series(ens, make_field(), 0.3, REF_DT)
+    every = [st for st, _ in _reference_run(ens, make_field(), 0.3, REF_DT, 1)]
+    assert series.R2.tobytes() == np.array([order_parameter(st)[0] for st in every]).tobytes()
+    assert series.dR2_analytic.tobytes() == np.array([dR2_dt_analytic(st) for st in every]).tobytes()
+    assert final.points.tobytes() == every[-1].points.tobytes()
+
+
+def test_step_keeps_its_single_population_contract():
+    # a bare step works out groups and the first stage itself
+    ens = Ensemble(sample_uniform(2, REF_N, 4).points, TWO_GROUPS)
+    got = step(ens, MeanField(1.0), REF_DT)
+    want = _reference_step(ens, MeanField(1.0), REF_DT)
+    assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
+    assert not got.points.flags.writeable
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(ens, MeanField(1.0), 0.0)

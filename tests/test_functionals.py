@@ -252,6 +252,24 @@ def test_draw_cycles_from_a_sampler_returns_no_index_cycles():
     assert cycles is None and ratios.shape == (50,) and rejected == 0
 
 
+class _CoincidentSampler:
+    """Every draw is the north pole, so every cycle is degenerate."""
+
+    d = 2
+
+    def draw(self, rng, count, size):
+        return np.tile([0.0, 0.0, 1.0], (count, size, 1))
+
+
+@pytest.mark.parametrize("source, cause", [
+    (Ensemble(np.tile([0.0, 0.0, 1.0], (8, 1))), "ensemble lacks distinct points"),
+    (_CoincidentSampler(), "the sampler's points nearly coincide"),
+])
+def test_spent_rejection_budget_names_its_source(source, cause):
+    with pytest.raises(ValueError, match=f"too many degenerate tuple draws; {cause}"):
+        estimate_cycle_moments(source, [0.3], 2, 10, seed=1)
+
+
 def test_mixture_functional_is_fsum_of_single_p_estimates():
     src = VmfSampler(np.array([0.0, 1.0, 0.0]), 1.0)
     weights = [(0.2, 0.5), (-0.2, 1.5), (0.0, -1.0)]

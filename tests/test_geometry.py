@@ -11,6 +11,7 @@ from swarmsphere import (
     SkewMatrix,
     exact_mean,
     renormalize,
+    renormalize_rows,
     reorthonormalize,
     rng_stream,
     sample_uniform,
@@ -58,6 +59,19 @@ def test_renormalize_idempotent_on_unit_input():
 def test_renormalize_degenerate():
     with pytest.raises(ValueError, match="degenerate"):
         renormalize([0.0, 0.0, 0.0])
+
+
+def test_renormalize_rows_of_a_stack_and_its_edge_rows():
+    pts = rng_stream(4).standard_normal((2, 5, 3))
+    got = renormalize_rows(pts)
+    for member, want in zip(pts, got):
+        assert renormalize_rows(member).tobytes() == want.tobytes()
+    np.testing.assert_allclose(np.linalg.norm(got, axis=-1), 1.0, rtol=1e-15)
+    # a squared norm that overflows, like a NaN entry, leaves a NaN row
+    odd = renormalize_rows([[1e200, 0.0, 0.0], [0.0, 3.0, 4.0], [math.nan, 0.0, 1.0]])
+    assert np.isnan(odd[[0, 2]]).all() and odd[1].tolist() == [0.0, 0.6, 0.8]
+    with pytest.raises(ValueError, match="degenerate"):
+        renormalize_rows([[math.nan, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 def test_reorthonormalize_identity_fixed():
@@ -302,6 +316,34 @@ def test_exact_mean_bitwise_equals_fsum_adversarial(x, seed):
             exact_mean(x)
         return
     _assert_mean_is_fsum(x, rng)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    b=st.integers(1, 3),
+    n=st.sampled_from(MEAN_SIZES),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    antipodal=st.booleans(),
+    tiny=st.booleans(),
+)
+def test_exact_mean_of_a_stack_is_each_members_fsum(b, n, m, seed, antipodal, tiny):
+    # the members share one splitter per pass; each still gets fsum(col)/n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((b, n, m))
+    if antipodal:  # member 0: exact antipodal pairs, a zero row if n is odd
+        h = n // 2
+        x[0, h : 2 * h] = -x[0, :h]
+        x[0, 2 * h :] = 0.0
+        x[0] = x[0, rng.permutation(n)]
+    if tiny:
+        x[-1] *= 2.0**-40
+    got = exact_mean(x)
+    assert got.shape == (b, m)
+    for member, mean in zip(x, got):
+        assert mean.tobytes() == _fsum_mean(member).tobytes() == exact_mean(member).tobytes()
+    if antipodal:
+        assert np.all(got[0] == 0.0) and not np.any(np.signbit(got[0]))
 
 
 @settings(deadline=None, max_examples=30)

@@ -19,9 +19,13 @@ from swarmsphere import (
     rng_stream,
     sample_uniform,
     sample_vmf,
+    renormalize,
     simulate,
+    tangent_project,
 )
+from swarmsphere.dynamics import Trajectory, _run
 from swarmsphere.functionals import _draw_cycles
+from swarmsphere.kinetic import _RECORD_EVERY
 
 
 def consensus(d, n):
@@ -163,6 +167,54 @@ def test_instability_experiment_small_scale():
     assert rep.control_max_drift <= 1e-6
 
 
+def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
+    import swarmsphere.kinetic as kinetic
+
+    built = []
+
+    class Recorded(Trajectory):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(kinetic, "Trajectory", Recorded)
+    n, seed, t_end, dt = 200, 3, 6.0, 1e-2
+    rep = instability_experiment(N=n, d=2, kappa=1.0, delta=1e-3, seed=seed, t_end=t_end, dt=dt)
+    (stacked,) = built
+
+    # the same two branches run one at a time: (a) through _run, (b) through simulate
+    half = sample_uniform(2, n // 2, seed).points
+    sym = np.vstack([half, -half])
+    r2 = [order_parameter(ens)[0] for ens, _ in _run(Ensemble(sym), MeanField(1.0), t_end, dt,
+                                                     _RECORD_EVERY)]
+    assert rep.R_max_symmetric == 0.0 and max(r2) == 0.0
+    direction = tangent_project(sym[0], np.eye(3)[int(np.argmin(np.abs(sym[0])))])
+    pert = sym.copy()
+    pert[0] = renormalize(sym[0] + 1e-3 * direction / np.linalg.norm(direction))
+    alone = simulate(Ensemble(pert), MeanField(1.0), t_end, dt, _RECORD_EVERY)
+    assert stacked.times.tobytes() == alone.times.tobytes()
+    for got, want in zip(stacked.states, alone.states, strict=True):
+        assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
+    assert stacked.field_samples.tobytes() == alone.field_samples.tobytes()
+    assert rep.R_end_perturbed == math.sqrt(order_parameter(alone.states[-1])[0])
+
+
+def test_order_parameter_series_computes_each_exact_mean_once(monkeypatch):
+    import swarmsphere.dynamics as dynamics
+    import swarmsphere.kinetic as kinetic
+
+    calls = []
+
+    def counted(points):
+        calls.append(np.shape(points))
+        return exact_mean(points)
+
+    monkeypatch.setattr(dynamics, "exact_mean", counted)
+    monkeypatch.setattr(kinetic, "exact_mean", counted)
+    order_parameter_series(sample_uniform(2, 64, 1), MeanField(1.0), 0.1, 1e-2)
+    assert len(calls) == 11 + 3 * 10  # one per state, one per later RK4 stage
+
+
 def test_instability_experiment_validation():
     with pytest.raises(ValueError):
         instability_experiment(N=2, d=2, kappa=1.0, delta=1e-3, seed=1)
@@ -213,7 +265,8 @@ def test_per_omega_mixed_tuples_reach_a_one_member_group():
     assert rep.mixed_drift.tuples.shape == (50, 4)
     assert np.all((rep.mixed_drift.tuples == 999).any(axis=1))
     label = np.r_[np.zeros(999, dtype=np.int64), 1]
-    with pytest.raises(ValueError, match="too many degenerate"):
+    with pytest.raises(ValueError, match="single-group tuple draws; usually a group is too small "
+                                         "to appear in 2k-cycles"):
         _draw_cycles(rng_stream(8, stream=0), ens.points, 50, 2, 100 * 50, label)
 
 
