@@ -9,6 +9,7 @@ which make a recorded run replayable into other integrators.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -86,12 +87,21 @@ def _hermite_at(knots: Sequence[float], values: np.ndarray, slopes: np.ndarray,
         return values[-1].copy()
     i = bisect_right(knots, t) - 1
     h = knots[i + 1] - knots[i]
-    s = (t - knots[i]) / h
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
+    return _hermite_combine((t - knots[i]) / h, h, values[i], slopes[i], values[i + 1], slopes[i + 1])
+
+
+def _hermite_combine(s, h, v0, m0, v1, m1):
+    """The cubic Hermite combination at local coordinate s in a step of
+    width h, for a scalar s or for columns s, h against rows of v and m.
+    The square goes through ``float_power``, which is the C library's
+    ``pow`` for a scalar and an array alike, so both give the bits of the
+    scalar ``(1 - s) ** 2``."""
+    u2 = np.float_power(1.0 - s, 2.0)
+    h00 = (1.0 + 2.0 * s) * u2
+    h10 = s * u2
     h01 = s * s * (3.0 - 2.0 * s)
     h11 = s * s * (s - 1.0)
-    return h00 * values[i] + h10 * h * slopes[i] + h01 * values[i + 1] + h11 * h * slopes[i + 1]
+    return h00 * v0 + h10 * h * m0 + h01 * v1 + h11 * h * m1
 
 
 class DrivingField:
@@ -113,6 +123,10 @@ class DrivingField:
     def _at_state(self, points: np.ndarray, t: float, mean: np.ndarray) -> np.ndarray:
         """``evaluate`` at an accepted state whose exact mean is ``mean``."""
         return self.evaluate(points, t)
+
+    def _at_times(self, ts: np.ndarray) -> np.ndarray:
+        """A clock-driven field at every time of ``ts``, one row per time."""
+        return np.array([np.asarray(self.evaluate(None, t), dtype=float) for t in ts.tolist()])
 
 
 class MeanField(DrivingField):
@@ -219,6 +233,20 @@ class ReplayField(DrivingField):
             raise ValueError("replay query outside the recorded span")
         return _hermite_at(self._knots, self.values, self._slopes, float(t))
 
+    def _at_times(self, ts):
+        """``evaluate`` at every time of ``ts`` in one vectorised pass, with
+        the bits of the one-time call."""
+        knots = self.times
+        if ts.min() < knots[0] - self._tol or ts.max() > knots[-1] + self._tol:
+            raise ValueError("replay query outside the recorded span")
+        i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
+        h = (knots[i + 1] - knots[i])[:, None]
+        out = _hermite_combine((ts[:, None] - knots[i][:, None]) / h, h, self.values[i],
+                               self._slopes[i], self.values[i + 1], self._slopes[i + 1])
+        out[ts <= knots[0]] = self.values[0]
+        out[ts >= knots[-1]] = self.values[-1]
+        return out
+
 
 class TimeDelayField(DrivingField):
     """Delayed mean field: X(t) = kappa * mean(points at t - tau).
@@ -302,16 +330,22 @@ def velocity(x, omega: SkewMatrix | None, x_field) -> np.ndarray:
     return rot + xf - float(x @ xf) * x
 
 
+def _group_views(groups):
+    """``omega_groups`` with each contiguous index run turned into a slice,
+    so that ``_velocities`` updates views rather than gathering and
+    scattering by index.  The indices of a group increase, so they are one
+    run exactly when they span as many places as they number."""
+    return [(om, slice(int(idx[0]), int(idx[-1]) + 1) if idx[-1] - idx[0] + 1 == idx.size else idx)
+            for om, idx in groups]
+
+
 def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
     """Velocities of an (..., n, d+1) stack of points under driving vectors
-    (..., d+1), one per member."""
+    (..., d+1), one per member; a group's particles are given by an index
+    array or a slice."""
     v = x_field[..., None, :] - np.einsum("...ij,...j->...i", points, x_field)[..., None] * points
     for om, idx in groups:
-        if om is None:
-            continue
-        if idx.size == points.shape[-2]:
-            v += points @ om.matrix.T
-        else:
+        if om is not None:
             v[..., idx, :] += points[..., idx, :] @ om.matrix.T
     return v
 
@@ -371,9 +405,9 @@ def step(ens: Ensemble, field: DrivingField, dt: float, *, _groups=None, _mean=N
     ensemble's generator groups and, for a field that reads it, its exact
     mean, which a bare call works out itself.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    groups = ens.omega_groups() if _groups is None else _groups
+    groups = _group_views(ens.omega_groups()) if _groups is None else _groups
     x1 = field.evaluate(ens.points, ens.time) if _mean is None \
         else field._at_state(ens.points, ens.time, _mean)
     new_pts = _advance(ens.points, ens.time, field, dt, groups, np.asarray(x1, dtype=float))
@@ -410,13 +444,16 @@ class Trajectory:
 
 
 def _step_count(t_end: float, dt: float, record_every: int) -> int:
-    """round(t_end / dt), once the run's arguments are checked."""
-    if dt <= 0:
+    """round(t_end / dt), once the run's arguments are checked; a NaN dt and
+    a NaN or infinite t_end are rejected here by name."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    if t_end / dt == math.inf:
+        raise ValueError("t_end / dt overflows")
     return int(round(t_end / dt))
 
 
@@ -431,7 +468,7 @@ def _run(ens0: Ensemble, field: DrivingField, t_end: float, dt: float, record_ev
     here and extended after every step.
     """
     steps = _step_count(t_end, dt, record_every)
-    groups = ens0.omega_groups()
+    groups = _group_views(ens0.omega_groups())
     delayed = isinstance(field, TimeDelayField)
     if delayed:
         field.initialize(ens0, dt)

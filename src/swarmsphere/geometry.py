@@ -185,9 +185,8 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
             totals = np.stack(parts, axis=-1)
             return np.array([math.fsum(t) / n for t in totals.reshape(-1, len(parts)).tolist()]
                             ).reshape(totals.shape[:-1])
-    members = points.reshape((math.prod(points.shape[:-2]), n, m))
-    return np.array([[math.fsum(x[:, j].tolist()) / n for j in range(m)] for x in members]
-                    ).reshape(points.shape[:-2] + (m,))
+    cols = np.swapaxes(points, -1, -2).reshape(-1, n).tolist()
+    return np.array([math.fsum(col) / n for col in cols]).reshape(points.shape[:-2] + (m,))
 
 
 class SkewMatrix:
@@ -208,6 +207,8 @@ class SkewMatrix:
         lower = np.array(lower, dtype=float).reshape(-1)
         if lower.size != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} lower-triangle entries, got {lower.size}")
+        if not np.isfinite(lower).all():
+            raise ValueError("generator entries must be finite")
         lower.flags.writeable = False
         self.n = n
         self._lower = lower

@@ -204,8 +204,8 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
         raise ValueError("need at least four particles")
     if N % 2:
         raise ValueError("need an even particle count to build exact antipodal pairs")
-    if kappa <= 0 or delta <= 0:
-        raise ValueError("kappa and delta must be positive")
+    if not (0 < kappa < math.inf and 0 < delta < math.inf):
+        raise ValueError("kappa and delta must be positive and finite")
     half = sample_uniform(d, N // 2, seed).points
     sym_points = np.vstack([half, -half])
     # (b) displaces one particle by delta along a tangent direction

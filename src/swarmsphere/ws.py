@@ -15,12 +15,14 @@ simulation, which is what ``push_forward`` and ``conjugacy_residual`` verify.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, _rk4, _velocities
-from .geometry import Ensemble, SkewMatrix, reorthonormalize
+from .dynamics import DrivingField, _group_views, _rk4, _step_count, _velocities
+from .geometry import Ensemble, SkewMatrix
 
 __all__ = [
     "MobiusPoleError",
@@ -38,7 +40,10 @@ __all__ = [
 
 _BALL_GUARD = 1e-10
 _POLE_TOL = 1e-14
-_REORTH_EVERY = 100  # steps between scheduled re-orthonormalisations of R
+# float64 entries (32 kB) in the largest batched array of ws_evolve's R
+# update and of conjugacy_residual's stacked push-forward; this sets their
+# block lengths and keeps each call's transients to a few hundred kB
+_BLOCK_FLOATS = 1 << 12
 
 
 class MobiusPoleError(ValueError):
@@ -68,6 +73,19 @@ class WsState:
         object.__setattr__(self, "rotation", rot)
 
     @classmethod
+    def _trusted(cls, w: np.ndarray, rotation: np.ndarray, time: float) -> "WsState":
+        """A state on read-only float arrays of matching shape that the
+        caller hands over, with a rotation that is orthogonal by
+        construction; only the orthogonality check is skipped."""
+        if not float(w @ w) < 1.0:
+            raise ValueError("ball vector must have norm strictly below one")
+        st = object.__new__(cls)
+        object.__setattr__(st, "w", w)
+        object.__setattr__(st, "rotation", rotation)
+        object.__setattr__(st, "time", time)
+        return st
+
+    @classmethod
     def initial(cls, d: int) -> "WsState":
         return cls(np.zeros(d + 1), np.eye(d + 1), 0.0)
 
@@ -82,73 +100,133 @@ class WsPath(list):
     guard_events: int = 0
 
 
+def _dw(w: np.ndarray, om_mat: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """dw/dt = Omega w + (1 + |w|^2) X / 2 - <w, X> w; ``om_mat`` is Omega's
+    matrix or None."""
+    dw = 0.5 * (1.0 + float(w @ w)) * x - float(w @ x) * w
+    if om_mat is not None:
+        dw = dw + om_mat @ w
+    return dw
+
+
+def _generator(w: np.ndarray, x: np.ndarray, om_mat: np.ndarray | None) -> np.ndarray:
+    """A = Omega + X w^T - w X^T, exactly skew, for vectors w and X or
+    stacks (..., d+1) of them."""
+    a = x[..., :, None] * w[..., None, :] - w[..., :, None] * x[..., None, :]
+    return a if om_mat is None else a + om_mat
+
+
 def ws_rhs(w: np.ndarray, rotation: np.ndarray, omega: SkewMatrix | None,
            x_field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides of the reduced (w, R) system."""
     w = np.asarray(w, dtype=float)
     x = np.asarray(x_field, dtype=float)
-    w2 = float(w @ w)
-    wx = float(w @ x)
     om_mat = omega.matrix if omega is not None else None
-    dw = 0.5 * (1.0 + w2) * x - wx * w
-    if om_mat is not None:
-        dw = dw + om_mat @ w
-    coupling = x[:, None] * w - w[:, None] * x
-    if om_mat is not None:
-        coupling = coupling + om_mat
-    drot = coupling @ rotation
-    return dw, drot
+    return _dw(w, om_mat, x), _generator(w, x, om_mat) @ rotation
+
+
+def _cayley_factors(stage_w: np.ndarray, stage_x: np.ndarray, om_mat: np.ndarray | None,
+                    dt: float) -> np.ndarray:
+    """Step factors Q_n, with R_{n+1} = Q_n R_n, of the fourth-order
+    Runge-Kutta-Munthe-Kaas method in Cayley coordinates for dR/dt = A(t) R,
+    from the (steps, 4, d+1) stage values of w and X.
+
+    The stages are k1 = A1 and k_i = dcayinv(c_i dt k_{i-1}, A_i) with
+    c = (1/2, 1/2, 1) and dcayinv(T, A) = A - [T, A]/2 - T A T/4, the
+    inverse derivative of cay(T) = (I - T/2)^-1 (I + T/2).  Then
+    Theta = dt/6 (k1 + 2 k2 + 2 k3 + k4) and Q = cay(Theta), which is
+    orthogonal for skew Theta.  A step whose Theta is not finite gets a NaN
+    factor.
+    """
+    a = _generator(stage_w, stage_x, om_mat)
+    k = a[:, 0]
+    acc = k.copy()
+    for i, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
+        t = (c * dt) * k
+        ai = a[:, i]
+        ta = t @ ai
+        k = ai - 0.5 * (ta - ai @ t) - 0.25 * (ta @ t)
+        acc += k if i == 3 else 2.0 * k
+    half = (dt / 12.0) * acc
+    ok = np.isfinite(half).all(axis=(1, 2))
+    eye = np.eye(half.shape[-1])
+    q = np.full_like(half, np.nan)
+    q[ok] = np.linalg.solve(eye - half[ok], eye + half[ok])
+    return q
 
 
 def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: float) -> WsPath:
-    """RK4 integration of the reduced system from (0, I).
+    """Integrate the reduced system from (0, I) over round(t_end / dt) steps.
 
-    The driving field must be clock-driven (a replayed recording or a
-    prescribed function); the orthogonality of R is re-established every
-    ``_REORTH_EVERY`` steps and at the end, and the ball vector is clamped
-    just inside the unit ball if floating-point drift pushes it out.  A
-    non-finite update raises, naming the step time.
+    R does not enter dw/dt, and dR/dt = A(t) R is linear in R once w is
+    known.  So w alone is stepped by classical RK4, and R by the RKMK4
+    Cayley method (``_cayley_factors``) from w's stage values, batched over
+    blocks of steps: R stays orthogonal by construction and is never
+    corrected.  The driving field must be clock-driven (a replayed
+    recording or a prescribed function); it is evaluated at every stage
+    time of a block in one call.  The ball vector is clamped just inside
+    the unit ball if floating-point drift pushes it out.  A non-finite w or
+    R raises, naming the first step time where it occurs.
     """
     if field.state_dependent:
         raise ValueError("ws evolution needs a prescribed or replayed driving field")
-    if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
+    steps = _step_count(t_end, dt, 1)
     x0 = np.asarray(field.evaluate(None, 0.0), dtype=float)
     if t_end > 0:
         field.evaluate(None, t_end)  # fail fast if the recording is too short
     dim = x0.size
     if omega is not None and omega.n != dim:
         raise ValueError("generator dimension must match the driving field")
-    steps = int(round(t_end / dt))
-    eye = np.eye(dim)
-    # rows 0..d hold R and the last row holds w; the leading-row slice keeps
-    # R C-contiguous like a standalone matrix, so ws_rhs rounds the same way
-    y = np.vstack((eye, np.zeros(dim)))
-    path = WsPath([WsState(y[-1], y[:-1], 0.0)])
+    om_mat = omega.matrix if omega is not None else None
+    ws = np.zeros((steps + 1, dim))
+    rots = np.empty((steps + 1, dim, dim))
+    rots[0] = np.eye(dim)
+    w = ws[0].copy()
+    block = max(1, _BLOCK_FLOATS // (4 * dim * dim))
+    stage_w = np.empty((block, 4, dim))
     guard = 0
-
-    def rhs(yc, ts):
-        dw, drot = ws_rhs(yc[-1], yc[:-1], omega, field.evaluate(None, ts))
-        return np.concatenate((drot, dw[None]))
-
-    # a blow-up is reported by the finite check below, not by numpy warnings
+    # a blow-up is reported by the finite checks below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(1, steps + 1):
-            y = _rk4(y, rhs, (s - 1) * dt, dt)
-            if not np.isfinite(y).all():
-                raise ValueError(f"non-finite (w, R) state at step time t = {s * dt}")
-            wn = float(np.linalg.norm(y[-1]))
-            if wn >= 1.0 - _BALL_GUARD:
-                # analytically |w| < 1 always; any excursion is pure float drift
-                y[-1] *= (1.0 - _BALL_GUARD) / wn
-                guard += 1
-            # cadence plus a defect trigger, so coarse steps cannot outrun the
-            # 1e-8 orthogonality invariant between scheduled corrections
-            rot = y[:-1]
-            if s % _REORTH_EVERY == 0 or s == steps \
-                    or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
-                y[:-1] = reorthonormalize(rot)
-            path.append(WsState(y[-1], y[:-1], s * dt))
+        for b0 in range(0, steps, block):
+            nb = min(block, steps - b0)
+            t0 = np.arange(b0, b0 + nb) * dt
+            # the stage times t, t + dt/2 (twice) and t + dt as _rk4 forms them
+            xs = field._at_times(np.stack((t0, t0 + 0.5 * dt, t0 + dt), axis=1).reshape(-1))
+            xs = xs.reshape(nb, 3, dim)[:, (0, 1, 1, 2)]
+            xs_flat, sw_flat = xs.reshape(-1, dim), stage_w.reshape(-1, dim)
+            calls = itertools.count()
+
+            def rhs(wc, _t):
+                # the stages come in order, and X at their times is in xs
+                c = next(calls)
+                sw_flat[c] = wc
+                return _dw(wc, om_mat, xs_flat[c])
+
+            bad = []
+            done = nb
+            for j in range(nb):
+                w = _rk4(w, rhs, (b0 + j) * dt, dt)
+                if not np.isfinite(w).all():
+                    bad.append(b0 + j + 1)
+                    done = j + 1
+                    break
+                wn = math.sqrt(float(w @ w))
+                if wn >= 1.0 - _BALL_GUARD:
+                    # analytically |w| < 1 always; any excursion is pure float drift
+                    w *= (1.0 - _BALL_GUARD) / wn
+                    guard += 1
+                ws[b0 + j + 1] = w
+            q = _cayley_factors(stage_w[:done], xs[:done], om_mat, dt)
+            for j in range(done):
+                np.matmul(q[j], rots[b0 + j], out=rots[b0 + j + 1])
+            finite = np.isfinite(rots[b0 + 1:b0 + done + 1]).all(axis=(1, 2))
+            if not finite.all():
+                bad.append(b0 + int(np.argmin(finite)) + 1)
+            if bad:
+                raise ValueError(f"non-finite (w, R) state at step time t = {min(bad) * dt}")
+    ws.flags.writeable = False
+    rots.flags.writeable = False
+    path = WsPath(WsState._trusted(ws[s], rots[s], s * dt) for s in range(steps + 1))
     path.guard_events = guard
     return path
 
@@ -181,19 +259,27 @@ def mobius(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
-    s = points + w
-    q = np.einsum("ij,ij->i", s, s)
+    """``mobius`` on the rows of an (..., n, d+1) stack, one ball vector
+    (..., d+1) per member; every member gets the bits it gets on its own."""
+    s = points + w[..., None, :]
+    q = np.einsum("...ij,...ij->...i", s, s)
     if np.min(q) <= _POLE_TOL:
         raise MobiusPoleError("point is numerically antipodal to the map pole")
-    return w + s * ((1.0 - float(w @ w)) / q)[:, None]
+    return w[..., None, :] + s * ((1.0 - np.vecdot(w, w))[..., None] / q)[..., None]
 
 
-def _apply_map(state: WsState, points: np.ndarray) -> np.ndarray:
-    """The reduction map of ``state`` on an (n, d+1) array; the identity map
-    returns ``points`` itself."""
-    if not state.w.any() and np.array_equal(state.rotation, np.eye(state.d + 1)):
+def _apply_map(w: np.ndarray, rotation: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The reduction maps of ball vectors (..., d+1) and rotations
+    (..., d+1, d+1) on an (n, d+1) array, one image per map; an identity
+    map's image is ``points`` bit for bit, and for a single identity map it
+    is ``points`` itself."""
+    ident = ~w.any(axis=-1) & (rotation == np.eye(w.shape[-1])).all(axis=(-2, -1))
+    if w.ndim == 1 and ident:
         return points
-    return _mobius_rows(state.w, points @ state.rotation.T)
+    out = _mobius_rows(w, points @ np.swapaxes(rotation, -1, -2))
+    if ident.any():
+        out[ident] = points
+    return out
 
 
 def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
@@ -203,7 +289,7 @@ def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
     """
     if state.d != ens0.d:
         raise ValueError("state and ensemble dimensions do not match")
-    points = _apply_map(state, ens0.points)
+    points = _apply_map(state.w, state.rotation, ens0.points)
     if points is ens0.points and state.time == ens0.time:
         return ens0
     return Ensemble(points, ens0.omega, state.time)
@@ -226,7 +312,7 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
         if st.d != ens0.d:
             raise ValueError("state and ensemble dimensions do not match")
         times.add(st.time)
-        out[idx] = _apply_map(st, ens0.points[idx])
+        out[idx] = _apply_map(st.w, st.rotation, ens0.points[idx])
     if len(times) > 1:
         raise ValueError("group states are not synchronous")
     return Ensemble(out, ens0.omega, times.pop())
@@ -237,7 +323,9 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
 
     Central-differences the pushed samples in time and compares against
     Omega m + X - <m, X> m at the interior instants; the residual decays as
-    O(dt^2).  Needs at least three uniformly spaced states.
+    O(dt^2).  Needs at least three uniformly spaced states.  The states are
+    pushed forward as stacked blocks, with the value of pushing them one
+    at a time; a NaN residual at any instant makes the result NaN.
     """
     if len(states) < 3:
         raise ValueError("need at least three states for a central difference")
@@ -246,15 +334,20 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
         raise ValueError("states are not uniformly spaced")
     dt = dts[0]
-    pushed = [push_forward(st, sample_points).points for st in states]
-    groups = sample_points.omega_groups()
-    worst = 0.0
-    for i in range(1, len(states) - 1):
-        fd = (pushed[i + 1] - pushed[i - 1]) / (2.0 * dt)
-        x = np.asarray(field.evaluate(None, times[i]), dtype=float)
-        v = _velocities(pushed[i], groups, x)
-        worst = max(worst, float(np.max(np.linalg.norm(fd - v, axis=1))))
-    return worst
+    points = sample_points.points
+    groups = _group_views(sample_points.omega_groups())
+    block = max(1, _BLOCK_FLOATS // points.size)
+    worst = []
+    # block [b0, b1) of interior states, pushed with one neighbour on each side
+    for b0 in range(1, len(states) - 1, block):
+        b1 = min(b0 + block, len(states) - 1)
+        near = states[b0 - 1:b1 + 1]
+        pushed = _apply_map(np.array([st.w for st in near]),
+                            np.array([st.rotation for st in near]), points)
+        fd = (pushed[2:] - pushed[:-2]) / (2.0 * dt)
+        v = _velocities(pushed[1:-1], groups, field._at_times(times[b0:b1]))
+        worst.append(np.max(np.linalg.norm(fd - v, axis=-1)))
+    return float(np.max(worst))
 
 
 def algebraic_identity_residuals(w, m_point, omega: SkewMatrix | None, x_field):

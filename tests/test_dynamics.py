@@ -24,6 +24,7 @@ from swarmsphere import (
     step,
     velocity,
 )
+from swarmsphere.dynamics import _group_views
 
 
 def consensus_ensemble(d, n, axis=-1):
@@ -447,6 +448,9 @@ def _replay_field():
 
 TWO_GROUPS = (SkewMatrix.planar(2, 1.0),) * (REF_N // 2) \
     + (SkewMatrix.random(2, 9, 0.7),) * (REF_N - REF_N // 2)
+# two interleaved groups (index arrays) ahead of one contiguous run (a slice)
+MIXED_GROUPS = (SkewMatrix.planar(2, 1.0), SkewMatrix.random(2, 10, 0.5)) * (REF_N // 4) \
+    + (SkewMatrix.random(2, 11, 0.9),) * (REF_N - 2 * (REF_N // 4))
 
 # field factory (a delayed field keeps history, so each run gets its own) and omega
 FIELD_CASES = {
@@ -458,7 +462,16 @@ FIELD_CASES = {
     "delay_5dt": (lambda: TimeDelayField(1.0, 5 * REF_DT), SkewMatrix.random(2, 6, 1.0)),
     "replay": (_replay_field, SkewMatrix.random(2, 7, 1.0)),
     "two_groups": (lambda: MeanField(1.0), TWO_GROUPS),
+    "mixed_groups": (lambda: MeanField(1.0), MIXED_GROUPS),
 }
+
+
+def test_group_views_turn_contiguous_runs_into_slices():
+    groups = _group_views(Ensemble(sample_uniform(2, REF_N, 4).points, MIXED_GROUPS).omega_groups())
+    assert [type(idx) for _, idx in groups] == [np.ndarray, np.ndarray, slice]
+    assert groups[2][1] == slice(2 * (REF_N // 4), REF_N)
+    (_, whole), = _group_views(sample_uniform(2, 5, 4).omega_groups())
+    assert whole == slice(0, 5)
 
 
 @pytest.mark.parametrize("case", FIELD_CASES)
@@ -489,3 +502,16 @@ def test_step_keeps_its_single_population_contract():
     assert not got.points.flags.writeable
     with pytest.raises(ValueError, match="dt must be positive"):
         step(ens, MeanField(1.0), 0.0)
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (math.nan, 1e-2, "t_end must be finite and nonnegative"),
+    (math.inf, 1e-2, "t_end must be finite and nonnegative"),
+    (-1.0, 1e-2, "t_end must be finite and nonnegative"),
+    (1.0, math.nan, "dt must be positive"),
+    (1.0, 0.0, "dt must be positive"),
+    (1.0, 1e-320, "t_end / dt overflows"),
+])
+def test_simulate_rejects_non_finite_run_arguments_by_name(t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        simulate(sample_uniform(2, 4, 1), MeanField(1.0), t_end, dt)

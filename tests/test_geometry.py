@@ -201,6 +201,12 @@ def test_skew_planar_generator():
     np.testing.assert_allclose(om.apply(np.array([1.0, 0.0, 0.0])), [0.0, 2.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_skew_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="generator entries must be finite"):
+        SkewMatrix(3, [bad, 0.0, 0.0])
+
+
 def test_skew_from_matrix_rejects_non_skew():
     with pytest.raises(ValueError):
         SkewMatrix.from_matrix(np.eye(3))

@@ -222,6 +222,14 @@ def test_instability_experiment_validation():
         instability_experiment(N=5, d=2, kappa=1.0, delta=1e-3, seed=1)
 
 
+@pytest.mark.parametrize("kappa, delta", [(math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3),
+                                          (1.0, math.inf), (0.0, 1e-3), (1.0, -1e-3)])
+def test_instability_experiment_rejects_non_finite_kappa_and_delta(kappa, delta):
+    # a NaN used to run to 'non-finite particle state at step time t = 0.01'
+    with pytest.raises(ValueError, match="kappa and delta must be positive and finite"):
+        instability_experiment(N=8, d=2, kappa=kappa, delta=delta, seed=1)
+
+
 def two_group_trajectory(t_end=3.0, dt=1e-3, record_every=10, n_per=24):
     om_a = SkewMatrix.zero(2)
     om_b = SkewMatrix.planar(2, 1.0)

@@ -1,7 +1,10 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmsphere import (
     Ensemble,
@@ -25,6 +28,8 @@ from swarmsphere import (
     ws_evolve_groups,
     ws_rhs,
 )
+from swarmsphere.dynamics import _rk4
+from swarmsphere.geometry import reorthonormalize
 
 
 def random_ball_vector(rng, dim, rmax=0.95):
@@ -103,13 +108,13 @@ def test_ws_evolve_orthogonality_invariant():
 
 
 def test_ws_evolve_orthogonality_holds_at_coarse_steps():
-    # large dt drifts faster than the 100-step cadence allows; the defect
-    # trigger must keep every recorded state inside the 1e-8 invariant
+    # a coarse step costs accuracy but not orthogonality: the Cayley factor
+    # of a skew increment is orthogonal at any step size
     field = PrescribedField(lambda t: np.array([1.5 * math.sin(3 * t), 0.5, 1.0]))
     om = SkewMatrix.random(2, 87, 2.0)
     path = ws_evolve(om, field, 20.0, 5e-2)
     worst = max(np.linalg.norm(st.rotation.T @ st.rotation - np.eye(3)) for st in path)
-    assert worst <= 1e-8
+    assert worst <= 1e-12
 
 
 def test_ws_evolve_ball_guard_on_saturating_field():
@@ -321,3 +326,237 @@ def test_ws_evolve_names_the_non_finite_step():
     field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))
     with pytest.raises(ValueError, match=r"non-finite \(w, R\) state at step time t = 0\.05"):
         ws_evolve(None, field, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (math.nan, 1e-2, "t_end must be finite and nonnegative"),
+    (math.inf, 1e-2, "t_end must be finite and nonnegative"),
+    (1.0, math.nan, "dt must be positive"),
+])
+def test_ws_evolve_rejects_non_finite_run_arguments_by_name(t_end, dt, message):
+    with pytest.raises(ValueError, match=message):
+        ws_evolve(None, PrescribedField(lambda t: np.zeros(3)), t_end, dt)
+
+
+# Reference integrator that ws_evolve replaced: (w, R) stacked as one array
+# and stepped by classical RK4, with R re-orthonormalised every 100 steps, at
+# the end and whenever its defect exceeds 1e-9.  The right-hand side is
+# written out as it was.  Returns [(w, R)] per step and the guard count.
+def _reference_ws_evolve(omega, field, t_end, dt):
+    dim = np.asarray(field.evaluate(None, 0.0)).size
+    steps = int(round(t_end / dt))
+    eye = np.eye(dim)
+    y = np.vstack((eye, np.zeros(dim)))
+
+    def rhs(yc, ts):
+        w, rot = yc[-1], yc[:-1]
+        x = np.asarray(field.evaluate(None, ts), dtype=float)
+        w2 = float(w @ w)
+        wx = float(w @ x)
+        dw = 0.5 * (1.0 + w2) * x - wx * w
+        coupling = x[:, None] * w - w[:, None] * x
+        if omega is not None:
+            dw = dw + omega.matrix @ w
+            coupling = coupling + omega.matrix
+        return np.concatenate((coupling @ rot, dw[None]))
+
+    out, guard = [(y[-1].copy(), y[:-1].copy())], 0
+    for s in range(1, steps + 1):
+        y = _rk4(y, rhs, (s - 1) * dt, dt)
+        wn = float(np.linalg.norm(y[-1]))
+        if wn >= 1.0 - 1e-10:
+            y[-1] *= (1.0 - 1e-10) / wn
+            guard += 1
+        rot = y[:-1]
+        if s % 100 == 0 or s == steps or np.linalg.norm(rot.T @ rot - eye) > 1e-9:
+            y[:-1] = reorthonormalize(rot)
+        out.append((y[-1].copy(), y[:-1].copy()))
+    return out, guard
+
+
+# Reference conjugacy check that conjugacy_residual replaced: every state
+# pushed on its own, one central difference and field call per state.
+def _reference_conjugacy(states, field, samples):
+    times = np.array([st.time for st in states])
+    dt = np.diff(times)[0]
+    pts = samples.points
+
+    def push(st):
+        if not st.w.any() and np.array_equal(st.rotation, np.eye(st.d + 1)):
+            return pts
+        s = pts @ st.rotation.T + st.w
+        q = np.einsum("ij,ij->i", s, s)
+        return st.w + s * ((1.0 - float(st.w @ st.w)) / q)[:, None]
+
+    pushed = [push(st) for st in states]
+    worst = 0.0
+    for i in range(1, len(states) - 1):
+        fd = (pushed[i + 1] - pushed[i - 1]) / (2.0 * dt)
+        x = np.asarray(field.evaluate(None, times[i]), dtype=float)
+        p = pushed[i]
+        v = x[None, :] - np.einsum("...ij,...j->...i", p, x)[..., None] * p
+        for om, idx in samples.omega_groups():
+            if om is None:
+                continue
+            if idx.size == samples.n:
+                v += p @ om.matrix.T
+            else:
+                v[idx] += p[idx] @ om.matrix.T
+        worst = max(worst, float(np.max(np.linalg.norm(fd - v, axis=1))))
+    return worst
+
+
+def _smooth_field(t):
+    return np.array([0.3 * math.sin(2 * t), 0.1, 0.5 * math.cos(t)])
+
+
+def _replayed():
+    om = SkewMatrix.random(2, 3, 1.0)
+    traj = simulate(sample_uniform(2, 16, 4).with_omega(om), MeanField(1.0), 1.0, 1e-3)
+    return ReplayField.from_trajectory(traj)
+
+
+# omega, field factory, t_end, dt
+WS_CASES = {
+    "replay": (SkewMatrix.random(2, 3, 1.0), _replayed, 1.0, 1e-3),
+    "prescribed_no_omega": (None, lambda: PrescribedField(_smooth_field), 2.0, 1e-3),
+    "prescribed_random_omega": (SkewMatrix.random(2, 97, 1.0), lambda: PrescribedField(_smooth_field),
+                                2.0, 1e-3),
+    "d3_prescribed": (SkewMatrix.random(3, 5, 1.0),
+                      lambda: PrescribedField(lambda t: np.array([math.sin(t), 0.2, -0.4, math.cos(3 * t)])),
+                      1.0, 1e-3),
+    # w = tanh(10 t) e_3 reaches the guard band after about 1.2 time units
+    "ball_guard": (None, lambda: PrescribedField(lambda t: np.array([0.0, 0.0, 20.0])), 1.5, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", WS_CASES)
+def test_ws_evolve_w_matches_the_stacked_rk4_bit_for_bit(case):
+    omega, make_field, t_end, dt = WS_CASES[case]
+    path = ws_evolve(omega, make_field(), t_end, dt)
+    want, guard = _reference_ws_evolve(omega, make_field(), t_end, dt)
+    assert path.guard_events == guard and (guard > 0) == (case == "ball_guard")
+    assert [st.time for st in path] == [s * dt for s in range(len(want))]
+    assert np.array([st.w for st in path]).tobytes() == np.array([w for w, _ in want]).tobytes()
+    rot_gap = np.abs(np.array([st.rotation for st in path]) - np.array([r for _, r in want]))
+    assert rot_gap.max() <= 1e-10
+    assert not path[-1].w.flags.writeable and not path[-1].rotation.flags.writeable
+
+
+def test_ws_evolve_is_fourth_order():
+    om = SkewMatrix.random(2, 87, 1.0)
+    field = PrescribedField(lambda t: np.array([1.5 * math.sin(3 * t), 0.5, math.cos(t)]))
+    fine = ws_evolve(om, field, 2.0, 0.05 / 64)[-1]
+    errs = [np.linalg.norm(ws_evolve(om, field, 2.0, h)[-1].rotation - fine.rotation)
+            for h in (0.05, 0.025, 0.0125)]
+    for coarse, finer in zip(errs, errs[1:]):
+        assert 16 * 0.75 <= coarse / finer <= 16 * 1.25
+
+
+def test_ws_evolve_keeps_r_orthogonal_over_5000_steps_without_correction():
+    path = ws_evolve(SkewMatrix.random(2, 5, 1.0), PrescribedField(_smooth_field), 5.0, 1e-3)
+    assert len(path) == 5001
+    worst = max(np.linalg.norm(st.rotation.T @ st.rotation - np.eye(3)) for st in path)
+    assert worst < 1e-12
+
+
+@pytest.mark.parametrize("case", ["replay", "prescribed_random_omega", "d3_prescribed"])
+def test_conjugacy_residual_matches_the_per_state_loop_bit_for_bit(case):
+    omega, make_field, t_end, dt = WS_CASES[case]
+    field = make_field()
+    path = ws_evolve(omega, field, t_end, dt)
+    d = path[0].d
+    one_group = sample_uniform(d, 8, 5).with_omega(omega)
+    # interleaved labels (index arrays) and a contiguous run (a slice), several blocks of states
+    labels = (SkewMatrix.planar(d, 1.0), SkewMatrix.zero(d)) * 4 + (SkewMatrix.random(d, 6, 0.5),) * 8
+    mixed = Ensemble(sample_uniform(d, 16, 6).points, labels)
+    for samples in (one_group, mixed, sample_uniform(d, 3, 7)):
+        got = conjugacy_residual(path, field, samples)
+        assert got == _reference_conjugacy(path, field, samples)
+    assert conjugacy_residual(path[:3], field, mixed) == _reference_conjugacy(path[:3], field, mixed)
+
+
+def test_conjugacy_residual_is_nan_when_any_instant_is():
+    # the field turns NaN in the second half; pushing per state used to
+    # skip those instants and report the first half's residual
+    field = PrescribedField(lambda t: np.array([0.3, 0.1, 0.2]))
+    path = ws_evolve(None, field, 0.1, 1e-2)
+    broken = PrescribedField(lambda t: np.array([0.3, 0.1, math.nan if t > 0.05 else 0.2]))
+    assert math.isnan(conjugacy_residual(path, broken, sample_uniform(2, 8, 1)))
+
+
+def _hermite_as_written(knots, values, slopes, t):
+    """The scalar interpolant with its original arithmetic, ``** 2`` included."""
+    if t <= knots[0]:
+        return values[0]
+    if t >= knots[-1]:
+        return values[-1]
+    i = bisect_right(knots, t) - 1
+    h = knots[i + 1] - knots[i]
+    s = (t - knots[i]) / h
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    return h00 * values[i] + h10 * h * slopes[i] + h01 * values[i + 1] + h11 * h * slopes[i + 1]
+
+
+GRIDS = {
+    "uniform": np.linspace(0.0, 2.0, 41),
+    "non_uniform": np.cumsum(np.concatenate(([0.3], 0.01 + rng_stream(8).random(40) * 0.1))),
+    # the step doubles half way: five-point, centred and one-sided slopes all occur
+    "kinked": np.concatenate((np.linspace(0.0, 0.5, 21), 0.5 + 0.05 * np.arange(1, 11))),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_replay_batch_evaluation_equals_the_one_time_call_bitwise(grid):
+    times = GRIDS[grid]
+    rng = rng_stream(9)
+    replay = ReplayField(times, rng.standard_normal((times.size, 3)))
+    tol = replay._tol
+    ts = np.concatenate((times, rng.uniform(times[0], times[-1], 2000),
+                         [times[0] - 0.5 * tol, times[-1] + 0.5 * tol]))
+    got = replay._at_times(ts)
+    assert got.tobytes() == np.array([replay.evaluate(None, t) for t in ts]).tobytes()
+    knots = times.tolist()
+    written = [_hermite_as_written(knots, replay.values, replay._slopes, t) for t in ts.tolist()]
+    assert got.tobytes() == np.array(written).tobytes()
+    for outside in (times[0] - 2 * tol, times[-1] + 2 * tol):
+        with pytest.raises(ValueError, match="span"):
+            replay._at_times(np.array([times[0], outside]))
+
+
+def test_prescribed_batch_evaluation_calls_the_function_per_time():
+    field = PrescribedField(_smooth_field)
+    ts = np.linspace(0.0, 1.0, 7)
+    assert field._at_times(ts).tobytes() == np.array([_smooth_field(t) for t in ts.tolist()]).tobytes()
+
+
+def _random_rotation(rng, dim):
+    rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    if np.linalg.det(rot) < 0:
+        rot[:, 0] = -rot[:, 0]
+    return rot
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_mobius_inverse_returns_every_point(d, seed):
+    rng = rng_stream(seed)
+    w = random_ball_vector(rng, d + 1, rmax=0.9)
+    x = renormalize(rng.standard_normal(d + 1))
+    assert np.linalg.norm(mobius(-w, mobius(w, x)) - x) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(d=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_push_forward_preserves_cross_ratios(d, seed):
+    rng = rng_stream(seed)
+    state = WsState(random_ball_vector(rng, d + 1, rmax=0.9), _random_rotation(rng, d + 1), 1.0)
+    ens = sample_uniform(d, 4, seed)
+    gaps = [np.sum((ens.points[i] - ens.points[j]) ** 2) for i in range(4) for j in range(i)]
+    assume(min(gaps) > 1e-3)
+    before = cross_ratio(*ens.points)
+    after = cross_ratio(*push_forward(state, ens).points)
+    assert abs(after - before) <= 1e-10 * before
