@@ -47,6 +47,8 @@ __all__ = [
 
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
+# _drift_report: cycle ratios held at once, a block of snapshots (512 kB)
+_DRIFT_BLOCK_FLOATS = 1 << 16
 
 
 class DivergentIntegralError(ValueError):
@@ -419,22 +421,32 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
 
 def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[DriftReport]:
     """Drift of the cycle ratios of fixed index tuples over every snapshot,
-    one report per p."""
-    ratios = np.empty((len(traj.states), tuples.shape[0]))
-    for i, st in enumerate(traj.states):
-        vals, bad = _cycle_ratios_batch(st.points[tuples])
-        if bad.any():
-            raise ValueError("tuple became degenerate along the trajectory")
-        ratios[i] = vals
-    # the per-tuple drift does not depend on p; build it in one buffer
-    dev = ratios - ratios[0]
-    np.abs(dev, out=dev)
-    dev /= ratios[0]
-    per_tuple = float(np.max(dev))
-    del dev
+    one report per p.  The ratios are formed for a block of snapshots at a
+    time, so the working set does not grow with the trajectory; each
+    snapshot's values are those of a single all-snapshot array."""
+    n = len(traj.states)
+    rows = max(1, _DRIFT_BLOCK_FLOATS // tuples.shape[0])
+    buf = np.empty((min(rows, n), tuples.shape[0]))
+    all_estimates = np.empty((len(ps), n))
+    per_tuple = 0.0
+    for b0 in range(0, n, rows):
+        ratios = buf[:min(rows, n - b0)]
+        for i, st in enumerate(traj.states[b0:b0 + ratios.shape[0]]):
+            vals, bad = _cycle_ratios_batch(st.points[tuples])
+            if bad.any():
+                raise ValueError("tuple became degenerate along the trajectory")
+            ratios[i] = vals
+        if b0 == 0:
+            ratios0 = ratios[0].copy()
+        # the per-tuple drift does not depend on p
+        dev = ratios - ratios0
+        np.abs(dev, out=dev)
+        dev /= ratios0
+        per_tuple = max(per_tuple, float(np.max(dev)))
+        for j, p in enumerate(ps):
+            all_estimates[j, b0:b0 + ratios.shape[0]] = (ratios ** p).mean(axis=1)
     reports = []
-    for p in ps:
-        estimates = (ratios ** p).mean(axis=1)
+    for p, estimates in zip(ps, all_estimates):
         rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
         reports.append(DriftReport(
             times=traj.times.copy(), estimates=estimates, relative_drift=rel,

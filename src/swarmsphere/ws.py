@@ -265,7 +265,10 @@ def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     q = np.einsum("...ij,...ij->...i", s, s)
     if np.min(q) <= _POLE_TOL:
         raise MobiusPoleError("point is numerically antipodal to the map pole")
-    return w[..., None, :] + s * ((1.0 - np.vecdot(w, w))[..., None] / q)[..., None]
+    # w @ w as a stack of (1, k) @ (k, 1) products: the same matmul loop a
+    # single 1-D ``w @ w`` runs, so each member keeps its own bits
+    ww = (w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    return w[..., None, :] + s * ((1.0 - ww)[..., None] / q)[..., None]
 
 
 def _apply_map(w: np.ndarray, rotation: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -329,6 +332,8 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
     """
     if len(states) < 3:
         raise ValueError("need at least three states for a central difference")
+    if any(st.d != sample_points.d for st in states):
+        raise ValueError("state and ensemble dimensions do not match")
     times = np.array([st.time for st in states])
     dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):

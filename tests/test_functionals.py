@@ -30,7 +30,8 @@ from swarmsphere import (
     sample_uniform,
     simulate,
 )
-from swarmsphere.functionals import _draw_cycles
+from swarmsphere import functionals
+from swarmsphere.functionals import _cycle_ratios_batch, _draw_cycles, _drift_report
 
 
 def circle_point(theta):
@@ -424,6 +425,30 @@ def test_conservation_drifts_match_single_p_bitwise():
         assert rep.max_relative_drift.hex() == one.max_relative_drift.hex()
         assert rep.per_tuple_max_drift.hex() == one.per_tuple_max_drift.hex()
         assert rep.k == one.k == 3
+
+
+def _reference_drift(traj, tuples, p):
+    """The drift of fixed tuples from one all-snapshot array of cycle ratios,
+    as ``_drift_report`` formed it before it worked in snapshot blocks."""
+    ratios = np.array([_cycle_ratios_batch(st.points[tuples])[0] for st in traj.states])
+    per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
+    estimates = (ratios ** p).mean(axis=1)
+    return estimates, per_tuple
+
+
+@pytest.mark.parametrize("block_floats", [1, 7 * 60, 1 << 16])
+def test_drift_report_blocks_match_one_array_bitwise(monkeypatch, block_floats):
+    # one snapshot per block, blocks that leave a short last one, and one block
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
+    om = SkewMatrix.random(2, 31, 1.0)
+    ens = sample_uniform(2, 24, 43).with_omega(om)
+    traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
+    tuples = _draw_cycles(rng_stream(8, stream=0), ens.points, 60, 3, 6000)[0]
+    ps = [0.0, 0.4, -1.1]
+    for p, rep in zip(ps, _drift_report(traj, tuples, ps, 3)):
+        estimates, per_tuple = _reference_drift(traj, tuples, p)
+        assert rep.estimates.tobytes() == estimates.tobytes()
+        assert rep.per_tuple_max_drift.hex() == per_tuple.hex()
 
 
 def test_conservation_drift_needs_two_snapshots():

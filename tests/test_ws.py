@@ -28,6 +28,7 @@ from swarmsphere import (
     ws_evolve_groups,
     ws_rhs,
 )
+from swarmsphere import ws as ws_module
 from swarmsphere.dynamics import _rk4
 from swarmsphere.geometry import reorthonormalize
 
@@ -238,6 +239,11 @@ def test_conjugacy_residual_trivial_and_errors():
     uneven = [path[0], path[1], path[3]]
     with pytest.raises(ValueError, match="uniform"):
         conjugacy_residual(uneven, field, pts)
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        conjugacy_residual(path, field, sample_uniform(3, 8, 41))
+    mixed = [path[0], WsState(np.zeros(4), np.eye(4), path[1].time), path[2]]
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        conjugacy_residual(mixed, field, pts)
 
 
 def test_conjugacy_residual_second_order():
@@ -374,21 +380,37 @@ def _reference_ws_evolve(omega, field, t_end, dt):
     return out, guard
 
 
+# Reference push-forward of one state, as it was before states were
+# pushed as stacks.
+def _reference_push(st, pts):
+    if not st.w.any() and np.array_equal(st.rotation, np.eye(st.d + 1)):
+        return pts
+    s = pts @ st.rotation.T + st.w
+    q = np.einsum("ij,ij->i", s, s)
+    return st.w + s * ((1.0 - float(st.w @ st.w)) / q)[:, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_stacked_map_matches_the_one_state_push_bit_for_bit(d):
+    rng = np.random.default_rng(60 + d)
+    pts = sample_uniform(d, 16, 61 + d).points
+    states = [WsState(random_ball_vector(rng, d + 1), np.linalg.qr(rng.standard_normal((d + 1, d + 1)))[0])
+              for _ in range(40)]
+    stacked = ws_module._apply_map(np.array([st.w for st in states]),
+                                   np.array([st.rotation for st in states]), pts)
+    for st, got in zip(states, stacked):
+        want = _reference_push(st, pts)
+        assert got.tobytes() == want.tobytes()
+        assert push_forward(st, Ensemble(pts)).points.tobytes() == want.tobytes()
+
+
 # Reference conjugacy check that conjugacy_residual replaced: every state
 # pushed on its own, one central difference and field call per state.
 def _reference_conjugacy(states, field, samples):
     times = np.array([st.time for st in states])
     dt = np.diff(times)[0]
     pts = samples.points
-
-    def push(st):
-        if not st.w.any() and np.array_equal(st.rotation, np.eye(st.d + 1)):
-            return pts
-        s = pts @ st.rotation.T + st.w
-        q = np.einsum("ij,ij->i", s, s)
-        return st.w + s * ((1.0 - float(st.w @ st.w)) / q)[:, None]
-
-    pushed = [push(st) for st in states]
+    pushed = [_reference_push(st, pts) for st in states]
     worst = 0.0
     for i in range(1, len(states) - 1):
         fd = (pushed[i + 1] - pushed[i - 1]) / (2.0 * dt)
