@@ -107,11 +107,12 @@ def _hermite_combine(s, h, v0, m0, v1, m1):
 class DrivingField:
     """Common driving vector X for the population.
 
-    ``state_dependent`` distinguishes fields computed from the instantaneous
-    ensemble (evaluated per integrator stage from the stage points) from
-    fields that only read the clock.  A field with ``_reads_mean`` set uses
-    the exact mean of every accepted state (in ``_at_state``, or for its
-    history), which the stepping loop computes once per state and hands over.
+    ``state_dependent`` distinguishes fields computed from the ensemble
+    (evaluated per integrator stage from the stage points, or from the
+    run's history) from fields that only read the clock.  A field with
+    ``_reads_mean`` set uses the exact mean of every accepted state (in
+    ``_at_state``, or for a delayed field's history), which the stepping
+    loop computes once per state and hands over.
     """
 
     state_dependent = True
@@ -214,7 +215,7 @@ class ReplayField(DrivingField):
             raise ValueError("replay times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("replay times must be strictly increasing")
-        if values.shape[0] != times.size or values.ndim != 2:
+        if values.ndim != 2 or values.shape[0] != times.size:
             raise ValueError("replay values must be an (m, d+1) array matching times")
         if not np.isfinite(values).all():
             raise ValueError("replay values must be finite")
@@ -251,65 +252,50 @@ class ReplayField(DrivingField):
 class TimeDelayField(DrivingField):
     """Delayed mean field: X(t) = kappa * mean(points at t - tau).
 
-    The buffer stores the population mean once per accepted step; the history
-    before t = 0 is the constant initial configuration.  The stepping loop
-    behind ``simulate`` and ``order_parameter_series`` calls ``initialize``
-    and records every accepted step; ``step`` alone records nothing.  The
-    delay must be at least one step so stage queries never outrun the buffer.
+    The history belongs to the run: the stepping loop behind ``simulate``
+    and ``order_parameter_series`` keeps the exact population mean of every
+    accepted state and reads X from it (``_in_run``); before t = 0 the
+    history is the constant initial configuration.  The field holds only
+    kappa and tau, so ``evaluate``, a bare ``step`` and ``ws_evolve``
+    refuse it.
     """
 
-    state_dependent = False
     _reads_mean = True
 
     def __init__(self, kappa: float, tau: float):
-        if tau <= 0:
-            raise ValueError("delay must be positive")
+        tau = float(tau)
+        if not 0 < tau < math.inf:
+            raise ValueError("delay must be positive and finite")
         self.kappa = float(kappa)
-        self.tau = float(tau)
-        self._dt: float | None = None
-        self._times: list[float] | None = None
-        self._means: list[np.ndarray] | None = None
-        self._window: tuple | None = None  # (lo, hi), knots, means, slopes
-
-    def initialize(self, ens: Ensemble, dt: float) -> None:
-        if self.tau < dt - 1e-12:
-            raise ValueError("delay shorter than the step size")
-        if ens.time != 0.0:
-            raise ValueError("time-delay runs must start at t = 0")
-        self._dt = float(dt)
-        self._times = [0.0]
-        self._means = [exact_mean(ens.points)]
-        self._window = None
-
-    def record(self, t: float, mean: np.ndarray) -> None:
-        """Append the exact population mean of the state accepted at time t."""
-        self._times.append(float(t))
-        self._means.append(mean)
+        self.tau = tau
 
     def evaluate(self, points, t):
-        if self._times is None:
-            raise ValueError("time-delay field not initialized; run it through simulate()")
-        s = t - self.tau
-        if s < -self.tau - 1e-12:
-            raise ValueError("time-delay query before history start")
-        if s <= 0.0:
-            return self.kappa * self._means[0]
-        if s > self._times[-1] + 1e-9:
-            raise ValueError("time-delay query beyond the recorded history; step it through "
-                             "simulate() or order_parameter_series(), which record it")
-        # the buffer is uniform at dt, so a six-sample window around the query
-        # suffices for the interpolation and keeps the lookup O(1)
-        center = int(s / self._dt)
-        lo = max(0, center - 2)
-        hi = min(len(self._times), center + 4)
-        if self._window is None or self._window[0] != (lo, hi):
-            # the history only grows, so a window's slopes never change; the
-            # stages of one step mostly share a window
-            knots = self._times[lo:hi]
-            means = np.asarray(self._means[lo:hi])
-            self._window = ((lo, hi), knots, means, _hermite_slopes(np.asarray(knots), means))
-        _, knots, means, slopes = self._window
-        return self.kappa * _hermite_at(knots, means, slopes, float(s))
+        raise ValueError("a time-delay field reads its run's history; step it through "
+                         "simulate() or order_parameter_series()")
+
+    def _in_run(self, times: list, means: list, dt: float):
+        """X(points, t) of a run whose states at ``times``, dt apart, have
+        the exact means ``means``; the loop extends both lists as it goes."""
+        window = None  # (lo, hi), knots, means, slopes
+
+        def x_at(points, t):
+            nonlocal window
+            s = t - self.tau
+            if s <= 0.0:
+                return self.kappa * means[0]
+            # the history is uniform at dt, so a six-sample window around the
+            # query suffices for the interpolation and keeps the lookup O(1)
+            center = int(s / dt)
+            lo, hi = max(0, center - 2), min(len(means), center + 4)
+            if window is None or window[0] != (lo, hi):
+                # the history only grows, so a window's slopes never change;
+                # the stages of one step mostly share a window
+                knots, vals = times[lo:hi], np.asarray(means[lo:hi])
+                window = ((lo, hi), knots, vals, _hermite_slopes(np.asarray(knots), vals))
+            _, knots, vals, slopes = window
+            return self.kappa * _hermite_at(knots, vals, slopes, float(s))
+
+        return x_at
 
 
 def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
@@ -379,38 +365,37 @@ def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.n
     return proj(k2)
 
 
-def _advance(points: np.ndarray, t: float, field: DrivingField, dt: float, groups,
-             x1: np.ndarray) -> np.ndarray:
-    """One RK4 step from time t of an (..., n, d+1) stack of particle states,
-    given the driving vectors ``x1`` of its first stage; every member gets
-    the bits it gets on its own.  Raises on a non-finite update, naming the
-    step time."""
+def _advance(points: np.ndarray, t: float, x_at, dt: float, groups, x1: np.ndarray) -> np.ndarray:
+    """One RK4 step from time t of an (..., n, d+1) stack of particle states
+    under the driving vectors ``x_at(stage points, stage time)``, given
+    those of its first stage, ``x1``; every member gets the bits it gets on
+    its own.  The caller checks that the update is finite."""
 
     def rhs(stage_pts, ts):
-        return _velocities(stage_pts, groups, np.asarray(field.evaluate(stage_pts, ts), dtype=float))
+        return _velocities(stage_pts, groups, np.asarray(x_at(stage_pts, ts), dtype=float))
 
-    new_pts = _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
-    if not np.isfinite(new_pts).all():
-        raise ValueError(f"non-finite particle state at step time t = {t + dt}")
-    return new_pts
+    return _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
 
 
-def step(ens: Ensemble, field: DrivingField, dt: float, *, _groups=None, _mean=None) -> Ensemble:
+def _check_finite(points: np.ndarray, t: float) -> None:
+    if not np.isfinite(points).all():
+        raise ValueError(f"non-finite particle state at step time t = {t}")
+
+
+def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
     """One classical RK4 step for every particle.
 
     State-dependent fields are re-evaluated from each stage's (renormalized)
     points, clock-driven fields at the stage time; the final update is
     renormalized so the output sits exactly on the sphere.  A non-finite
-    update raises, naming the step time.  The stepping loop passes the
-    ensemble's generator groups and, for a field that reads it, its exact
-    mean, which a bare call works out itself.
+    update raises, naming the step time.  A delayed field needs its run's
+    history, which one step does not have, so it is refused.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    groups = _group_views(ens.omega_groups()) if _groups is None else _groups
-    x1 = field.evaluate(ens.points, ens.time) if _mean is None \
-        else field._at_state(ens.points, ens.time, _mean)
-    new_pts = _advance(ens.points, ens.time, field, dt, groups, np.asarray(x1, dtype=float))
+    x1 = np.asarray(field.evaluate(ens.points, ens.time), dtype=float)
+    new_pts = _advance(ens.points, ens.time, field.evaluate, dt, _group_views(ens.omega_groups()), x1)
+    _check_finite(new_pts, ens.time + dt)
     return Ensemble._trusted(new_pts, ens.omega, ens.time + dt)
 
 
@@ -457,49 +442,44 @@ def _step_count(t_end: float, dt: float, record_every: int) -> int:
     return int(round(t_end / dt))
 
 
-def _run(ens0: Ensemble, field: DrivingField, t_end: float, dt: float, record_every: int):
-    """Step with RK4 and yield (state, exact mean) for the initial state,
-    every ``record_every``-th state and the final state.
+def _run(points: np.ndarray, groups, field: DrivingField, t_end: float, dt: float,
+         record_every: int, t0: float = 0.0):
+    """Step an (..., n, d+1) stack of particle states from time t0 with RK4
+    and yield (time, points, exact mean, X) for the initial state, every
+    ``record_every``-th state and the final state.
 
-    The number of steps is round(t_end / dt).  The generator groups are
-    worked out once per run, and the exact mean of every state once, for a
-    field that reads it (else the mean is None): it feeds the next step's
-    first stage and the caller.  A delayed field has its history initialised
-    here and extended after every step.
+    The number of steps is round(t_end / dt); ``groups`` are the particles'
+    generator groups from ``_group_views`` (``()`` without free flow).  The
+    exact mean of every state is computed once, for a field that reads it
+    (else it is None), and so is X: it feeds the next step's first stage
+    and the caller.  A delayed field reads the run's own history of means,
+    so its run must start at t = 0 with a delay of at least one step.
     """
     steps = _step_count(t_end, dt, record_every)
-    groups = _group_views(ens0.omega_groups())
     delayed = isinstance(field, TimeDelayField)
+    x_at = field.evaluate
     if delayed:
-        field.initialize(ens0, dt)
-    ens = ens0
-    mean = exact_mean(ens.points) if field._reads_mean else None
-    yield ens, mean
-    for s in range(1, steps + 1):
-        ens = step(ens, field, dt, _groups=groups, _mean=mean)
-        mean = exact_mean(ens.points) if field._reads_mean else None
+        if field.tau < dt - 1e-12:
+            raise ValueError("delay shorter than the step size")
+        if t0 != 0.0:
+            raise ValueError("time-delay runs must start at t = 0")
+        times, means = [], []
+        x_at = field._in_run(times, means, dt)
+    t = t0
+    for s in range(steps + 1):
+        if s:
+            points = _advance(points, t, x_at, dt, groups, x)
+            t = t + dt
+            _check_finite(points, t)
+        mean = exact_mean(points) if field._reads_mean else None
         if delayed:
-            field.record(ens.time, mean)
+            times.append(t)
+            means.append(mean)
+        x = np.asarray(x_at(points, t) if delayed else field._at_state(points, t, mean), dtype=float)
+        if x.shape != points.shape[:-2] + points.shape[-1:]:
+            raise ValueError("driving field returned a vector of the wrong dimension")
         if s % record_every == 0 or s == steps:
-            yield ens, mean
-
-
-def _run_stacked(points0: np.ndarray, field: MeanField, t_end: float, dt: float, record_every: int):
-    """``_run`` for a (B, n, d+1) stack of populations without free flow,
-    started at t = 0 and stepped as one array under a mean field; yields
-    (time, points, means).  Each member gets the bits that ``_run`` gives it
-    on its own, with one exact-mean and field call per stage for the stack.
-    """
-    steps = _step_count(t_end, dt, record_every)
-    t, points = 0.0, points0
-    means = exact_mean(points)
-    yield t, points, means
-    for s in range(1, steps + 1):
-        points = _advance(points, t, field, dt, (), field._at_state(points, t, means))
-        t = t + dt
-        means = exact_mean(points)
-        if s % record_every == 0 or s == steps:
-            yield t, points, means
+            yield t, points, mean, x
 
 
 def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -510,13 +490,13 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
     """
     times, states, fields = [], [], []
-    # a blow-up is reported by the finite check in step, not by numpy warnings
+    groups = _group_views(ens0.omega_groups())
+    # a blow-up is reported by the loop's finite check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for ens, mean in _run(ens0, field, t_end, dt, record_every):
-            times.append(ens.time)
-            states.append(ens)
-            fields.append(eval_field(field, ens, ens.time) if mean is None
-                          else field._at_state(ens.points, ens.time, mean))
+        for t, points, _, x in _run(ens0.points, groups, field, t_end, dt, record_every, ens0.time):
+            states.append(Ensemble._trusted(points, ens0.omega, t) if states else ens0)
+            times.append(t)
+            fields.append(x)
     return Trajectory(np.asarray(times), tuple(states), np.asarray(fields))
 
 

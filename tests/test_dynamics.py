@@ -24,7 +24,7 @@ from swarmsphere import (
     step,
     velocity,
 )
-from swarmsphere.dynamics import _group_views
+from swarmsphere.dynamics import _group_views, _run
 
 
 def consensus_ensemble(d, n, axis=-1):
@@ -221,6 +221,12 @@ def test_replay_field_rejects_nan_value():
         ReplayField([0.0, 0.5, 1.0], values)
 
 
+@pytest.mark.parametrize("values", [5.0, [1.0, 2.0], np.ones((2, 3, 1)), np.ones((3, 3))])
+def test_replay_field_rejects_values_of_the_wrong_shape(values):
+    with pytest.raises(ValueError, match=r"replay values must be an \(m, d\+1\) array matching times"):
+        ReplayField([0.0, 1.0], values)
+
+
 def test_replay_field_rejects_infinite_end_time():
     with pytest.raises(ValueError, match="times must be finite"):
         ReplayField([0.0, 0.5, math.inf], np.zeros((3, 2)))
@@ -314,50 +320,44 @@ def test_replay_slope_table_matches_reference_stencil(kind):
             assert got.tobytes() == want.tobytes(), (kind, m, float(t))
 
 
-class _ReferenceDelayField(TimeDelayField):
-    """The delayed mean field interpolated with the reference stencil."""
-
-    def evaluate(self, points, t):
-        s = t - self.tau
-        if s <= 0.0:
-            return self.kappa * self._means[0]
-        center = int(s / self._dt)
-        lo, hi = max(0, center - 2), min(len(self._times), center + 4)
-        return self.kappa * _reference_hermite_point(
-            np.asarray(self._times[lo:hi]), np.asarray(self._means[lo:hi]), float(s))
-
-
 @pytest.mark.parametrize("tau", [1e-2, 5e-2])
 def test_time_delay_slopes_match_reference_stencil(tau):
+    # the reference run keeps its own history and interpolates it with the
+    # reference stencil
     ens = sample_uniform(2, 16, 21).with_omega(SkewMatrix.random(2, 5, 1.0))
     got = simulate(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
-    want = simulate(ens, _ReferenceDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
-    assert got.field_samples.tobytes() == want.field_samples.tobytes()
-    assert got.states[-1].points.tobytes() == want.states[-1].points.tobytes()
+    want = _reference_run(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, 3)
+    assert got.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
+    assert got.states[-1].points.tobytes() == want[-1][0].points.tobytes()
+
+
+DELAY_IN_RUN = r"a time-delay field reads its run's history; step it through simulate\(\)"
 
 
 def test_time_delay_runs_and_errors():
     field = TimeDelayField(1.0, 0.05)
     ens = sample_uniform(2, 8, 9)
-    with pytest.raises(ValueError, match="not initialized"):
+    with pytest.raises(ValueError, match=DELAY_IN_RUN):
         field.evaluate(ens.points, 0.0)
     traj = simulate(ens, field, 0.3, 1e-2, record_every=5)
     assert len(traj.states) == 7
     assert np.max(np.abs(np.linalg.norm(traj.states[-1].points, axis=1) - 1.0)) <= 1e-12
-    with pytest.raises(ValueError, match="before history start"):
-        field.evaluate(ens.points, -0.1)
-    with pytest.raises(ValueError, match="delay shorter"):
-        TimeDelayField(1.0, 1e-3).initialize(ens, 1e-2)
+    with pytest.raises(ValueError, match="delay shorter than the step size"):
+        simulate(ens, TimeDelayField(1.0, 1e-3), 0.1, 1e-2)
+    with pytest.raises(ValueError, match="time-delay runs must start at t = 0"):
+        simulate(Ensemble(ens.points, None, 0.5), field, 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_time_delay_rejects_a_delay_outside_zero_to_infinity(tau):
+    with pytest.raises(ValueError, match="delay must be positive and finite"):
+        TimeDelayField(1.0, tau)
 
 
 def test_bare_step_past_tau_points_at_the_stepping_loop():
-    # step does not record delay history; only simulate/order_parameter_series do
-    ens = sample_uniform(2, 8, 9)
-    field = TimeDelayField(1.0, 1e-2)
-    field.initialize(ens, 1e-2)
-    ens = step(ens, field, 1e-2)
-    with pytest.raises(ValueError, match=r"beyond the recorded history; step it through simulate\(\)"):
-        step(ens, field, 1e-2)
+    # a single step has no run history to read, even before t = tau
+    with pytest.raises(ValueError, match=DELAY_IN_RUN):
+        step(sample_uniform(2, 8, 9), TimeDelayField(1.0, 1e-2), 1e-2)
 
 
 def test_simulate_names_the_non_finite_step():
@@ -377,10 +377,9 @@ def test_simulate_names_a_step_whose_row_norm_overflows():
 def test_time_delay_constant_history_matches_plain_mean_field_initially():
     # during t < tau the delayed field sees the frozen initial mean
     ens = sample_uniform(2, 32, 12)
-    field = TimeDelayField(1.0, 0.5)
-    field.initialize(ens, 1e-2)
+    traj = simulate(ens, TimeDelayField(1.0, 0.5), 0.4, 1e-2, record_every=10)
     x0 = eval_field(MeanField(1.0), ens, 0.0)
-    np.testing.assert_allclose(field.evaluate(ens.points, 0.3), x0, atol=1e-15)
+    assert traj.field_samples.tobytes() == np.tile(x0, (5, 1)).tobytes()
 
 
 def test_simulate_deterministic():
@@ -394,11 +393,11 @@ def test_simulate_deterministic():
 # Reference particle step that reuses nothing: every stage evaluated afresh
 # from its points, the groups worked out per step, out-of-place arithmetic,
 # every state validated.  The stepping loop must reproduce it bit for bit.
-def _reference_step(ens, field, dt):
+def _reference_step(ens, evaluate, dt):
     groups = ens.omega_groups()
 
     def rhs(pts, ts):
-        x = np.asarray(field.evaluate(pts, ts), dtype=float)
+        x = np.asarray(evaluate(pts, ts), dtype=float)
         v = x - np.einsum("ij,j->i", pts, x)[:, None] * pts
         for om, idx in groups:
             if om is None:
@@ -420,20 +419,38 @@ def _reference_step(ens, field, dt):
     return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega, t + dt)
 
 
+def _reference_delay(field, times, means, dt):
+    """X(points, t) of a delayed field from the history of a run whose
+    states at ``times`` have the exact means ``means``: the reference
+    stencil on the six-knot window that the stepping loop interpolates."""
+
+    def evaluate(points, t):
+        s = t - field.tau
+        if s <= 0.0:
+            return field.kappa * means[0]
+        center = int(s / dt)
+        lo, hi = max(0, center - 2), min(len(means), center + 4)
+        return field.kappa * _reference_hermite_point(
+            np.asarray(times[lo:hi]), np.asarray(means[lo:hi]), float(s))
+
+    return evaluate
+
+
 def _reference_run(ens0, field, t_end, dt, record_every):
-    """(state, field sample) pairs as recorded with the reference step."""
+    """(state, field sample) pairs as recorded with the reference step; the
+    history a delayed field reads is kept here."""
     steps = int(round(t_end / dt))
+    times, means = [], []
     delayed = isinstance(field, TimeDelayField)
-    if delayed:
-        field.initialize(ens0, dt)
-    ens = ens0
-    out = [(ens, eval_field(field, ens, ens.time))]
-    for s in range(1, steps + 1):
-        ens = _reference_step(ens, field, dt)
-        if delayed:
-            field.record(ens.time, exact_mean(ens.points))
+    evaluate = _reference_delay(field, times, means, dt) if delayed else field.evaluate
+    ens, out = ens0, []
+    for s in range(steps + 1):
+        if s:
+            ens = _reference_step(ens, evaluate, dt)
+        times.append(ens.time)
+        means.append(exact_mean(ens.points))
         if s % record_every == 0 or s == steps:
-            out.append((ens, eval_field(field, ens, ens.time)))
+            out.append((ens, np.asarray(evaluate(ens.points, ens.time), dtype=float)))
     return out
 
 
@@ -452,7 +469,7 @@ TWO_GROUPS = (SkewMatrix.planar(2, 1.0),) * (REF_N // 2) \
 MIXED_GROUPS = (SkewMatrix.planar(2, 1.0), SkewMatrix.random(2, 10, 0.5)) * (REF_N // 4) \
     + (SkewMatrix.random(2, 11, 0.9),) * (REF_N - 2 * (REF_N // 4))
 
-# field factory (a delayed field keeps history, so each run gets its own) and omega
+# field factory and omega
 FIELD_CASES = {
     "mean": (lambda: MeanField(1.3), SkewMatrix.random(2, 5, 1.0)),
     "frustrated": (lambda: FrustratedField(0.8, [[1.0, 0.3, 0.0], [-0.3, 1.0, 0.1], [0.0, -0.1, 1.0]]),
@@ -497,7 +514,7 @@ def test_step_keeps_its_single_population_contract():
     # a bare step works out groups and the first stage itself
     ens = Ensemble(sample_uniform(2, REF_N, 4).points, TWO_GROUPS)
     got = step(ens, MeanField(1.0), REF_DT)
-    want = _reference_step(ens, MeanField(1.0), REF_DT)
+    want = _reference_step(ens, MeanField(1.0).evaluate, REF_DT)
     assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
     assert not got.points.flags.writeable
     with pytest.raises(ValueError, match="dt must be positive"):
@@ -515,3 +532,37 @@ def test_step_keeps_its_single_population_contract():
 def test_simulate_rejects_non_finite_run_arguments_by_name(t_end, dt, message):
     with pytest.raises(ValueError, match=message):
         simulate(sample_uniform(2, 4, 1), MeanField(1.0), t_end, dt)
+
+
+def _attributes(field):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in vars(field).items()}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_a_run_leaves_its_field_as_it_was(case):
+    make_field, omega = FIELD_CASES[case]
+    field = make_field()
+    before = _attributes(field)
+    ens = Ensemble(sample_uniform(2, REF_N, 5).points, omega)
+    simulate(ens, field, 0.1, REF_DT)
+    order_parameter_series(ens, field, 0.1, REF_DT)
+    assert _attributes(field) == before
+    if isinstance(field, TimeDelayField):
+        assert vars(field) == {"kappa": 1.0, "tau": field.tau}
+
+
+def _outputs(ens, field):
+    return _run(ens.points, _group_views(ens.omega_groups()), field, 0.3, REF_DT, 1)
+
+
+def test_interleaved_delay_runs_equal_fresh_runs():
+    # two runs over one delayed field each read their own history
+    a, b = sample_uniform(2, 32, 1), sample_uniform(2, 32, 2).with_omega(SkewMatrix.random(2, 3, 1.0))
+    shared = TimeDelayField(1.0, 5 * REF_DT)
+    interleaved = list(zip(_outputs(a, shared), _outputs(b, shared), strict=True))
+    fresh = zip(_outputs(a, TimeDelayField(1.0, 5 * REF_DT)),
+                _outputs(b, TimeDelayField(1.0, 5 * REF_DT)), strict=True)
+    for got_pair, want_pair in zip(interleaved, fresh, strict=True):
+        for (t, pts, mean, x), (t_w, pts_w, mean_w, x_w) in zip(got_pair, want_pair):
+            assert t == t_w and pts.tobytes() == pts_w.tobytes()
+            assert mean.tobytes() == mean_w.tobytes() and x.tobytes() == x_w.tobytes()

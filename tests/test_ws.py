@@ -13,6 +13,7 @@ from swarmsphere import (
     PrescribedField,
     ReplayField,
     SkewMatrix,
+    TimeDelayField,
     WsState,
     algebraic_identity_residuals,
     conjugacy_residual,
@@ -129,6 +130,16 @@ def test_ws_evolve_ball_guard_on_saturating_field():
 def test_ws_evolve_rejects_state_dependent_field():
     with pytest.raises(ValueError, match="replayed"):
         ws_evolve(None, MeanField(1.0), 1.0, 1e-3)
+
+
+def test_ws_evolve_rejects_a_delay_field_before_and_after_a_run():
+    # a delayed field reads its run's history, which ws_evolve does not have
+    field = TimeDelayField(1.0, 0.05)
+    with pytest.raises(ValueError, match="ws evolution needs a prescribed or replayed driving field"):
+        ws_evolve(None, field, 0.1, 1e-2)
+    simulate(sample_uniform(2, 8, 1), field, 0.1, 1e-2)
+    with pytest.raises(ValueError, match="ws evolution needs a prescribed or replayed driving field"):
+        ws_evolve(None, field, 0.1, 1e-2)
 
 
 def test_ws_evolve_rejects_short_replay():
