@@ -273,9 +273,9 @@ class TimeDelayField(DrivingField):
         raise ValueError("a time-delay field reads its run's history; step it through "
                          "simulate() or order_parameter_series()")
 
-    def _in_run(self, times: list, means: list, dt: float):
-        """X(points, t) of a run whose states at ``times``, dt apart, have
-        the exact means ``means``; the loop extends both lists as it goes."""
+    def _in_run(self, means: list, dt: float):
+        """X(points, t) of a run whose states at t = j * dt have the exact
+        means ``means[j]``; the loop extends the list as it goes."""
         window = None  # (lo, hi), knots, means, slopes
 
         def x_at(points, t):
@@ -290,7 +290,7 @@ class TimeDelayField(DrivingField):
             if window is None or window[0] != (lo, hi):
                 # the history only grows, so a window's slopes never change;
                 # the stages of one step mostly share a window
-                knots, vals = times[lo:hi], np.asarray(means[lo:hi])
+                knots, vals = [j * dt for j in range(lo, hi)], np.asarray(means[lo:hi])
                 window = ((lo, hi), knots, vals, _hermite_slopes(np.asarray(knots), vals))
             _, knots, vals, slopes = window
             return self.kappa * _hermite_at(knots, vals, slopes, float(s))
@@ -448,7 +448,8 @@ def _run(points: np.ndarray, groups, field: DrivingField, t_end: float, dt: floa
     and yield (time, points, exact mean, X) for the initial state, every
     ``record_every``-th state and the final state.
 
-    The number of steps is round(t_end / dt); ``groups`` are the particles'
+    The number of steps is round(t_end / dt), and step s is stamped
+    t0 + s * dt, the grid of ``ws_evolve``; ``groups`` are the particles'
     generator groups from ``_group_views`` (``()`` without free flow).  The
     exact mean of every state is computed once, for a field that reads it
     (else it is None), and so is X: it feeds the next step's first stage
@@ -463,17 +464,16 @@ def _run(points: np.ndarray, groups, field: DrivingField, t_end: float, dt: floa
             raise ValueError("delay shorter than the step size")
         if t0 != 0.0:
             raise ValueError("time-delay runs must start at t = 0")
-        times, means = [], []
-        x_at = field._in_run(times, means, dt)
+        means = []
+        x_at = field._in_run(means, dt)
     t = t0
     for s in range(steps + 1):
         if s:
             points = _advance(points, t, x_at, dt, groups, x)
-            t = t + dt
+            t = t0 + s * dt
             _check_finite(points, t)
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
-            times.append(t)
             means.append(mean)
         x = np.asarray(x_at(points, t) if delayed else field._at_state(points, t, mean), dtype=float)
         if x.shape != points.shape[:-2] + points.shape[-1:]:

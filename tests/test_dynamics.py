@@ -393,7 +393,7 @@ def test_simulate_deterministic():
 # Reference particle step that reuses nothing: every stage evaluated afresh
 # from its points, the groups worked out per step, out-of-place arithmetic,
 # every state validated.  The stepping loop must reproduce it bit for bit.
-def _reference_step(ens, evaluate, dt):
+def _reference_step(ens, evaluate, dt, t_next):
     groups = ens.omega_groups()
 
     def rhs(pts, ts):
@@ -416,7 +416,7 @@ def _reference_step(ens, evaluate, dt):
     k2 = rhs(project(y + (0.5 * dt) * k1), t + 0.5 * dt)
     k3 = rhs(project(y + (0.5 * dt) * k2), t + 0.5 * dt)
     k4 = rhs(project(y + dt * k3), t + dt)
-    return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega, t + dt)
+    return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega, t_next)
 
 
 def _reference_delay(field, times, means, dt):
@@ -437,8 +437,8 @@ def _reference_delay(field, times, means, dt):
 
 
 def _reference_run(ens0, field, t_end, dt, record_every):
-    """(state, field sample) pairs as recorded with the reference step; the
-    history a delayed field reads is kept here."""
+    """(state, field sample) pairs as recorded with the reference step, step
+    s stamped t0 + s * dt; the history a delayed field reads is kept here."""
     steps = int(round(t_end / dt))
     times, means = [], []
     delayed = isinstance(field, TimeDelayField)
@@ -446,7 +446,7 @@ def _reference_run(ens0, field, t_end, dt, record_every):
     ens, out = ens0, []
     for s in range(steps + 1):
         if s:
-            ens = _reference_step(ens, evaluate, dt)
+            ens = _reference_step(ens, evaluate, dt, ens0.time + s * dt)
         times.append(ens.time)
         means.append(exact_mean(ens.points))
         if s % record_every == 0 or s == steps:
@@ -514,7 +514,7 @@ def test_step_keeps_its_single_population_contract():
     # a bare step works out groups and the first stage itself
     ens = Ensemble(sample_uniform(2, REF_N, 4).points, TWO_GROUPS)
     got = step(ens, MeanField(1.0), REF_DT)
-    want = _reference_step(ens, MeanField(1.0).evaluate, REF_DT)
+    want = _reference_step(ens, MeanField(1.0).evaluate, REF_DT, ens.time + REF_DT)
     assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
     assert not got.points.flags.writeable
     with pytest.raises(ValueError, match="dt must be positive"):
