@@ -273,9 +273,15 @@ class TimeDelayField(DrivingField):
         raise ValueError("a time-delay field reads its run's history; step it through "
                          "simulate() or order_parameter_series()")
 
-    def _in_run(self, means: list, dt: float):
-        """X(points, t) of a run whose states at t = j * dt have the exact
-        means ``means[j]``; the loop extends the list as it goes."""
+    def _in_run(self, means: list, dt: float, t0: float):
+        """X(points, t) of a run from t0 whose states at t = j * dt have the
+        exact means ``means[j]``; the loop extends the list as it goes.  The
+        knots j * dt need t0 = 0, and the window below a delay of at least
+        one step, so both are checked here."""
+        if self.tau < dt - 1e-12:
+            raise ValueError("delay shorter than the step size")
+        if t0 != 0.0:
+            raise ValueError("time-delay runs must start at t = 0")
         window = None  # (lo, hi), knots, means, slopes
 
         def x_at(points, t):
@@ -369,17 +375,15 @@ def _advance(points: np.ndarray, t: float, x_at, dt: float, groups, x1: np.ndarr
     """One RK4 step from time t of an (..., n, d+1) stack of particle states
     under the driving vectors ``x_at(stage points, stage time)``, given
     those of its first stage, ``x1``; every member gets the bits it gets on
-    its own.  The caller checks that the update is finite."""
+    its own.  A non-finite update raises, naming the step time t + dt."""
 
     def rhs(stage_pts, ts):
         return _velocities(stage_pts, groups, np.asarray(x_at(stage_pts, ts), dtype=float))
 
-    return _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
-
-
-def _check_finite(points: np.ndarray, t: float) -> None:
-    if not np.isfinite(points).all():
-        raise ValueError(f"non-finite particle state at step time t = {t}")
+    new = _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
+    if not np.isfinite(new).all():
+        raise ValueError(f"non-finite particle state at step time t = {t + dt}")
+    return new
 
 
 def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
@@ -395,8 +399,19 @@ def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
         raise ValueError("dt must be positive")
     x1 = np.asarray(field.evaluate(ens.points, ens.time), dtype=float)
     new_pts = _advance(ens.points, ens.time, field.evaluate, dt, _group_views(ens.omega_groups()), x1)
-    _check_finite(new_pts, ens.time + dt)
-    return Ensemble._trusted(new_pts, ens.omega, ens.time + dt)
+    return ens._at(new_pts, ens.time + dt)
+
+
+class _RunField(DrivingField):
+    """A field as the stepping loop hands it to ``step``: X at the run's
+    current state ``at`` = (points, X) is the one the loop has worked out,
+    at every other stage it comes from ``x_at``."""
+
+    def __init__(self, x_at):
+        self.x_at, self.at = x_at, None
+
+    def evaluate(self, points, t):
+        return self.at[1] if points is self.at[0] else self.x_at(points, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,36 +457,37 @@ def _step_count(t_end: float, dt: float, record_every: int) -> int:
     return int(round(t_end / dt))
 
 
-def _run(points: np.ndarray, groups, field: DrivingField, t_end: float, dt: float,
-         record_every: int, t0: float = 0.0):
-    """Step an (..., n, d+1) stack of particle states from time t0 with RK4
-    and yield (time, points, exact mean, X) for the initial state, every
-    ``record_every``-th state and the final state.
+def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int):
+    """Step with RK4 and yield (time, state, exact mean, X) for the initial
+    state, every ``record_every``-th state and the final state.
 
-    The number of steps is round(t_end / dt), and step s is stamped
-    t0 + s * dt, the grid of ``ws_evolve``; ``groups`` are the particles'
-    generator groups from ``_group_views`` (``()`` without free flow).  The
-    exact mean of every state is computed once, for a field that reads it
-    (else it is None), and so is X: it feeds the next step's first stage
-    and the caller.  A delayed field reads the run's own history of means,
-    so its run must start at t = 0 with a delay of at least one step.
+    ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
+    stack of populations without free flow, started at t = 0 and stepped
+    as one array, each member with the bits it gets on its own; the states
+    are of the same kind as ``start``.  The number of steps is
+    round(t_end / dt), and step s is stamped t0 + s * dt, the grid of
+    ``ws_evolve``.  The exact mean of every state is computed once, for a
+    field that reads it (else it is None), and so is X: it feeds the next
+    step's first stage and the caller.  A delayed field reads the run's own
+    history of means.
     """
     steps = _step_count(t_end, dt, record_every)
+    single = isinstance(start, Ensemble)
+    points, t0 = (start.points, start.time) if single else (start, 0.0)
     delayed = isinstance(field, TimeDelayField)
-    x_at = field.evaluate
-    if delayed:
-        if field.tau < dt - 1e-12:
-            raise ValueError("delay shorter than the step size")
-        if t0 != 0.0:
-            raise ValueError("time-delay runs must start at t = 0")
-        means = []
-        x_at = field._in_run(means, dt)
-    t = t0
+    means = []
+    x_at = field._in_run(means, dt, t0) if delayed else field.evaluate
+    run_field = _RunField(x_at)
+    t, state = t0, start
     for s in range(steps + 1):
         if s:
-            points = _advance(points, t, x_at, dt, groups, x)
+            if single:
+                run_field.at = points, x
+                points = step(state, run_field, dt).points
+            else:
+                points = _advance(points, t, x_at, dt, (), x)
             t = t0 + s * dt
-            _check_finite(points, t)
+            state = start._at(points, t) if single else points
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
             means.append(mean)
@@ -479,7 +495,7 @@ def _run(points: np.ndarray, groups, field: DrivingField, t_end: float, dt: floa
         if x.shape != points.shape[:-2] + points.shape[-1:]:
             raise ValueError("driving field returned a vector of the wrong dimension")
         if s % record_every == 0 or s == steps:
-            yield t, points, mean, x
+            yield t, state, mean, x
 
 
 def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -489,15 +505,13 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     The initial state and the final state are always recorded.  The number of
     steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
     """
-    times, states, fields = [], [], []
-    groups = _group_views(ens0.omega_groups())
-    # a blow-up is reported by the loop's finite check, not by numpy warnings
+    states, fields = [], []
+    # a blow-up is reported by the finite check of the step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, points, _, x in _run(ens0.points, groups, field, t_end, dt, record_every, ens0.time):
-            states.append(Ensemble._trusted(points, ens0.omega, t) if states else ens0)
-            times.append(t)
+        for _, state, _, x in _run(ens0, field, t_end, dt, record_every):
+            states.append(state)
             fields.append(x)
-    return Trajectory(np.asarray(times), tuple(states), np.asarray(fields))
+    return Trajectory(np.array([st.time for st in states]), tuple(states), np.asarray(fields))
 
 
 def collision_residual(traj: Trajectory, k: int, l: int) -> float:

@@ -294,6 +294,7 @@ class Ensemble:
     points: np.ndarray
     omega: "SkewMatrix | tuple[SkewMatrix, ...] | None" = None
     time: float = 0.0
+    _groups = None  # omega_groups(), once worked out; not a dataclass field
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, order="C")
@@ -319,19 +320,6 @@ class Ensemble:
         elif omega is not None:
             raise TypeError("omega must be None, a SkewMatrix, or a tuple of SkewMatrix")
 
-    @classmethod
-    def _trusted(cls, points: np.ndarray, omega, time: float) -> "Ensemble":
-        """An ensemble on a C-contiguous float array that the caller hands
-        over, finite and row-renormalised, with an ``omega`` taken from a
-        checked ensemble of the same shape; the unit-norm check is skipped,
-        because renormalising finite rows already guarantees it."""
-        ens = object.__new__(cls)
-        points.flags.writeable = False
-        object.__setattr__(ens, "points", points)
-        object.__setattr__(ens, "omega", omega)
-        object.__setattr__(ens, "time", time)
-        return ens
-
     @property
     def n(self) -> int:
         return self.points.shape[0]
@@ -343,18 +331,35 @@ class Ensemble:
     def with_omega(self, omega) -> "Ensemble":
         return Ensemble(self.points, omega, self.time)
 
-    def omega_groups(self) -> list[tuple["SkewMatrix | None", np.ndarray]]:
-        """Distinct generators with the particle indices that carry them."""
-        if not isinstance(self.omega, tuple):
-            return [(self.omega, np.arange(self.n))]
-        buckets: dict[SkewMatrix, list[int]] = {}
-        order: list[SkewMatrix] = []
-        for i, om in enumerate(self.omega):
-            if om not in buckets:
-                buckets[om] = []
-                order.append(om)
-            buckets[om].append(i)
-        return [(om, np.array(buckets[om])) for om in order]
+    def _at(self, points: np.ndarray, time: float) -> "Ensemble":
+        """The same particles at other points and time, on a C-contiguous
+        float array that the caller hands over, finite and row-renormalised,
+        so the unit-norm check is skipped.  The generators carry over, and
+        so do their groups, worked out once."""
+        # set one by one, so the instance keeps its compact key-sharing dict
+        ens, put = object.__new__(Ensemble), object.__setattr__
+        points.flags.writeable = False
+        put(ens, "points", points)
+        put(ens, "omega", self.omega)
+        put(ens, "time", time)
+        put(ens, "_groups", self.omega_groups())
+        return ens
+
+    def omega_groups(self) -> tuple[tuple["SkewMatrix | None", np.ndarray], ...]:
+        """Distinct generators with the particle indices that carry them,
+        worked out once per ensemble (and shared with the ensembles that
+        ``_at`` makes from it); the index arrays are read-only."""
+        groups = self._groups  # read as an attribute: touching __dict__ would build one
+        if groups is None:
+            buckets: dict = {}
+            omega = self.omega if isinstance(self.omega, tuple) else (self.omega,) * self.n
+            for i, om in enumerate(omega):
+                buckets.setdefault(om, []).append(i)
+            groups = tuple((om, np.array(idx)) for om, idx in buckets.items())
+            for _, idx in groups:
+                idx.flags.writeable = False
+            object.__setattr__(self, "_groups", groups)
+        return groups
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

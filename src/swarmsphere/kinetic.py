@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, MeanField, Trajectory, _group_views, _run, simulate
+from .dynamics import DrivingField, MeanField, Trajectory, _run, simulate
 from .functionals import DriftReport, _draw_cycles, _drift_report, conservation_drift
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
@@ -116,12 +116,10 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
             mplus.append(math.nan)
             mminus.append(math.nan)
 
-    run = _run(ens0.points, _group_views(ens0.omega_groups()), field, t_end, dt, 1, ens0.time)
-    # a blow-up is reported by the loop's finite check, not by numpy warnings
+    # a blow-up is reported by the finite check of the step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, (t, points, mean, _) in enumerate(run):
-            ens = Ensemble._trusted(points, ens0.omega, t) if s else ens0
-            x_c = exact_mean(points) if mean is None else mean
+        for s, (_, ens, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
+            x_c = exact_mean(ens.points) if mean is None else mean
             r2 = float(x_c @ x_c)
             dr2 = _dR2_dt(ens.points, x_c)
             recent = recent[-2:] + [(ens.time, r2, dr2)]
@@ -222,13 +220,13 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     # order parameter, (b) records what simulate(..., _RECORD_EVERY) records
     field = MeanField(kappa)
     r2_sym, times, states, means = [], [], [], []
-    stack = np.stack([sym_points, pert_points])
+    stack, perturbed = np.stack([sym_points, pert_points]), Ensemble(pert_points)
     # a blow-up is reported by the loop's finite check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, points, mean, _ in _run(stack, (), field, t_end, dt, _RECORD_EVERY):
+        for t, points, mean, _ in _run(stack, field, t_end, dt, _RECORD_EVERY):
             r2_sym.append(float(mean[0] @ mean[0]))
             times.append(t)
-            states.append(Ensemble._trusted(points[1].copy(), None, t))
+            states.append(perturbed._at(points[1].copy(), t))
             means.append(mean[1])
     r_max_sym = math.sqrt(max(r2_sym))
     traj = Trajectory(np.asarray(times), tuple(states), field.kappa * np.asarray(means))

@@ -24,6 +24,7 @@ from swarmsphere import (
     step,
     velocity,
 )
+from swarmsphere import dynamics
 from swarmsphere.dynamics import _group_views, _run
 
 
@@ -521,6 +522,25 @@ def test_step_keeps_its_single_population_contract():
         step(ens, MeanField(1.0), 0.0)
 
 
+@pytest.mark.parametrize("case", ["mean", "delay_5dt", "two_groups"])
+def test_a_single_population_steps_through_the_public_step(case, monkeypatch):
+    # one call of step per particle step, each on the state the loop stamped
+    make_field, omega = FIELD_CASES[case]
+    ens = Ensemble(sample_uniform(2, REF_N, 6).points, omega)
+    calls = []
+
+    def counted(state, field, dt):
+        calls.append(state.time)
+        return step(state, field, dt)
+
+    monkeypatch.setattr(dynamics, "step", counted)
+    simulate(ens, make_field(), 0.1, REF_DT, record_every=3)
+    assert calls == [s * REF_DT for s in range(10)]
+    calls.clear()
+    order_parameter_series(ens, make_field(), 0.1, REF_DT)
+    assert calls == [s * REF_DT for s in range(10)]
+
+
 @pytest.mark.parametrize("t_end, dt, message", [
     (math.nan, 1e-2, "t_end must be finite and nonnegative"),
     (math.inf, 1e-2, "t_end must be finite and nonnegative"),
@@ -552,7 +572,7 @@ def test_a_run_leaves_its_field_as_it_was(case):
 
 
 def _outputs(ens, field):
-    return _run(ens.points, _group_views(ens.omega_groups()), field, 0.3, REF_DT, 1)
+    return _run(ens, field, 0.3, REF_DT, 1)
 
 
 def test_interleaved_delay_runs_equal_fresh_runs():
@@ -563,6 +583,6 @@ def test_interleaved_delay_runs_equal_fresh_runs():
     fresh = zip(_outputs(a, TimeDelayField(1.0, 5 * REF_DT)),
                 _outputs(b, TimeDelayField(1.0, 5 * REF_DT)), strict=True)
     for got_pair, want_pair in zip(interleaved, fresh, strict=True):
-        for (t, pts, mean, x), (t_w, pts_w, mean_w, x_w) in zip(got_pair, want_pair):
-            assert t == t_w and pts.tobytes() == pts_w.tobytes()
+        for (t, state, mean, x), (t_w, state_w, mean_w, x_w) in zip(got_pair, want_pair):
+            assert t == t_w and state.points.tobytes() == state_w.points.tobytes()
             assert mean.tobytes() == mean_w.tobytes() and x.tobytes() == x_w.tobytes()

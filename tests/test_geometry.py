@@ -245,6 +245,11 @@ def test_ensemble_omega_groups():
     assert len(groups) == 2
     np.testing.assert_array_equal(groups[0][1], [0, 2, 4, 5])
     np.testing.assert_array_equal(groups[1][1], [1, 3])
+    # worked out once, read-only, and shared with the states derived by _at
+    assert not groups[0][1].flags.writeable
+    later = ens._at(ens.points, 1.0)
+    assert later.time == 1.0 and later.omega is ens.omega
+    assert all(a is b for (_, a), (_, b) in zip(later.omega_groups(), groups))
 
 
 def test_exact_mean_cancels_antipodal_pairs():

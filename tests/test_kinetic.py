@@ -23,7 +23,7 @@ from swarmsphere import (
     simulate,
     tangent_project,
 )
-from swarmsphere.dynamics import Trajectory, _group_views, _run
+from swarmsphere.dynamics import Trajectory, _run
 from swarmsphere.functionals import _draw_cycles
 from swarmsphere.kinetic import _RECORD_EVERY
 
@@ -185,9 +185,8 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     # the same two branches run one at a time: (a) through _run, (b) through simulate
     half = sample_uniform(2, n // 2, seed).points
     sym = np.vstack([half, -half])
-    groups = _group_views(Ensemble(sym).omega_groups())
-    r2 = [order_parameter(Ensemble(points))[0]
-          for _, points, _, _ in _run(sym, groups, MeanField(1.0), t_end, dt, _RECORD_EVERY)]
+    r2 = [order_parameter(state)[0]
+          for _, state, _, _ in _run(Ensemble(sym), MeanField(1.0), t_end, dt, _RECORD_EVERY)]
     assert rep.R_max_symmetric == 0.0 and max(r2) == 0.0
     direction = tangent_project(sym[0], np.eye(3)[int(np.argmin(np.abs(sym[0])))])
     pert = sym.copy()
