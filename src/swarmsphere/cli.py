@@ -31,7 +31,7 @@ from .functionals import (VmfSampler, conservation_drifts, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
-from .kinetic import (instability_experiment, order_parameter, order_parameter_series,
+from .kinetic import (_series_with_instability, order_parameter, order_parameter_series,
                       per_omega_conservation)
 from .ws import conjugacy_residual, push_forward, ws_evolve
 
@@ -410,8 +410,12 @@ def _run_kinetic(cfg: dict, outdir: Path):
     d = cfg["d"]
     ens0 = sample_vmf(np.eye(d + 1)[-1], _DENSITY.build(cfg["initial"]), cfg["N"], cfg["seed"])
     r2_0, _ = order_parameter(ens0)
-    series, final = order_parameter_series(ens0, MeanField(cfg["kappa"]), cfg["t_end"],
-                                           cfg["dt"], cfg["record_every"], cfg["epsilon"])
+    run = (cfg["t_end"], cfg["dt"], cfg["record_every"], cfg["epsilon"])
+    if "delta" in cfg:
+        # the series and the instability branches stepped as one stack
+        series, _, rep = _series_with_instability(ens0, cfg["kappa"], *run, cfg["delta"], cfg["seed"])
+    else:
+        series, _ = order_parameter_series(ens0, MeanField(cfg["kappa"]), *run)
     out_csv = write_csv(outdir / "order_parameter.csv",
                         ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"], series.rows())
     increments = np.diff(series.R2)
@@ -437,8 +441,6 @@ def _run_kinetic(cfg: dict, outdir: Path):
         summary["bipolar_mass_defect"] = mass_defect
     outputs = [out_csv]
     if "delta" in cfg:
-        rep = instability_experiment(cfg["N"], d, cfg["kappa"], cfg["delta"], cfg["seed"],
-                                     t_end=cfg["t_end"], dt=cfg["dt"])
         summary["instability"] = {
             "R_max_symmetric": rep.R_max_symmetric,
             "R_initial_perturbed": rep.R_initial_perturbed,

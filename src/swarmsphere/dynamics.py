@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ensemble, SkewMatrix, _renormalize_rows_in_place, exact_mean, renormalize
+from .geometry import (Ensemble, SkewMatrix, _component_dot, _renormalize_columns_in_place,
+                       _renormalize_rows_in_place, exact_mean, renormalize)
 
 __all__ = [
     "DrivingField",
@@ -147,7 +148,9 @@ class MeanField(DrivingField):
 
 
 class FrustratedField(DrivingField):
-    """X = kappa * V @ (population mean) for a fixed frustration matrix V."""
+    """X = kappa * V @ (population mean) for a fixed frustration matrix V;
+    a stack of populations gets one X per member, each the product a
+    single population gets."""
 
     _reads_mean = True
 
@@ -162,7 +165,8 @@ class FrustratedField(DrivingField):
         return self._at_state(points, t, exact_mean(points))
 
     def _at_state(self, points, t, mean):
-        return self.kappa * (self.frustration @ mean)
+        rows = [self.frustration @ row for row in mean.reshape(-1, mean.shape[-1])]
+        return self.kappa * np.array(rows).reshape(mean.shape)
 
 
 class WinfreeField(DrivingField):
@@ -322,15 +326,6 @@ def velocity(x, omega: SkewMatrix | None, x_field) -> np.ndarray:
     return rot + xf - float(x @ xf) * x
 
 
-def _group_views(groups):
-    """``omega_groups`` with each contiguous index run turned into a slice,
-    so that ``_velocities`` updates views rather than gathering and
-    scattering by index.  The indices of a group increase, so they are one
-    run exactly when they span as many places as they number."""
-    return [(om, slice(int(idx[0]), int(idx[-1]) + 1) if idx[-1] - idx[0] + 1 == idx.size else idx)
-            for om, idx in groups]
-
-
 def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
     """Velocities of an (..., n, d+1) stack of points under driving vectors
     (..., d+1), one per member; a group's particles are given by an index
@@ -340,6 +335,13 @@ def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
         if om is not None:
             v[..., idx, :] += points[..., idx, :] @ om.matrix.T
     return v
+
+
+def _column_velocities(cols: np.ndarray, x_field: np.ndarray) -> np.ndarray:
+    """``_velocities`` without free flow for a component-major (..., d+1, n)
+    stack, as whole-row operations with the bits of the row-major form."""
+    v = _component_dot(cols, x_field[..., None])[..., None, :] * cols
+    return np.subtract(x_field[..., None], v, out=v)
 
 
 def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.ndarray:
@@ -371,16 +373,18 @@ def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.n
     return proj(k2)
 
 
-def _advance(points: np.ndarray, t: float, x_at, dt: float, groups, x1: np.ndarray) -> np.ndarray:
-    """One RK4 step from time t of an (..., n, d+1) stack of particle states
-    under the driving vectors ``x_at(stage points, stage time)``, given
-    those of its first stage, ``x1``; every member gets the bits it gets on
-    its own.  A non-finite update raises, naming the step time t + dt."""
+def _advance(y: np.ndarray, t: float, x_at, dt: float, velocities, project, x1: np.ndarray
+             ) -> np.ndarray:
+    """One RK4 step from time t of particle states ``y`` whose velocities
+    under driving vectors x are ``velocities(y, x)`` and which ``project``
+    puts back on the sphere; the driving vectors of a stage are
+    ``x_at(stage, stage time)``, those of the first stage ``x1``.  A
+    non-finite update raises, naming the step time t + dt."""
 
-    def rhs(stage_pts, ts):
-        return _velocities(stage_pts, groups, np.asarray(x_at(stage_pts, ts), dtype=float))
+    def rhs(stage, ts):
+        return velocities(stage, np.asarray(x_at(stage, ts), dtype=float))
 
-    new = _rk4(points, rhs, t, dt, _renormalize_rows_in_place, _velocities(points, groups, x1))
+    new = _rk4(y, rhs, t, dt, project, velocities(y, x1))
     if not np.isfinite(new).all():
         raise ValueError(f"non-finite particle state at step time t = {t + dt}")
     return new
@@ -398,7 +402,9 @@ def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
     if not dt > 0:
         raise ValueError("dt must be positive")
     x1 = np.asarray(field.evaluate(ens.points, ens.time), dtype=float)
-    new_pts = _advance(ens.points, ens.time, field.evaluate, dt, _group_views(ens.omega_groups()), x1)
+    slices = ens._omega_slices()
+    new_pts = _advance(ens.points, ens.time, field.evaluate, dt,
+                       lambda pts, x: _velocities(pts, slices, x), _renormalize_rows_in_place, x1)
     return ens._at(new_pts, ens.time + dt)
 
 
@@ -462,32 +468,53 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
     state, every ``record_every``-th state and the final state.
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
-    stack of populations without free flow, started at t = 0 and stepped
-    as one array, each member with the bits it gets on its own; the states
-    are of the same kind as ``start``.  The number of steps is
-    round(t_end / dt), and step s is stamped t0 + s * dt, the grid of
-    ``ws_evolve``.  The exact mean of every state is computed once, for a
-    field that reads it (else it is None), and so is X: it feeds the next
+    stack of populations without free flow under a field that is not
+    delayed, started at t = 0 and stepped as one array.  The number of
+    steps is round(t_end / dt), and step s is stamped t0 + s * dt, the grid
+    of ``ws_evolve``.  The exact mean of every state is computed once, for
+    a field that reads it (else it is None), and so is X: it feeds the next
     step's first stage and the caller.  A delayed field reads the run's own
     history of means.
+
+    The states of a single population are Ensembles: ``step``'s result,
+    restamped where its time ``t + dt`` is not the grid's.  A stack is kept
+    component-major, (..., d+1, n), so that its velocities and row
+    renormalisation are whole-row operations and ``exact_mean`` reads its
+    columns without a transpose copy; its states are the (..., n, d+1)
+    transpose views.  The row sums ``<x, X>`` and ``|x|^2`` are summed in
+    numpy einsum's order (``_component_dot``), so each member gets the bits
+    it gets on its own, for any d.
     """
     steps = _step_count(t_end, dt, record_every)
     single = isinstance(start, Ensemble)
-    points, t0 = (start.points, start.time) if single else (start, 0.0)
     delayed = isinstance(field, TimeDelayField)
+    if single:
+        state, points, t0 = start, start.points, start.time
+    elif delayed:
+        raise ValueError("a time-delay field steps a single population")
+    else:
+        cols, t0 = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy(), 0.0
+        state = points = np.swapaxes(cols, -1, -2)
+
+        def stage_x(stage_cols, ts):
+            return field.evaluate(np.swapaxes(stage_cols, -1, -2), ts)
     means = []
     x_at = field._in_run(means, dt, t0) if delayed else field.evaluate
     run_field = _RunField(x_at)
-    t, state = t0, start
+    t = t0
     for s in range(steps + 1):
         if s:
             if single:
                 run_field.at = points, x
-                points = step(state, run_field, dt).points
+                state = step(state, run_field, dt)
+                if state.time != t0 + s * dt:
+                    state = start._at(state.points, t0 + s * dt)
+                points = state.points
             else:
-                points = _advance(points, t, x_at, dt, (), x)
+                cols = _advance(cols, t, stage_x, dt, _column_velocities,
+                                _renormalize_columns_in_place, x)
+                state = points = np.swapaxes(cols, -1, -2)
             t = t0 + s * dt
-            state = start._at(points, t) if single else points
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
             means.append(mean)

@@ -9,6 +9,7 @@ marked read-only where they are shared.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,14 +73,74 @@ def _renormalize_rows_in_place(points: np.ndarray) -> np.ndarray:
     has unit norm.
     """
     norms = np.einsum("...ij,...ij->...i", points, points)
+    return _divide_by_norms(points, norms, norms[..., None])
+
+
+def _renormalize_columns_in_place(cols: np.ndarray) -> np.ndarray:
+    """``_renormalize_rows_in_place`` for a component-major (..., d+1, n)
+    stack, whose columns are the points: the squared norms are summed in
+    einsum's order (``_component_dot``), so every point gets the bits it
+    gets as a row."""
+    norms = _component_dot(cols, cols)
+    return _divide_by_norms(cols, norms, norms[..., None, :])
+
+
+def _divide_by_norms(points: np.ndarray, norms: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+    """Divide ``points`` in place by the square roots of their squared norms
+    ``norms``, a fresh array of which ``divisor`` is the view that
+    broadcasts against the points."""
     np.sqrt(norms, out=norms)
     # fmin and fmax skip NaN rows, which stay NaN
     if np.fmin.reduce(norms, axis=None, initial=math.inf) <= _DEGENERATE_NORM:
         raise ValueError("degenerate point: cannot renormalize a near-zero vector")
     if np.fmax.reduce(norms, axis=None, initial=0.0) == math.inf:
         norms[norms == math.inf] = math.nan
-    points /= norms[..., None]
+    points /= divisor
     return points
+
+
+@functools.cache
+def _einsum_lanes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two partial sums, as component indices in the order of addition,
+    into which numpy's einsum splits a row reduction of m terms.
+
+    Its contiguous sum of products runs on the baseline SIMD vectors, which
+    on x86-64 hold two float64 lanes and multiply and add without fusing
+    (numpy 2.4): blocks of eight terms are added four vectors at a time,
+    last vector first, and the terms after the last block two at a time;
+    the two lanes are added at the end.  ``test_component_dot_is_einsum``
+    checks this against numpy for m up to 20, so a numpy that sums in
+    another order fails there instead of changing the bits of a stack.
+    """
+    blocks = m // 8 * 8
+    lanes: tuple[list, list] = ([], [])
+    for b in range(0, blocks, 8):
+        lanes[0].extend((b + 6, b + 4, b + 2, b))
+        lanes[1].extend((b + 7, b + 5, b + 3, b + 1))
+    for j in range(blocks, m):
+        lanes[j % 2].append(j)
+    return tuple(lanes[0]), tuple(lanes[1])
+
+
+def _component_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the columns of component-major (..., m, n) arrays,
+    b possibly broadcast, as whole-row operations: shape (..., n), with the
+    bits of ``np.einsum("...ij,...ij->...i")`` (or ``"...ij,...j->...i"``)
+    over their transposes.  The terms go into two partial sums in einsum's
+    order (``_einsum_lanes``).  Einsum starts both at +0.0; starting the
+    first alone there gives the same sum, a -0.0 in the second making no
+    difference once it is added to the first, which is never -0.0."""
+    terms = np.multiply(a, b)
+    (first, *rest), odd = _einsum_lanes(terms.shape[-2])
+    total = terms[..., first, :] + 0.0  # a fresh, contiguous (..., n) array
+    for j in rest:
+        total += terms[..., j, :]
+    if odd:
+        lane = terms[..., odd[0], :]
+        for j in odd[1:]:
+            lane += terms[..., j, :]
+        total += lane
+    return total
 
 
 def tangent_project(x, v) -> np.ndarray:
@@ -130,7 +191,11 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     """Column mean of an (n, m) array, bitwise equal to ``fsum(col) / n``.
 
     A stack of such arrays, shape (..., n, m), gives one mean per member,
-    shape (..., m), with the same bits as each member on its own.
+    shape (..., m), with the same bits as each member on its own.  The
+    extraction works on contiguous columns: row-major points are copied
+    into that layout first, while the (..., n, m) transpose view of a
+    component-major (..., m, n) stack, as the stepping loop hands it over,
+    is used as it is.  No pass writes to the input.
 
     The exactness matters: when an ensemble consists of exact antipodal
     pairs the mean must come out as exactly zero, otherwise summation noise
@@ -163,7 +228,9 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     n, m = points.shape[-2:]
     if n >= _FOLD_MIN_ROWS and points.size:
-        cols = np.swapaxes(points, -1, -2).copy()  # (..., m, n): each column contiguous
+        # (..., m, n), each column contiguous: a transpose copy of row-major
+        # points, a view of a component-major stack's state
+        cols = np.ascontiguousarray(np.swapaxes(points, -1, -2))
         amax = float(np.abs(cols).max())
         if amax < _FOLD_MAX_ABS:
             shift = (n + 1).bit_length()
@@ -173,7 +240,7 @@ def exact_mean(points: np.ndarray) -> np.ndarray:
                 q = cols + sigma
                 q -= sigma
                 parts.append(q.sum(axis=-1))
-                cols -= q
+                cols = np.subtract(cols, q, out=q)  # the remainder; the input stays as it is
                 amax = math.ldexp(sigma, -53) if cols.any() else 0.0
             if not parts:
                 return np.zeros(cols.shape[:-1])
@@ -294,7 +361,7 @@ class Ensemble:
     points: np.ndarray
     omega: "SkewMatrix | tuple[SkewMatrix, ...] | None" = None
     time: float = 0.0
-    _groups = None  # omega_groups(), once worked out; not a dataclass field
+    _groups = None  # (omega_groups(), _omega_slices()), once worked out; not a dataclass field
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, order="C")
@@ -342,15 +409,25 @@ class Ensemble:
         put(ens, "points", points)
         put(ens, "omega", self.omega)
         put(ens, "time", time)
-        put(ens, "_groups", self.omega_groups())
+        put(ens, "_groups", self._grouping())
         return ens
 
     def omega_groups(self) -> tuple[tuple["SkewMatrix | None", np.ndarray], ...]:
         """Distinct generators with the particle indices that carry them,
         worked out once per ensemble (and shared with the ensembles that
         ``_at`` makes from it); the index arrays are read-only."""
-        groups = self._groups  # read as an attribute: touching __dict__ would build one
-        if groups is None:
+        return self._grouping()[0]
+
+    def _omega_slices(self) -> tuple[tuple["SkewMatrix | None", "np.ndarray | slice"], ...]:
+        """``omega_groups`` with each contiguous index run turned into a
+        slice, so that the particle velocities update views rather than
+        gathering and scattering by index; cached with the groups."""
+        return self._grouping()[1]
+
+    def _grouping(self):
+        """(``omega_groups``, ``_omega_slices``), worked out on first use."""
+        grouping = self._groups  # read as an attribute: touching __dict__ would build one
+        if grouping is None:
             buckets: dict = {}
             omega = self.omega if isinstance(self.omega, tuple) else (self.omega,) * self.n
             for i, om in enumerate(omega):
@@ -358,8 +435,13 @@ class Ensemble:
             groups = tuple((om, np.array(idx)) for om, idx in buckets.items())
             for _, idx in groups:
                 idx.flags.writeable = False
-            object.__setattr__(self, "_groups", groups)
-        return groups
+            # the indices of a group increase, so they are one run exactly
+            # when they span as many places as they number
+            slices = tuple((om, slice(int(idx[0]), int(idx[-1]) + 1)
+                            if idx[-1] - idx[0] + 1 == idx.size else idx) for om, idx in groups)
+            grouping = groups, slices
+            object.__setattr__(self, "_groups", grouping)
+        return grouping
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

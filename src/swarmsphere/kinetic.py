@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, MeanField, Trajectory, _run, simulate
+from .dynamics import DrivingField, MeanField, Trajectory, _run, _step_count, simulate
 from .functionals import DriftReport, _draw_cycles, _drift_report, conservation_drift
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
@@ -61,9 +61,16 @@ def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
     """Fraction of particles within chordal distance epsilon of a center."""
     if not 0.0 < epsilon < 2.0:
         raise ValueError("chordal radius must lie in (0, 2)")
-    center = np.asarray(center, dtype=float)
-    diff = ens.points - center
-    return float(np.mean(np.einsum("ij,ij->i", diff, diff) < epsilon * epsilon))
+    return float(_ball_masses(ens.points, np.asarray(center, dtype=float)[None], epsilon)[0])
+
+
+def _ball_masses(points: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:
+    """``ball_mass`` of (n, d+1) points around each row of ``centers`` in
+    one stacked pass; each value has the bits of its own call."""
+    diff = points - centers[:, None, :]
+    inside = np.einsum("...ij,...ij->...i", diff, diff) < epsilon * epsilon
+    # a count over n rounds once, as the mean of the booleans does
+    return np.count_nonzero(inside, axis=-1) / points.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +93,50 @@ class OrderParameterSeries:
         return list(zip(self.times, self.R2, self.dR2_analytic, self.mass_plus, self.mass_minus))
 
 
+class _SeriesRecorder:
+    """The order-parameter diagnostics of one population, fed every state
+    of a run in order: R^2 and its analytic derivative at every state, for
+    the derivative defect, and the recorded rows at every
+    ``record_every``-th state and the final one."""
+
+    def __init__(self, record_every: int, epsilon: float):
+        if record_every < 1:
+            raise ValueError("record_every must be at least 1")
+        self.record_every, self.epsilon = record_every, float(epsilon)
+        self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
+        self.recent = []  # (time, R2, dR2) of the last three states
+        self.defect = 0.0
+        self.last = None
+
+    def add(self, s: int, t: float, points: np.ndarray, x_c: np.ndarray):
+        """State s of the run, at time t, with row-major (n, d+1) ``points``
+        and their exact mean ``x_c``."""
+        r2 = float(x_c @ x_c)
+        dr2 = _dR2_dt(points, x_c)
+        self.recent = self.recent[-2:] + [(t, r2, dr2)]
+        if len(self.recent) == 3:
+            (t0, a, _), (_, _, mid), (t2, b, _) = self.recent
+            self.defect = max(self.defect, abs(mid - (b - a) / (t2 - t0)))
+        self.last = (s, t, points, r2, x_c, dr2)
+        if s % self.record_every == 0:
+            self._record()
+
+    def _record(self):
+        _, t, points, r2, x_c, dr2 = self.last
+        if r2 > _R_POSITIVE ** 2:
+            g = x_c / math.sqrt(r2)
+            plus, minus = _ball_masses(points, np.stack([g, -g]), self.epsilon).tolist()
+        else:
+            g, plus, minus = np.full(x_c.size, np.nan), math.nan, math.nan
+        for column, value in zip(self.columns, (t, r2, dr2, g, plus, minus)):
+            column.append(value)
+
+    def finish(self) -> OrderParameterSeries:
+        if self.last[0] % self.record_every:  # the final state is always recorded
+            self._record()
+        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, self.defect)
+
+
 def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
                            record_every: int = 1, epsilon: float = 0.5
                            ) -> tuple[OrderParameterSeries, Ensemble]:
@@ -96,44 +147,12 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     derivative defect is measured at the step spacing whatever
     ``record_every`` is; the initial and final states are always recorded.
     """
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    times, r2s, dr2s, gammas, mplus, mminus = [], [], [], [], [], []
-    recent = []  # (time, R2, dR2) of the last three steps
-    defect = 0.0
-
-    def record(ens: Ensemble, r2: float, x_c: np.ndarray, dr2: float):
-        times.append(ens.time)
-        r2s.append(r2)
-        dr2s.append(dr2)
-        if r2 > _R_POSITIVE ** 2:
-            g = x_c / math.sqrt(r2)
-            gammas.append(g)
-            mplus.append(ball_mass(ens, g, epsilon))
-            mminus.append(ball_mass(ens, -g, epsilon))
-        else:
-            gammas.append(np.full(ens.d + 1, np.nan))
-            mplus.append(math.nan)
-            mminus.append(math.nan)
-
+    recorder = _SeriesRecorder(record_every, epsilon)
     # a blow-up is reported by the finite check of the step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, (_, ens, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
-            x_c = exact_mean(ens.points) if mean is None else mean
-            r2 = float(x_c @ x_c)
-            dr2 = _dR2_dt(ens.points, x_c)
-            recent = recent[-2:] + [(ens.time, r2, dr2)]
-            if len(recent) == 3:
-                (t0, a, _), (_, _, mid), (t2, b, _) = recent
-                defect = max(defect, abs(mid - (b - a) / (t2 - t0)))
-            if s % record_every == 0:
-                record(ens, r2, x_c, dr2)
-    if s % record_every:  # the final state is always recorded
-        record(ens, r2, x_c, dr2)
-    series = OrderParameterSeries(np.asarray(times), np.asarray(r2s), np.asarray(dr2s),
-                                  np.asarray(gammas), np.asarray(mplus), np.asarray(mminus),
-                                  float(epsilon), defect)
-    return series, ens
+        for s, (t, ens, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
+            recorder.add(s, t, ens.points, exact_mean(ens.points) if mean is None else mean)
+    return recorder.finish(), ens
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -200,84 +219,125 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     moments on two-cluster states.  A von Mises-Fisher control run checks
     that ordinary fixed tuples stay conserved under the same integrator.
     """
-    if N < 4:
-        raise ValueError("need at least four particles")
-    if N % 2:
-        raise ValueError("need an even particle count to build exact antipodal pairs")
-    if not (0 < kappa < math.inf and 0 < delta < math.inf):
-        raise ValueError("kappa and delta must be positive and finite")
-    half = sample_uniform(d, N // 2, seed).points
-    sym_points = np.vstack([half, -half])
-    # (b) displaces one particle by delta along a tangent direction
-    x0 = sym_points[0]
-    axis = int(np.argmin(np.abs(x0)))
-    direction = tangent_project(x0, np.eye(d + 1)[axis])
-    direction = direction / np.linalg.norm(direction)
-    pert_points = sym_points.copy()
-    pert_points[0] = renormalize(x0 + delta * direction)
-
-    # both branches are stepped as one stack; (a) reports the worst recorded
-    # order parameter, (b) records what simulate(..., _RECORD_EVERY) records
-    field = MeanField(kappa)
-    r2_sym, times, states, means = [], [], [], []
-    stack, perturbed = np.stack([sym_points, pert_points]), Ensemble(pert_points)
-    # a blow-up is reported by the loop's finite check, not by numpy warnings
+    branches = _Branches(N, d, kappa, delta, seed)
+    # both branches are stepped as one stack; a blow-up is reported by the
+    # loop's finite check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, points, mean, _ in _run(stack, field, t_end, dt, _RECORD_EVERY):
-            r2_sym.append(float(mean[0] @ mean[0]))
-            times.append(t)
-            states.append(perturbed._at(points[1].copy(), t))
-            means.append(mean[1])
-    r_max_sym = math.sqrt(max(r2_sym))
-    traj = Trajectory(np.asarray(times), tuple(states), field.kappa * np.asarray(means))
-    rs = np.array([math.sqrt(float(m @ m)) for m in means])
+        for t, points, mean, _ in _run(branches.start, MeanField(kappa), t_end, dt, _RECORD_EVERY):
+            branches.add(t, points, mean)
+    return branches.report(t_end, dt)
 
-    # mixed tuples: two indices per emergent cluster at the first snapshot
-    # where the population is visibly polarised and both caps are occupied
-    mixed_tuples = np.empty((0, 4), dtype=np.int64)
-    selection_time = math.nan
-    mixed_max = math.nan
-    for i in np.nonzero(rs >= 0.5)[0]:
-        gamma = means[i] / rs[i]
-        side = traj.states[i].points @ gamma
-        plus = np.nonzero(side > 0)[0]
-        minus = np.nonzero(side <= 0)[0]
-        if plus.size >= 2 and minus.size >= 2:
-            n_pairs = min(3, plus.size // 2, minus.size // 2)
-            pp = _closest_pairs(traj.states[i].points, plus, n_pairs)
-            mp = _closest_pairs(traj.states[i].points, minus, n_pairs)
-            mixed_tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
-                                    dtype=np.int64)
-            selection_time = float(traj.times[i])
-            break
-    unbounded = False
-    if mixed_tuples.shape[0]:
-        mixed_max = 0.0
-        for st in traj.states:
-            vals = _raw_cross_ratios(st.points, mixed_tuples)
-            unbounded |= bool(np.any(np.isinf(vals)))
-            finite = vals[np.isfinite(vals)]
-            if finite.size:
-                mixed_max = max(mixed_max, float(np.max(finite)))
 
-    # control: a smooth-density run where fixed tuples must hold steady
-    control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)
-    control_traj = simulate(control_ens, MeanField(kappa), 5.0, 1e-3, record_every=10)
-    control = conservation_drift(control_traj, p=0.3, k=2, m=50, seed=seed)
+def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: float,
+                             record_every: int, epsilon: float, delta: float, seed: int
+                             ) -> tuple[OrderParameterSeries, Ensemble, InstabilityReport]:
+    """``order_parameter_series(ens0, MeanField(kappa), t_end, dt,
+    record_every, epsilon)`` and ``instability_experiment(ens0.n, ens0.d,
+    kappa, delta, seed, t_end, dt)`` from one run: the two branches and
+    ens0, a population without free flow at t = 0, are stepped as one
+    (3, N, d+1) stack, in which each member gets the bits of its own run."""
+    if ens0.omega is not None or ens0.time != 0.0:
+        raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
+    branches = _Branches(ens0.n, ens0.d, kappa, delta, seed)
+    recorder = _SeriesRecorder(record_every, epsilon)
+    steps = _step_count(t_end, dt, 1)
+    stack = np.concatenate([branches.start, ens0.points[None]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
+            if s % _RECORD_EVERY == 0 or s == steps:
+                branches.add(t, points, mean)
+            rows = points[2].copy()  # row-major, as _dR2_dt needs for its bits
+            recorder.add(s, t, rows, mean[2])
+    return recorder.finish(), ens0._at(rows, t), branches.report(t_end, dt)
 
-    return InstabilityReport(
-        N=N, d=d, kappa=float(kappa), delta=float(delta), seed=int(seed),
-        R_max_symmetric=r_max_sym,
-        R_initial_perturbed=float(rs[0]),
-        R_end_perturbed=float(rs[-1]),
-        mixed_tuple_max=mixed_max,
-        mixed_tuple_unbounded=unbounded,
-        mixed_tuples=mixed_tuples,
-        selection_time=selection_time,
-        control_max_drift=control.max_relative_drift,
-        control_per_tuple_drift=control.per_tuple_max_drift,
-        t_end=float(t_end), dt=float(dt),
-    )
+
+class _Branches:
+    """The instability experiment's two branches: their start, a (2, N, d+1)
+    stack, and what a run keeps of each recorded state of it, which
+    ``report`` turns into the experiment's outcome.  (a) keeps its order
+    parameter, (b) what ``simulate(..., _RECORD_EVERY)`` records."""
+
+    def __init__(self, N: int, d: int, kappa: float, delta: float, seed: int):
+        if N < 4:
+            raise ValueError("need at least four particles")
+        if N % 2:
+            raise ValueError("need an even particle count to build exact antipodal pairs")
+        if not (0 < kappa < math.inf and 0 < delta < math.inf):
+            raise ValueError("kappa and delta must be positive and finite")
+        half = sample_uniform(d, N // 2, seed).points
+        sym_points = np.vstack([half, -half])
+        # (b) displaces one particle by delta along a tangent direction
+        x0 = sym_points[0]
+        axis = int(np.argmin(np.abs(x0)))
+        direction = tangent_project(x0, np.eye(d + 1)[axis])
+        direction = direction / np.linalg.norm(direction)
+        pert_points = sym_points.copy()
+        pert_points[0] = renormalize(x0 + delta * direction)
+        self.N, self.d, self.kappa, self.delta, self.seed = N, d, float(kappa), float(delta), seed
+        self.start, self.perturbed = np.stack([sym_points, pert_points]), Ensemble(pert_points)
+        self.r2_sym, self.times, self.states, self.means = [], [], [], []
+
+    def add(self, t: float, points: np.ndarray, mean: np.ndarray):
+        """A recorded state at time t of a stack whose first two members are
+        the branches, with their exact means."""
+        self.r2_sym.append(float(mean[0] @ mean[0]))
+        self.times.append(t)
+        self.states.append(self.perturbed._at(points[1].copy(), t))
+        self.means.append(mean[1])
+
+    def report(self, t_end: float, dt: float) -> InstabilityReport:
+        N, d, kappa, delta, seed = self.N, self.d, self.kappa, self.delta, self.seed
+        means = self.means
+        r_max_sym = math.sqrt(max(self.r2_sym))
+        traj = Trajectory(np.asarray(self.times), tuple(self.states), kappa * np.asarray(means))
+        rs = np.array([math.sqrt(float(m @ m)) for m in means])
+
+        # mixed tuples: two indices per emergent cluster at the first snapshot
+        # where the population is visibly polarised and both caps are occupied
+        mixed_tuples = np.empty((0, 4), dtype=np.int64)
+        selection_time = math.nan
+        mixed_max = math.nan
+        for i in np.nonzero(rs >= 0.5)[0]:
+            gamma = means[i] / rs[i]
+            side = traj.states[i].points @ gamma
+            plus = np.nonzero(side > 0)[0]
+            minus = np.nonzero(side <= 0)[0]
+            if plus.size >= 2 and minus.size >= 2:
+                n_pairs = min(3, plus.size // 2, minus.size // 2)
+                pp = _closest_pairs(traj.states[i].points, plus, n_pairs)
+                mp = _closest_pairs(traj.states[i].points, minus, n_pairs)
+                mixed_tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
+                                        dtype=np.int64)
+                selection_time = float(traj.times[i])
+                break
+        unbounded = False
+        if mixed_tuples.shape[0]:
+            mixed_max = 0.0
+            for st in traj.states:
+                vals = _raw_cross_ratios(st.points, mixed_tuples)
+                unbounded |= bool(np.any(np.isinf(vals)))
+                finite = vals[np.isfinite(vals)]
+                if finite.size:
+                    mixed_max = max(mixed_max, float(np.max(finite)))
+
+        # control: a smooth-density run where fixed tuples must hold steady
+        control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)
+        control_traj = simulate(control_ens, MeanField(kappa), 5.0, 1e-3, record_every=10)
+        control = conservation_drift(control_traj, p=0.3, k=2, m=50, seed=seed)
+
+        return InstabilityReport(
+            N=N, d=d, kappa=float(kappa), delta=float(delta), seed=int(seed),
+            R_max_symmetric=r_max_sym,
+            R_initial_perturbed=float(rs[0]),
+            R_end_perturbed=float(rs[-1]),
+            mixed_tuple_max=mixed_max,
+            mixed_tuple_unbounded=unbounded,
+            mixed_tuples=mixed_tuples,
+            selection_time=selection_time,
+            control_max_drift=control.max_relative_drift,
+            control_per_tuple_drift=control.per_tuple_max_drift,
+            t_end=float(t_end), dt=float(dt),
+        )
 
 
 @dataclass(frozen=True, eq=False)

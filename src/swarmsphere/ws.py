@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, _group_views, _rk4, _step_count, _velocities
+from .dynamics import DrivingField, _rk4, _step_count, _velocities
 from .geometry import Ensemble, SkewMatrix
 
 __all__ = [
@@ -340,7 +340,7 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
         raise ValueError("states are not uniformly spaced")
     dt = dts[0]
     points = sample_points.points
-    groups = _group_views(sample_points.omega_groups())
+    groups = sample_points._omega_slices()
     block = max(1, _BLOCK_FLOATS // points.size)
     worst = []
     # block [b0, b1) of interior states, pushed with one neighbour on each side

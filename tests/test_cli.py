@@ -269,6 +269,29 @@ def test_derivative_identity_is_measured_at_the_step_spacing(tmp_path):
     assert manifest["gates"]["derivative_identity"]["value"] <= 1e-5
 
 
+def test_kinetic_run_with_delta_writes_the_bytes_of_the_separate_runs(tmp_path, monkeypatch):
+    import swarmsphere.cli as cli
+    from swarmsphere import MeanField, instability_experiment, order_parameter_series
+
+    # the series and the instability branches step as one stack; the same
+    # config run through the two separate calls writes the same bytes
+    path = write_config(tmp_path, "c.json", {"experiment": "kinetic", "d": 2, "N": 200, "t_end": 6,
+                                             "dt": 1e-2, "delta": 1e-3, "seed": 3})
+    # six time units are too short for the instability gates to pass
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "stacked")])
+
+    def separate(ens0, kappa, t_end, dt, record_every, epsilon, delta, seed):
+        series, final = order_parameter_series(ens0, MeanField(kappa), t_end, dt, record_every, epsilon)
+        return series, final, instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
+
+    monkeypatch.setattr(cli, "_series_with_instability", separate)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "separate")]) == code == 1
+    for name in ("order_parameter.csv", "kinetic_summary.json"):
+        assert (tmp_path / "stacked" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes()
+    summary = json.loads((tmp_path / "stacked" / "kinetic_summary.json").read_text())
+    assert summary["instability"]["R_max_symmetric"] == 0.0
+
+
 def test_wrong_derivative_fails_the_identity_gate(tmp_path, monkeypatch):
     import swarmsphere.kinetic as kinetic
 

@@ -25,7 +25,7 @@ from swarmsphere import (
     velocity,
 )
 from swarmsphere import dynamics
-from swarmsphere.dynamics import _group_views, _run
+from swarmsphere.dynamics import _run
 
 
 def consensus_ensemble(d, n, axis=-1):
@@ -485,11 +485,15 @@ FIELD_CASES = {
 
 
 def test_group_views_turn_contiguous_runs_into_slices():
-    groups = _group_views(Ensemble(sample_uniform(2, REF_N, 4).points, MIXED_GROUPS).omega_groups())
+    ens = Ensemble(sample_uniform(2, REF_N, 4).points, MIXED_GROUPS)
+    groups = ens._omega_slices()
     assert [type(idx) for _, idx in groups] == [np.ndarray, np.ndarray, slice]
     assert groups[2][1] == slice(2 * (REF_N // 4), REF_N)
-    (_, whole), = _group_views(sample_uniform(2, 5, 4).omega_groups())
+    (_, whole), = sample_uniform(2, 5, 4)._omega_slices()
     assert whole == slice(0, 5)
+    # worked out once with the groups, and shared with the states made from them
+    later = ens._at(ens.points.copy(), 1.0)
+    assert later._omega_slices() is groups and later.omega_groups() is ens.omega_groups()
 
 
 @pytest.mark.parametrize("case", FIELD_CASES)
@@ -586,3 +590,50 @@ def test_interleaved_delay_runs_equal_fresh_runs():
         for (t, state, mean, x), (t_w, state_w, mean_w, x_w) in zip(got_pair, want_pair):
             assert t == t_w and state.points.tobytes() == state_w.points.tobytes()
             assert mean.tobytes() == mean_w.tobytes() and x.tobytes() == x_w.tobytes()
+
+
+def _stack_field(kind, d):
+    if kind == "mean":
+        return MeanField(1.3)
+    v = np.eye(d + 1) + 0.3 * rng_stream(d).standard_normal((d + 1, d + 1))
+    return FrustratedField(0.8, v)
+
+
+@pytest.mark.parametrize("kind", ["mean", "frustrated"])
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_stack_members_equal_their_single_runs(kind, d):
+    # the component-major stack sums its rows in einsum's order: same bits
+    members = [sample_uniform(d, REF_N, seed).points for seed in (1, 2, 3)]
+    stacked = list(_run(np.stack(members), _stack_field(kind, d), 0.1, REF_DT, 3))
+    for i, member in enumerate(members):
+        alone = list(_run(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3))
+        for (t, points, mean, x), (t_w, state, mean_w, x_w) in zip(stacked, alone, strict=True):
+            assert t == t_w and points.shape == (3, REF_N, d + 1)
+            assert points[i].copy().tobytes() == state.points.tobytes()
+            assert mean[i].tobytes() == mean_w.tobytes() and x[i].tobytes() == x_w.tobytes()
+        traj = simulate(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3)
+        assert traj.field_samples.tobytes() == np.array([x[i] for *_, x in stacked]).tobytes()
+
+
+def test_a_stack_refuses_a_delayed_field():
+    stack = np.stack([sample_uniform(2, 8, 1).points] * 4)
+    with pytest.raises(ValueError, match="time-delay field steps a single population"):
+        next(_run(stack, TimeDelayField(1.0, 5 * REF_DT), 0.1, REF_DT, 1))
+
+
+def test_the_loop_keeps_steps_state_when_its_time_is_on_the_grid(monkeypatch):
+    # with dt = 1/4 every t + dt is exactly t0 + s * dt: one Ensemble a step
+    made = []
+
+    def kept(state, field, dt):
+        made.append(step(state, field, dt))
+        return made[-1]
+
+    monkeypatch.setattr(dynamics, "step", kept)
+    states = [state for _, state, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 2.0, 0.25, 1)]
+    assert len(made) == 8 and all(got is want for got, want in zip(states[1:], made, strict=True))
+    # off the grid the loop restamps the successor: 0.5 + 0.1 != 6 * 0.1
+    made.clear()
+    states = [state for _, state, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 0.6, 0.1, 1)]
+    assert [got is want for got, want in zip(states[1:], made, strict=True)] == [True] * 5 + [False]
+    assert states[-1].time == 6 * 0.1 != made[-1].time and states[-1].points is made[-1].points

@@ -19,7 +19,7 @@ from swarmsphere import (
     sphere_surface,
     tangent_project,
 )
-from swarmsphere.geometry import _FOLD_MIN_ROWS
+from swarmsphere.geometry import _FOLD_MIN_ROWS, _component_dot, _renormalize_columns_in_place
 
 
 def test_tangent_project_radial_vector_vanishes():
@@ -72,6 +72,46 @@ def test_renormalize_rows_of_a_stack_and_its_edge_rows():
     assert np.isnan(odd[[0, 2]]).all() and odd[1].tolist() == [0.0, 0.6, 0.8]
     with pytest.raises(ValueError, match="degenerate"):
         renormalize_rows([[math.nan, 1.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_component_dot_is_einsum(m):
+    # the stacked particle loop relies on these bits; a numpy whose einsum
+    # sums a row in another order fails here
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((2, 300, m)) * np.ldexp(1.0, rng.integers(-30, 31, size=(2, 300, m)))
+    b = rng.standard_normal((2, 300, m))
+    a[:, :60] = np.where(rng.random((2, 60, m)) < 0.5, -0.0, 0.0)  # sums of signed zeros
+    x = rng.standard_normal((2, m))
+    for got, want in [
+        (_component_dot(a.swapaxes(-1, -2), b.swapaxes(-1, -2)), np.einsum("...ij,...ij->...i", a, b)),
+        (_component_dot(a.swapaxes(-1, -2), x[..., None]), np.einsum("...ij,...j->...i", a, x)),
+        (_component_dot(a.swapaxes(-1, -2), a.swapaxes(-1, -2)), np.einsum("...ij,...ij->...i", a, a)),
+    ]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_renormalize_columns_is_renormalize_rows_of_the_transpose():
+    for d in (1, 2, 6, 8):
+        pts = rng_stream(d).standard_normal((3, 40, d + 1))
+        pts[0, 0] = 1e200  # an overflowing squared norm, like a NaN, leaves NaN
+        pts[1, 1, 0] = math.nan
+        cols = pts.swapaxes(-1, -2).copy()
+        with np.errstate(over="ignore"):  # as in the stepping loop, where it runs
+            got = _renormalize_columns_in_place(cols)
+        assert got is cols
+        assert got.swapaxes(-1, -2).copy().tobytes() == renormalize_rows(pts).tobytes()
+    with pytest.raises(ValueError, match="degenerate"):
+        _renormalize_columns_in_place(np.zeros((3, 2)))
+
+
+def test_exact_mean_reads_a_component_major_view_as_it_is():
+    x = sample_uniform(2, 300, 8).points
+    cols = np.stack([x, -x[::-1]]).swapaxes(-1, -2).copy()
+    before = cols.tobytes()
+    got = exact_mean(cols.swapaxes(-1, -2))
+    assert got.tobytes() == exact_mean(np.stack([x, -x[::-1]])).tobytes()
+    assert cols.tobytes() == before
 
 
 def test_reorthonormalize_identity_fixed():

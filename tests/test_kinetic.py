@@ -25,7 +25,7 @@ from swarmsphere import (
 )
 from swarmsphere.dynamics import Trajectory, _run
 from swarmsphere.functionals import _draw_cycles
-from swarmsphere.kinetic import _RECORD_EVERY
+from swarmsphere.kinetic import _RECORD_EVERY, _series_with_instability
 
 
 def consensus(d, n):
@@ -197,6 +197,36 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
         assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
     assert stacked.field_samples.tobytes() == alone.field_samples.tobytes()
     assert rep.R_end_perturbed == math.sqrt(order_parameter(alone.states[-1])[0])
+
+
+def test_series_and_branches_stacked_equal_the_separate_calls():
+    # 600 steps, recorded every 7th (the final state apart) and every 50th
+    ens0 = sample_vmf([0.0, 0.0, 1.0], 1.0, 200, 4)
+    series, final, rep = _series_with_instability(ens0, 1.0, 6.0, 1e-2, 7, 0.5, 1e-3, 3)
+    want, want_final = order_parameter_series(ens0, MeanField(1.0), 6.0, 1e-2, 7, 0.5)
+    for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
+        assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
+    assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
+    alone = instability_experiment(200, 2, 1.0, 1e-3, 3, t_end=6.0, dt=1e-2)
+    assert rep.R_max_symmetric == 0.0
+    for name, value in vars(alone).items():
+        got = getattr(rep, name)
+        if isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value or (math.isnan(got) and math.isnan(value)), name
+    with pytest.raises(ValueError, match="without free flow"):
+        _series_with_instability(ens0.with_omega(SkewMatrix.zero(2)), 1.0, 0.1, 1e-2, 1, 0.5, 1e-3, 3)
+
+
+def test_series_masses_are_the_ball_masses_of_each_state():
+    ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 64, 9)
+    series, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=10)
+    traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=10)
+    for st, g, plus, minus in zip(traj.states, series.gamma, series.mass_plus, series.mass_minus,
+                                  strict=True):
+        assert plus == ball_mass(st, g, 0.5) and minus == ball_mass(st, -g, 0.5)
 
 
 def test_order_parameter_series_computes_each_exact_mean_once(monkeypatch):
