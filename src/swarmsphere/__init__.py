@@ -21,14 +21,12 @@ from .dynamics import (
     eval_field,
     simulate,
     step,
-    velocity,
 )
 from .functionals import (
     DivergenceReport,
     DivergentIntegralError,
     DriftReport,
     FunctionalEstimate,
-    UniformSphereSampler,
     VmfSampler,
     conservation_drift,
     conservation_drifts,
@@ -38,7 +36,6 @@ from .functionals import (
     estimate_cycle_moment,
     estimate_cycle_moments,
     existence_check,
-    mixture_functional,
     reduced_pair_integral,
 )
 from .geometry import (
@@ -72,7 +69,6 @@ from .ws import (
     algebraic_identity_residuals,
     conjugacy_residual,
     heterogeneous_push_forward,
-    mobius,
     push_forward,
     ws_evolve,
     ws_evolve_groups,

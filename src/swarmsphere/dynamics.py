@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Ensemble, SkewMatrix, _component_dot, _renormalize_columns_in_place,
+from .geometry import (Ensemble, _component_dot, _renormalize_columns_in_place,
                        _renormalize_rows_in_place, exact_mean, renormalize)
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "eval_field",
     "simulate",
     "step",
-    "velocity",
 ]
 
 
@@ -316,16 +315,6 @@ def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
     return x
 
 
-def velocity(x, omega: SkewMatrix | None, x_field) -> np.ndarray:
-    """Single-particle velocity: free rotation plus the tangential part of X."""
-    x = np.asarray(x, dtype=float)
-    xf = np.asarray(x_field, dtype=float)
-    if x.shape != xf.shape:
-        raise ValueError("dimension mismatch between point and driving vector")
-    rot = omega.apply(x) if omega is not None else 0.0
-    return rot + xf - float(x @ xf) * x
-
-
 def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
     """Velocities of an (..., n, d+1) stack of points under driving vectors
     (..., d+1), one per member; a group's particles are given by an index
@@ -468,13 +457,13 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
     state, every ``record_every``-th state and the final state.
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
-    stack of populations without free flow under a field that is not
-    delayed, started at t = 0 and stepped as one array.  The number of
-    steps is round(t_end / dt), and step s is stamped t0 + s * dt, the grid
-    of ``ws_evolve``.  The exact mean of every state is computed once, for
-    a field that reads it (else it is None), and so is X: it feeds the next
-    step's first stage and the caller.  A delayed field reads the run's own
-    history of means.
+    stack of populations without free flow, started at t = 0 and stepped as
+    one array under a field that reads the population mean (one X per
+    member) and is not delayed.  The number of steps is round(t_end / dt),
+    and step s is stamped t0 + s * dt, the grid of ``ws_evolve``.  The
+    exact mean of every state is computed once, for a field that reads it
+    (else it is None), and so is X: it feeds the next step's first stage
+    and the caller.  A delayed field reads the run's own history of means.
 
     The states of a single population are Ensembles: ``step``'s result,
     restamped where its time ``t + dt`` is not the grid's.  A stack is kept
@@ -492,6 +481,9 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
         state, points, t0 = start, start.points, start.time
     elif delayed:
         raise ValueError("a time-delay field steps a single population")
+    elif not field._reads_mean:
+        raise ValueError(f"a stack of populations steps only under a field that reads the "
+                         f"population mean, not {type(field).__name__}")
     else:
         cols, t0 = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy(), 0.0
         state = points = np.swapaxes(cols, -1, -2)

@@ -31,7 +31,6 @@ __all__ = [
     "DivergentIntegralError",
     "DriftReport",
     "FunctionalEstimate",
-    "UniformSphereSampler",
     "VmfSampler",
     "conservation_drift",
     "conservation_drifts",
@@ -41,7 +40,6 @@ __all__ = [
     "estimate_cycle_moment",
     "estimate_cycle_moments",
     "existence_check",
-    "mixture_functional",
     "reduced_pair_integral",
 ]
 
@@ -87,34 +85,24 @@ def cycle_ratio(points) -> float:
 
 
 def _cycle_ratios_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle ratios for a batch (m, 2k, dim); returns (values, degenerate_mask)."""
-    diffs = pts - np.roll(pts, -1, axis=1)
+    """Cycle ratios for a batch (m, 2k, dim) and the mask of rows with a chord
+    at most ``_CHORD_TOL``; unguarded: a zero denominator gives inf, 0/0 NaN."""
+    diffs = np.roll(pts, -1, axis=1)
+    np.subtract(pts, diffs, out=diffs)  # one (m, 2k, dim) temporary, not two
     ch2 = np.einsum("mkd,mkd->mk", diffs, diffs)
-    bad = (ch2 <= _CHORD_TOL).any(axis=1)
-    ch2 = np.where(ch2 <= _CHORD_TOL, 1.0, ch2)  # masked rows are discarded anyway
-    vals = ch2[:, 0::2].prod(axis=1) / ch2[:, 1::2].prod(axis=1)
-    return vals, bad
-
-
-class UniformSphereSampler:
-    """Fresh i.i.d. uniform sphere points for continuous-source estimates."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("need d >= 1")
-        self.d = d
-
-    def draw(self, rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-        return _uniform_rows(rng, count * width, self.d).reshape(count, width, self.d + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = ch2[:, 0::2].prod(axis=1) / ch2[:, 1::2].prod(axis=1)
+    return vals, (ch2 <= _CHORD_TOL).any(axis=1)
 
 
 class VmfSampler:
-    """Fresh i.i.d. von Mises-Fisher points for continuous-source estimates."""
+    """Fresh i.i.d. von Mises-Fisher points for continuous-source estimates;
+    concentration zero draws uniform points."""
 
     def __init__(self, mu, concentration: float):
         self.mu = renormalize(mu)
-        if concentration < 0:
-            raise ValueError("concentration must be nonnegative")
+        if not 0 <= concentration < math.inf:
+            raise ValueError("concentration must be nonnegative and finite")
         self.concentration = float(concentration)
         self.d = self.mu.size - 1
 
@@ -268,18 +256,12 @@ def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> Functi
     return estimate_cycle_moments(source, [p], k, m, seed)[0]
 
 
-def mixture_functional(source, weights, k: int, m: int, seed: int) -> float:
-    """Weighted sum of cycle moments over a finite grid of (p, weight) pairs,
-    all from one set of draws."""
-    weights = list(weights)
-    estimates = estimate_cycle_moments(source, [p for p, _ in weights], k, m, seed)
-    return math.fsum(wt * est.value for (_, wt), est in zip(weights, estimates))
-
-
 def existence_check(p: float, d: int) -> bool:
     """Whether the p-th cycle moment of any smooth density on S^d is finite."""
     if d < 1:
         raise ValueError("need d >= 1")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     return -d / 2.0 < p < d / 2.0
 
 
@@ -298,6 +280,8 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
 
     if d < 1:
         raise ValueError("need d >= 1")
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     if not 0.0 <= cutoff < math.pi:
         raise ValueError("cutoff must lie in [0, pi)")
     if cutoff == 0.0 and d - 2.0 * p <= 0.0:

@@ -287,10 +287,6 @@ class SkewMatrix:
         return self.n - 1
 
     @property
-    def lower(self) -> np.ndarray:
-        return self._lower
-
-    @property
     def matrix(self) -> np.ndarray:
         if self._full is None:
             m = np.zeros((self.n, self.n))
@@ -495,8 +491,8 @@ def sample_vmf(mu, concentration: float, n: int, seed: int) -> Ensemble:
     Concentration zero reduces exactly to the uniform distribution.
     """
     mu = renormalize(mu)
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
+    if not 0 <= concentration < math.inf:
+        raise ValueError("concentration must be nonnegative and finite")
     if n < 1:
         raise ValueError("need n >= 1")
     if concentration == 0.0:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DrivingField, MeanField, Trajectory, _run, _step_count, simulate
-from .functionals import DriftReport, _draw_cycles, _drift_report, conservation_drift
+from .functionals import (DriftReport, _cycle_ratios_batch, _draw_cycles, _drift_report,
+                          conservation_drift)
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
 __all__ = [
@@ -168,15 +169,10 @@ def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tupl
     return pairs
 
 
-def _raw_cross_ratios(points: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    """Cross ratios without the degeneracy guard; exact coincidences give inf."""
-    pts = points[tuples]
-    diffs = pts - np.roll(pts, -1, axis=1)
-    ch2 = np.einsum("mkd,mkd->mk", diffs, diffs)
-    num = ch2[:, 0] * ch2[:, 2]
-    den = ch2[:, 1] * ch2[:, 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = num / den
+def _mixed_tuple_values(points: np.ndarray, tuples: np.ndarray) -> np.ndarray:
+    """Cross ratios of index tuples without the degeneracy guard; an exactly
+    zero denominator, 0/0 included, gives inf."""
+    vals, _ = _cycle_ratios_batch(points[tuples])
     vals[np.isnan(vals)] = np.inf
     return vals
 
@@ -314,7 +310,7 @@ class _Branches:
         if mixed_tuples.shape[0]:
             mixed_max = 0.0
             for st in traj.states:
-                vals = _raw_cross_ratios(st.points, mixed_tuples)
+                vals = _mixed_tuple_values(st.points, mixed_tuples)
                 unbounded |= bool(np.any(np.isinf(vals)))
                 finite = vals[np.isfinite(vals)]
                 if finite.size:

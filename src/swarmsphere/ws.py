@@ -31,7 +31,6 @@ __all__ = [
     "algebraic_identity_residuals",
     "conjugacy_residual",
     "heterogeneous_push_forward",
-    "mobius",
     "push_forward",
     "ws_evolve",
     "ws_evolve_groups",
@@ -241,26 +240,14 @@ def ws_evolve_groups(omegas, field: DrivingField, t_end: float, dt: float
     return out
 
 
-def mobius(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Moebius-type sphere map  x -> w + (x + w)(1 - |w|^2) / |x + w|^2.
+def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The Moebius-type sphere map  x -> w + (x + w)(1 - |w|^2) / |x + w|^2
+    on the rows of an (..., n, d+1) stack, one ball vector (..., d+1) per
+    member; every member gets the bits it gets on its own.
 
     The map fixes the sphere, is the identity at w = 0, and its inverse is
     the same map with -w.  Points numerically antipodal to the pole raise.
     """
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError("dimension mismatch")
-    s = x + w
-    q = float(s @ s)
-    if q <= _POLE_TOL:
-        raise MobiusPoleError("point is numerically antipodal to the map pole")
-    return w + s * ((1.0 - float(w @ w)) / q)
-
-
-def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``mobius`` on the rows of an (..., n, d+1) stack, one ball vector
-    (..., d+1) per member; every member gets the bits it gets on its own."""
     s = points + w[..., None, :]
     q = np.einsum("...ij,...ij->...i", s, s)
     if np.min(q) <= _POLE_TOL:
@@ -322,7 +309,7 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
 
 
 def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> float:
-    """Check that the pushed points move with the model velocity field.
+    """Check that the pushed points move with the model's vector field.
 
     Central-differences the pushed samples in time and compares against
     Omega m + X - <m, X> m at the interior instants; the residual decays as

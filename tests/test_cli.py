@@ -188,7 +188,7 @@ def test_out_of_range_exponent_warns_but_runs(tmp_path, capsys):
 
 
 def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
-    from swarmsphere import UniformSphereSampler, estimate_cycle_moment
+    from swarmsphere import VmfSampler, estimate_cycle_moment
 
     p_list, k_list = [0.3, 0.0, -0.3], [3, 2]
     path = write_config(tmp_path, "c.json", {
@@ -200,7 +200,7 @@ def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
     records = json.loads((out / "estimates.json").read_text())
     assert [(r["k"], r["p"]) for r in records] == [(k, p) for k in k_list for p in p_list]
     for r in records:
-        est = estimate_cycle_moment(UniformSphereSampler(2), r["p"], r["k"], 3000, 6)
+        est = estimate_cycle_moment(VmfSampler(np.eye(3)[-1], 0.0), r["p"], r["k"], 3000, 6)
         assert r["value"] == est.value and r["std_error"] == est.std_error
     for k in k_list:
         for p in p_list:

@@ -22,10 +22,9 @@ from swarmsphere import (
     sample_uniform,
     simulate,
     step,
-    velocity,
 )
 from swarmsphere import dynamics
-from swarmsphere.dynamics import _run
+from swarmsphere.dynamics import _run, _velocities
 
 
 def consensus_ensemble(d, n, axis=-1):
@@ -82,18 +81,24 @@ def test_frustrated_field_applies_matrix_to_mean():
                                plain, atol=1e-15)
 
 
+def one_velocity(x, om, xf):
+    """``_velocities`` of one particle under generator ``om`` and driving
+    vector ``xf``: a one-row stack, the row in one group slice."""
+    return _velocities(x[None], ((om, slice(0, 1)),), xf)[0]
+
+
 def test_velocity_trivial_cases():
     om = SkewMatrix.planar(1, 1.0)
     x = np.array([1.0, 0.0])
-    np.testing.assert_allclose(velocity(x, om, np.zeros(2)), [0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(one_velocity(x, om, np.zeros(2)), [0.0, 1.0], atol=1e-15)
     # aligned with the field and no rotation: equilibrium
     xf = np.array([0.0, 2.0])
-    np.testing.assert_allclose(velocity(np.array([0.0, 1.0]), None, xf), 0.0, atol=1e-15)
+    np.testing.assert_allclose(one_velocity(np.array([0.0, 1.0]), None, xf), 0.0, atol=1e-15)
 
 
 def test_velocity_hand_case_d1():
     om = SkewMatrix.from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-    out = velocity(np.array([1.0, 0.0]), om, np.array([0.0, 0.5]))
+    out = one_velocity(np.array([1.0, 0.0]), om, np.array([0.0, 0.5]))
     np.testing.assert_allclose(out, [0.0, 1.5], atol=1e-15)
 
 
@@ -104,7 +109,7 @@ def test_velocity_tangency_random():
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
         xf = rng.standard_normal(4)
-        assert abs(x @ velocity(x, om, xf)) <= 1e-12
+        assert abs(x @ one_velocity(x, om, xf)) <= 1e-12
 
 
 def test_step_is_fixed_point_without_forcing():
@@ -619,6 +624,21 @@ def test_a_stack_refuses_a_delayed_field():
     stack = np.stack([sample_uniform(2, 8, 1).points] * 4)
     with pytest.raises(ValueError, match="time-delay field steps a single population"):
         next(_run(stack, TimeDelayField(1.0, 5 * REF_DT), 0.1, REF_DT, 1))
+
+
+@pytest.mark.parametrize("field", [
+    WinfreeField(1.0, [0.0, 0.0, 1.0]),
+    PrescribedField(lambda t: np.array([0.0, 0.0, 1.0])),
+    ReplayField([0.0, 1.0], np.tile([0.0, 0.0, 1.0], (2, 1))),
+], ids=["winfree", "prescribed", "replay"])
+def test_a_stack_refuses_a_field_that_does_not_read_the_mean(monkeypatch, field):
+    calls = []
+    monkeypatch.setattr(field, "evaluate", lambda *args: calls.append(args))
+    stack = np.stack([sample_uniform(2, 8, seed).points for seed in (1, 2)])
+    name = type(field).__name__
+    with pytest.raises(ValueError, match=f"field that reads the population mean, not {name}"):
+        next(_run(stack, field, 0.02, 0.01, 1))
+    assert calls == []  # refused before the first evaluation
 
 
 def test_the_loop_keeps_steps_state_when_its_time_is_on_the_grid(monkeypatch):

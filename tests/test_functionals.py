@@ -13,7 +13,6 @@ from swarmsphere import (
     PrescribedField,
     SkewMatrix,
     Trajectory,
-    UniformSphereSampler,
     VmfSampler,
     conservation_drift,
     conservation_drifts,
@@ -23,7 +22,6 @@ from swarmsphere import (
     estimate_cycle_moment,
     estimate_cycle_moments,
     existence_check,
-    mixture_functional,
     reduced_pair_integral,
     renormalize,
     rng_stream,
@@ -32,6 +30,10 @@ from swarmsphere import (
 )
 from swarmsphere import functionals
 from swarmsphere.functionals import _cycle_ratios_batch, _draw_cycles, _drift_report
+
+
+# the uniform density on S^2, as the CLI builds its ``uniform`` sampler
+UNIFORM = VmfSampler(np.array([0.0, 0.0, 1.0]), 0.0)
 
 
 def circle_point(theta):
@@ -92,7 +94,7 @@ def test_cycle_ratio_validation():
 
 
 def test_estimate_zero_exponent_is_exactly_one():
-    for source in (UniformSphereSampler(2), sample_uniform(2, 50, 11)):
+    for source in (UNIFORM, sample_uniform(2, 50, 11)):
         est = estimate_cycle_moment(source, 0.0, 2, 500, seed=3)
         assert est.value == 1.0
         assert est.std_error == 0.0
@@ -100,14 +102,14 @@ def test_estimate_zero_exponent_is_exactly_one():
 
 
 def test_estimate_exponent_symmetry_within_errors():
-    src = UniformSphereSampler(2)
+    src = UNIFORM
     a = estimate_cycle_moment(src, 0.3, 2, 200_000, seed=17)
     b = estimate_cycle_moment(src, -0.3, 2, 200_000, seed=18)
     assert abs(a.value - b.value) <= 3.0 * (a.std_error + b.std_error)
 
 
 def test_estimate_two_seed_consistency_large_m():
-    src = UniformSphereSampler(2)
+    src = UNIFORM
     a = estimate_cycle_moment(src, 0.25, 2, 10**6, seed=100)
     b = estimate_cycle_moment(src, 0.25, 2, 10**6, seed=200)
     assert abs(a.value - b.value) <= 3.0 * (a.std_error + b.std_error)
@@ -119,7 +121,7 @@ def use_cpus(monkeypatch, count):
 
 
 def test_estimate_deterministic_and_thread_invariant(monkeypatch):
-    src = UniformSphereSampler(2)
+    src = UNIFORM
     use_cpus(monkeypatch, 1)
     base = estimate_cycle_moment(src, 0.3, 2, 50_000, seed=7)
     again = estimate_cycle_moment(src, 0.3, 2, 50_000, seed=7)
@@ -155,12 +157,12 @@ def test_worker_count_is_the_cpu_set_capped_by_the_blocks(monkeypatch, cpus, m, 
 
     monkeypatch.setattr(functionals, "ThreadPoolExecutor", pool)
     use_cpus(monkeypatch, cpus)
-    estimate_cycle_moment(UniformSphereSampler(2), 0.3, 2, m, seed=1)  # blocks of 2**14
+    estimate_cycle_moment(UNIFORM, 0.3, 2, m, seed=1)  # blocks of 2**14
     assert seen == ([] if workers is None else [workers])
 
 
 def test_estimate_reports_median_of_means_for_heavy_tails():
-    src = UniformSphereSampler(2)
+    src = UNIFORM
     heavy = estimate_cycle_moment(src, 0.6, 2, 4096, seed=5)
     light = estimate_cycle_moment(src, 0.1, 2, 4096, seed=5)
     assert heavy.median_of_means is not None
@@ -182,7 +184,7 @@ def test_estimate_ensemble_source_rejects_tiny_and_bad_k():
     with pytest.raises(ValueError, match="small"):
         estimate_cycle_moment(ens, 0.3, 2, 10, seed=1)
     with pytest.raises(ValueError, match="half-length"):
-        estimate_cycle_moment(UniformSphereSampler(2), 0.3, 1, 10, seed=1)
+        estimate_cycle_moment(UNIFORM, 0.3, 1, 10, seed=1)
 
 
 def test_estimate_ensemble_two_points_works():
@@ -206,7 +208,7 @@ def _repeated_rows_ensemble():
 # None: one CPU, so one worker; 2: two CPUs, so the two blocks run on two workers
 @pytest.mark.parametrize("cpus", [None, 2])
 @pytest.mark.parametrize("source, k", [
-    (UniformSphereSampler(2), 2),
+    (UNIFORM, 2),
     (VmfSampler(np.array([0.0, 0.0, 1.0]), 2.0), 3),
     (_repeated_rows_ensemble(), 2),
 ])
@@ -249,7 +251,7 @@ def test_draw_cycles_returns_nondegenerate_cycles_and_their_ratios(data, n, k, c
 
 
 def test_draw_cycles_from_a_sampler_returns_no_index_cycles():
-    cycles, ratios, rejected = _draw_cycles(rng_stream(3), UniformSphereSampler(2), 50, 3, 0)
+    cycles, ratios, rejected = _draw_cycles(rng_stream(3), UNIFORM, 50, 3, 0)
     assert cycles is None and ratios.shape == (50,) and rejected == 0
 
 
@@ -271,20 +273,6 @@ def test_spent_rejection_budget_names_its_source(source, cause):
         estimate_cycle_moments(source, [0.3], 2, 10, seed=1)
 
 
-def test_mixture_functional_is_fsum_of_single_p_estimates():
-    src = VmfSampler(np.array([0.0, 1.0, 0.0]), 1.0)
-    weights = [(0.2, 0.5), (-0.2, 1.5), (0.0, -1.0)]
-    total = mixture_functional(src, weights, 2, 5000, seed=4)
-    assert total == math.fsum(wt * estimate_cycle_moment(src, p, 2, 5000, seed=4).value
-                              for p, wt in weights)
-
-
-def test_mixture_functional_thin_wrapper():
-    src = UniformSphereSampler(2)
-    total = mixture_functional(src, [(0.0, 2.0), (0.1, 0.0)], 2, 1000, seed=4)
-    assert total == pytest.approx(2.0)
-
-
 def test_existence_check_boundary_cases():
     assert existence_check(0.5, 1) is False
     assert existence_check(0.49, 1) is True
@@ -292,6 +280,20 @@ def test_existence_check_boundary_cases():
     assert existence_check(-1.0, 2) is False
     with pytest.raises(ValueError):
         existence_check(0.1, 0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_existence_and_divergence_reject_a_non_finite_exponent(p):
+    with pytest.raises(ValueError, match="p must be finite"):
+        existence_check(p, 2)
+    with pytest.raises(ValueError, match="p must be finite"):
+        divergence_probe(p, 2)
+
+
+@pytest.mark.parametrize("concentration", [-1.0, math.nan, math.inf])
+def test_vmf_sampler_rejects_a_negative_or_non_finite_concentration(concentration):
+    with pytest.raises(ValueError, match="concentration must be nonnegative and finite"):
+        VmfSampler(np.array([0.0, 0.0, 1.0]), concentration)
 
 
 def test_reduced_pair_integral_total_measure_anchor():

@@ -223,6 +223,13 @@ def test_sample_vmf_deterministic_and_validated():
         sample_vmf(mu, -1.0, 10, 0)
 
 
+@pytest.mark.parametrize("concentration", [math.nan, math.inf])
+def test_sample_vmf_rejects_a_non_finite_concentration(concentration):
+    # a NaN concentration never accepts a draw, an infinite one fails in log
+    with pytest.raises(ValueError, match="concentration must be nonnegative and finite"):
+        sample_vmf(np.array([0.0, 1.0]), concentration, 10, 0)
+
+
 def test_skew_matrix_exact_antisymmetry():
     om = SkewMatrix.random(3, 17, 2.0)
     assert np.max(np.abs(om.matrix + om.matrix.T)) == 0.0

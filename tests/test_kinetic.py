@@ -25,7 +25,7 @@ from swarmsphere import (
 )
 from swarmsphere.dynamics import Trajectory, _run
 from swarmsphere.functionals import _draw_cycles
-from swarmsphere.kinetic import _RECORD_EVERY, _series_with_instability
+from swarmsphere.kinetic import _RECORD_EVERY, _mixed_tuple_values, _series_with_instability
 
 
 def consensus(d, n):
@@ -165,6 +165,22 @@ def test_instability_experiment_small_scale():
     assert rep.R_end_perturbed >= 0.99
     assert rep.mixed_tuple_max >= 1e3
     assert rep.control_max_drift <= 1e-6
+
+
+def test_mixed_tuple_values_are_the_unguarded_chord_quotients():
+    a, b, c = np.eye(3)
+    near = renormalize(a + 1e-9 * b)  # a squared chord of about 1e-18: no guard
+    points = np.array([a, b, c, -a, near, a])
+    tuples = np.array([[0, 1, 2, 3],    # distinct points
+                       [0, 4, 1, 2],    # a chord below the functionals' tolerance
+                       [1, 0, 5, 2],    # x2 = x3: zero denominator
+                       [0, 5, 5, 1]])   # x1 = x2 = x3: 0/0
+    vals = _mixed_tuple_values(points, tuples)
+    for (i, j, k, l), got in zip(tuples[:2], vals[:2]):
+        chord = [float((points[u] - points[v]) @ (points[u] - points[v]))
+                 for u, v in ((i, j), (j, k), (k, l), (l, i))]
+        assert got.tobytes() == np.float64(chord[0] * chord[2] / (chord[1] * chord[3])).tobytes()
+    assert 0.0 < vals[1] < math.inf and vals[2] == math.inf and vals[3] == math.inf
 
 
 def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):

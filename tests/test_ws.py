@@ -19,7 +19,6 @@ from swarmsphere import (
     conjugacy_residual,
     cross_ratio,
     heterogeneous_push_forward,
-    mobius,
     push_forward,
     renormalize,
     rng_stream,
@@ -32,6 +31,13 @@ from swarmsphere import (
 from swarmsphere import ws as ws_module
 from swarmsphere.dynamics import _rk4
 from swarmsphere.geometry import reorthonormalize
+from swarmsphere.ws import _apply_map
+
+
+def map_point(w, x):
+    """The reduction map with ball vector w and R = I at one point, as
+    ``_apply_map`` runs it on a one-row array."""
+    return _apply_map(w, np.eye(w.size), x[None])[0]
 
 
 def random_ball_vector(rng, dim, rmax=0.95):
@@ -151,13 +157,13 @@ def test_ws_evolve_rejects_short_replay():
 
 def test_mobius_identity_at_zero():
     x = renormalize(np.array([0.3, -0.5, 0.2]))
-    np.testing.assert_array_equal(mobius(np.zeros(3), x), x)
+    np.testing.assert_array_equal(map_point(np.zeros(3), x), x)
 
 
 def test_mobius_hand_case():
     w = np.array([0.5, 0.0, 0.0])
     e1 = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(mobius(w, e1), e1, atol=1e-15)
+    np.testing.assert_allclose(map_point(w, e1), e1, atol=1e-15)
 
 
 def test_mobius_inverse_and_sphere_preservation():
@@ -165,9 +171,9 @@ def test_mobius_inverse_and_sphere_preservation():
     for _ in range(300):
         w = random_ball_vector(rng, 3, rmax=0.99)
         x = renormalize(rng.standard_normal(3))
-        y = mobius(w, x)
+        y = map_point(w, x)
         assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
-        back = mobius(-w, y)
+        back = map_point(-w, y)
         assert np.linalg.norm(back - x) <= 1e-10
 
 
@@ -175,7 +181,7 @@ def test_mobius_pole_error():
     # the pole needs |w| within 1e-7 of the boundary: |x + w| = 1 - |w| at x = -w/|w|
     w = (1.0 - 1e-8) * np.array([1.0, 0.0])
     with pytest.raises(MobiusPoleError):
-        mobius(w, np.array([-1.0, 0.0]))
+        map_point(w, np.array([-1.0, 0.0]))
 
 
 def test_mobius_preserves_cross_ratio():
@@ -184,7 +190,7 @@ def test_mobius_preserves_cross_ratio():
         w = random_ball_vector(rng, 3, rmax=0.9)
         pts = [renormalize(rng.standard_normal(3)) for _ in range(4)]
         before = cross_ratio(*pts)
-        after = cross_ratio(*(mobius(w, p) for p in pts))
+        after = cross_ratio(*_apply_map(w, np.eye(3), np.array(pts)))
         assert abs(after - before) <= 1e-10 * max(1.0, before)
 
 
@@ -579,7 +585,7 @@ def test_mobius_inverse_returns_every_point(d, seed):
     rng = rng_stream(seed)
     w = random_ball_vector(rng, d + 1, rmax=0.9)
     x = renormalize(rng.standard_normal(d + 1))
-    assert np.linalg.norm(mobius(-w, mobius(w, x)) - x) <= 1e-12
+    assert np.linalg.norm(map_point(-w, map_point(w, x)) - x) <= 1e-12
 
 
 @settings(deadline=None, max_examples=60)
