@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .geometry import Ensemble, _uniform_rows, _vmf_rows, renormalize, rng_stream, sphere_surface
+from .geometry import (Ensemble, _component_dot, _uniform_rows, _vmf_rows, renormalize, rng_stream,
+                       sphere_surface)
 
 __all__ = [
     "DivergenceReport",
@@ -45,7 +46,8 @@ __all__ = [
 
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
-# _drift_report: cycle ratios held at once, a block of snapshots (512 kB)
+# _snapshot_cycle_ratios: floats a block of snapshots gathers at once, its
+# points component-major and its chord endpoints (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
 
 
@@ -93,6 +95,42 @@ def _cycle_ratios_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = ch2[:, 0::2].prod(axis=1) / ch2[:, 1::2].prod(axis=1)
     return vals, (ch2 <= _CHORD_TOL).any(axis=1)
+
+
+def _snapshot_cycle_ratios(snapshots, tuples: np.ndarray):
+    """``_cycle_ratios_batch(points[tuples])`` for fixed index tuples (m, 2k)
+    at every points array (n, d+1) of ``snapshots``, a block of snapshots at
+    a time: yields the block's first index, its ratios (b, m), each
+    snapshot's row with the bits of its own batch, and whether each of its
+    snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
+
+    A block's points are stacked component-major, (b, d+1, n), and the two
+    endpoints of every chord taken from them, position-major, (b, d+1, 2,
+    2k m).  So all the block's work is whole-row operations: the squared
+    chords are summed in einsum's order (``_component_dot``), and the
+    numerator and denominator are multiplied position after position, the
+    order of numpy's product over a row.
+    """
+    m, width = tuples.shape
+    ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
+    n, dim = snapshots[0].shape
+    rows = max(1, _DRIFT_BLOCK_FLOATS // (dim * (n + ends.size)))
+    for b0 in range(0, len(snapshots), rows):
+        cols = np.stack([pts.T for pts in snapshots[b0:b0 + rows]])
+        chords = np.take(cols, ends, axis=-1)
+        diffs = chords[..., 0, :]
+        np.subtract(diffs, chords[..., 1, :], out=diffs)
+        ch2 = _component_dot(diffs, diffs)
+        bad = (ch2 <= _CHORD_TOL).any(axis=1)
+        ch2 = ch2.reshape(-1, width, m)
+        num = ch2[:, 0] * ch2[:, 2]
+        den = ch2[:, 1] * ch2[:, 3]
+        for j in range(4, width, 2):
+            num *= ch2[:, j]
+            den *= ch2[:, j + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num /= den
+        yield b0, num, bad
 
 
 class VmfSampler:
@@ -406,20 +444,15 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
 def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[DriftReport]:
     """Drift of the cycle ratios of fixed index tuples over every snapshot,
     one report per p.  The ratios are formed for a block of snapshots at a
-    time, so the working set does not grow with the trajectory; each
-    snapshot's values are those of a single all-snapshot array."""
-    n = len(traj.states)
-    rows = max(1, _DRIFT_BLOCK_FLOATS // tuples.shape[0])
-    buf = np.empty((min(rows, n), tuples.shape[0]))
-    all_estimates = np.empty((len(ps), n))
+    time (``_snapshot_cycle_ratios``), so the working set does not grow with
+    the trajectory; each snapshot's values are those of a single
+    all-snapshot array."""
+    all_estimates = np.empty((len(ps), len(traj.states)))
     per_tuple = 0.0
-    for b0 in range(0, n, rows):
-        ratios = buf[:min(rows, n - b0)]
-        for i, st in enumerate(traj.states[b0:b0 + ratios.shape[0]]):
-            vals, bad = _cycle_ratios_batch(st.points[tuples])
-            if bad.any():
-                raise ValueError("tuple became degenerate along the trajectory")
-            ratios[i] = vals
+    for b0, ratios, bad in _snapshot_cycle_ratios([st.points for st in traj.states], tuples):
+        if bad.any():
+            t = traj.times[b0 + int(np.argmax(bad))]
+            raise ValueError(f"tuple became degenerate along the trajectory at t = {t}")
         if b0 == 0:
             ratios0 = ratios[0].copy()
         # the per-tuple drift does not depend on p

@@ -296,10 +296,6 @@ class SkewMatrix:
             self._full = m
         return self._full
 
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Matrix action on a point (d+1,) or a stack of points (n, d+1)."""
-        return np.asarray(points, dtype=float) @ self.matrix.T
-
     @classmethod
     def zero(cls, d: int) -> "SkewMatrix":
         return cls(d + 1, np.zeros((d + 1) * d // 2))
@@ -465,6 +461,8 @@ def _vmf_rows(rng: np.random.Generator, mu: np.ndarray, concentration: float, n:
     kappa = float(concentration)
     b = dm / (math.sqrt(4.0 * kappa * kappa + dm * dm) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
+    if x0 * x0 >= 1.0:  # the envelope constant below would take log(0)
+        raise ValueError(f"vMF concentration {kappa!r} is too large to sample at d = {dm}")
     c = kappa * x0 + dm * math.log(1.0 - x0 * x0)
     ws = np.empty(n)
     have = 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DrivingField, MeanField, Trajectory, _run, _step_count, simulate
-from .functionals import (DriftReport, _cycle_ratios_batch, _draw_cycles, _drift_report,
+from .functionals import (DriftReport, _draw_cycles, _drift_report, _snapshot_cycle_ratios,
                           conservation_drift)
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
 
@@ -169,10 +169,11 @@ def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tupl
     return pairs
 
 
-def _mixed_tuple_values(points: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    """Cross ratios of index tuples without the degeneracy guard; an exactly
-    zero denominator, 0/0 included, gives inf."""
-    vals, _ = _cycle_ratios_batch(points[tuples])
+def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:
+    """Cross ratios of index tuples (m, 4) at every points array of
+    ``snapshots``, shape (len(snapshots), m), without the degeneracy guard;
+    an exactly zero denominator, 0/0 included, gives inf."""
+    vals = np.concatenate([v for _, v, _ in _snapshot_cycle_ratios(snapshots, tuples)])
     vals[np.isnan(vals)] = np.inf
     return vals
 
@@ -308,13 +309,9 @@ class _Branches:
                 break
         unbounded = False
         if mixed_tuples.shape[0]:
-            mixed_max = 0.0
-            for st in traj.states:
-                vals = _mixed_tuple_values(st.points, mixed_tuples)
-                unbounded |= bool(np.any(np.isinf(vals)))
-                finite = vals[np.isfinite(vals)]
-                if finite.size:
-                    mixed_max = max(mixed_max, float(np.max(finite)))
+            vals = _mixed_tuple_values([st.points for st in traj.states], mixed_tuples)
+            unbounded = bool(np.any(np.isinf(vals)))
+            mixed_max = float(vals[np.isfinite(vals)].max(initial=0.0))
 
         # control: a smooth-density run where fixed tuples must hold steady
         control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)

@@ -234,6 +234,17 @@ def test_aborted_run_leaves_partial_manifest(tmp_path):
     assert "aborted" in manifest
 
 
+def test_vmf_sampler_too_concentrated_to_sample_aborts_naming_it(tmp_path):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "functional", "d": 2, "N": 8, "t_end": 0.01, "dt": 1e-3, "p_list": [0.3],
+        "m": 100, "seed": 4, "sampler": {"kind": "vmf", "concentration": 1e16},
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "concentration 1e+16 is too large to sample at d = 2" in manifest["aborted"]
+
+
 def test_blow_up_aborts_naming_non_finite_state(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "simulate", "d": 2, "N": 8, "t_end": 0.05, "dt": 1e-2, "seed": 1,

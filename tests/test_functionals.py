@@ -438,19 +438,87 @@ def _reference_drift(traj, tuples, p):
     return estimates, per_tuple
 
 
-@pytest.mark.parametrize("block_floats", [1, 7 * 60, 1 << 16])
+# the floats one snapshot of the drift test below gathers: its 24 points and
+# both endpoints of the 60 * 6 chords, 3 components each
+_SNAPSHOT_FLOATS = 3 * (24 + 2 * 60 * 6)
+
+
+@pytest.mark.parametrize("block_floats", [1, 7 * _SNAPSHOT_FLOATS, 1 << 16])
 def test_drift_report_blocks_match_one_array_bitwise(monkeypatch, block_floats):
-    # one snapshot per block, blocks that leave a short last one, and one block
+    # one snapshot per block, blocks of 7 that leave a short last one of 5,
+    # and one block of all 26 snapshots
     monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
     om = SkewMatrix.random(2, 31, 1.0)
     ens = sample_uniform(2, 24, 43).with_omega(om)
     traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
+    assert len(traj.states) == 26 and 26 * _SNAPSHOT_FLOATS <= 1 << 16
     tuples = _draw_cycles(rng_stream(8, stream=0), ens.points, 60, 3, 6000)[0]
     ps = [0.0, 0.4, -1.1]
     for p, rep in zip(ps, _drift_report(traj, tuples, ps, 3)):
         estimates, per_tuple = _reference_drift(traj, tuples, p)
         assert rep.estimates.tobytes() == estimates.tobytes()
         assert rep.per_tuple_max_drift.hex() == per_tuple.hex()
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("block_floats", [1, 1 << 16])
+def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, k, block_floats):
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
+    snapshots = [sample_uniform(d, 30, 100 * d + s).points for s in range(9)]
+    tuples = _draw_cycles(rng_stream(k), snapshots[0], 40, k, 10**4)[0]
+    tuples[0, 1] = tuples[0, 0]  # a zero chord: masked, its ratio 0 or NaN
+    tuples[1, 2] = tuples[1, 1]  # a zero denominator chord
+    blocks = list(functionals._snapshot_cycle_ratios(snapshots, tuples))
+    assert [b0 for b0, _, _ in blocks] == list(range(0, 9, blocks[0][1].shape[0]))
+    ratios = np.concatenate([vals for _, vals, _ in blocks])
+    bad = np.concatenate([mask for _, _, mask in blocks])
+    assert bad.all()
+    for pts, got in zip(snapshots, ratios):
+        vals, mask = _cycle_ratios_batch(pts[tuples])
+        assert got.tobytes() == vals.tobytes()
+        assert mask[:2].all() and not mask[2:].any()
+    # without the zero chords no snapshot is flagged
+    clean = np.concatenate([mask for _, _, mask in
+                            functionals._snapshot_cycle_ratios(snapshots, tuples[2:])])
+    assert clean.shape == (9,) and not clean.any()
+
+
+def _collapsing_trajectory(collapse_at):
+    """Four points turning rigidly about the last axis, except that point 1
+    sits on point 0 from snapshot ``collapse_at`` on."""
+    times, states = [], []
+    for s in range(40):
+        c, sn = math.cos(0.05 * s), math.sin(0.05 * s)
+        pts = np.array([[c, sn, 0.0], [-sn, c, 0.0], [-c, -sn, 0.0], [0.0, 0.0, 1.0]])
+        if s >= collapse_at:
+            pts[1] = pts[0]
+        times.append(0.25 * s)
+        states.append(Ensemble(pts, time=0.25 * s))
+    return Trajectory(np.array(times), tuple(states), np.zeros((40, 3)))
+
+
+def test_drift_report_names_the_first_degenerate_snapshot(monkeypatch):
+    # two snapshots per block, so the chord collapses inside block 11, not 0
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", 2 * 3 * (4 + 2 * 2 * 4))
+    traj = _collapsing_trajectory(23)
+    steady = np.array([[0, 2, 1, 3]])  # points 0 and 1 never adjacent
+    assert _drift_report(traj, steady, [0.3], 2)[0].estimates.size == 40
+    with pytest.raises(ValueError, match=r"^tuple became degenerate along the trajectory at t = 5\.75$"):
+        _drift_report(traj, np.vstack([steady, [0, 1, 2, 3]]), [0.3], 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 5), k=st.integers(2, 4), p=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_shifted_tuples_turn_the_estimates_at_p_into_those_at_minus_p(d, k, p, seed):
+    # a shift by one position swaps a cycle's numerator and denominator
+    # chords, so each ratio is inverted and C^p becomes C^-p
+    traj = simulate(sample_uniform(d, 12, seed), MeanField(1.0), 0.05, 1e-2)
+    tuples = _draw_cycles(rng_stream(seed, stream=0), traj.states[0].points, 20, k, 10**4)[0]
+    shifted = _drift_report(traj, np.roll(tuples, 1, axis=1), [p], k)[0].estimates
+    mirrored = _drift_report(traj, tuples, [-p], k)[0].estimates
+    np.testing.assert_allclose(shifted, mirrored, rtol=1e-12, atol=0.0)
 
 
 def test_conservation_drift_needs_two_snapshots():

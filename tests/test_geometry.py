@@ -230,6 +230,24 @@ def test_sample_vmf_rejects_a_non_finite_concentration(concentration):
         sample_vmf(np.array([0.0, 1.0]), concentration, 10, 0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_sample_vmf_names_a_concentration_too_large_to_sample(d):
+    # the envelope constant x0 = (1 - b) / (1 + b) rounds to 1 here
+    with pytest.raises(ValueError, match=rf"concentration 1e\+16 is too large to sample at d = {d}$"):
+        sample_vmf(np.eye(d + 1)[-1], 1e16, 4, 0)
+    assert sample_vmf(np.eye(6)[-1], 1e16, 4, 0).n == 4
+
+
+def test_sample_vmf_keeps_its_bits_just_below_the_largest_concentration():
+    # the values before the too-large concentration was named
+    got = sample_vmf(np.eye(3)[-1], 3e15, 4, 0).points
+    want = [["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+            ["-0x1.6836378d86771p-28", "-0x1.df46c2240a934p-27", "0x1.fffffffffffffp-1"],
+            ["0x1.f972ea870ceaap-27", "0x1.1ef18b1892a41p-25", "0x1.ffffffffffffap-1"],
+            ["-0x1.2fe7b91adcfd6p-28", "-0x1.1baf3bfebd813p-25", "0x1.ffffffffffffbp-1"]]
+    assert [[float(x).hex() for x in row] for row in got] == want
+
+
 def test_skew_matrix_exact_antisymmetry():
     om = SkewMatrix.random(3, 17, 2.0)
     assert np.max(np.abs(om.matrix + om.matrix.T)) == 0.0
@@ -240,12 +258,12 @@ def test_skew_action_is_tangent():
     om = SkewMatrix.random(2, 8, 1.5)
     for _ in range(100):
         x = renormalize(rng.standard_normal(3))
-        assert abs(x @ om.apply(x)) <= 1e-12
+        assert abs(x @ (x @ om.matrix.T)) <= 1e-12
 
 
 def test_skew_planar_generator():
     om = SkewMatrix.planar(2, 2.0, (0, 1))
-    np.testing.assert_allclose(om.apply(np.array([1.0, 0.0, 0.0])), [0.0, 2.0, 0.0])
+    np.testing.assert_allclose(np.array([1.0, 0.0, 0.0]) @ om.matrix.T, [0.0, 2.0, 0.0])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

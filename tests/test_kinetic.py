@@ -89,7 +89,7 @@ def test_dR2_analytic_free_rotation_term_cancels():
     ens = sample_uniform(2, 64, 7)
     om = SkewMatrix.random(2, 9, 2.0)
     x_c = exact_mean(ens.points)
-    assert abs(2.0 * float(om.apply(x_c) @ x_c)) <= 1e-12
+    assert abs(2.0 * float((x_c @ om.matrix.T) @ x_c)) <= 1e-12
     assert dR2_dt_analytic(ens) == dR2_dt_analytic(ens.with_omega(om))
 
 
@@ -175,12 +175,16 @@ def test_mixed_tuple_values_are_the_unguarded_chord_quotients():
                        [0, 4, 1, 2],    # a chord below the functionals' tolerance
                        [1, 0, 5, 2],    # x2 = x3: zero denominator
                        [0, 5, 5, 1]])   # x1 = x2 = x3: 0/0
-    vals = _mixed_tuple_values(points, tuples)
-    for (i, j, k, l), got in zip(tuples[:2], vals[:2]):
-        chord = [float((points[u] - points[v]) @ (points[u] - points[v]))
-                 for u, v in ((i, j), (j, k), (k, l), (l, i))]
-        assert got.tobytes() == np.float64(chord[0] * chord[2] / (chord[1] * chord[3])).tobytes()
-    assert 0.0 < vals[1] < math.inf and vals[2] == math.inf and vals[3] == math.inf
+    turned = points[:, [1, 2, 0]]  # a rotation that keeps the chords exact
+    snapshots = [points, turned]
+    values = _mixed_tuple_values(snapshots, tuples)
+    assert values.shape == (2, 4)
+    for pts, vals in zip(snapshots, values):
+        for (i, j, k, l), got in zip(tuples[:2], vals[:2]):
+            chord = [float((pts[u] - pts[v]) @ (pts[u] - pts[v]))
+                     for u, v in ((i, j), (j, k), (k, l), (l, i))]
+            assert got.tobytes() == np.float64(chord[0] * chord[2] / (chord[1] * chord[3])).tobytes()
+        assert 0.0 < vals[1] < math.inf and vals[2] == math.inf and vals[3] == math.inf
 
 
 def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
