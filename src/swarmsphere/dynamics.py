@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Ensemble, _component_dot, _renormalize_columns_in_place,
-                       _renormalize_rows_in_place, exact_mean, renormalize)
+from .geometry import Ensemble, _component_dot, _renormalize_columns_in_place, exact_mean, renormalize
 
 __all__ = [
     "DrivingField",
@@ -104,6 +103,14 @@ def _hermite_combine(s, h, v0, m0, v1, m1):
     return h00 * v0 + h10 * h * m0 + h01 * v1 + h11 * h * m1
 
 
+def _coupling(kappa) -> float:
+    """A field's coupling strength as a float, refused by name if not finite."""
+    kappa = float(kappa)
+    if not math.isfinite(kappa):
+        raise ValueError(f"coupling kappa must be finite, not {kappa!r}")
+    return kappa
+
+
 class DrivingField:
     """Common driving vector X for the population.
 
@@ -137,7 +144,7 @@ class MeanField(DrivingField):
     _reads_mean = True
 
     def __init__(self, kappa: float):
-        self.kappa = float(kappa)
+        self.kappa = _coupling(kappa)
 
     def evaluate(self, points, t):
         return self._at_state(points, t, exact_mean(points))
@@ -154,10 +161,12 @@ class FrustratedField(DrivingField):
     _reads_mean = True
 
     def __init__(self, kappa: float, frustration):
-        self.kappa = float(kappa)
+        self.kappa = _coupling(kappa)
         v = np.array(frustration, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("frustration must be a square matrix")
+        if not np.isfinite(v).all():
+            raise ValueError("frustration matrix entries must be finite")
         self.frustration = v
 
     def evaluate(self, points, t):
@@ -177,13 +186,15 @@ class WinfreeField(DrivingField):
     """
 
     def __init__(self, kappa: float, pole, influence=None):
-        self.kappa = float(kappa)
+        self.kappa = _coupling(kappa)
         self.pole = renormalize(pole)
         self.influence = influence
 
     def evaluate(self, points, t):
         if self.influence is None:
-            vals = 1.0 + points @ self.pole
+            # C-order rows: the product over a transposed view of stage
+            # columns runs another BLAS kernel, with other last bits
+            vals = 1.0 + np.ascontiguousarray(points) @ self.pole
         else:
             vals = np.asarray(self.influence(points), dtype=float)
         return self.kappa * exact_mean(vals[:, None])[0] * self.pole
@@ -269,7 +280,7 @@ class TimeDelayField(DrivingField):
         tau = float(tau)
         if not 0 < tau < math.inf:
             raise ValueError("delay must be positive and finite")
-        self.kappa = float(kappa)
+        self.kappa = _coupling(kappa)
         self.tau = tau
 
     def evaluate(self, points, t):
@@ -315,22 +326,19 @@ def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
     return x
 
 
-def _velocities(points: np.ndarray, groups, x_field: np.ndarray) -> np.ndarray:
-    """Velocities of an (..., n, d+1) stack of points under driving vectors
-    (..., d+1), one per member; a group's particles are given by an index
-    array or a slice."""
-    v = x_field[..., None, :] - np.einsum("...ij,...j->...i", points, x_field)[..., None] * points
+def _velocities(cols: np.ndarray, x_field: np.ndarray, groups=()) -> np.ndarray:
+    """Velocities of a component-major (..., d+1, n) stack of points under
+    driving vectors (..., d+1), one per member, as whole-row operations:
+    ``<x, X>`` is summed in einsum's order (``_component_dot``), so a point
+    gets the bits of the row-major expression.  A group's generator, if
+    any, moves the particles of its index array or slice."""
+    x_col = x_field[..., None]
+    v = _component_dot(cols, x_col)[..., None, :] * cols
+    v = np.subtract(x_col, v, out=v)
     for om, idx in groups:
         if om is not None:
-            v[..., idx, :] += points[..., idx, :] @ om.matrix.T
+            v[..., idx] += om.matrix @ cols[..., idx]
     return v
-
-
-def _column_velocities(cols: np.ndarray, x_field: np.ndarray) -> np.ndarray:
-    """``_velocities`` without free flow for a component-major (..., d+1, n)
-    stack, as whole-row operations with the bits of the row-major form."""
-    v = _component_dot(cols, x_field[..., None])[..., None, :] * cols
-    return np.subtract(x_field[..., None], v, out=v)
 
 
 def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.ndarray:
@@ -362,18 +370,20 @@ def _rk4(y: np.ndarray, rhs, t: float, dt: float, project=None, k1=None) -> np.n
     return proj(k2)
 
 
-def _advance(y: np.ndarray, t: float, x_at, dt: float, velocities, project, x1: np.ndarray
-             ) -> np.ndarray:
-    """One RK4 step from time t of particle states ``y`` whose velocities
-    under driving vectors x are ``velocities(y, x)`` and which ``project``
-    puts back on the sphere; the driving vectors of a stage are
-    ``x_at(stage, stage time)``, those of the first stage ``x1``.  A
-    non-finite update raises, naming the step time t + dt."""
+def _advance(cols: np.ndarray, t: float, field: DrivingField, dt: float, x1: np.ndarray,
+             groups=()) -> np.ndarray:
+    """One RK4 step from time t of a component-major (..., d+1, n) stack
+    of particle states whose first stage has the driving vectors ``x1``;
+    a later stage's come from ``field.evaluate`` at its (..., n, d+1)
+    transpose view and the stage time.  Each stage and the update are
+    renormalised.  A non-finite update raises, naming the step time
+    t + dt."""
 
     def rhs(stage, ts):
-        return velocities(stage, np.asarray(x_at(stage, ts), dtype=float))
+        x = field.evaluate(stage.swapaxes(-1, -2), ts)
+        return _velocities(stage, np.asarray(x, dtype=float), groups)
 
-    new = _rk4(y, rhs, t, dt, project, velocities(y, x1))
+    new = _rk4(cols, rhs, t, dt, _renormalize_columns_in_place, _velocities(cols, x1, groups))
     if not np.isfinite(new).all():
         raise ValueError(f"non-finite particle state at step time t = {t + dt}")
     return new
@@ -391,10 +401,8 @@ def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
     if not dt > 0:
         raise ValueError("dt must be positive")
     x1 = np.asarray(field.evaluate(ens.points, ens.time), dtype=float)
-    slices = ens._omega_slices()
-    new_pts = _advance(ens.points, ens.time, field.evaluate, dt,
-                       lambda pts, x: _velocities(pts, slices, x), _renormalize_rows_in_place, x1)
-    return ens._at(new_pts, ens.time + dt)
+    cols = _advance(ens.points.T.copy(), ens.time, field, dt, x1, ens._omega_slices())
+    return ens._at(cols.T.copy(), ens.time + dt)
 
 
 class _RunField(DrivingField):
@@ -421,10 +429,17 @@ class Trajectory:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         fields = np.asarray(self.field_samples, dtype=float)
-        if times.ndim != 1 or np.any(np.diff(times) <= 0):
-            raise ValueError("snapshot times must be strictly increasing")
-        if len(self.states) != times.size or fields.shape[0] != times.size:
+        if times.ndim != 1 or not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
+            raise ValueError("snapshot times must be finite and strictly increasing")
+        if len(self.states) != times.size or fields.shape[:1] != times.shape:
             raise ValueError("times, states and field samples must have equal length")
+        shapes = {st.points.shape for st in self.states}
+        if len(shapes) > 1:
+            raise ValueError(f"snapshot states must share one shape, not {sorted(shapes)}")
+        if shapes and fields.shape[1:] != shapes.pop()[1:]:
+            raise ValueError("field samples must be an (m, d+1) array matching the states")
+        if not np.isfinite(fields).all():
+            raise ValueError("field samples must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "field_samples", fields)
@@ -467,12 +482,10 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
 
     The states of a single population are Ensembles: ``step``'s result,
     restamped where its time ``t + dt`` is not the grid's.  A stack is kept
-    component-major, (..., d+1, n), so that its velocities and row
-    renormalisation are whole-row operations and ``exact_mean`` reads its
-    columns without a transpose copy; its states are the (..., n, d+1)
-    transpose views.  The row sums ``<x, X>`` and ``|x|^2`` are summed in
-    numpy einsum's order (``_component_dot``), so each member gets the bits
-    it gets on its own, for any d.
+    component-major, (..., d+1, n), the layout ``_advance`` steps, so that
+    ``exact_mean`` reads its columns without a transpose copy; its states
+    are the (..., n, d+1) transpose views.  Each member gets the bits it
+    gets on its own, for any d.
     """
     steps = _step_count(t_end, dt, record_every)
     single = isinstance(start, Ensemble)
@@ -487,9 +500,6 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
     else:
         cols, t0 = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy(), 0.0
         state = points = np.swapaxes(cols, -1, -2)
-
-        def stage_x(stage_cols, ts):
-            return field.evaluate(np.swapaxes(stage_cols, -1, -2), ts)
     means = []
     x_at = field._in_run(means, dt, t0) if delayed else field.evaluate
     run_field = _RunField(x_at)
@@ -503,9 +513,8 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
                     state = start._at(state.points, t0 + s * dt)
                 points = state.points
             else:
-                cols = _advance(cols, t, stage_x, dt, _column_velocities,
-                                _renormalize_columns_in_place, x)
-                state = points = np.swapaxes(cols, -1, -2)
+                cols = _advance(cols, t, field, dt, x)
+                state = points = cols.swapaxes(-1, -2)
             t = t0 + s * dt
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:

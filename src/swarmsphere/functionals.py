@@ -55,18 +55,10 @@ class DivergentIntegralError(ValueError):
     """Raised when the requested singular integral does not exist."""
 
 
-def _chord_sq(a, b) -> float:
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(diff @ diff)
-
-
 def cross_ratio(x1, x2, x3, x4) -> float:
-    """Cross ratio of four sphere points (squared-chord convention)."""
-    d23 = _chord_sq(x2, x3)
-    d41 = _chord_sq(x4, x1)
-    if d23 <= _CHORD_TOL or d41 <= _CHORD_TOL:
-        raise ValueError("coincident denominator pair in cross ratio")
-    return _chord_sq(x1, x2) * _chord_sq(x3, x4) / (d23 * d41)
+    """Cross ratio of four sphere points (squared-chord convention): the
+    ``cycle_ratio`` of the 4-cycle, with its bits."""
+    return cycle_ratio([x1, x2, x3, x4])
 
 
 def cycle_ratio(points) -> float:
@@ -328,22 +320,21 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
     b = d - 1.0
 
     def integrand(theta: float) -> float:
-        return 2.0 ** a * math.sin(0.5 * theta) ** a * math.cos(0.5 * theta) ** b
+        try:
+            return 2.0 ** a * math.sin(0.5 * theta) ** a * math.cos(0.5 * theta) ** b
+        except OverflowError:  # a power beyond the float range: the integral is infinite
+            return math.inf
 
+    # steer the subdivision into the steep layer above a cutoff; the plain
+    # adaptive pass can overlook it entirely for small cutoffs
+    breaks = sorted({x for x in (10 * cutoff, 1e3 * cutoff, 1e-2, 1e-1)
+                     if cutoff < x < math.pi}) if cutoff > 0.0 else []
     with warnings.catch_warnings():
         # the returned error estimate is validated below, which is stricter
         # than QUADPACK's convergence chatter
         warnings.simplefilter("ignore", IntegrationWarning)
-        if cutoff > 0.0:
-            # steer the subdivision into the steep layer above the cutoff; the
-            # plain adaptive pass can overlook it entirely for small cutoffs
-            breaks = sorted({x for x in (10 * cutoff, 1e3 * cutoff, 1e-2, 1e-1)
-                             if cutoff < x < math.pi})
-            val, err = quad(integrand, cutoff, math.pi, epsabs=1e-12, epsrel=1e-10,
-                            limit=2000, points=breaks or None)
-        else:
-            val, err = quad(integrand, cutoff, math.pi, epsabs=1e-12, epsrel=1e-10,
-                            limit=2000)
+        val, err = quad(integrand, cutoff, math.pi, epsabs=1e-12, epsrel=1e-10,
+                        limit=2000, points=breaks or None)
     if math.isfinite(val) and not err <= max(1e-8 * abs(val), 1e-9):
         raise RuntimeError("quadrature failed to reach the requested tolerance")
     return sphere_surface(d - 1) * val

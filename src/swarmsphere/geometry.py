@@ -54,49 +54,44 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 def renormalize(y) -> np.ndarray:
     """Scale a vector back onto the unit sphere."""
     y = np.asarray(y, dtype=float)
-    n = math.sqrt(float(y @ y))
+    if not np.isfinite(y).all():
+        raise ValueError("cannot renormalize a vector with a non-finite entry")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        n = math.sqrt(float(y @ y))
     if n <= _DEGENERATE_NORM:
         raise ValueError("degenerate point: cannot renormalize a near-zero vector")
+    if n == math.inf:
+        raise ValueError("cannot renormalize a vector whose squared norm overflows")
     return y / n
 
 
 def renormalize_rows(points: np.ndarray) -> np.ndarray:
-    """Row-wise renormalization of an (n, d+1) array, or of a stack of them."""
-    return _renormalize_rows_in_place(np.array(points, dtype=float))
-
-
-def _renormalize_rows_in_place(points: np.ndarray) -> np.ndarray:
-    """``renormalize_rows`` that divides the caller's float array in place.
+    """Row-wise renormalization of an (n, d+1) array, or of a stack of them.
 
     A row whose squared norm overflows has no finite norm to divide by; it
     comes out as NaN, like a row holding NaN, so every finite row returned
     has unit norm.
     """
-    norms = np.einsum("...ij,...ij->...i", points, points)
-    return _divide_by_norms(points, norms, norms[..., None])
+    points = np.array(points, dtype=float)
+    with np.errstate(over="ignore"):
+        _renormalize_columns_in_place(np.swapaxes(points, -1, -2))
+    return points
 
 
 def _renormalize_columns_in_place(cols: np.ndarray) -> np.ndarray:
-    """``_renormalize_rows_in_place`` for a component-major (..., d+1, n)
-    stack, whose columns are the points: the squared norms are summed in
-    einsum's order (``_component_dot``), so every point gets the bits it
-    gets as a row."""
+    """Renormalise in place the columns of a component-major (..., d+1, n)
+    float stack, which are the points.  The squared norms are summed in
+    einsum's order (``_component_dot``), so every point gets the bits of
+    renormalising it as a row, and an overflowing one comes out as NaN."""
     norms = _component_dot(cols, cols)
-    return _divide_by_norms(cols, norms, norms[..., None, :])
-
-
-def _divide_by_norms(points: np.ndarray, norms: np.ndarray, divisor: np.ndarray) -> np.ndarray:
-    """Divide ``points`` in place by the square roots of their squared norms
-    ``norms``, a fresh array of which ``divisor`` is the view that
-    broadcasts against the points."""
     np.sqrt(norms, out=norms)
-    # fmin and fmax skip NaN rows, which stay NaN
+    # fmin and fmax skip NaN points, which stay NaN
     if np.fmin.reduce(norms, axis=None, initial=math.inf) <= _DEGENERATE_NORM:
         raise ValueError("degenerate point: cannot renormalize a near-zero vector")
     if np.fmax.reduce(norms, axis=None, initial=0.0) == math.inf:
         norms[norms == math.inf] = math.nan
-    points /= divisor
-    return points
+    cols /= norms[..., None, :]
+    return cols
 
 
 @functools.cache
@@ -110,7 +105,7 @@ def _einsum_lanes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     last vector first, and the terms after the last block two at a time;
     the two lanes are added at the end.  ``test_component_dot_is_einsum``
     checks this against numpy for m up to 20, so a numpy that sums in
-    another order fails there instead of changing the bits of a stack.
+    another order fails there instead of changing the bits of a particle step.
     """
     blocks = m // 8 * 8
     lanes: tuple[list, list] = ([], [])

@@ -337,8 +337,9 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
         pushed = _apply_map(np.array([st.w for st in near]),
                             np.array([st.rotation for st in near]), points)
         fd = (pushed[2:] - pushed[:-2]) / (2.0 * dt)
-        v = _velocities(pushed[1:-1], groups, field._at_times(times[b0:b1]))
-        worst.append(np.max(np.linalg.norm(fd - v, axis=-1)))
+        v = _velocities(pushed[1:-1].swapaxes(-1, -2), field._at_times(times[b0:b1]), groups)
+        fd -= v.swapaxes(-1, -2)
+        worst.append(np.max(np.linalg.norm(fd, axis=-1)))
     return float(np.max(worst))
 
 

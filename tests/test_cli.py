@@ -187,6 +187,15 @@ def test_out_of_range_exponent_warns_but_runs(tmp_path, capsys):
     assert records[0]["existence_flag"] is False
 
 
+def test_existence_run_classifies_a_large_exponent_as_power_divergent(tmp_path):
+    # the integrand's power overflows near the cutoff at p = 60, d = 1
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "existence", "d": 1, "seed": 0, "p_list": [0.25, 60]})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    probes = json.loads((tmp_path / "o" / "probes.json").read_text())
+    assert [pr["classification"] for pr in probes] == ["convergent", "power-divergent"]
+
+
 def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
     from swarmsphere import VmfSampler, estimate_cycle_moment
 

@@ -11,6 +11,7 @@ from swarmsphere import (
     ReplayField,
     SkewMatrix,
     TimeDelayField,
+    Trajectory,
     WinfreeField,
     collision_residual,
     dR2_dt_analytic,
@@ -83,8 +84,38 @@ def test_frustrated_field_applies_matrix_to_mean():
 
 def one_velocity(x, om, xf):
     """``_velocities`` of one particle under generator ``om`` and driving
-    vector ``xf``: a one-row stack, the row in one group slice."""
-    return _velocities(x[None], ((om, slice(0, 1)),), xf)[0]
+    vector ``xf``: a one-column stack, the column in one group slice."""
+    return _velocities(x[:, None], xf, ((om, slice(0, 1)),))[:, 0]
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_column_velocities_have_the_bits_of_the_row_form(d, stack):
+    # the component sum is einsum's and the free flow om.matrix @ cols is
+    # BLAS's pts @ om.matrix.T: both must keep the row-major bits
+    rng = rng_stream(d)
+    n = 40
+    pts = rng.standard_normal(stack + (n, d + 1))
+    x = rng.standard_normal(stack + (d + 1,))
+    slice_om, index_om = SkewMatrix.random(d, 1, 1.0), SkewMatrix.random(d, 2, 0.7)
+    groups = ((None, np.array([0, 3, 4])), (index_om, np.array([1, 2, 5, 6, 9, 30, 33])),
+              (slice_om, slice(10, 30)))
+    want = x[..., None, :] - np.einsum("...ij,...j->...i", pts, x)[..., None] * pts
+    for om, idx in groups[1:]:
+        want[..., idx, :] += pts[..., idx, :] @ om.matrix.T
+    got = _velocities(np.swapaxes(pts, -1, -2).copy(), x, groups)
+    assert np.swapaxes(got, -1, -2).copy().tobytes() == want.tobytes()
+
+
+def test_winfree_field_on_a_transposed_stage_view_keeps_its_row_bits():
+    # a stage reaches the field as the transpose view of its columns; the
+    # product over that view can differ in the last bit, which shows in X
+    # for a few of these small populations
+    field = WinfreeField(1.1, [0.2, 0.0, 1.0])
+    for seed in range(50):
+        pts = sample_uniform(2, 8, seed).points
+        view = np.swapaxes(pts.T.copy(), -1, -2)
+        assert field.evaluate(view, 0.0).tobytes() == field.evaluate(pts, 0.0).tobytes()
 
 
 def test_velocity_trivial_cases():
@@ -338,6 +369,34 @@ def test_time_delay_slopes_match_reference_stencil(tau):
 
 
 DELAY_IN_RUN = r"a time-delay field reads its run's history; step it through simulate\(\)"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: MeanField(math.nan), "coupling kappa must be finite"),
+    (lambda: FrustratedField(1.0, [[math.nan, 0.0], [0.0, 1.0]]), "frustration matrix entries"),
+    (lambda: WinfreeField(math.nan, [0.0, 0.0, 1.0]), "coupling kappa must be finite"),
+    (lambda: WinfreeField(1.0, [math.nan, 0.0, 1.0]), "non-finite entry"),
+    (lambda: TimeDelayField(math.inf, 0.1), "coupling kappa must be finite"),
+], ids=["mean", "frustrated", "winfree", "winfree_pole", "time_delay"])
+def test_a_field_rejects_a_non_finite_parameter_by_name(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("case", ["nan_time", "nan_field", "field_width", "state_shapes"])
+def test_trajectory_rejects_malformed_records_by_name(case):
+    a, b = sample_uniform(2, 8, 1), sample_uniform(2, 8, 2)
+    times, states, fields = [0.0, 1.0], (a, b), np.zeros((2, 3))
+    if case == "nan_time":
+        times, message = [0.0, math.nan], "snapshot times must be finite"
+    elif case == "nan_field":
+        fields[1, 0], message = math.nan, "field samples must be finite"
+    elif case == "field_width":
+        fields, message = np.zeros((2, 5)), r"field samples must be an \(m, d\+1\) array"
+    else:
+        states, message = (sample_uniform(2, 8, 1), sample_uniform(3, 5, 2)), "share one shape"
+    with pytest.raises(ValueError, match=message):
+        Trajectory(np.array(times), states, fields)
 
 
 def test_time_delay_runs_and_errors():

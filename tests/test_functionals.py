@@ -65,6 +65,13 @@ def test_cross_ratio_degenerate_denominator():
         cross_ratio(e1, e2, e2, -e1)
 
 
+def test_cross_ratio_has_the_bits_of_the_cycle_kernels():
+    quads = sample_uniform(2, 4 * 2000, 23).points.reshape(2000, 4, 3)
+    batch, _ = _cycle_ratios_batch(quads)
+    for x, want in zip(quads, batch.tolist(), strict=True):
+        assert cross_ratio(*x) == cycle_ratio(x) == want
+
+
 def test_cycle_ratio_matches_cross_ratio_for_k2():
     rng = rng_stream(3)
     for _ in range(100):
@@ -296,6 +303,11 @@ def test_vmf_sampler_rejects_a_negative_or_non_finite_concentration(concentratio
         VmfSampler(np.array([0.0, 0.0, 1.0]), concentration)
 
 
+def test_vmf_sampler_rejects_a_non_finite_direction():
+    with pytest.raises(ValueError, match="non-finite entry"):
+        VmfSampler(np.array([math.nan, 0.0, 1.0]), 1.0)
+
+
 def test_reduced_pair_integral_total_measure_anchor():
     assert reduced_pair_integral(0.0, 2) == pytest.approx(4 * math.pi, abs=1e-9)
 
@@ -349,6 +361,14 @@ def test_divergence_probe_power_case():
     assert rep.exponent_estimate == pytest.approx(2.0, abs=0.05)
     # the sign symmetry must classify the negative side identically
     assert divergence_probe(-1.5, 1).classification == "power-divergent"
+
+
+def test_divergence_probe_classifies_a_power_beyond_the_float_range():
+    # the integrand's sin(t/2) ** (d - 2p - 1) overflows near small cutoffs
+    assert reduced_pair_integral(60.0, 1, 1e-6) == math.inf
+    rep = divergence_probe(60.0, 1)
+    assert rep.classification == "power-divergent"
+    assert rep.values[-1] == math.inf
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

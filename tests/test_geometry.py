@@ -61,6 +61,16 @@ def test_renormalize_degenerate():
         renormalize([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("y, message", [
+    ([math.nan, 0.0, 0.0], "non-finite entry"),
+    ([math.inf, 0.0, 0.0], "non-finite entry"),
+    ([1e200, 0.0, 0.0], "squared norm overflows"),
+])
+def test_renormalize_rejects_a_vector_without_a_finite_norm(y, message):
+    with pytest.raises(ValueError, match=message):
+        renormalize(y)
+
+
 def test_renormalize_rows_of_a_stack_and_its_edge_rows():
     pts = rng_stream(4).standard_normal((2, 5, 3))
     got = renormalize_rows(pts)
