@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
                        TimeDelayField, WinfreeField, simulate)
-from .functionals import (VmfSampler, conservation_drifts, divergence_probe,
+from .functionals import (_MAX_PAIR_D, VmfSampler, conservation_drifts, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
@@ -218,9 +218,8 @@ def _groups(groups, cfg: dict) -> bool:
     return True
 
 
-# the existence probe scales by the area |S^(d-1)|, a float only up to d = 343
-_EXISTENCE_D = (lambda v, cfg: _is_int(v) and 1 <= v <= 343), \
-    "an integer in [1, 343] (the area of S^(d-1) overflows a float beyond)"
+_EXISTENCE_D = (lambda v, cfg: _is_int(v) and 1 <= v <= _MAX_PAIR_D), \
+    f"an integer in [1, {_MAX_PAIR_D}] (the area of S^(d-1) overflows a float beyond)"
 
 
 def _p_grid(cfg: dict) -> list:
@@ -229,9 +228,19 @@ def _p_grid(cfg: dict) -> list:
     return [round(-grid_max + 0.25 * i, 10) for i in range(int(round(8 * grid_max / 2)) + 1)]
 
 
-def _span(t_end, dt) -> dict:
+def _span(t_end, dt, stepped: bool = False) -> dict:
+    """t_end and dt; a ``stepped`` run needs round(t_end / dt) >= 1, which is
+    checked with dt and reported on t_end."""
+
+    def dt_test(v, cfg):
+        if not (_is_num(v) and v > 0):
+            return False
+        _require(not stepped or cfg["t_end"] / v > 0.5,
+                 f"t_end: expected at least one step of dt = {v}, not {cfg['t_end']}")
+        return True
+
     return {"t_end": (t_end, lambda v, cfg: _is_num(v) and v >= 0, "a number >= 0"),
-            "dt": (dt, *_POSITIVE)}
+            "dt": (dt, dt_test, "a positive number")}
 
 
 # nested entries carry no phrase: the spec check names the offending key itself
@@ -305,7 +314,7 @@ def _run_ws_verify(cfg: dict, outdir: Path):
     replay = ReplayField.from_trajectory(traj)
     path = ws_evolve(omega, replay, cfg["t_end"], cfg["dt"])
     steps = len(path) - 1
-    n_check = min(cfg["checkpoints"], max(steps, 1))
+    n_check = min(cfg["checkpoints"], steps)
     mismatch = 0.0
     checkpoints = []
     for c in range(1, n_check + 1):
@@ -315,10 +324,10 @@ def _run_ws_verify(cfg: dict, outdir: Path):
         checkpoints.append({"t": float(traj.times[idx]), "mismatch": diff})
         mismatch = max(mismatch, diff)
     conj = conjugacy_residual(path, replay, ens0) if steps >= 2 else 0.0
-    ortho = max(float(np.linalg.norm(st.rotation.T @ st.rotation - np.eye(d + 1))) for st in path)
+    ortho = max(float(np.linalg.norm(r.T @ r - np.eye(d + 1))) for r in path.rotation)
     header = ["t"] + [f"w_{j}" for j in range(d + 1)] + \
         [f"r_{i}{j}" for i in range(d + 1) for j in range(d + 1)]
-    rows = [(st.time,) + tuple(st.w) + tuple(st.rotation.reshape(-1)) for st in path]
+    rows = np.column_stack((path.time, path.w, path.rotation.reshape(len(path), -1))).tolist()
     out_states = write_csv(outdir / "ws_states.csv", header, rows)
     report = {
         "max_mismatch": mismatch,
@@ -326,7 +335,7 @@ def _run_ws_verify(cfg: dict, outdir: Path):
         "conjugacy_residual": conj,
         "orthogonality_defect": ortho,
         "ball_guard_events": path.guard_events,
-        "final_w_norm": float(np.linalg.norm(path[-1].w)),
+        "final_w_norm": float(np.linalg.norm(path.w[-1])),
     }
     out_report = write_json(outdir / "report.json", report)
     gates = {
@@ -501,12 +510,13 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
 # the experiments: each one's key table and runner
 _CONFIG = _Kinds("experiment", {
     "simulate": (_SIMULATE, _run_simulate),
-    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3), **_ENSEMBLE,
+    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, stepped=True), **_ENSEMBLE,
                    "field": (_ENSEMBLE["field"][0], _replayable, None),
                    "checkpoints": (10, *_int_at_least(1)),
                    "tol_mismatch": (1e-5, *_POSITIVE), "tol_conjugacy": (1e-4, *_POSITIVE)},
                   _run_ws_verify),
-    "functional": ({**_SIMULATE, "p_list": (_REQUIRED, *_NUMBERS),
+    "functional": ({**_SIMULATE, **_span(_REQUIRED, 1e-3, stepped=True),
+                    "p_list": (_REQUIRED, *_NUMBERS),
                     "k_list": ([2], lambda v, cfg: isinstance(v, list) and v
                                and all(_is_int(k) and k >= 2 for k in v),
                                "a list of integers >= 2"),

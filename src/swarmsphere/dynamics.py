@@ -133,7 +133,11 @@ class DrivingField:
         return self.evaluate(points, t)
 
     def _at_times(self, ts: np.ndarray) -> np.ndarray:
-        """A clock-driven field at every time of ``ts``, one row per time."""
+        """A clock-driven field at every time of ``ts``, one row per time; a
+        field computed from the ensemble has no value at a time alone."""
+        if self.state_dependent:
+            raise ValueError("ws evolution needs a prescribed or replayed driving field, "
+                             f"not {type(self).__name__}")
         return np.array([np.asarray(self.evaluate(None, t), dtype=float) for t in ts.tolist()])
 
 
@@ -244,16 +248,17 @@ class ReplayField(DrivingField):
         return cls(traj.times, traj.field_samples)
 
     def evaluate(self, points, t):
-        if t < self.times[0] - self._tol or t > self.times[-1] + self._tol:
-            raise ValueError("replay query outside the recorded span")
+        if not self.times[0] - self._tol <= t <= self.times[-1] + self._tol:  # NaN fails too
+            raise ValueError(f"replay query at t = {t} outside the recorded span")
         return _hermite_at(self._knots, self.values, self._slopes, float(t))
 
     def _at_times(self, ts):
         """``evaluate`` at every time of ``ts`` in one vectorised pass, with
         the bits of the one-time call."""
         knots = self.times
-        if ts.min() < knots[0] - self._tol or ts.max() > knots[-1] + self._tol:
-            raise ValueError("replay query outside the recorded span")
+        lo, hi = ts.min(), ts.max()  # NaN if any time is, which fails both comparisons
+        if not (knots[0] - self._tol <= lo and hi <= knots[-1] + self._tol):
+            raise ValueError(f"replay query at t in [{lo}, {hi}] outside the recorded span")
         i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, knots.size - 2)
         h = (knots[i + 1] - knots[i])[:, None]
         out = _hermite_combine((ts[:, None] - knots[i][:, None]) / h, h, self.values[i],

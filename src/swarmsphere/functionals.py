@@ -49,6 +49,8 @@ _BLOCK = 1 << 14
 # _snapshot_cycle_ratios: floats a block of snapshots gathers at once, its
 # points component-major and its chord endpoints (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
+# the pair integral is scaled by the area |S^(d-1)|, a float only up to this d
+_MAX_PAIR_D = 343
 
 
 class DivergentIntegralError(ValueError):
@@ -310,6 +312,8 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
 
     if d < 1:
         raise ValueError("need d >= 1")
+    if d > _MAX_PAIR_D:
+        raise ValueError(f"need d <= {_MAX_PAIR_D}: the area of S^(d-1) overflows a float beyond")
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     if not 0.0 <= cutoff < math.pi:

@@ -300,6 +300,8 @@ class SkewMatrix:
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("generator entries must be finite")
         if np.max(np.abs(a + a.T)) > tol:
             raise ValueError("matrix is not skew-symmetric")
         return cls(a.shape[0], a[np.tril_indices(a.shape[0], -1)])
@@ -357,6 +359,8 @@ class Ensemble:
         norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("ensemble points must lie on the unit sphere")
+        if not math.isfinite(self.time):
+            raise ValueError(f"ensemble time must be finite, not {self.time!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         omega = self.omega
@@ -408,7 +412,8 @@ class Ensemble:
     def _omega_slices(self) -> tuple[tuple["SkewMatrix | None", "np.ndarray | slice"], ...]:
         """``omega_groups`` with each contiguous index run turned into a
         slice, so that the particle velocities update views rather than
-        gathering and scattering by index; cached with the groups."""
+        gathering and scattering by index, and a zero generator turned into
+        None; cached with the groups."""
         return self._grouping()[1]
 
     def _grouping(self):
@@ -423,8 +428,10 @@ class Ensemble:
             for _, idx in groups:
                 idx.flags.writeable = False
             # the indices of a group increase, so they are one run exactly
-            # when they span as many places as they number
-            slices = tuple((om, slice(int(idx[0]), int(idx[-1]) + 1)
+            # when they span as many places as they number; a zero generator
+            # moves nothing, so its run carries None and the velocities skip it
+            slices = tuple((om if om is not None and om._lower.any() else None,
+                            slice(int(idx[0]), int(idx[-1]) + 1)
                             if idx[-1] - idx[0] + 1 == idx.size else idx) for om, idx in groups)
             grouping = groups, slices
             object.__setattr__(self, "_groups", grouping)

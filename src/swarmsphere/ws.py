@@ -51,38 +51,30 @@ class MobiusPoleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class WsState:
-    """Parameters (w, R) of the reduction map at one instant."""
+    """Parameters (w, R) of the reduction map at one instant, or a validated
+    stack of them: w (..., d+1), rotation (..., d+1, d+1) and time (...)."""
 
     w: np.ndarray
     rotation: np.ndarray
-    time: float = 0.0
+    time: "float | np.ndarray" = 0.0
 
     def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        rot = np.array(self.rotation, dtype=float)
-        if w.ndim != 1 or rot.shape != (w.size, w.size):
-            raise ValueError("w must be a vector and rotation a matching square matrix")
-        if not float(w @ w) < 1.0:
+        w, rot, time = (np.array(a, dtype=float) for a in (self.w, self.rotation, self.time))
+        if w.ndim < 1 or rot.shape != w.shape + w.shape[-1:] or time.shape != w.shape[:-1]:
+            raise ValueError("w, rotation and time must be (..., d+1), (..., d+1, d+1) and "
+                             f"(...) stacks, not {w.shape}, {rot.shape} and {time.shape}")
+        if not np.isfinite(time).all():
+            raise ValueError("state times must be finite")
+        if not ((w[..., None, :] @ w[..., :, None]) < 1.0).all():
             raise ValueError("ball vector must have norm strictly below one")
-        if not np.linalg.norm(rot.T @ rot - np.eye(w.size)) <= 1e-8:
+        defect = np.swapaxes(rot, -1, -2) @ rot - np.eye(w.shape[-1])
+        if not (np.linalg.norm(defect, axis=(-2, -1)) <= 1e-8).all():
             raise ValueError("rotation is not orthogonal within tolerance")
-        w.flags.writeable = False
-        rot.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "rotation", rot)
-
-    @classmethod
-    def _trusted(cls, w: np.ndarray, rotation: np.ndarray, time: float) -> "WsState":
-        """A state on read-only float arrays of matching shape that the
-        caller hands over, with a rotation that is orthogonal by
-        construction; only the orthogonality check is skipped."""
-        if not float(w @ w) < 1.0:
-            raise ValueError("ball vector must have norm strictly below one")
-        st = object.__new__(cls)
-        object.__setattr__(st, "w", w)
-        object.__setattr__(st, "rotation", rotation)
-        object.__setattr__(st, "time", time)
-        return st
+        for name, value in (("w", w), ("rotation", rot), ("time", time)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if not time.ndim:
+            object.__setattr__(self, "time", float(time))  # a single state's time is a float
 
     @classmethod
     def initial(cls, d: int) -> "WsState":
@@ -90,11 +82,19 @@ class WsState:
 
     @property
     def d(self) -> int:
-        return self.w.size - 1
+        return self.w.shape[-1] - 1
+
+    # a single state's time is a float, which has no length and no items
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, s) -> "WsState":
+        return WsState(self.w[s], self.rotation[s], self.time[s])
 
 
-class WsPath(list):
-    """List of WsState produced by ``ws_evolve``, with integration diagnostics."""
+@dataclass(frozen=True, eq=False)
+class WsPath(WsState):
+    """The stacked states of ``ws_evolve``, one per step, and its ball-guard clamp count."""
 
     guard_events: int = 0
 
@@ -155,7 +155,8 @@ def _cayley_factors(stage_w: np.ndarray, stage_x: np.ndarray, om_mat: np.ndarray
 
 
 def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: float) -> WsPath:
-    """Integrate the reduced system from (0, I) over round(t_end / dt) steps.
+    """Integrate the reduced system from (0, I) over round(t_end / dt) steps,
+    returned as one validated stack of the states at t = s * dt.
 
     R does not enter dw/dt, and dR/dt = A(t) R is linear in R once w is
     known.  So w alone is stepped by classical RK4, and R by the RKMK4
@@ -167,13 +168,8 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     the unit ball if floating-point drift pushes it out.  A non-finite w or
     R raises, naming the first step time where it occurs.
     """
-    if field.state_dependent:
-        raise ValueError("ws evolution needs a prescribed or replayed driving field")
     steps = _step_count(t_end, dt, 1)
-    x0 = np.asarray(field.evaluate(None, 0.0), dtype=float)
-    if t_end > 0:
-        field.evaluate(None, t_end)  # fail fast if the recording is too short
-    dim = x0.size
+    dim = field._at_times(np.array([0.0, t_end])).shape[1]  # fails fast on a short recording
     if omega is not None and omega.n != dim:
         raise ValueError("generator dimension must match the driving field")
     om_mat = omega.matrix if omega is not None else None
@@ -223,11 +219,7 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
                 bad.append(b0 + int(np.argmin(finite)) + 1)
             if bad:
                 raise ValueError(f"non-finite (w, R) state at step time t = {min(bad) * dt}")
-    ws.flags.writeable = False
-    rots.flags.writeable = False
-    path = WsPath(WsState._trusted(ws[s], rots[s], s * dt) for s in range(steps + 1))
-    path.guard_events = guard
-    return path
+    return WsPath(ws, rots, np.arange(steps + 1) * dt, guard)
 
 
 def ws_evolve_groups(omegas, field: DrivingField, t_end: float, dt: float
@@ -272,13 +264,17 @@ def _apply_map(w: np.ndarray, rotation: np.ndarray, points: np.ndarray) -> np.nd
     return out
 
 
+def _check_state(state: WsState, ens0: Ensemble):
+    if state.w.shape != (ens0.d + 1,):
+        raise ValueError(f"need one state of dimension {ens0.d}, not w {state.w.shape}; index a path")
+
+
 def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
     """Apply the reduction map of ``state`` to every point of an ensemble.
 
     At (w, R) = (0, I) the input ensemble is returned unchanged, bit for bit.
     """
-    if state.d != ens0.d:
-        raise ValueError("state and ensemble dimensions do not match")
+    _check_state(state, ens0)
     points = _apply_map(state.w, state.rotation, ens0.points)
     if points is ens0.points and state.time == ens0.time:
         return ens0
@@ -299,8 +295,7 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
         if om not in states:
             raise ValueError("missing reduction state for a generator group")
         st = states[om]
-        if st.d != ens0.d:
-            raise ValueError("state and ensemble dimensions do not match")
+        _check_state(st, ens0)
         times.add(st.time)
         out[idx] = _apply_map(st.w, st.rotation, ens0.points[idx])
     if len(times) > 1:
@@ -308,24 +303,24 @@ def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemb
     return Ensemble(out, ens0.omega, times.pop())
 
 
-def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> float:
+def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ensemble) -> float:
     """Check that the pushed points move with the model's vector field.
 
     Central-differences the pushed samples in time and compares against
     Omega m + X - <m, X> m at the interior instants; the residual decays as
-    O(dt^2).  Needs at least three uniformly spaced states.  The states are
-    pushed forward as stacked blocks, with the value of pushing them one
+    O(dt^2).  Needs a stack of at least three uniformly spaced states.
+    They are pushed forward as blocks, with the value of pushing them one
     at a time; a NaN residual at any instant makes the result NaN.
     """
-    if len(states) < 3:
-        raise ValueError("need at least three states for a central difference")
-    if any(st.d != sample_points.d for st in states):
+    if states.w.ndim != 2 or len(states) < 3:
+        raise ValueError("need a stack of at least three states for a central difference")
+    if states.d != sample_points.d:
         raise ValueError("state and ensemble dimensions do not match")
-    times = np.array([st.time for st in states])
-    dts = np.diff(times)
+    dts = np.diff(states.time)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
         raise ValueError("states are not uniformly spaced")
     dt = dts[0]
+    xs = field._at_times(states.time[1:-1])
     points = sample_points.points
     groups = sample_points._omega_slices()
     block = max(1, _BLOCK_FLOATS // points.size)
@@ -333,11 +328,9 @@ def conjugacy_residual(states, field: DrivingField, sample_points: Ensemble) -> 
     # block [b0, b1) of interior states, pushed with one neighbour on each side
     for b0 in range(1, len(states) - 1, block):
         b1 = min(b0 + block, len(states) - 1)
-        near = states[b0 - 1:b1 + 1]
-        pushed = _apply_map(np.array([st.w for st in near]),
-                            np.array([st.rotation for st in near]), points)
+        pushed = _apply_map(states.w[b0 - 1:b1 + 1], states.rotation[b0 - 1:b1 + 1], points)
         fd = (pushed[2:] - pushed[:-2]) / (2.0 * dt)
-        v = _velocities(pushed[1:-1].swapaxes(-1, -2), field._at_times(times[b0:b1]), groups)
+        v = _velocities(pushed[1:-1].swapaxes(-1, -2), xs[b0 - 1:b1 - 1], groups)
         fd -= v.swapaxes(-1, -2)
         worst.append(np.max(np.linalg.norm(fd, axis=-1)))
     return float(np.max(worst))

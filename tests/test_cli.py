@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmsphere
 from swarmsphere.cli import ConfigError, main, parse_config
 from swarmsphere.io import fmt_value, write_csv, write_json
 
@@ -357,3 +361,44 @@ def test_write_json_sorted_and_nan_safe(tmp_path):
     text = p.read_text()
     assert text.index('"a"') < text.index('"b"') < text.index('"c"')
     assert json.loads(text) == {"a": 1.5, "b": None, "c": [1, 2]}
+
+
+# Runs that must not load scipy, which only the existence integral imports
+# (lazily): it costs every other run its import time and its memory.
+SCIPY_RUNS = {
+    "ws-verify": {"experiment": "ws-verify", "d": 2, "N": 8, "t_end": 0.05, "seed": 1},
+    "functional": {"experiment": "functional", "d": 2, "N": 8, "t_end": 0.05, "p_list": [0.3],
+                   "m": 1000, "drift_tuples": 10, "seed": 1},
+    "kinetic": {"experiment": "kinetic", "d": 2, "N": 8, "t_end": 0.5, "delta": 1e-3, "seed": 1},
+    "heterogeneous": {"experiment": "heterogeneous", "d": 2, "t_end": 0.05, "m": 10, "seed": 1,
+                      "groups": [{"count": 4, "omega_spec": {"kind": "zero"}},
+                                 {"count": 4, "omega_spec": {"kind": "planar", "rate": 1.0}}]},
+    # the control: existence loads scipy, so the probe sees an import
+    "existence": {"experiment": "existence", "d": 1, "p_list": [0.25], "seed": 1},
+}
+
+_SCIPY_PROBE = """
+import sys
+import swarmsphere.cli as cli
+print("probe import", "scipy" in sys.modules)
+for name in sys.argv[2:]:
+    code = cli.main(["run", "--config", f"{sys.argv[1]}/{name}.json", "--out", f"{sys.argv[1]}/{name}"])
+    print("probe", name, "scipy" in sys.modules, code)
+"""
+
+
+def test_import_and_runs_other_than_existence_leave_scipy_unloaded(tmp_path):
+    for name, cfg in SCIPY_RUNS.items():
+        write_config(tmp_path, f"{name}.json", cfg)
+    src = str(Path(swarmsphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), *SCIPY_RUNS],
+                         env=env, capture_output=True, text=True, timeout=300, check=True).stdout
+    # the runs print their gates too
+    lines = [line.split()[1:] for line in out.splitlines() if line.startswith("probe ")]
+    assert lines[0] == ["import", "False"]
+    assert [(name, loaded) for name, loaded, _ in lines[1:]] == \
+        [(name, str(name == "existence")) for name in SCIPY_RUNS]
+    # every run got through its work (exit 1 is a failed gate, 2 an abort)
+    assert all(code in ("0", "1") for _, _, code in lines[1:])

@@ -179,6 +179,12 @@ CASES = [
     ({**HET, "p": "0.3"}, "p: expected a number"),
     ({**HET, "k": 1}, "k: expected an integer >= 2"),
     ({**HET, "m": 0}, "m: expected an integer >= 1"),
+    # ws-verify and functional: a t_end that rounds to zero steps is refused before the run
+    ({**WS, "t_end": 0}, "t_end: expected at least one step of dt = 0.001, not 0"),
+    ({**WS, "t_end": 0.05, "dt": 0.1}, "t_end: expected at least one step of dt = 0.1, not 0.05"),
+    ({**WS, "t_end": 0, "dt": 0}, "dt: expected a positive number"),
+    ({**FUN, "t_end": 0.0}, "t_end: expected at least one step of dt = 0.001, not 0.0"),
+    ({**FUN, "t_end": 0.0005}, "t_end: expected at least one step of dt = 0.001, not 0.0005"),
 ]
 
 
@@ -200,6 +206,10 @@ ACCEPTED = [
     {**KIN, "initial": {"kind": "vmf"}, "delta": 1e-3, "N": 4, "seed": 2**64 - 2},
     group({"kind": "random", "seed": 5}),
     {**SIM, "seed": 2**64 - 1, "output_dir": "runs/a"},
+    # a run of zero steps is a single snapshot for simulate, one step suffices elsewhere
+    {**SIM, "t_end": 0},
+    {**WS, "t_end": 0.0006},
+    {**FUN, "t_end": 0.0006},
 ]
 
 

@@ -107,6 +107,21 @@ def test_column_velocities_have_the_bits_of_the_row_form(d, stack):
     assert np.swapaxes(got, -1, -2).copy().tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_a_zero_generator_group_moves_as_a_group_without_one(stack):
+    # X = -0 makes every velocity component of a point with positive
+    # coordinates -0.0, which an added zero free flow would turn into +0.0
+    zero, planar = SkewMatrix.zero(2), SkewMatrix.planar(2, 1.0)
+    ens = Ensemble(np.abs(sample_uniform(2, 10, 3).points), (zero,) * 4 + (planar,) * 6)
+    assert [om for om, _ in ens.omega_groups()] == [zero, planar]
+    cols = np.broadcast_to(ens.points.T, stack + ens.points.T.shape).copy()
+    unlabelled = ((None, slice(0, 4)), (planar, slice(4, 10)))
+    for x in (np.full(stack + (3,), -0.0), rng_stream(4).standard_normal(stack + (3,))):
+        got = _velocities(cols, x, ens._omega_slices())
+        assert got.tobytes() == _velocities(cols, x, unlabelled).tobytes()
+    assert np.signbit(_velocities(cols, np.full(stack + (3,), -0.0), unlabelled)[..., :4]).all()
+
+
 def test_winfree_field_on_a_transposed_stage_view_keeps_its_row_bits():
     # a stage reaches the field as the transpose view of its columns; the
     # product over that view can differ in the last bit, which shows in X
@@ -244,6 +259,14 @@ def test_replay_field_roundtrip_and_span():
     np.testing.assert_allclose(replay.evaluate(None, 0.25), traj.field_samples[250], atol=1e-12)
     with pytest.raises(ValueError, match="span"):
         replay.evaluate(None, 0.5 + 1e-3)
+
+
+def test_replay_queries_at_a_nan_time_are_refused_by_name():
+    replay = ReplayField([0.0, 0.5, 1.0], np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"replay query at t = nan outside the recorded span"):
+        replay.evaluate(None, math.nan)
+    with pytest.raises(ValueError, match=r"replay query at t in \[nan, nan\] outside the recorded span"):
+        replay._at_times(np.array([0.5, math.nan]))
 
 
 def test_replay_field_rejects_nan_time():

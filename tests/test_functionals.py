@@ -344,6 +344,15 @@ def test_reduced_pair_integral_validation():
         reduced_pair_integral(0.0, 0)
 
 
+def test_pair_integral_and_probe_refuse_a_d_whose_sphere_area_overflows():
+    # |S^(d-1)| is a float up to d = 343, the existence experiment's bound
+    assert math.isfinite(reduced_pair_integral(0.0, 343, cutoff=0.5))
+    with pytest.raises(ValueError, match="need d <= 343"):
+        reduced_pair_integral(0.0, 344)
+    with pytest.raises(ValueError, match="need d <= 343"):
+        divergence_probe(0.0, 344)
+
+
 def test_divergence_probe_convergent():
     assert divergence_probe(0.25, 1).classification == "convergent"
 

@@ -282,6 +282,12 @@ def test_skew_matrix_rejects_non_finite_entries(bad):
         SkewMatrix(3, [bad, 0.0, 0.0])
 
 
+def test_skew_from_matrix_rejects_a_non_finite_entry_by_name():
+    # the NaN sits on the diagonal, which the stored triangle would drop
+    with pytest.raises(ValueError, match="generator entries must be finite"):
+        SkewMatrix.from_matrix([[math.nan, -1.0], [1.0, 0.0]])
+
+
 def test_skew_from_matrix_rejects_non_skew():
     with pytest.raises(ValueError):
         SkewMatrix.from_matrix(np.eye(3))
@@ -304,6 +310,12 @@ def test_ensemble_validation_and_immutability():
         Ensemble(2.0 * pts)
     with pytest.raises(ValueError):
         Ensemble(pts, (SkewMatrix.zero(2),) * 3)
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_ensemble_rejects_a_non_finite_time_by_name(time):
+    with pytest.raises(ValueError, match="ensemble time must be finite"):
+        Ensemble(sample_uniform(2, 4, 3).points, None, time=time)
 
 
 def test_ensemble_rejects_nan_points():

@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from swarmsphere import (
     Ensemble,
+    FrustratedField,
     MeanField,
     MobiusPoleError,
     PrescribedField,
     ReplayField,
     SkewMatrix,
     TimeDelayField,
+    WinfreeField,
+    WsPath,
     WsState,
     algebraic_identity_residuals,
     conjugacy_residual,
@@ -253,14 +256,14 @@ def test_conjugacy_residual_trivial_and_errors():
     assert conjugacy_residual(path, field, pts) <= 1e-14
     with pytest.raises(ValueError, match="three"):
         conjugacy_residual(path[:2], field, pts)
-    uneven = [path[0], path[1], path[3]]
+    uneven = path[[0, 1, 3]]
     with pytest.raises(ValueError, match="uniform"):
         conjugacy_residual(uneven, field, pts)
     with pytest.raises(ValueError, match="dimensions do not match"):
         conjugacy_residual(path, field, sample_uniform(3, 8, 41))
-    mixed = [path[0], WsState(np.zeros(4), np.eye(4), path[1].time), path[2]]
-    with pytest.raises(ValueError, match="dimensions do not match"):
-        conjugacy_residual(mixed, field, pts)
+    # states of two dimensions do not make one stack
+    with pytest.raises(ValueError, match=r"must be \(\.\.\., d\+1\)"):
+        WsState(np.zeros((3, 3)), np.stack((np.eye(4),) * 3), path.time[:3])
 
 
 def test_conjugacy_residual_second_order():
@@ -342,6 +345,73 @@ def test_ws_state_rejects_nan():
         WsState(w=np.array([np.nan, 0.0, 0.0]), rotation=np.eye(3))
     with pytest.raises(ValueError):
         WsState(np.zeros(3), np.full((3, 3), np.nan))
+
+
+def test_ws_state_refuses_a_bad_member_of_a_stack_by_name():
+    rot = np.stack([np.eye(3)] * 4)
+    w = np.zeros((4, 3))
+    times = np.arange(4) * 0.1
+    assert len(WsState(w, rot, times)) == 4
+    with pytest.raises(ValueError, match=r"not \(4, 3\), \(3, 3, 3\) and \(4,\)"):
+        WsState(w, rot[:3], times)
+    with pytest.raises(ValueError, match=r"not \(4, 3\), \(4, 3, 3\) and \(3,\)"):
+        WsState(w, rot, times[:3])
+    for bad_time in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="state times must be finite"):
+            WsState(np.zeros(3), np.eye(3), bad_time)
+        with pytest.raises(ValueError, match="state times must be finite"):
+            WsState(w, rot, np.where(np.arange(4) == 2, bad_time, times))
+    outside = w.copy()
+    outside[3] = [0.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="ball vector must have norm strictly below one"):
+        WsState(outside, rot, times)
+    skewed = rot.copy()
+    skewed[1, 0, 1] = 1e-6
+    with pytest.raises(ValueError, match="rotation is not orthogonal within tolerance"):
+        WsState(w, skewed, times)
+
+
+def test_a_path_is_one_stack_whose_members_have_its_bits():
+    dt = 1e-2
+    path = ws_evolve(SkewMatrix.random(2, 5, 1.0), PrescribedField(_smooth_field), 0.5, dt)
+    assert type(path) is WsPath and len(path) == 51 and path.w.shape == (51, 3)
+    for s in range(len(path)):
+        st = path[s]
+        assert type(st) is WsState and type(st.time) is float
+        assert st.w.tobytes() == path.w[s].tobytes()
+        assert st.rotation.tobytes() == path.rotation[s].tobytes()
+        assert st.time == s * dt
+    picked = path[[0, 1, 3]]
+    assert len(picked) == 3 and picked.time.tolist() == [0.0, dt, 3 * dt]
+    assert path[10:20].w.tobytes() == path.w[10:20].tobytes()
+    for arr in (path.w, path.rotation, path.time):
+        assert not arr.flags.writeable
+    single = path[-1]
+    with pytest.raises(TypeError):
+        len(single)
+    with pytest.raises(TypeError):
+        single[0]
+
+
+def test_push_forwards_refuse_a_stack_of_states():
+    om = SkewMatrix.planar(2, 1.0)
+    path = ws_evolve(om, PrescribedField(_smooth_field), 0.05, 1e-2)
+    ens = sample_uniform(2, 6, 3).with_omega(om)
+    with pytest.raises(ValueError, match=r"not w \(6, 3\); index a path"):
+        push_forward(path, ens)
+    with pytest.raises(ValueError, match=r"not w \(6, 3\); index a path"):
+        heterogeneous_push_forward({om: path}, ens)
+    assert push_forward(path[-1], ens).time == path.time[-1]
+
+
+@pytest.mark.parametrize("field", [MeanField(1.0), FrustratedField(1.0, np.eye(3)),
+                                   WinfreeField(1.0, [0.0, 0.0, 1.0])],
+                         ids=lambda f: type(f).__name__)
+def test_conjugacy_residual_refuses_a_state_dependent_field_by_name(field):
+    path = ws_evolve(None, PrescribedField(_smooth_field), 0.05, 1e-2)
+    name = type(field).__name__
+    with pytest.raises(ValueError, match=f"prescribed or replayed driving field, not {name}"):
+        conjugacy_residual(path, field, sample_uniform(2, 8, 1))
 
 
 def test_ws_evolve_names_the_non_finite_step():
