@@ -280,9 +280,9 @@ def _gate(value: float, threshold: float, kind: str = "max") -> dict:
 def _export_trajectory(traj, outdir: Path):
     rows = []
     dim = traj.d + 1
-    for t, st in zip(traj.times, traj.states):
-        for i in range(st.n):
-            rows.append((t, i) + tuple(st.points[i]))
+    for t, points in zip(traj.times, traj.points):
+        for i, row in enumerate(points):
+            rows.append((t, i) + tuple(row))
     header = ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)]
     p1 = write_csv(outdir / "trajectory.csv", header, rows)
     header_x = ["t"] + [f"X_{j}" for j in range(dim)]
@@ -302,10 +302,9 @@ def _ensemble_run(cfg: dict, record_every: int):
 def _run_simulate(cfg: dict, outdir: Path):
     _, _, traj = _ensemble_run(cfg, cfg["record_every"])
     outputs = _export_trajectory(traj, outdir)
-    worst_norm = max(float(np.max(np.abs(np.linalg.norm(st.points, axis=1) - 1.0)))
-                     for st in traj.states)
+    worst_norm = float(np.max(np.abs(np.linalg.norm(traj.points, axis=2) - 1.0)))
     gates = {"unit_norm": _gate(worst_norm, 1e-9)}
-    return outputs, gates, {"snapshots": len(traj.states)}
+    return outputs, gates, {"snapshots": len(traj.times)}
 
 
 def _run_ws_verify(cfg: dict, outdir: Path):
@@ -320,7 +319,7 @@ def _run_ws_verify(cfg: dict, outdir: Path):
     for c in range(1, n_check + 1):
         idx = round(c * steps / n_check)
         pushed = push_forward(path[idx], ens0)
-        diff = float(np.max(np.linalg.norm(pushed.points - traj.states[idx].points, axis=1)))
+        diff = float(np.max(np.linalg.norm(pushed.points - traj.points[idx], axis=1)))
         checkpoints.append({"t": float(traj.times[idx]), "mismatch": diff})
         mismatch = max(mismatch, diff)
     conj = conjugacy_residual(path, replay, ens0) if steps >= 2 else 0.0

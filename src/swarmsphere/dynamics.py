@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Ensemble, _component_dot, _renormalize_columns_in_place, exact_mean, renormalize
+from .geometry import (Ensemble, SkewMatrix, _checked_omega, _component_dot,
+                       _renormalize_columns_in_place, exact_mean, renormalize)
 
 __all__ = [
     "DrivingField",
@@ -138,7 +139,12 @@ class DrivingField:
         if self.state_dependent:
             raise ValueError("ws evolution needs a prescribed or replayed driving field, "
                              f"not {type(self).__name__}")
-        return np.array([np.asarray(self.evaluate(None, t), dtype=float) for t in ts.tolist()])
+        xs = [np.asarray(self.evaluate(None, t), dtype=float) for t in ts.tolist()]
+        shapes = sorted({x.shape for x in xs})
+        if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 2:
+            raise ValueError(f"{type(self).__name__} must return one vector of a fixed width "
+                             f"d+1 >= 2, not arrays of shape {', '.join(map(str, shapes))}")
+        return np.array(xs)
 
 
 class MeanField(DrivingField):
@@ -424,38 +430,48 @@ class _RunField(DrivingField):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded snapshots of a run plus the driving-field samples at the
-    same times, dense enough to replay X(t) into other integrators."""
+    """Recorded snapshots of a run as one stack: points (m, n, d+1) at times
+    (m,), the driving-field samples (m, d+1) at the same times, dense enough
+    to replay X(t) into other integrators, and the run's generator labels
+    ``omega``, as an ``Ensemble`` takes them.  The arrays are frozen; float
+    arrays are taken over, not copied."""
 
     times: np.ndarray
-    states: tuple[Ensemble, ...]
+    points: np.ndarray
     field_samples: np.ndarray
+    omega: "SkewMatrix | tuple[SkewMatrix, ...] | None" = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        fields = np.asarray(self.field_samples, dtype=float)
-        if times.ndim != 1 or not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
+        times, points, fields = (np.asarray(a, dtype=float)
+                                 for a in (self.times, self.points, self.field_samples))
+        if times.ndim != 1 or times.size < 1:
+            raise ValueError("a trajectory needs a 1-D array of at least one snapshot time")
+        if not np.isfinite(times).all() or np.any(np.diff(times) <= 0):
             raise ValueError("snapshot times must be finite and strictly increasing")
-        if len(self.states) != times.size or fields.shape[:1] != times.shape:
-            raise ValueError("times, states and field samples must have equal length")
-        shapes = {st.points.shape for st in self.states}
-        if len(shapes) > 1:
-            raise ValueError(f"snapshot states must share one shape, not {sorted(shapes)}")
-        if shapes and fields.shape[1:] != shapes.pop()[1:]:
-            raise ValueError("field samples must be an (m, d+1) array matching the states")
+        if points.ndim != 3 or points.shape[1] < 1 or points.shape[2] < 2:
+            raise ValueError(f"points must be an (m, n, d+1) array with d >= 1, not {points.shape}")
+        if points.shape[0] != times.size or fields.shape[:1] != times.shape:
+            raise ValueError("times, points and field samples must have equal length")
+        if fields.shape[1:] != points.shape[2:]:
+            raise ValueError("field samples must be an (m, d+1) array matching the points")
         if not np.isfinite(fields).all():
             raise ValueError("field samples must be finite")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "field_samples", fields)
+        dev = np.einsum("...i,...i->...", points, points)
+        np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)  # in place: one (m, n) array in all
+        if not np.abs(dev, out=dev).max() <= 1e-9:  # NaN fails too
+            raise ValueError("trajectory points must lie on the unit sphere")
+        object.__setattr__(self, "omega", _checked_omega(self.omega, *points.shape[1:]))
+        for name, value in (("times", times), ("points", points), ("field_samples", fields)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return self.states[0].n
+        return self.points.shape[1]
 
     @property
     def d(self) -> int:
-        return self.states[0].d
+        return self.points.shape[2] - 1
 
 
 def _step_count(t_end: float, dt: float, record_every: int) -> int:
@@ -472,8 +488,13 @@ def _step_count(t_end: float, dt: float, record_every: int) -> int:
     return int(round(t_end / dt))
 
 
+def _record_count(t_end: float, dt: float, record_every: int) -> int:
+    """The number of states ``_run`` yields: every ``record_every``-th and the final one."""
+    return -(-_step_count(t_end, dt, record_every) // record_every) + 1
+
+
 def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int):
-    """Step with RK4 and yield (time, state, exact mean, X) for the initial
+    """Step with RK4 and yield (time, points, exact mean, X) for the initial
     state, every ``record_every``-th state and the final state.
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
@@ -485,10 +506,11 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
     (else it is None), and so is X: it feeds the next step's first stage
     and the caller.  A delayed field reads the run's own history of means.
 
-    The states of a single population are Ensembles: ``step``'s result,
-    restamped where its time ``t + dt`` is not the grid's.  A stack is kept
+    A single population is stepped as an Ensemble, ``step``'s result,
+    restamped where its time ``t + dt`` is not the grid's, since the next
+    step reads its clock; its points are yielded.  A stack is kept
     component-major, (..., d+1, n), the layout ``_advance`` steps, so that
-    ``exact_mean`` reads its columns without a transpose copy; its states
+    ``exact_mean`` reads its columns without a transpose copy; its points
     are the (..., n, d+1) transpose views.  Each member gets the bits it
     gets on its own, for any d.
     """
@@ -504,7 +526,7 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
                          f"population mean, not {type(field).__name__}")
     else:
         cols, t0 = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy(), 0.0
-        state = points = np.swapaxes(cols, -1, -2)
+        points = np.swapaxes(cols, -1, -2)
     means = []
     x_at = field._in_run(means, dt, t0) if delayed else field.evaluate
     run_field = _RunField(x_at)
@@ -519,7 +541,7 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
                 points = state.points
             else:
                 cols = _advance(cols, t, field, dt, x)
-                state = points = cols.swapaxes(-1, -2)
+                points = cols.swapaxes(-1, -2)
             t = t0 + s * dt
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
@@ -528,7 +550,7 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
         if x.shape != points.shape[:-2] + points.shape[-1:]:
             raise ValueError("driving field returned a vector of the wrong dimension")
         if s % record_every == 0 or s == steps:
-            yield t, state, mean, x
+            yield t, points, mean, x
 
 
 def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -538,13 +560,13 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     The initial state and the final state are always recorded.  The number of
     steps is round(t_end / dt); t_end = 0 yields the single initial snapshot.
     """
-    states, fields = [], []
+    m, (n, dim) = _record_count(t_end, dt, record_every), ens0.points.shape
+    times, points, fields = np.empty(m), np.empty((m, n, dim)), np.empty((m, dim))
     # a blow-up is reported by the finite check of the step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, state, _, x in _run(ens0, field, t_end, dt, record_every):
-            states.append(state)
-            fields.append(x)
-    return Trajectory(np.array([st.time for st in states]), tuple(states), np.asarray(fields))
+        for j, (t, pts, _, x) in enumerate(_run(ens0, field, t_end, dt, record_every)):
+            times[j], points[j], fields[j] = t, pts, x
+    return Trajectory(times, points, fields, ens0.omega)
 
 
 def collision_residual(traj: Trajectory, k: int, l: int) -> float:
@@ -556,16 +578,18 @@ def collision_residual(traj: Trajectory, k: int, l: int) -> float:
     returned max-over-time absolute defect is an integrator-plus-quadrature
     error, not a modelling one.
     """
+    if any(isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)) for i in (k, l)):
+        raise TypeError(f"particle indices must be integers, not {k!r} and {l!r}")
     if k == l:
         raise ValueError("collision residual needs two distinct particle indices")
     n = traj.n
     if not (0 <= k < n and 0 <= l < n):
         raise ValueError("particle index out of range")
-    seps = np.array([np.linalg.norm(st.points[k] - st.points[l]) for st in traj.states])
+    xk, xl = traj.points[:, k], traj.points[:, l]
+    seps = np.linalg.norm(xk - xl, axis=1)
     if seps[0] < 1e-14:
         raise ValueError("coincident initial pair: identity is vacuous")
-    g = np.array([float(traj.field_samples[i] @ (st.points[k] + st.points[l]))
-                  for i, st in enumerate(traj.states)])
+    g = np.einsum("ij,ij->i", traj.field_samples, xk + xl)
     dt = np.diff(traj.times)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))])
     defect = np.log(seps) - np.log(seps[0]) + 0.5 * integral

@@ -46,8 +46,8 @@ __all__ = [
 
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
-# _snapshot_cycle_ratios: floats a block of snapshots gathers at once, its
-# points component-major and its chord endpoints (512 kB)
+# _snapshot_cycle_ratios: floats of a block of snapshots, its points and
+# the chord endpoints it gathers (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
 # the pair integral is scaled by the area |S^(d-1)|, a float only up to this d
 _MAX_PAIR_D = 343
@@ -91,14 +91,14 @@ def _cycle_ratios_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, (ch2 <= _CHORD_TOL).any(axis=1)
 
 
-def _snapshot_cycle_ratios(snapshots, tuples: np.ndarray):
+def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
     """``_cycle_ratios_batch(points[tuples])`` for fixed index tuples (m, 2k)
-    at every points array (n, d+1) of ``snapshots``, a block of snapshots at
-    a time: yields the block's first index, its ratios (b, m), each
+    at every snapshot of an (s, n, d+1) stack, a block of snapshots at a
+    time: yields the block's first index, its ratios (b, m), each
     snapshot's row with the bits of its own batch, and whether each of its
     snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
 
-    A block's points are stacked component-major, (b, d+1, n), and the two
+    A block's points are read component-major, (b, d+1, n), and the two
     endpoints of every chord taken from them, position-major, (b, d+1, 2,
     2k m).  So all the block's work is whole-row operations: the squared
     chords are summed in einsum's order (``_component_dot``), and the
@@ -107,11 +107,10 @@ def _snapshot_cycle_ratios(snapshots, tuples: np.ndarray):
     """
     m, width = tuples.shape
     ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
-    n, dim = snapshots[0].shape
+    _, n, dim = snapshots.shape
     rows = max(1, _DRIFT_BLOCK_FLOATS // (dim * (n + ends.size)))
     for b0 in range(0, len(snapshots), rows):
-        cols = np.stack([pts.T for pts in snapshots[b0:b0 + rows]])
-        chords = np.take(cols, ends, axis=-1)
+        chords = np.take(snapshots[b0:b0 + rows].swapaxes(-1, -2), ends, axis=-1)
         diffs = chords[..., 0, :]
         np.subtract(diffs, chords[..., 1, :], out=diffs)
         ch2 = _component_dot(diffs, diffs)
@@ -422,12 +421,12 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     drift from its initial value and the worst per-tuple relative drift of
     the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
-    if len(traj.states) < 2:
+    if len(traj.times) < 2:
         raise ValueError("need at least two snapshots")
     if k < 2 or m < 1:
         raise ValueError("need k >= 2 and m >= 1")
     rng = rng_stream(seed, stream=0)
-    tuples, _, _ = _draw_cycles(rng, traj.states[0].points, m, k, 100 * m)
+    tuples, _, _ = _draw_cycles(rng, traj.points[0], m, k, 100 * m)
     return _drift_report(traj, tuples, ps, k)
 
 
@@ -442,9 +441,9 @@ def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[Drif
     time (``_snapshot_cycle_ratios``), so the working set does not grow with
     the trajectory; each snapshot's values are those of a single
     all-snapshot array."""
-    all_estimates = np.empty((len(ps), len(traj.states)))
+    all_estimates = np.empty((len(ps), len(traj.times)))
     per_tuple = 0.0
-    for b0, ratios, bad in _snapshot_cycle_ratios([st.points for st in traj.states], tuples):
+    for b0, ratios, bad in _snapshot_cycle_ratios(traj.points, tuples):
         if bad.any():
             t = traj.times[b0 + int(np.argmax(bad))]
             raise ValueError(f"tuple became degenerate along the trajectory at t = {t}")

@@ -338,6 +338,24 @@ class SkewMatrix:
         return f"SkewMatrix(n={self.n}, |lower|={np.linalg.norm(self._lower):.3g})"
 
 
+def _checked_omega(omega, n: int, dim: int):
+    """Generator labels for n particles in R^dim: None, one SkewMatrix, or
+    one per particle, which a list or tuple becomes a tuple of."""
+    if isinstance(omega, (list, tuple)):
+        omega = tuple(omega)
+        if len(omega) != n:
+            raise ValueError("per-particle generator list length must match the point count")
+        for om in omega:
+            if not isinstance(om, SkewMatrix) or om.n != dim:
+                raise ValueError("generator dimension must match the ambient dimension")
+    elif isinstance(omega, SkewMatrix):
+        if omega.n != dim:
+            raise ValueError("generator dimension must match the ambient dimension")
+    elif omega is not None:
+        raise TypeError("omega must be None, a SkewMatrix, or a tuple of SkewMatrix")
+    return omega
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Ordered particle states on the sphere, with optional generator labels.
@@ -363,20 +381,7 @@ class Ensemble:
             raise ValueError(f"ensemble time must be finite, not {self.time!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        omega = self.omega
-        if isinstance(omega, (list, tuple)):
-            omega = tuple(omega)
-            if len(omega) != pts.shape[0]:
-                raise ValueError("per-particle generator list length must match the point count")
-            for om in omega:
-                if not isinstance(om, SkewMatrix) or om.n != pts.shape[1]:
-                    raise ValueError("generator dimension must match the ambient dimension")
-            object.__setattr__(self, "omega", omega)
-        elif isinstance(omega, SkewMatrix):
-            if omega.n != pts.shape[1]:
-                raise ValueError("generator dimension must match the ambient dimension")
-        elif omega is not None:
-            raise TypeError("omega must be None, a SkewMatrix, or a tuple of SkewMatrix")
+        object.__setattr__(self, "omega", _checked_omega(self.omega, *pts.shape))
 
     @property
     def n(self) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DrivingField, MeanField, Trajectory, _run, _step_count, simulate
+from .dynamics import (DrivingField, MeanField, Trajectory, _record_count, _run, _step_count,
+                       simulate)
 from .functionals import (DriftReport, _draw_cycles, _drift_report, _snapshot_cycle_ratios,
                           conservation_drift)
 from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
@@ -58,10 +59,17 @@ def _dR2_dt(points: np.ndarray, x_c: np.ndarray) -> float:
     return 2.0 * float(np.einsum("ij,ij->", resid, resid)) / points.shape[0]
 
 
+def _chordal_radius(epsilon) -> float:
+    """A ball radius epsilon as a float, refused by name outside (0, 2)."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon < 2.0:  # NaN fails too
+        raise ValueError(f"chordal radius must lie in (0, 2), not {epsilon!r}")
+    return epsilon
+
+
 def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
     """Fraction of particles within chordal distance epsilon of a center."""
-    if not 0.0 < epsilon < 2.0:
-        raise ValueError("chordal radius must lie in (0, 2)")
+    epsilon = _chordal_radius(epsilon)
     return float(_ball_masses(ens.points, np.asarray(center, dtype=float)[None], epsilon)[0])
 
 
@@ -103,7 +111,7 @@ class _SeriesRecorder:
     def __init__(self, record_every: int, epsilon: float):
         if record_every < 1:
             raise ValueError("record_every must be at least 1")
-        self.record_every, self.epsilon = record_every, float(epsilon)
+        self.record_every, self.epsilon = record_every, _chordal_radius(epsilon)
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.defect = 0.0
@@ -151,9 +159,9 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     recorder = _SeriesRecorder(record_every, epsilon)
     # a blow-up is reported by the finite check of the step, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, (t, ens, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
-            recorder.add(s, t, ens.points, exact_mean(ens.points) if mean is None else mean)
-    return recorder.finish(), ens
+        for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
+            recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
+    return recorder.finish(), ens0._at(points, t)
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -170,8 +178,8 @@ def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tupl
 
 
 def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:
-    """Cross ratios of index tuples (m, 4) at every points array of
-    ``snapshots``, shape (len(snapshots), m), without the degeneracy guard;
+    """Cross ratios of index tuples (m, 4) at every snapshot of an
+    (s, n, d+1) stack, shape (s, m), without the degeneracy guard;
     an exactly zero denominator, 0/0 included, gives inf."""
     vals = np.concatenate([v for _, v, _ in _snapshot_cycle_ratios(snapshots, tuples)])
     vals[np.isnan(vals)] = np.inf
@@ -216,13 +224,13 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     moments on two-cluster states.  A von Mises-Fisher control run checks
     that ordinary fixed tuples stay conserved under the same integrator.
     """
-    branches = _Branches(N, d, kappa, delta, seed)
+    branches = _Branches(N, d, kappa, delta, seed, t_end, dt)
     # both branches are stepped as one stack; a blow-up is reported by the
     # loop's finite check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t, points, mean, _ in _run(branches.start, MeanField(kappa), t_end, dt, _RECORD_EVERY):
             branches.add(t, points, mean)
-    return branches.report(t_end, dt)
+    return branches.report()
 
 
 def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: float,
@@ -235,7 +243,7 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     (3, N, d+1) stack, in which each member gets the bits of its own run."""
     if ens0.omega is not None or ens0.time != 0.0:
         raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
-    branches = _Branches(ens0.n, ens0.d, kappa, delta, seed)
+    branches = _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
     recorder = _SeriesRecorder(record_every, epsilon)
     steps = _step_count(t_end, dt, 1)
     stack = np.concatenate([branches.start, ens0.points[None]])
@@ -245,16 +253,18 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
                 branches.add(t, points, mean)
             rows = points[2].copy()  # row-major, as _dR2_dt needs for its bits
             recorder.add(s, t, rows, mean[2])
-    return recorder.finish(), ens0._at(rows, t), branches.report(t_end, dt)
+    return recorder.finish(), ens0._at(rows, t), branches.report()
 
 
 class _Branches:
-    """The instability experiment's two branches: their start, a (2, N, d+1)
-    stack, and what a run keeps of each recorded state of it, which
-    ``report`` turns into the experiment's outcome.  (a) keeps its order
-    parameter, (b) what ``simulate(..., _RECORD_EVERY)`` records."""
+    """The instability experiment's two branches over a run to t_end at
+    step dt: their start, a (2, N, d+1) stack, and what the run keeps of
+    each recorded state of it, which ``report`` turns into the experiment's
+    outcome.  (a) keeps its order parameter, (b) its points, in one
+    preallocated array, and its exact mean."""
 
-    def __init__(self, N: int, d: int, kappa: float, delta: float, seed: int):
+    def __init__(self, N: int, d: int, kappa: float, delta: float, seed: int,
+                 t_end: float, dt: float):
         if N < 4:
             raise ValueError("need at least four particles")
         if N % 2:
@@ -271,22 +281,23 @@ class _Branches:
         pert_points = sym_points.copy()
         pert_points[0] = renormalize(x0 + delta * direction)
         self.N, self.d, self.kappa, self.delta, self.seed = N, d, float(kappa), float(delta), seed
-        self.start, self.perturbed = np.stack([sym_points, pert_points]), Ensemble(pert_points)
-        self.r2_sym, self.times, self.states, self.means = [], [], [], []
+        self.t_end, self.dt = float(t_end), float(dt)
+        self.start = np.stack([sym_points, pert_points])
+        self.points = np.empty((_record_count(t_end, dt, _RECORD_EVERY), N, d + 1))
+        self.r2_sym, self.times, self.means = [], [], []
 
     def add(self, t: float, points: np.ndarray, mean: np.ndarray):
         """A recorded state at time t of a stack whose first two members are
         the branches, with their exact means."""
+        self.points[len(self.times)] = points[1]
         self.r2_sym.append(float(mean[0] @ mean[0]))
         self.times.append(t)
-        self.states.append(self.perturbed._at(points[1].copy(), t))
         self.means.append(mean[1])
 
-    def report(self, t_end: float, dt: float) -> InstabilityReport:
+    def report(self) -> InstabilityReport:
         N, d, kappa, delta, seed = self.N, self.d, self.kappa, self.delta, self.seed
-        means = self.means
+        means, points = self.means, self.points
         r_max_sym = math.sqrt(max(self.r2_sym))
-        traj = Trajectory(np.asarray(self.times), tuple(self.states), kappa * np.asarray(means))
         rs = np.array([math.sqrt(float(m @ m)) for m in means])
 
         # mixed tuples: two indices per emergent cluster at the first snapshot
@@ -296,20 +307,20 @@ class _Branches:
         mixed_max = math.nan
         for i in np.nonzero(rs >= 0.5)[0]:
             gamma = means[i] / rs[i]
-            side = traj.states[i].points @ gamma
+            side = points[i] @ gamma
             plus = np.nonzero(side > 0)[0]
             minus = np.nonzero(side <= 0)[0]
             if plus.size >= 2 and minus.size >= 2:
                 n_pairs = min(3, plus.size // 2, minus.size // 2)
-                pp = _closest_pairs(traj.states[i].points, plus, n_pairs)
-                mp = _closest_pairs(traj.states[i].points, minus, n_pairs)
+                pp = _closest_pairs(points[i], plus, n_pairs)
+                mp = _closest_pairs(points[i], minus, n_pairs)
                 mixed_tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
                                         dtype=np.int64)
-                selection_time = float(traj.times[i])
+                selection_time = float(self.times[i])
                 break
         unbounded = False
         if mixed_tuples.shape[0]:
-            vals = _mixed_tuple_values([st.points for st in traj.states], mixed_tuples)
+            vals = _mixed_tuple_values(points, mixed_tuples)
             unbounded = bool(np.any(np.isinf(vals)))
             mixed_max = float(vals[np.isfinite(vals)].max(initial=0.0))
 
@@ -329,7 +340,7 @@ class _Branches:
             selection_time=selection_time,
             control_max_drift=control.max_relative_drift,
             control_per_tuple_drift=control.per_tuple_max_drift,
-            t_end=float(t_end), dt=float(dt),
+            t_end=self.t_end, dt=self.dt,
         )
 
 
@@ -348,11 +359,11 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     """Drift of cycle moments within each generator group, against a control
     of deliberately mixed-group tuples.
 
-    Group labels are immutable along a trajectory, so the group mass
-    fractions are constant exactly; tuples drawn within one group must be
+    A trajectory carries one label set, so the group mass fractions are
+    constant by construction; tuples drawn within one group must be
     conserved while mixed tuples are generally not.
     """
-    first = traj.states[0]
+    first = Ensemble(traj.points[0], traj.omega)
     groups = first.omega_groups()
     per_group = []
     skipped = []
@@ -375,6 +386,5 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
         mixed = _drift_report(traj, chosen, [p], k)[0]
 
     fractions = np.array([idx.size / first.n for _, idx in groups])
-    constant = all(st.omega is first.omega or st.omega == first.omega for st in traj.states)
     return PerOmegaReport(groups=per_group, skipped=skipped, mixed_drift=mixed,
-                          fractions=fractions, fractions_constant=bool(constant))
+                          fractions=fractions, fractions_constant=True)

@@ -317,6 +317,8 @@ def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ense
     if states.d != sample_points.d:
         raise ValueError("state and ensemble dimensions do not match")
     dts = np.diff(states.time)
+    if not (dts > 0).all():
+        raise ValueError("state times must increase")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
         raise ValueError("states are not uniformly spaced")
     dt = dts[0]

@@ -57,7 +57,7 @@ def test_criterion_01_pushforward_equivalence(reference_run):
         idx = round(c * steps / 10)
         pushed = ss.push_forward(path[idx], ens0)
         worst = max(worst, float(np.max(np.linalg.norm(
-            pushed.points - traj.states[idx].points, axis=1))))
+            pushed.points - traj.points[idx], axis=1))))
     ok = worst <= 1e-5 and reference_run["elapsed"] < 30.0
     check("criterion 1 (push-forward equivalence)", ok,
           f"max mismatch {worst:.3e} (tol 1e-5), runtime {reference_run['elapsed']:.1f}s (< 30s)")

@@ -188,13 +188,13 @@ def test_step_outputs_exactly_unit():
 def test_simulate_zero_horizon_single_snapshot():
     ens = sample_uniform(2, 4, 1)
     traj = simulate(ens, MeanField(1.0), 0.0, 1e-3)
-    assert len(traj.states) == 1 and traj.times[0] == 0.0
+    assert len(traj.times) == 1 and traj.times[0] == 0.0
 
 
 def test_simulate_snapshot_count():
     ens = sample_uniform(2, 4, 1)
     traj = simulate(ens, MeanField(1.0), 1.0, 1e-2, record_every=20)
-    assert len(traj.states) == 100 // 20 + 1
+    assert len(traj.times) == 100 // 20 + 1
 
 
 def test_simulate_rk4_self_convergence():
@@ -203,7 +203,7 @@ def test_simulate_rk4_self_convergence():
     ens = sample_uniform(2, 16, 19).with_omega(om)
 
     def final(dt):
-        return simulate(ens, MeanField(1.0), 1.0, dt, record_every=10**9).states[-1].points
+        return simulate(ens, MeanField(1.0), 1.0, dt, record_every=10**9).points[-1]
 
     e1 = np.max(np.abs(final(4e-3) - final(2e-3)))
     e2 = np.max(np.abs(final(2e-3) - final(1e-3)))
@@ -216,8 +216,8 @@ def test_common_rotation_isometry():
     ens = sample_uniform(2, 8, 23).with_omega(om)
     traj = simulate(ens, PrescribedField(lambda t: np.zeros(3)), 10.0, 1e-3, record_every=1000)
     d0 = np.linalg.norm(ens.points[:, None] - ens.points[None, :], axis=2)
-    for st in traj.states:
-        d = np.linalg.norm(st.points[:, None] - st.points[None, :], axis=2)
+    for pts in traj.points:
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         assert np.max(np.abs(d - d0)) <= 1e-10
 
 
@@ -234,8 +234,8 @@ def test_collision_residual_swarm_run():
     traj = simulate(ens, MeanField(1.0), 5.0, 1e-3, record_every=1)
     assert collision_residual(traj, 2, 9) <= 1e-6
     # distinct initial points stay distinct on any finite recorded run
-    for st in traj.states[:: len(traj.states) // 10]:
-        gram = st.points @ st.points.T
+    for pts in traj.points[:: len(traj.times) // 10]:
+        gram = pts @ pts.T
         np.fill_diagonal(gram, -1.0)
         assert np.sqrt(max(0.0, 2.0 - 2.0 * gram.max())) > 0.0
 
@@ -249,6 +249,32 @@ def test_collision_residual_errors():
     traj2 = simulate(coincident, MeanField(1.0), 0.1, 1e-2)
     with pytest.raises(ValueError, match="coincident"):
         collision_residual(traj2, 0, 1)
+
+
+@pytest.mark.parametrize("k, l", [(True, 0), (0, True), (1.0, 2), (0, np.float64(2.0)), ("1", 2)])
+def test_collision_residual_refuses_non_integer_indices_by_name(k, l):
+    traj = simulate(sample_uniform(2, 4, 2), MeanField(1.0), 0.1, 1e-2)
+    with pytest.raises(TypeError, match="^particle indices must be integers"):
+        collision_residual(traj, k, l)
+
+
+def test_collision_residual_takes_numpy_integers():
+    traj = simulate(sample_uniform(2, 6, 3), MeanField(1.0), 0.5, 1e-3)
+    want = collision_residual(traj, 1, 4)
+    assert collision_residual(traj, np.int64(1), np.uint8(4)) == want <= 1e-6
+
+
+def test_simulate_records_the_points_the_loop_yields():
+    ens = Ensemble(sample_uniform(2, REF_N, 8).points, TWO_GROUPS)
+    traj = simulate(ens, MeanField(1.0), 0.1, REF_DT, record_every=3)
+    yielded = list(_run(ens, MeanField(1.0), 0.1, REF_DT, 3))
+    assert len(traj.times) == len(yielded) == 5
+    for j, (t, points, _, x) in enumerate(yielded):
+        assert traj.times[j] == t and traj.points[j].tobytes() == points.tobytes()
+        assert traj.field_samples[j].tobytes() == x.tobytes()
+    for a in (traj.times, traj.points, traj.field_samples):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_replay_field_roundtrip_and_span():
@@ -388,7 +414,7 @@ def test_time_delay_slopes_match_reference_stencil(tau):
     got = simulate(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
     want = _reference_run(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, 3)
     assert got.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
-    assert got.states[-1].points.tobytes() == want[-1][0].points.tobytes()
+    assert got.points[-1].tobytes() == want[-1][0].points.tobytes()
 
 
 DELAY_IN_RUN = r"a time-delay field reads its run's history; step it through simulate\(\)"
@@ -406,20 +432,55 @@ def test_a_field_rejects_a_non_finite_parameter_by_name(make, message):
         make()
 
 
-@pytest.mark.parametrize("case", ["nan_time", "nan_field", "field_width", "state_shapes"])
+TRAJECTORY_CASES = {
+    "nan_time": (lambda t, p, f, om: ([0.0, math.nan], p, f, om), "snapshot times must be finite"),
+    "nan_field": (lambda t, p, f, om: (t, p, np.where([[0], [1]], math.nan, f), om),
+                  "field samples must be finite"),
+    "field_width": (lambda t, p, f, om: (t, p, np.zeros((2, 5)), om),
+                    r"field samples must be an \(m, d\+1\) array"),
+    "state_shapes": (lambda t, p, f, om: (t, p[0], f, om),
+                     r"points must be an \(m, n, d\+1\) array"),
+    "no_snapshots": (lambda t, p, f, om: (t[:0], p[:0], f[:0], om), "at least one snapshot"),
+    "flat_points": (lambda t, p, f, om: (t, p[:, :, :1], f[:, :1], om),
+                    r"with d >= 1, not \(2, 8, 1\)"),
+    "no_particles": (lambda t, p, f, om: (t, p[:, :0], f, om), r"with d >= 1, not \(2, 0, 3\)"),
+    "points_length": (lambda t, p, f, om: (t, p[:1], f, om), "must have equal length"),
+    "fields_length": (lambda t, p, f, om: (t, p, f[:1], om), "must have equal length"),
+    "off_sphere": (lambda t, p, f, om: (t, p * np.where(np.arange(8) == 5, 1.001, 1.0)[:, None],
+                                        f, om),
+                   "trajectory points must lie on the unit sphere"),
+    "nan_point": (lambda t, p, f, om: (t, np.where(np.arange(3) == 2, math.nan, p), f, om),
+                  "trajectory points must lie on the unit sphere"),
+    "label_count": (lambda t, p, f, om: (t, p, f, om[:7]), "generator list length must match"),
+    "label_dim": (lambda t, p, f, om: (t, p, f, SkewMatrix.zero(3)),
+                  "generator dimension must match"),
+    "label_in_list": (lambda t, p, f, om: (t, p, f, om[:7] + (SkewMatrix.zero(1),)),
+                      "generator dimension must match"),
+}
+
+
+@pytest.mark.parametrize("case", TRAJECTORY_CASES)
 def test_trajectory_rejects_malformed_records_by_name(case):
+    # the label checks are Ensemble's: the same messages
     a, b = sample_uniform(2, 8, 1), sample_uniform(2, 8, 2)
-    times, states, fields = [0.0, 1.0], (a, b), np.zeros((2, 3))
-    if case == "nan_time":
-        times, message = [0.0, math.nan], "snapshot times must be finite"
-    elif case == "nan_field":
-        fields[1, 0], message = math.nan, "field samples must be finite"
-    elif case == "field_width":
-        fields, message = np.zeros((2, 5)), r"field samples must be an \(m, d\+1\) array"
-    else:
-        states, message = (sample_uniform(2, 8, 1), sample_uniform(3, 5, 2)), "share one shape"
+    record = ([0.0, 1.0], np.stack([a.points, b.points]), np.zeros((2, 3)),
+              (SkewMatrix.zero(2),) * 8)
+    make, message = TRAJECTORY_CASES[case]
     with pytest.raises(ValueError, match=message):
-        Trajectory(np.array(times), states, fields)
+        Trajectory(*make(*record))
+    with pytest.raises(TypeError, match="omega must be None"):
+        Trajectory(*record[:3], "zero")
+
+
+def test_a_trajectory_takes_its_arrays_over_and_freezes_them():
+    times, points, fields = np.array([0.0, 0.5]), np.stack([sample_uniform(2, 4, 1).points] * 2), \
+        np.zeros((2, 3))
+    om = [SkewMatrix.planar(2, 1.0)] * 4
+    traj = Trajectory(times, points, fields, om)
+    assert traj.times is times and traj.points is points and traj.field_samples is fields
+    assert not (times.flags.writeable or points.flags.writeable or fields.flags.writeable)
+    assert traj.omega == tuple(om) and (traj.n, traj.d) == (4, 2)
+    assert Trajectory([0], points[:1].tolist(), [[0, 0, 0]]).points.dtype == np.float64
 
 
 def test_time_delay_runs_and_errors():
@@ -428,8 +489,8 @@ def test_time_delay_runs_and_errors():
     with pytest.raises(ValueError, match=DELAY_IN_RUN):
         field.evaluate(ens.points, 0.0)
     traj = simulate(ens, field, 0.3, 1e-2, record_every=5)
-    assert len(traj.states) == 7
-    assert np.max(np.abs(np.linalg.norm(traj.states[-1].points, axis=1) - 1.0)) <= 1e-12
+    assert len(traj.times) == 7
+    assert np.max(np.abs(np.linalg.norm(traj.points[-1], axis=1) - 1.0)) <= 1e-12
     with pytest.raises(ValueError, match="delay shorter than the step size"):
         simulate(ens, TimeDelayField(1.0, 1e-3), 0.1, 1e-2)
     with pytest.raises(ValueError, match="time-delay runs must start at t = 0"):
@@ -473,8 +534,8 @@ def test_time_delay_constant_history_matches_plain_mean_field_initially():
 def test_simulate_deterministic():
     om = SkewMatrix.random(2, 3, 1.0)
     ens = sample_uniform(2, 8, 5).with_omega(om)
-    a = simulate(ens, MeanField(1.0), 0.2, 1e-3).states[-1].points
-    b = simulate(ens, MeanField(1.0), 0.2, 1e-3).states[-1].points
+    a = simulate(ens, MeanField(1.0), 0.2, 1e-3).points[-1]
+    b = simulate(ens, MeanField(1.0), 0.2, 1e-3).points[-1]
     np.testing.assert_array_equal(a, b)
 
 
@@ -590,9 +651,9 @@ def test_simulate_matches_the_reference_step_bit_for_bit(case):
     traj = simulate(ens, make_field(), 0.3, REF_DT, record_every=4)
     want = _reference_run(ens, make_field(), 0.3, REF_DT, 4)
     assert traj.times.tobytes() == np.array([st.time for st, _ in want]).tobytes()
-    for got, (st, _) in zip(traj.states, want, strict=True):
-        assert got.points.tobytes() == st.points.tobytes()
-        assert got.omega is st.omega
+    for got, (st, _) in zip(traj.points, want, strict=True):
+        assert got.tobytes() == st.points.tobytes()
+    assert traj.omega is ens.omega
     assert traj.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
 
     series, final = order_parameter_series(ens, make_field(), 0.3, REF_DT)
@@ -674,8 +735,8 @@ def test_interleaved_delay_runs_equal_fresh_runs():
     fresh = zip(_outputs(a, TimeDelayField(1.0, 5 * REF_DT)),
                 _outputs(b, TimeDelayField(1.0, 5 * REF_DT)), strict=True)
     for got_pair, want_pair in zip(interleaved, fresh, strict=True):
-        for (t, state, mean, x), (t_w, state_w, mean_w, x_w) in zip(got_pair, want_pair):
-            assert t == t_w and state.points.tobytes() == state_w.points.tobytes()
+        for (t, points, mean, x), (t_w, points_w, mean_w, x_w) in zip(got_pair, want_pair):
+            assert t == t_w and points.tobytes() == points_w.tobytes()
             assert mean.tobytes() == mean_w.tobytes() and x.tobytes() == x_w.tobytes()
 
 
@@ -694,9 +755,9 @@ def test_stack_members_equal_their_single_runs(kind, d):
     stacked = list(_run(np.stack(members), _stack_field(kind, d), 0.1, REF_DT, 3))
     for i, member in enumerate(members):
         alone = list(_run(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3))
-        for (t, points, mean, x), (t_w, state, mean_w, x_w) in zip(stacked, alone, strict=True):
+        for (t, points, mean, x), (t_w, points_w, mean_w, x_w) in zip(stacked, alone, strict=True):
             assert t == t_w and points.shape == (3, REF_N, d + 1)
-            assert points[i].copy().tobytes() == state.points.tobytes()
+            assert points[i].copy().tobytes() == points_w.tobytes()
             assert mean[i].tobytes() == mean_w.tobytes() and x[i].tobytes() == x_w.tobytes()
         traj = simulate(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3)
         assert traj.field_samples.tobytes() == np.array([x[i] for *_, x in stacked]).tobytes()
@@ -725,17 +786,22 @@ def test_a_stack_refuses_a_field_that_does_not_read_the_mean(monkeypatch, field)
 
 def test_the_loop_keeps_steps_state_when_its_time_is_on_the_grid(monkeypatch):
     # with dt = 1/4 every t + dt is exactly t0 + s * dt: one Ensemble a step
-    made = []
+    given, made = [], []
 
     def kept(state, field, dt):
+        given.append(state)
         made.append(step(state, field, dt))
         return made[-1]
 
     monkeypatch.setattr(dynamics, "step", kept)
-    states = [state for _, state, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 2.0, 0.25, 1)]
-    assert len(made) == 8 and all(got is want for got, want in zip(states[1:], made, strict=True))
-    # off the grid the loop restamps the successor: 0.5 + 0.1 != 6 * 0.1
-    made.clear()
-    states = [state for _, state, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 0.6, 0.1, 1)]
-    assert [got is want for got, want in zip(states[1:], made, strict=True)] == [True] * 5 + [False]
-    assert states[-1].time == 6 * 0.1 != made[-1].time and states[-1].points is made[-1].points
+    points = [p for _, p, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 2.0, 0.25, 1)]
+    assert len(made) == 8 and all(got is want for got, want in zip(given[1:], made[:-1], strict=True))
+    assert all(p is st.points for p, st in zip(points[1:], made, strict=True))
+    # off the grid the loop restamps the successor, whose clock the next
+    # step reads: 0.5 + 0.1 != 6 * 0.1
+    given.clear(), made.clear()
+    points = [p for _, p, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 0.8, 0.1, 1)]
+    kept_state = [got is want for got, want in zip(given[1:], made[:-1], strict=True)]
+    assert kept_state == [True] * 5 + [False] + [True]
+    assert given[6].time == 6 * 0.1 != made[5].time and given[6].points is made[5].points
+    assert all(p is st.points for p, st in zip(points[1:], made, strict=True))

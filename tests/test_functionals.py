@@ -391,9 +391,8 @@ def test_divergence_probe_grid_matches_existence(d):
 
 
 def frozen_trajectory(points, omega=None):
-    states = (Ensemble(points, omega, 0.0), Ensemble(points, omega, 1.0))
     fields = np.zeros((2, points.shape[1]))
-    return Trajectory(np.array([0.0, 1.0]), states, fields)
+    return Trajectory(np.array([0.0, 1.0]), np.stack([points, points]), fields, omega)
 
 
 def test_conservation_drift_frozen_trajectory():
@@ -461,7 +460,7 @@ def test_conservation_drifts_match_single_p_bitwise():
 def _reference_drift(traj, tuples, p):
     """The drift of fixed tuples from one all-snapshot array of cycle ratios,
     as ``_drift_report`` formed it before it worked in snapshot blocks."""
-    ratios = np.array([_cycle_ratios_batch(st.points[tuples])[0] for st in traj.states])
+    ratios = np.array([_cycle_ratios_batch(pts[tuples])[0] for pts in traj.points])
     per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
     estimates = (ratios ** p).mean(axis=1)
     return estimates, per_tuple
@@ -480,7 +479,7 @@ def test_drift_report_blocks_match_one_array_bitwise(monkeypatch, block_floats):
     om = SkewMatrix.random(2, 31, 1.0)
     ens = sample_uniform(2, 24, 43).with_omega(om)
     traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
-    assert len(traj.states) == 26 and 26 * _SNAPSHOT_FLOATS <= 1 << 16
+    assert len(traj.times) == 26 and 26 * _SNAPSHOT_FLOATS <= 1 << 16
     tuples = _draw_cycles(rng_stream(8, stream=0), ens.points, 60, 3, 6000)[0]
     ps = [0.0, 0.4, -1.1]
     for p, rep in zip(ps, _drift_report(traj, tuples, ps, 3)):
@@ -494,7 +493,7 @@ def test_drift_report_blocks_match_one_array_bitwise(monkeypatch, block_floats):
 @pytest.mark.parametrize("block_floats", [1, 1 << 16])
 def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, k, block_floats):
     monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
-    snapshots = [sample_uniform(d, 30, 100 * d + s).points for s in range(9)]
+    snapshots = np.stack([sample_uniform(d, 30, 100 * d + s).points for s in range(9)])
     tuples = _draw_cycles(rng_stream(k), snapshots[0], 40, k, 10**4)[0]
     tuples[0, 1] = tuples[0, 0]  # a zero chord: masked, its ratio 0 or NaN
     tuples[1, 2] = tuples[1, 1]  # a zero denominator chord
@@ -516,15 +515,12 @@ def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, 
 def _collapsing_trajectory(collapse_at):
     """Four points turning rigidly about the last axis, except that point 1
     sits on point 0 from snapshot ``collapse_at`` on."""
-    times, states = [], []
-    for s in range(40):
-        c, sn = math.cos(0.05 * s), math.sin(0.05 * s)
-        pts = np.array([[c, sn, 0.0], [-sn, c, 0.0], [-c, -sn, 0.0], [0.0, 0.0, 1.0]])
-        if s >= collapse_at:
-            pts[1] = pts[0]
-        times.append(0.25 * s)
-        states.append(Ensemble(pts, time=0.25 * s))
-    return Trajectory(np.array(times), tuple(states), np.zeros((40, 3)))
+    c, sn = np.cos(0.05 * np.arange(40)), np.sin(0.05 * np.arange(40))
+    zero, one = np.zeros(40), np.ones(40)
+    points = np.stack([np.stack(v, axis=1) for v in
+                       ((c, sn, zero), (-sn, c, zero), (-c, -sn, zero), (zero, zero, one))], axis=1)
+    points[collapse_at:, 1] = points[collapse_at:, 0]
+    return Trajectory(0.25 * np.arange(40), points, np.zeros((40, 3)))
 
 
 def test_drift_report_names_the_first_degenerate_snapshot(monkeypatch):
@@ -544,7 +540,7 @@ def test_shifted_tuples_turn_the_estimates_at_p_into_those_at_minus_p(d, k, p, s
     # a shift by one position swaps a cycle's numerator and denominator
     # chords, so each ratio is inverted and C^p becomes C^-p
     traj = simulate(sample_uniform(d, 12, seed), MeanField(1.0), 0.05, 1e-2)
-    tuples = _draw_cycles(rng_stream(seed, stream=0), traj.states[0].points, 20, k, 10**4)[0]
+    tuples = _draw_cycles(rng_stream(seed, stream=0), traj.points[0], 20, k, 10**4)[0]
     shifted = _drift_report(traj, np.roll(tuples, 1, axis=1), [p], k)[0].estimates
     mirrored = _drift_report(traj, tuples, [-p], k)[0].estimates
     np.testing.assert_allclose(shifted, mirrored, rtol=1e-12, atol=0.0)

@@ -23,7 +23,7 @@ from swarmsphere import (
     simulate,
     tangent_project,
 )
-from swarmsphere.dynamics import Trajectory, _run
+from swarmsphere.dynamics import _run
 from swarmsphere.functionals import _draw_cycles
 from swarmsphere.kinetic import _RECORD_EVERY, _mixed_tuple_values, _series_with_instability
 
@@ -131,17 +131,17 @@ def test_order_parameter_series_matches_simulate_snapshots(make_field):
     series, final = order_parameter_series(ens, make_field(), 0.5, 1e-2, record_every=3)
     traj = simulate(ens, make_field(), 0.5, 1e-2, record_every=3)
     assert np.array_equal(series.times, traj.times)
-    assert np.array_equal(series.R2, [order_parameter(st)[0] for st in traj.states])
-    assert np.array_equal(final.points, traj.states[-1].points)
+    assert np.array_equal(series.R2, [order_parameter(Ensemble(pts))[0] for pts in traj.points])
+    assert np.array_equal(final.points, traj.points[-1])
 
 
 def test_sandwich_inequality_along_run():
     ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 128, 23)
     traj = simulate(ens, MeanField(1.0), 2.0, 1e-2, record_every=20)
-    for st in traj.states:
-        x_c = exact_mean(st.points)
+    for pts in traj.points:
+        x_c = exact_mean(pts)
         gamma = x_c / np.linalg.norm(x_c)
-        cosines = st.points @ gamma
+        cosines = pts @ gamma
         mean_abs = float(np.mean(np.abs(cosines)))
         mean_sq = float(np.mean(cosines**2))
         assert mean_sq - 1e-12 <= mean_abs <= 1.0 + 1e-12
@@ -176,7 +176,7 @@ def test_mixed_tuple_values_are_the_unguarded_chord_quotients():
                        [1, 0, 5, 2],    # x2 = x3: zero denominator
                        [0, 5, 5, 1]])   # x1 = x2 = x3: 0/0
     turned = points[:, [1, 2, 0]]  # a rotation that keeps the chords exact
-    snapshots = [points, turned]
+    snapshots = np.stack([points, turned])
     values = _mixed_tuple_values(snapshots, tuples)
     assert values.shape == (2, 4)
     for pts, vals in zip(snapshots, values):
@@ -191,13 +191,13 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     import swarmsphere.kinetic as kinetic
 
     built = []
+    report = kinetic._Branches.report
 
-    class Recorded(Trajectory):
-        def __post_init__(self):
-            super().__post_init__()
-            built.append(self)
+    def recorded(branches):
+        built.append(branches)
+        return report(branches)
 
-    monkeypatch.setattr(kinetic, "Trajectory", Recorded)
+    monkeypatch.setattr(kinetic._Branches, "report", recorded)
     n, seed, t_end, dt = 200, 3, 6.0, 1e-2
     rep = instability_experiment(N=n, d=2, kappa=1.0, delta=1e-3, seed=seed, t_end=t_end, dt=dt)
     (stacked,) = built
@@ -205,18 +205,17 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     # the same two branches run one at a time: (a) through _run, (b) through simulate
     half = sample_uniform(2, n // 2, seed).points
     sym = np.vstack([half, -half])
-    r2 = [order_parameter(state)[0]
-          for _, state, _, _ in _run(Ensemble(sym), MeanField(1.0), t_end, dt, _RECORD_EVERY)]
+    r2 = [order_parameter(Ensemble(points))[0]
+          for _, points, _, _ in _run(Ensemble(sym), MeanField(1.0), t_end, dt, _RECORD_EVERY)]
     assert rep.R_max_symmetric == 0.0 and max(r2) == 0.0
     direction = tangent_project(sym[0], np.eye(3)[int(np.argmin(np.abs(sym[0])))])
     pert = sym.copy()
     pert[0] = renormalize(sym[0] + 1e-3 * direction / np.linalg.norm(direction))
     alone = simulate(Ensemble(pert), MeanField(1.0), t_end, dt, _RECORD_EVERY)
-    assert stacked.times.tobytes() == alone.times.tobytes()
-    for got, want in zip(stacked.states, alone.states, strict=True):
-        assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
-    assert stacked.field_samples.tobytes() == alone.field_samples.tobytes()
-    assert rep.R_end_perturbed == math.sqrt(order_parameter(alone.states[-1])[0])
+    assert np.array(stacked.times).tobytes() == alone.times.tobytes()
+    assert stacked.points.tobytes() == alone.points.tobytes()
+    assert (1.0 * np.array(stacked.means)).tobytes() == alone.field_samples.tobytes()
+    assert rep.R_end_perturbed == math.sqrt(order_parameter(Ensemble(alone.points[-1]))[0])
 
 
 def test_series_and_branches_stacked_equal_the_separate_calls():
@@ -244,9 +243,9 @@ def test_series_masses_are_the_ball_masses_of_each_state():
     ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 64, 9)
     series, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=10)
     traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=10)
-    for st, g, plus, minus in zip(traj.states, series.gamma, series.mass_plus, series.mass_minus,
+    for pts, g, plus, minus in zip(traj.points, series.gamma, series.mass_plus, series.mass_minus,
                                   strict=True):
-        assert plus == ball_mass(st, g, 0.5) and minus == ball_mass(st, -g, 0.5)
+        assert plus == ball_mass(Ensemble(pts), g, 0.5) and minus == ball_mass(Ensemble(pts), -g, 0.5)
 
 
 def test_order_parameter_series_computes_each_exact_mean_once(monkeypatch):
@@ -337,3 +336,15 @@ def test_per_omega_small_group_skipped():
     rep = per_omega_conservation(traj, 0.3, 2, 10, seed=9)
     assert rep.skipped == [(1, 3)]
     assert len(rep.groups) == 1
+
+
+@pytest.mark.parametrize("epsilon", [-1.0, 0.0, 2.0, math.nan, math.inf])
+def test_a_chordal_radius_outside_zero_to_two_is_refused_by_name(epsilon):
+    ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 16, 9)
+    message = r"^chordal radius must lie in \(0, 2\), not "
+    with pytest.raises(ValueError, match=message):
+        order_parameter_series(ens, MeanField(1.0), 0.1, 1e-2, epsilon=epsilon)
+    with pytest.raises(ValueError, match=message):
+        _series_with_instability(ens, 1.0, 0.1, 1e-2, 1, epsilon, 1e-3, 3)
+    with pytest.raises(ValueError, match=message):
+        ball_mass(ens, [0.0, 0.0, 1.0], epsilon)

@@ -221,7 +221,7 @@ def test_push_forward_matches_direct_simulation():
     traj = simulate(ens0, MeanField(1.0), 1.0, 1e-3)
     path = ws_evolve(om, ReplayField.from_trajectory(traj), 1.0, 1e-3)
     pushed = push_forward(path[-1], ens0)
-    mismatch = np.max(np.linalg.norm(pushed.points - traj.states[-1].points, axis=1))
+    mismatch = np.max(np.linalg.norm(pushed.points - traj.points[-1], axis=1))
     assert mismatch <= 1e-5
 
 
@@ -234,7 +234,7 @@ def test_push_forward_matches_direct_for_prescribed_field():
     traj = simulate(ens0, field, 2.0, 1e-3, record_every=10**9)
     path = ws_evolve(om, field, 2.0, 1e-3)
     pushed = push_forward(path[-1], ens0)
-    mismatch = np.max(np.linalg.norm(pushed.points - traj.states[-1].points, axis=1))
+    mismatch = np.max(np.linalg.norm(pushed.points - traj.points[-1], axis=1))
     assert mismatch <= 1e-9
 
 
@@ -245,7 +245,7 @@ def test_push_forward_equivalence_across_dimensions(d):
     traj = simulate(ens0, MeanField(1.0), 0.5, 1e-3)
     path = ws_evolve(om, ReplayField.from_trajectory(traj), 0.5, 1e-3)
     pushed = push_forward(path[-1], ens0)
-    mismatch = np.max(np.linalg.norm(pushed.points - traj.states[-1].points, axis=1))
+    mismatch = np.max(np.linalg.norm(pushed.points - traj.points[-1], axis=1))
     assert mismatch <= 1e-6
 
 
@@ -314,7 +314,7 @@ def test_heterogeneous_push_forward_matches_direct_two_groups():
     replay = ReplayField.from_trajectory(traj)
     paths = ws_evolve_groups([om_a, om_b], replay, 1.0, 1e-3)
     pushed = heterogeneous_push_forward({om: p[-1] for om, p in paths.items()}, ens0)
-    mismatch = np.max(np.linalg.norm(pushed.points - traj.states[-1].points, axis=1))
+    mismatch = np.max(np.linalg.norm(pushed.points - traj.points[-1], axis=1))
     assert mismatch <= 1e-5
 
 
@@ -669,3 +669,29 @@ def test_push_forward_preserves_cross_ratios(d, seed):
     before = cross_ratio(*ens.points)
     after = cross_ratio(*push_forward(state, ens).points)
     assert abs(after - before) <= 1e-10 * before
+
+
+@pytest.mark.parametrize("func, shape", [
+    (lambda t: 1.0, r"\(\)"),
+    (lambda t: np.zeros((2, 3)), r"\(2, 3\)"),
+    (lambda t: np.zeros(3 if t < 0.005 else 4), r"\(3,\), \(4,\)"),
+    (lambda t: np.zeros(1), r"\(1,\)"),
+], ids=["scalar", "matrix", "ragged", "one_component"])
+def test_a_prescribed_field_must_return_one_vector_of_a_fixed_width(func, shape):
+    field = PrescribedField(func)
+    message = (r"^PrescribedField must return one vector of a fixed width d\+1 >= 2, "
+               rf"not arrays of shape {shape}$")
+    with pytest.raises(ValueError, match=message):
+        ws_evolve(None, field, 0.01, 1e-3)
+    good = ws_evolve(None, PrescribedField(lambda t: np.zeros(3)), 0.01, 1e-3)
+    with pytest.raises(ValueError, match=message):
+        conjugacy_residual(good, field, sample_uniform(2, 8, 41))
+
+
+def test_conjugacy_residual_refuses_times_that_do_not_increase():
+    field = PrescribedField(lambda t: np.array([0.3, 0.0, 0.1]))
+    path = ws_evolve(None, field, 0.01, 1e-3)
+    pts = sample_uniform(2, 8, 41)
+    for stalled in (path[[1, 1, 1]], path[::-1]):
+        with pytest.raises(ValueError, match="^state times must increase$"):
+            conjugacy_residual(stalled, field, pts)
