@@ -278,11 +278,9 @@ def _gate(value: float, threshold: float, kind: str = "max") -> dict:
 
 
 def _export_trajectory(traj, outdir: Path):
-    rows = []
     dim = traj.d + 1
-    for t, points in zip(traj.times, traj.points):
-        for i, row in enumerate(points):
-            rows.append((t, i) + tuple(row))
+    rows = ((t, i) + tuple(row) for t, points in zip(traj.times, traj.points)
+            for i, row in enumerate(points))
     header = ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)]
     p1 = write_csv(outdir / "trajectory.csv", header, rows)
     header_x = ["t"] + [f"X_{j}" for j in range(dim)]

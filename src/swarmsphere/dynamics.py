@@ -388,13 +388,14 @@ def _advance(cols: np.ndarray, t: float, field: DrivingField, dt: float, x1: np.
     a later stage's come from ``field.evaluate`` at its (..., n, d+1)
     transpose view and the stage time.  Each stage and the update are
     renormalised.  A non-finite update raises, naming the step time
-    t + dt."""
+    t + dt: a blow-up is reported by this check, not by numpy warnings."""
 
     def rhs(stage, ts):
         x = field.evaluate(stage.swapaxes(-1, -2), ts)
         return _velocities(stage, np.asarray(x, dtype=float), groups)
 
-    new = _rk4(cols, rhs, t, dt, _renormalize_columns_in_place, _velocities(cols, x1, groups))
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = _rk4(cols, rhs, t, dt, _renormalize_columns_in_place, _velocities(cols, x1, groups))
     if not np.isfinite(new).all():
         raise ValueError(f"non-finite particle state at step time t = {t + dt}")
     return new
@@ -562,10 +563,8 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     """
     m, (n, dim) = _record_count(t_end, dt, record_every), ens0.points.shape
     times, points, fields = np.empty(m), np.empty((m, n, dim)), np.empty((m, dim))
-    # a blow-up is reported by the finite check of the step, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, (t, pts, _, x) in enumerate(_run(ens0, field, t_end, dt, record_every)):
-            times[j], points[j], fields[j] = t, pts, x
+    for j, (t, pts, _, x) in enumerate(_run(ens0, field, t_end, dt, record_every)):
+        times[j], points[j], fields[j] = t, pts, x
     return Trajectory(times, points, fields, ens0.omega)
 
 

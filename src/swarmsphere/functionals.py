@@ -72,38 +72,44 @@ def cycle_ratio(points) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[0] % 2:
         raise ValueError("need an even number (>= 4) of points")
-    diffs = pts - np.roll(pts, -1, axis=0)
-    ch2 = np.einsum("ij,ij->i", diffs, diffs)
-    den = ch2[1::2]
-    if np.min(den) <= _CHORD_TOL:
+    if not np.isfinite(pts).all():
+        raise ValueError("cycle ratio points must be finite")
+    ratio, ch2 = _cycle_ratios((pts - np.roll(pts, -1, axis=0)).T, pts.shape[0])
+    if np.min(ch2[1::2]) <= _CHORD_TOL:
         raise ValueError("coincident denominator pair in cycle ratio")
-    return float(np.prod(ch2[0::2]) / np.prod(den))
+    return float(ratio[0])
 
 
-def _cycle_ratios_batch(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle ratios for a batch (m, 2k, dim) and the mask of rows with a chord
-    at most ``_CHORD_TOL``; unguarded: a zero denominator gives inf, 0/0 NaN."""
-    diffs = np.roll(pts, -1, axis=1)
-    np.subtract(pts, diffs, out=diffs)  # one (m, 2k, dim) temporary, not two
-    ch2 = np.einsum("mkd,mkd->mk", diffs, diffs)
+def _cycle_ratios(chords: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle ratios (..., m) of m cycles of ``width`` = 2k points, and their
+    squared chords (..., 2k, m), from the chord vectors x_j - x_{j+1},
+    component-major and position-major: (..., d+1, 2k m), chord j of cycle
+    i in column j m + i.  Squared chords are summed in einsum's order
+    (``_component_dot``) and the products formed position after position,
+    the order of numpy's product over a row, so each cycle gets the bits of
+    the row-major expression.  Unguarded: a zero denominator gives inf, 0/0
+    NaN; each caller judges degeneracy from the squared chords."""
+    ch2 = _component_dot(chords, chords)
+    ch2 = ch2.reshape(ch2.shape[:-1] + (width, ch2.shape[-1] // width))
+    num = ch2[..., 0, :] * ch2[..., 2, :]
+    den = ch2[..., 1, :] * ch2[..., 3, :]
+    for j in range(4, width, 2):
+        num *= ch2[..., j, :]
+        den *= ch2[..., j + 1, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = ch2[:, 0::2].prod(axis=1) / ch2[:, 1::2].prod(axis=1)
-    return vals, (ch2 <= _CHORD_TOL).any(axis=1)
+        num /= den
+    return num, ch2
 
 
 def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
-    """``_cycle_ratios_batch(points[tuples])`` for fixed index tuples (m, 2k)
-    at every snapshot of an (s, n, d+1) stack, a block of snapshots at a
-    time: yields the block's first index, its ratios (b, m), each
-    snapshot's row with the bits of its own batch, and whether each of its
+    """``_cycle_ratios`` of fixed index tuples (m, 2k) at every snapshot of
+    an (s, n, d+1) stack, a block of snapshots at a time: yields the
+    block's first index, its ratios (b, m), and whether each of its
     snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
 
     A block's points are read component-major, (b, d+1, n), and the two
-    endpoints of every chord taken from them, position-major, (b, d+1, 2,
-    2k m).  So all the block's work is whole-row operations: the squared
-    chords are summed in einsum's order (``_component_dot``), and the
-    numerator and denominator are multiplied position after position, the
-    order of numpy's product over a row.
+    endpoints of every chord taken from them with one gather, position-major,
+    (b, d+1, 2, 2k m), by an index array built once for all blocks.
     """
     m, width = tuples.shape
     ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
@@ -113,17 +119,8 @@ def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
         chords = np.take(snapshots[b0:b0 + rows].swapaxes(-1, -2), ends, axis=-1)
         diffs = chords[..., 0, :]
         np.subtract(diffs, chords[..., 1, :], out=diffs)
-        ch2 = _component_dot(diffs, diffs)
-        bad = (ch2 <= _CHORD_TOL).any(axis=1)
-        ch2 = ch2.reshape(-1, width, m)
-        num = ch2[:, 0] * ch2[:, 2]
-        den = ch2[:, 1] * ch2[:, 3]
-        for j in range(4, width, 2):
-            num *= ch2[:, j]
-            den *= ch2[:, j + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num /= den
-        yield b0, num, bad
+        ratios, ch2 = _cycle_ratios(diffs, width)
+        yield b0, ratios, (ch2 <= _CHORD_TOL).any(axis=(1, 2))
 
 
 class VmfSampler:
@@ -207,12 +204,21 @@ def _draw_cycles(rng: np.random.Generator, source, count: int, k: int, reject_ca
     while todo.size:
         if indexed:
             cand = rng.integers(0, source.shape[0], size=(todo.size, 2 * k))
-            ratios, bad = _cycle_ratios_batch(source[cand])
+            pts = source.T[:, cand.T]
+        else:
+            pts = source.draw(rng, todo.size, 2 * k).T
+        # the chords x_j - x_{j+1} of every cycle, (d+1, 2k, count); the
+        # points go before the kernel makes its own temporary of their size
+        chords = np.empty(pts.shape)
+        np.subtract(pts[:, :-1], pts[:, 1:], out=chords[:, :-1])
+        np.subtract(pts[:, -1], pts[:, 0], out=chords[:, -1])
+        del pts
+        ratios, ch2 = _cycle_ratios(chords.reshape(len(chords), -1), 2 * k)
+        bad = (ch2 <= _CHORD_TOL).any(axis=0)
+        if indexed:
             if label is not None:
                 bad |= ~(label[cand] != label[cand[:, :1]]).any(axis=1)
             cycles[todo[~bad]] = cand[~bad]
-        else:
-            ratios, bad = _cycle_ratios_batch(source.draw(rng, todo.size, 2 * k))
         vals[todo[~bad]] = ratios[~bad]
         rejected += int(bad.sum())
         if rejected > reject_cap:
@@ -243,6 +249,7 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     if m < 1:
         raise ValueError("need at least one tuple")
     d = source.d
+    flags = [existence_check(p, d) for p in ps]  # a non-finite p is refused before drawing
     draw_from = source.points if isinstance(source, Ensemble) else source
     reject_cap = 100 * m
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
@@ -268,7 +275,7 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
         raise _rejection_error(draw_from)
 
     estimates = []
-    for p in ps:
+    for p, flag in zip(ps, flags):
         values = ratios ** p
         value = float(np.mean(values))
         std_error = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
@@ -277,7 +284,7 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
             mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
         estimates.append(FunctionalEstimate(
             value=value, std_error=std_error, samples=m, p=float(p), k=int(k), d=d,
-            seed=int(seed), existence_flag=existence_check(p, d), median_of_means=mom,
+            seed=int(seed), existence_flag=flag, median_of_means=mom,
             rejected=rejected_total))
     return estimates
 
@@ -336,9 +343,10 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
         # the returned error estimate is validated below, which is stricter
         # than QUADPACK's convergence chatter
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(integrand, cutoff, math.pi, epsabs=1e-12, epsrel=1e-10,
+        # relative tolerances only: at large d the integral lies far below 1
+        val, err = quad(integrand, cutoff, math.pi, epsabs=0.0, epsrel=1e-10,
                         limit=2000, points=breaks or None)
-    if math.isfinite(val) and not err <= max(1e-8 * abs(val), 1e-9):
+    if math.isfinite(val) and not err <= 1e-8 * abs(val):
         raise RuntimeError("quadrature failed to reach the requested tolerance")
     return sphere_surface(d - 1) * val
 
@@ -371,7 +379,7 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     cutoffs = tuple(10.0 ** (-e) for e in range(2, 7))
     values = tuple(reduced_pair_integral(q, d, c) for c in cutoffs)
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    tail_scale = max(1.0, abs(values[-1]))
+    tail_scale = abs(values[-1])
     finite = all(math.isfinite(v) for v in values)
     if not finite:
         return DivergenceReport(float(p), d, "power-divergent", 2.0 * q - d, math.nan,
@@ -441,6 +449,8 @@ def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[Drif
     time (``_snapshot_cycle_ratios``), so the working set does not grow with
     the trajectory; each snapshot's values are those of a single
     all-snapshot array."""
+    if not all(map(math.isfinite, ps)):
+        raise ValueError("p must be finite")
     all_estimates = np.empty((len(ps), len(traj.times)))
     per_tuple = 0.0
     for b0, ratios, bad in _snapshot_cycle_ratios(traj.points, tuples):

@@ -444,13 +444,7 @@ class Ensemble:
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    pts = rng.standard_normal((n, d + 1))
-    norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    while np.any(norms <= _DEGENERATE_NORM):  # pragma: no cover
-        bad = norms <= _DEGENERATE_NORM
-        pts[bad] = rng.standard_normal((int(bad.sum()), d + 1))
-        norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-    return pts / norms[:, None]
+    return renormalize_rows(rng.standard_normal((n, d + 1)))
 
 
 def sample_uniform(d: int, n: int, seed: int) -> Ensemble:

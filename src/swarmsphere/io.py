@@ -30,11 +30,11 @@ def fmt_value(x) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
+    """Write each row as it is formatted; ``rows`` may be a generator."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(fmt_value(v) for v in row) + "\n" for row in rows)
     return path
 
 
@@ -46,7 +46,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating,)):
-        return float(obj)
+        obj = float(obj)  # a non-finite one becomes null below
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):

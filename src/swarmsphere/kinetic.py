@@ -157,10 +157,8 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     ``record_every`` is; the initial and final states are always recorded.
     """
     recorder = _SeriesRecorder(record_every, epsilon)
-    # a blow-up is reported by the finite check of the step, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
-            recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
+    for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
+        recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
 
 
@@ -225,11 +223,9 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     that ordinary fixed tuples stay conserved under the same integrator.
     """
     branches = _Branches(N, d, kappa, delta, seed, t_end, dt)
-    # both branches are stepped as one stack; a blow-up is reported by the
-    # loop's finite check, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t, points, mean, _ in _run(branches.start, MeanField(kappa), t_end, dt, _RECORD_EVERY):
-            branches.add(t, points, mean)
+    # both branches are stepped as one stack
+    for t, points, mean, _ in _run(branches.start, MeanField(kappa), t_end, dt, _RECORD_EVERY):
+        branches.add(t, points, mean)
     return branches.report()
 
 
@@ -247,12 +243,11 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     recorder = _SeriesRecorder(record_every, epsilon)
     steps = _step_count(t_end, dt, 1)
     stack = np.concatenate([branches.start, ens0.points[None]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
-            if s % _RECORD_EVERY == 0 or s == steps:
-                branches.add(t, points, mean)
-            rows = points[2].copy()  # row-major, as _dR2_dt needs for its bits
-            recorder.add(s, t, rows, mean[2])
+    for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
+        if s % _RECORD_EVERY == 0 or s == steps:
+            branches.add(t, points, mean)
+        rows = points[2].copy()  # row-major, as _dR2_dt needs for its bits
+        recorder.add(s, t, rows, mean[2])
     return recorder.finish(), ens0._at(rows, t), branches.report()
 
 

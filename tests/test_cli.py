@@ -363,6 +363,15 @@ def test_write_json_sorted_and_nan_safe(tmp_path):
     assert json.loads(text) == {"a": 1.5, "b": None, "c": [1, 2]}
 
 
+def test_write_json_writes_numpy_nan_and_infinity_as_null(tmp_path):
+    # a NumPy scalar used to come out as bare NaN or Infinity, which is not JSON
+    p = write_json(tmp_path / "x.json", {"a": np.float64("nan"), "b": np.float32("-inf"),
+                                         "c": [np.float64("inf"), np.float64(2.5)]})
+    text = p.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"a": None, "b": None, "c": [None, 2.5]}
+
+
 # Runs that must not load scipy, which only the existence integral imports
 # (lazily): it costs every other run its import time and its memory.
 SCIPY_RUNS = {

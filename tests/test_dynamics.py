@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -521,6 +522,16 @@ def test_simulate_names_a_step_whose_row_norm_overflows():
     field = PrescribedField(lambda t: np.array([1e200, 0.0, 0.0]))
     with pytest.raises(ValueError, match=r"non-finite particle state at step time t = 0\.01"):
         simulate(sample_uniform(2, 8, 3), field, 0.05, 1e-2)
+
+
+def test_a_bare_step_names_its_blow_up_without_a_numpy_warning():
+    # the step's own finite check names the blow-up; RuntimeWarning is an
+    # error here, and a bare step used to raise "overflow encountered in multiply"
+    field = PrescribedField(lambda t: np.array([1e308, 0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"non-finite particle state at step time t = 0\.01"):
+            step(sample_uniform(2, 8, 3), field, 1e-2)
 
 
 def test_time_delay_constant_history_matches_plain_mean_field_initially():

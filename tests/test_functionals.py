@@ -22,14 +22,27 @@ from swarmsphere import (
     estimate_cycle_moment,
     estimate_cycle_moments,
     existence_check,
+    per_omega_conservation,
     reduced_pair_integral,
     renormalize,
     rng_stream,
     sample_uniform,
     simulate,
+    sphere_surface,
 )
 from swarmsphere import functionals
-from swarmsphere.functionals import _cycle_ratios_batch, _draw_cycles, _drift_report
+from swarmsphere.functionals import _CHORD_TOL, _draw_cycles, _drift_report
+
+
+def _reference_cycle_ratios(pts):
+    """Row-major reference for the cycle-ratio kernel: the ratios of a batch
+    of cycles (m, 2k, d+1) and the mask of cycles with a chord at most
+    ``_CHORD_TOL``, unguarded (a zero denominator gives inf, 0/0 NaN)."""
+    diffs = pts - np.roll(pts, -1, axis=1)
+    ch2 = np.einsum("mkd,mkd->mk", diffs, diffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = ch2[:, 0::2].prod(axis=1) / ch2[:, 1::2].prod(axis=1)
+    return vals, (ch2 <= _CHORD_TOL).any(axis=1)
 
 
 # the uniform density on S^2, as the CLI builds its ``uniform`` sampler
@@ -67,7 +80,7 @@ def test_cross_ratio_degenerate_denominator():
 
 def test_cross_ratio_has_the_bits_of_the_cycle_kernels():
     quads = sample_uniform(2, 4 * 2000, 23).points.reshape(2000, 4, 3)
-    batch, _ = _cycle_ratios_batch(quads)
+    batch, _ = _reference_cycle_ratios(quads)
     for x, want in zip(quads, batch.tolist(), strict=True):
         assert cross_ratio(*x) == cycle_ratio(x) == want
 
@@ -98,6 +111,16 @@ def test_cycle_ratio_validation():
     pts = np.array([circle_point(a) for a in (0.0, 1.0, 1.0, 2.0)])
     with pytest.raises(ValueError, match="coincident"):
         cycle_ratio(pts)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cycle_and_cross_ratio_refuse_a_non_finite_point(bad):
+    pts = np.array([circle_point(a) for a in (0.0, 1.0, 2.0, 3.0)])
+    pts[2, 1] = bad  # a NaN coordinate used to give a NaN ratio
+    with pytest.raises(ValueError, match="cycle ratio points must be finite"):
+        cycle_ratio(pts)
+    with pytest.raises(ValueError, match="cycle ratio points must be finite"):
+        cross_ratio(*pts)
 
 
 def test_estimate_zero_exponent_is_exactly_one():
@@ -248,6 +271,7 @@ def test_draw_cycles_returns_nondegenerate_cycles_and_their_ratios(data, n, k, c
         assume(np.unique(label).size >= 2)
     cycles, ratios, rejected = _draw_cycles(rng_stream(seed), pts, count, k, 10**6, label)
     assert cycles.shape == (count, 2 * k) and ratios.shape == (count,) and rejected >= 0
+    assert ratios.tobytes() == _reference_cycle_ratios(pts[cycles])[0].tobytes()
     for cycle, ratio in zip(cycles, ratios):
         cyc = pts[cycle]
         diffs = cyc - np.roll(cyc, -1, axis=0)
@@ -260,6 +284,9 @@ def test_draw_cycles_returns_nondegenerate_cycles_and_their_ratios(data, n, k, c
 def test_draw_cycles_from_a_sampler_returns_no_index_cycles():
     cycles, ratios, rejected = _draw_cycles(rng_stream(3), UNIFORM, 50, 3, 0)
     assert cycles is None and ratios.shape == (50,) and rejected == 0
+    # no draw was rejected, so the ratios are those of the sampler's first draw
+    want = _reference_cycle_ratios(UNIFORM.draw(rng_stream(3), 50, 6))[0]
+    assert ratios.tobytes() == want.tobytes()
 
 
 class _CoincidentSampler:
@@ -278,6 +305,21 @@ class _CoincidentSampler:
 def test_spent_rejection_budget_names_its_source(source, cause):
     with pytest.raises(ValueError, match=f"too many degenerate tuple draws; {cause}"):
         estimate_cycle_moments(source, [0.3], 2, 10, seed=1)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_moments_and_drifts_refuse_a_non_finite_exponent_by_name(p):
+    # the drift reports used to come out all NaN after a numpy warning
+    traj = simulate(sample_uniform(2, 12, 3), MeanField(1.0), 0.05, 1e-2)
+    with pytest.raises(ValueError, match="p must be finite"):
+        conservation_drifts(traj, [0.3, p], 2, 10, seed=1)
+    with pytest.raises(ValueError, match="p must be finite"):
+        conservation_drift(traj, p, 2, 10, seed=1)
+    with pytest.raises(ValueError, match="p must be finite"):
+        per_omega_conservation(traj, p, 2, 10, seed=1)
+    # refused before drawing: every draw of this sampler would be rejected
+    with pytest.raises(ValueError, match="p must be finite"):
+        estimate_cycle_moments(_CoincidentSampler(), [0.3, p], 2, 10, seed=1)
 
 
 def test_existence_check_boundary_cases():
@@ -353,6 +395,21 @@ def test_pair_integral_and_probe_refuse_a_d_whose_sphere_area_overflows():
         divergence_probe(0.0, 344)
 
 
+@pytest.mark.parametrize("d, p, cutoff", [(200, 55.0, 1e-2), (343, 51.45, 1e-2),
+                                          (200, 55.0, 0.0), (343, 100.0, 0.0)])
+def test_reduced_pair_integral_matches_the_beta_integral_at_large_d(d, p, cutoff):
+    # with u = cos^2(t/2) the integral is |S^(d-1)| 2^(d-2p-1) times the
+    # incomplete Beta integral B(d/2, d/2 - p) I_{cos^2(c/2)}(d/2, d/2 - p);
+    # absolute quadrature tolerances used to miss it by 1.8e-4 to 0.53
+    from scipy.special import betainc, betaln
+
+    a, b = d / 2.0, d / 2.0 - p
+    log_want = (math.log(sphere_surface(d - 1)) + (d - 2.0 * p - 1.0) * math.log(2.0)
+                + betaln(a, b) + math.log(betainc(a, b, math.cos(0.5 * cutoff) ** 2)))
+    got = reduced_pair_integral(p, d, cutoff)
+    assert abs(got / math.exp(log_want) - 1.0) <= 1e-10
+
+
 def test_divergence_probe_convergent():
     assert divergence_probe(0.25, 1).classification == "convergent"
 
@@ -380,7 +437,7 @@ def test_divergence_probe_classifies_a_power_beyond_the_float_range():
     assert rep.values[-1] == math.inf
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 64])
 def test_divergence_probe_grid_matches_existence(d):
     grid_max = d / 2.0 + 0.5
     p = -grid_max
@@ -460,7 +517,7 @@ def test_conservation_drifts_match_single_p_bitwise():
 def _reference_drift(traj, tuples, p):
     """The drift of fixed tuples from one all-snapshot array of cycle ratios,
     as ``_drift_report`` formed it before it worked in snapshot blocks."""
-    ratios = np.array([_cycle_ratios_batch(pts[tuples])[0] for pts in traj.points])
+    ratios = np.array([_reference_cycle_ratios(pts[tuples])[0] for pts in traj.points])
     per_tuple = float(np.max(np.abs(ratios - ratios[0]) / ratios[0]))
     estimates = (ratios ** p).mean(axis=1)
     return estimates, per_tuple
@@ -503,7 +560,7 @@ def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, 
     bad = np.concatenate([mask for _, _, mask in blocks])
     assert bad.all()
     for pts, got in zip(snapshots, ratios):
-        vals, mask = _cycle_ratios_batch(pts[tuples])
+        vals, mask = _reference_cycle_ratios(pts[tuples])
         assert got.tobytes() == vals.tobytes()
         assert mask[:2].all() and not mask[2:].any()
     # without the zero chords no snapshot is flagged
