@@ -27,7 +27,6 @@ from .functionals import (
     DivergentIntegralError,
     DriftReport,
     FunctionalEstimate,
-    VmfSampler,
     conservation_drift,
     conservation_drifts,
     cross_ratio,
@@ -41,6 +40,7 @@ from .functionals import (
 from .geometry import (
     Ensemble,
     SkewMatrix,
+    VmfSampler,
     exact_mean,
     renormalize,
     renormalize_rows,

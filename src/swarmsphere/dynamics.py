@@ -329,12 +329,18 @@ class TimeDelayField(DrivingField):
         return x_at
 
 
-def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
-    """Evaluate the driving vector for an ensemble at a given time."""
-    x = np.asarray(field.evaluate(ens.points, t), dtype=float)
-    if x.shape != (ens.d + 1,):
+def _driving_vector(x, shape: tuple) -> np.ndarray:
+    """A field's driving vector, or stack of them, as a float array,
+    refused by name unless it has ``shape``."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
         raise ValueError("driving field returned a vector of the wrong dimension")
     return x
+
+
+def eval_field(field: DrivingField, ens: Ensemble, t: float) -> np.ndarray:
+    """Evaluate the driving vector for an ensemble at a given time."""
+    return _driving_vector(field.evaluate(ens.points, t), (ens.d + 1,))
 
 
 def _velocities(cols: np.ndarray, x_field: np.ndarray, groups=()) -> np.ndarray:
@@ -391,8 +397,8 @@ def _advance(cols: np.ndarray, t: float, field: DrivingField, dt: float, x1: np.
     t + dt: a blow-up is reported by this check, not by numpy warnings."""
 
     def rhs(stage, ts):
-        x = field.evaluate(stage.swapaxes(-1, -2), ts)
-        return _velocities(stage, np.asarray(x, dtype=float), groups)
+        x = _driving_vector(field.evaluate(stage.swapaxes(-1, -2), ts), stage.shape[:-1])
+        return _velocities(stage, x, groups)
 
     with np.errstate(over="ignore", invalid="ignore"):
         new = _rk4(cols, rhs, t, dt, _renormalize_columns_in_place, _velocities(cols, x1, groups))
@@ -412,7 +418,7 @@ def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x1 = np.asarray(field.evaluate(ens.points, ens.time), dtype=float)
+    x1 = _driving_vector(field.evaluate(ens.points, ens.time), (ens.d + 1,))
     cols = _advance(ens.points.T.copy(), ens.time, field, dt, x1, ens._omega_slices())
     return ens._at(cols.T.copy(), ens.time + dt)
 
@@ -547,9 +553,8 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
             means.append(mean)
-        x = np.asarray(x_at(points, t) if delayed else field._at_state(points, t, mean), dtype=float)
-        if x.shape != points.shape[:-2] + points.shape[-1:]:
-            raise ValueError("driving field returned a vector of the wrong dimension")
+        x = _driving_vector(x_at(points, t) if delayed else field._at_state(points, t, mean),
+                            points.shape[:-2] + points.shape[-1:])
         if s % record_every == 0 or s == steps:
             yield t, points, mean, x
 

@@ -24,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory
-from .geometry import (Ensemble, _component_dot, _uniform_rows, _vmf_rows, renormalize, rng_stream,
-                       sphere_surface)
+from .geometry import Ensemble, _component_dot, rng_stream, sphere_surface
 
 __all__ = [
     "DivergenceReport",
     "DivergentIntegralError",
     "DriftReport",
     "FunctionalEstimate",
-    "VmfSampler",
     "conservation_drift",
     "conservation_drifts",
     "cross_ratio",
@@ -123,25 +121,6 @@ def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
         yield b0, ratios, (ch2 <= _CHORD_TOL).any(axis=(1, 2))
 
 
-class VmfSampler:
-    """Fresh i.i.d. von Mises-Fisher points for continuous-source estimates;
-    concentration zero draws uniform points."""
-
-    def __init__(self, mu, concentration: float):
-        self.mu = renormalize(mu)
-        if not 0 <= concentration < math.inf:
-            raise ValueError("concentration must be nonnegative and finite")
-        self.concentration = float(concentration)
-        self.d = self.mu.size - 1
-
-    def draw(self, rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-        if self.concentration == 0.0:
-            pts = _uniform_rows(rng, count * width, self.d)
-        else:
-            pts = _vmf_rows(rng, self.mu, self.concentration, count * width)
-        return pts.reshape(count, width, self.d + 1)
-
-
 @dataclass(frozen=True)
 class FunctionalEstimate:
     """Monte-Carlo estimate of a conserved cycle-moment functional."""
@@ -192,8 +171,13 @@ def _draw_cycles(rng: np.random.Generator, source, count: int, k: int, reject_ca
     rows; a sampler gives 2k fresh points per cycle and no index cycles
     (None).  A cyclically repeated index makes a zero chord, so it is
     rejected with the degenerate draws.  With group ``label``s per row, a
-    cycle must also span at least two groups.
+    cycle must also span at least two groups.  Every cycle draw of the
+    package passes through here, so k and ``count`` are checked here.
     """
+    if k < 2:
+        raise ValueError("cycle half-length k must be at least 2")
+    if count < 1:
+        raise ValueError("need at least one tuple")
     indexed = isinstance(source, np.ndarray)
     if indexed and source.shape[0] < 2:
         raise ValueError("ensemble too small to form nondegenerate cycles")
@@ -244,9 +228,7 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     standard error is optimistic, so a 32-block median of means is reported
     alongside it.
     """
-    if k < 2:
-        raise ValueError("cycle half-length k must be at least 2")
-    if m < 1:
+    if m < 1:  # no block at all, so the drawer would never see it
         raise ValueError("need at least one tuple")
     d = source.d
     flags = [existence_check(p, d) for p in ps]  # a non-finite p is refused before drawing
@@ -372,29 +354,21 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     differences J(eps/10) - J(eps): vanishing differences mean convergence,
     a constant positive difference means logarithmic divergence (the p = d/2
     boundary), geometric growth means a power divergence with the estimated
-    exponent 2p - d.  The moment symmetry under p -> -p lets the probe work
-    with |p|.
+    exponent 2p - d, fitted as the mean log10 ratio of consecutive positive
+    differences (NaN, with its residual, where no such pair was measured).
+    The moment symmetry under p -> -p lets the probe work with |p|.
     """
     q = abs(float(p))
     cutoffs = tuple(10.0 ** (-e) for e in range(2, 7))
     values = tuple(reduced_pair_integral(q, d, c) for c in cutoffs)
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    tail_scale = abs(values[-1])
-    finite = all(math.isfinite(v) for v in values)
-    if not finite:
+    if not all(math.isfinite(v) for v in values):
         return DivergenceReport(float(p), d, "power-divergent", 2.0 * q - d, math.nan,
                                 cutoffs, values, diffs)
-    if diffs[-1] <= 1e-8 * tail_scale:
-        exps = [math.log10(diffs[i + 1] / diffs[i]) for i in range(len(diffs) - 1)
-                if diffs[i] > 0 and diffs[i + 1] > 0]
-        est = float(np.mean(exps)) if exps else -(d - 2.0 * q)
-        res = float(np.std(exps)) if exps else math.nan
-        return DivergenceReport(float(p), d, "convergent", est, res, cutoffs, values, diffs)
-    ratios = [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1)]
-    exps = [math.log10(r) for r in ratios]
-    est = float(np.mean(exps))
-    res = float(np.std(exps))
-    if est < -0.25:
+    exps = [math.log10(b / a) for a, b in zip(diffs, diffs[1:]) if a > 0 and b > 0]
+    est = float(np.mean(exps)) if exps else math.nan
+    res = float(np.std(exps)) if exps else math.nan
+    if diffs[-1] <= 1e-8 * abs(values[-1]) or est < -0.25:
         cls = "convergent"
     elif est <= 0.25:
         cls = "log-divergent"
@@ -431,8 +405,6 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     """
     if len(traj.times) < 2:
         raise ValueError("need at least two snapshots")
-    if k < 2 or m < 1:
-        raise ValueError("need k >= 2 and m >= 1")
     rng = rng_stream(seed, stream=0)
     tuples, _, _ = _draw_cycles(rng, traj.points[0], m, k, 100 * m)
     return _drift_report(traj, tuples, ps, k)

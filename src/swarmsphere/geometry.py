@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Ensemble",
     "SkewMatrix",
+    "VmfSampler",
     "exact_mean",
     "renormalize",
     "renormalize_rows",
@@ -484,16 +485,33 @@ def _vmf_rows(rng: np.random.Generator, mu: np.ndarray, concentration: float, n:
     return renormalize_rows(pts)
 
 
+class VmfSampler:
+    """Fresh i.i.d. von Mises-Fisher points about a mean direction;
+    concentration zero draws uniform points.  ``sample_vmf`` and the
+    continuous-source cycle estimates both draw through it."""
+
+    def __init__(self, mu, concentration: float):
+        self.mu = renormalize(mu)
+        if not 0 <= concentration < math.inf:
+            raise ValueError("concentration must be nonnegative and finite")
+        self.concentration = float(concentration)
+        self.d = self.mu.size - 1
+
+    def draw(self, rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+        """``count`` groups of ``width`` points, shape (count, width, d+1)."""
+        if self.concentration == 0.0:
+            pts = _uniform_rows(rng, count * width, self.d)
+        else:
+            pts = _vmf_rows(rng, self.mu, self.concentration, count * width)
+        return pts.reshape(count, width, self.d + 1)
+
+
 def sample_vmf(mu, concentration: float, n: int, seed: int) -> Ensemble:
     """n i.i.d. von Mises-Fisher samples with the given mean direction.
 
     Concentration zero reduces exactly to the uniform distribution.
     """
-    mu = renormalize(mu)
-    if not 0 <= concentration < math.inf:
-        raise ValueError("concentration must be nonnegative and finite")
+    sampler = VmfSampler(mu, concentration)
     if n < 1:
         raise ValueError("need n >= 1")
-    if concentration == 0.0:
-        return sample_uniform(mu.size - 1, n, seed)
-    return Ensemble(_vmf_rows(rng_stream(seed), mu, concentration, n))
+    return Ensemble(sampler.draw(rng_stream(seed), n, 1)[:, 0])

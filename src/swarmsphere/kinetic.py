@@ -356,7 +356,8 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
 
     A trajectory carries one label set, so the group mass fractions are
     constant by construction; tuples drawn within one group must be
-    conserved while mixed tuples are generally not.
+    conserved while mixed tuples are generally not.  A group with fewer
+    than 2k particles is skipped, and at least one must have 2k.
     """
     first = Ensemble(traj.points[0], traj.omega)
     groups = first.omega_groups()
@@ -369,6 +370,9 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
         rng = rng_stream(seed, stream=gi + 1)
         local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
         per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], [p], k)[0]))
+    if not per_group:
+        raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
+                         "cycle can be drawn")
 
     mixed = None
     if len(groups) >= 2:

@@ -180,7 +180,7 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     block = max(1, _BLOCK_FLOATS // (4 * dim * dim))
     stage_w = np.empty((block, 4, dim))
     guard = 0
-    # a blow-up is reported by the finite checks below, not by numpy warnings
+    # a blow-up is reported by each block's finite check, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for b0 in range(0, steps, block):
             nb = min(block, steps - b0)
@@ -197,28 +197,22 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
                 sw_flat[c] = wc
                 return _dw(wc, om_mat, xs_flat[c])
 
-            bad = []
-            done = nb
             for j in range(nb):
                 w = _rk4(w, rhs, (b0 + j) * dt, dt)
-                if not np.isfinite(w).all():
-                    bad.append(b0 + j + 1)
-                    done = j + 1
-                    break
                 wn = math.sqrt(float(w @ w))
                 if wn >= 1.0 - _BALL_GUARD:
                     # analytically |w| < 1 always; any excursion is pure float drift
                     w *= (1.0 - _BALL_GUARD) / wn
                     guard += 1
                 ws[b0 + j + 1] = w
-            q = _cayley_factors(stage_w[:done], xs[:done], om_mat, dt)
-            for j in range(done):
+            q = _cayley_factors(stage_w[:nb], xs, om_mat, dt)
+            for j in range(nb):
                 np.matmul(q[j], rots[b0 + j], out=rots[b0 + j + 1])
-            finite = np.isfinite(rots[b0 + 1:b0 + done + 1]).all(axis=(1, 2))
+            finite = np.isfinite(ws[b0 + 1:b0 + nb + 1]).all(axis=1) \
+                & np.isfinite(rots[b0 + 1:b0 + nb + 1]).all(axis=(1, 2))
             if not finite.all():
-                bad.append(b0 + int(np.argmin(finite)) + 1)
-            if bad:
-                raise ValueError(f"non-finite (w, R) state at step time t = {min(bad) * dt}")
+                t_bad = (b0 + int(np.argmin(finite)) + 1) * dt
+                raise ValueError(f"non-finite (w, R) state at step time t = {t_bad}")
     return WsPath(ws, rots, np.arange(steps + 1) * dt, guard)
 
 

@@ -269,6 +269,22 @@ def test_blow_up_aborts_naming_non_finite_state(tmp_path):
     assert "non-finite" in manifest["aborted"]
 
 
+def test_heterogeneous_run_without_a_group_of_2k_members_aborts_naming_it(tmp_path, capsys):
+    # both groups have 3 < 2k = 4 members: the within-group gate used to pass
+    # at value 0 with no group checked
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "heterogeneous", "d": 2, "t_end": 0.1, "seed": 8,
+        "groups": [{"count": 3, "omega_spec": {"kind": "zero"}},
+                   {"count": 3, "omega_spec": {"kind": "planar", "rate": 1.0}}],
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted"] == ("ValueError: no generator group has 2k = 4 members, "
+                                   "so no within-group cycle can be drawn")
+    assert "gates" not in manifest
+
+
 def test_kinetic_csv_column_contract(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "kinetic", "d": 2, "N": 32, "t_end": 0.5, "dt": 1e-2,

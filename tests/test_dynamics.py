@@ -534,6 +534,16 @@ def test_a_bare_step_names_its_blow_up_without_a_numpy_warning():
             step(sample_uniform(2, 8, 3), field, 1e-2)
 
 
+@pytest.mark.parametrize("vector", [
+    lambda t: np.array([0.5]),  # used to broadcast, stepping as X = (0.5, 0.5, 0.5)
+    lambda t: np.full(4, 0.5),  # used to fail in a bare numpy broadcast
+    lambda t: np.full(3 if t == 0.0 else 1, 0.5),  # wrong at a later stage only
+], ids=["width 1", "width d+2", "later stage"])
+def test_step_refuses_a_driving_vector_of_the_wrong_width(vector):
+    with pytest.raises(ValueError, match="^driving field returned a vector of the wrong dimension$"):
+        step(sample_uniform(2, 8, 3), PrescribedField(vector), 1e-2)
+
+
 def test_time_delay_constant_history_matches_plain_mean_field_initially():
     # during t < tau the delayed field sees the frozen initial mean
     ens = sample_uniform(2, 32, 12)

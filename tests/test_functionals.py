@@ -429,6 +429,16 @@ def test_divergence_probe_power_case():
     assert divergence_probe(-1.5, 1).classification == "power-divergent"
 
 
+def test_divergence_probe_reports_an_unmeasured_exponent_as_nan():
+    # at d = 64 the decade differences of p = -28 sit at quadrature noise
+    # with no consecutive positive pair, so nothing is fitted
+    rep = divergence_probe(-28, 64)
+    assert not any(a > 0 and b > 0 for a, b in zip(rep.decade_differences,
+                                                    rep.decade_differences[1:]))
+    assert rep.classification == "convergent"
+    assert math.isnan(rep.exponent_estimate) and math.isnan(rep.fit_residual)
+
+
 def test_divergence_probe_classifies_a_power_beyond_the_float_range():
     # the integrand's sin(t/2) ** (d - 2p - 1) overflows near small cutoffs
     assert reduced_pair_integral(60.0, 1, 1e-6) == math.inf

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from swarmsphere import (
     Ensemble,
     SkewMatrix,
+    VmfSampler,
     exact_mean,
     renormalize,
     renormalize_rows,
@@ -199,6 +200,16 @@ def test_sample_vmf_zero_concentration_is_uniform():
     a = sample_vmf(e, 0.0, 4000, 21).points @ e
     b = sample_uniform(2, 4000, 22).points @ e
     assert ks_2samp(a, b).pvalue > 0.01
+
+
+@pytest.mark.parametrize("concentration", [0.0, 2.5])
+def test_sample_vmf_is_a_width_one_sampler_draw(concentration):
+    mu = [0.3, -0.2, 0.9]
+    points = sample_vmf(mu, concentration, 50, 17).points
+    drawn = VmfSampler(mu, concentration).draw(rng_stream(17), 50, 1)[:, 0]
+    assert points.tobytes() == drawn.tobytes()
+    if concentration == 0.0:
+        assert points.tobytes() == sample_uniform(2, 50, 17).points.tobytes()
 
 
 def test_sample_vmf_concentrated_mean_direction():

@@ -338,6 +338,27 @@ def test_per_omega_small_group_skipped():
     assert len(rep.groups) == 1
 
 
+def test_per_omega_conservation_refuses_when_no_group_has_2k_members():
+    # every group skipped used to give a report with no group in it
+    om_a, om_b = SkewMatrix.zero(2), SkewMatrix.planar(2, 1.0)
+    ens = Ensemble(sample_uniform(2, 6, 43).points, (om_a,) * 3 + (om_b,) * 3)
+    traj = simulate(ens, MeanField(1.0), 0.05, 1e-2)
+    with pytest.raises(ValueError, match=r"^no generator group has 2k = 4 members, so no "
+                                         r"within-group cycle can be drawn$"):
+        per_omega_conservation(traj, 0.3, 2, 10, seed=9)
+
+
+@pytest.mark.parametrize("k, m, message", [
+    (1, 10, "cycle half-length k must be at least 2"),
+    (0, 10, "cycle half-length k must be at least 2"),
+    (2, 0, "need at least one tuple"),
+])
+def test_per_omega_conservation_refuses_a_bad_cycle_size_by_name(k, m, message):
+    # these used to fail in an IndexError or an empty reduction
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        per_omega_conservation(two_group_trajectory(), 0.3, k, m, seed=5)
+
+
 @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 2.0, math.nan, math.inf])
 def test_a_chordal_radius_outside_zero_to_two_is_refused_by_name(epsilon):
     ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 16, 9)

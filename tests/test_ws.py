@@ -421,6 +421,15 @@ def test_ws_evolve_names_the_non_finite_step():
         ws_evolve(None, field, 0.1, 1e-2)
 
 
+def test_ws_evolve_names_the_first_non_finite_step_of_a_later_block():
+    # blocks of 113 steps at d = 2; X turns NaN in the step from t = 1.30
+    # to 1.31, so step 131, in the second block, is the first non-finite one
+    assert ws_module._BLOCK_FLOATS // (4 * 3 * 3) == 113
+    field = PrescribedField(lambda t: np.array([0.0, 0.0, 1.0]) if t < 1.305 else np.full(3, math.nan))
+    with pytest.raises(ValueError, match=f"^non-finite \\(w, R\\) state at step time t = {131 * 1e-2}$"):
+        ws_evolve(None, field, 2.0, 1e-2)
+
+
 @pytest.mark.parametrize("t_end, dt, message", [
     (math.nan, 1e-2, "t_end must be finite and nonnegative"),
     (math.inf, 1e-2, "t_end must be finite and nonnegative"),
