@@ -31,7 +31,7 @@ from .functionals import (_MAX_PAIR_D, conservation_drifts, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, VmfSampler, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
-from .kinetic import _series_with_instability, order_parameter_series, per_omega_conservation
+from .kinetic import _series_with_instability, per_omega_conservation
 from .ws import conjugacy_residual, push_forward, ws_evolve
 
 __all__ = ["ConfigError", "main", "parse_config", "run_experiment"]
@@ -227,19 +227,28 @@ def _p_grid(cfg: dict) -> list:
     return [round(-grid_max + 0.25 * i, 10) for i in range(int(round(8 * grid_max / 2)) + 1)]
 
 
-def _span(t_end, dt, stepped: bool = False) -> dict:
-    """t_end and dt; a ``stepped`` run needs round(t_end / dt) >= 1, which is
-    checked with dt and reported on t_end."""
+def _span(t_end, dt, steps: int) -> dict:
+    """t_end and dt of a run whose gates need ``steps`` (0 to 2) or more steps,
+    round(t_end / dt) as the run counts them; checked with dt, reported on t_end."""
 
     def dt_test(v, cfg):
         if not (_is_num(v) and v > 0):
             return False
-        _require(not stepped or cfg["t_end"] / v > 0.5,
-                 f"t_end: expected at least one step of dt = {v}, not {cfg['t_end']}")
+        count = cfg["t_end"] / v  # an overflowing count is refused by the run, by name
+        if count != math.inf and round(count) < steps:
+            raise ConfigError(f"t_end: expected at least {('one step', 'two steps')[steps - 1]} "
+                              f"of dt = {v}, not {cfg['t_end']}")
         return True
 
     return {"t_end": (t_end, lambda v, cfg: _is_num(v) and v >= 0, "a number >= 0"),
             "dt": (dt, dt_test, "a positive number")}
+
+
+def _distinct(values: list, key: str, names: list) -> bool:
+    """Refuse a list with two equal entries, or two that give the files they write one name."""
+    _require(len(set(values)) == len(set(names)) == len(values),
+             f"{key}: expected distinct values that name distinct files, not {values}")
+    return True
 
 
 # nested entries carry no phrase: the spec check names the offending key itself
@@ -251,7 +260,7 @@ _RECORD = {"record_every": (1, *_int_at_least(1))}
 _KAPPA = {"kappa": (1.0, *_POSITIVE)}
 _ENSEMBLE = {"omega_spec": ({"kind": "zero"}, _OMEGA, None),
              "field": ({"variant": "mean_field", "kappa": 1.0}, _FIELD, None)}
-_SIMULATE = {**_COMMON, **_N, **_span(_REQUIRED, 1e-3), **_RECORD, **_ENSEMBLE}
+_SIMULATE = {**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 0), **_RECORD, **_ENSEMBLE}
 
 
 def parse_config(path) -> dict:
@@ -319,7 +328,7 @@ def _run_ws_verify(cfg: dict, outdir: Path):
         diff = float(np.max(np.linalg.norm(pushed.points - traj.points[idx], axis=1)))
         checkpoints.append({"t": float(traj.times[idx]), "mismatch": diff})
         mismatch = max(mismatch, diff)
-    conj = conjugacy_residual(path, replay, ens0) if steps >= 2 else 0.0
+    conj = conjugacy_residual(path, replay, ens0)
     ortho = max(float(np.linalg.norm(r.T @ r - np.eye(d + 1))) for r in path.rotation)
     header = ["t"] + [f"w_{j}" for j in range(d + 1)] + \
         [f"r_{i}{j}" for i in range(d + 1) for j in range(d + 1)]
@@ -335,8 +344,8 @@ def _run_ws_verify(cfg: dict, outdir: Path):
     }
     out_report = write_json(outdir / "report.json", report)
     gates = {
-        "pushforward_mismatch": _gate(mismatch, cfg["tol_mismatch"]),
-        "conjugacy_residual": _gate(conj, cfg["tol_conjugacy"]),
+        "pushforward_mismatch": _gate(mismatch, 1e-5),
+        "conjugacy_residual": _gate(conj, 1e-4),
         "orthogonality": _gate(ortho, 1e-8),
     }
     return [out_states, out_report], gates, report
@@ -364,7 +373,7 @@ def _run_functional(cfg: dict, outdir: Path):
             outputs.append(write_csv(outdir / name, ["t", "estimate", "relative_drift"],
                                      drift.rows()))
     outputs.insert(0, write_json(outdir / "estimates.json", records))
-    gates = {"drift": _gate(drift_max, cfg["drift_tol"])}
+    gates = {"drift": _gate(drift_max, 1e-6)}
     zero_defect = max((abs(estimates[(p, k)].value - 1.0)
                        for k in cfg["k_list"] for p in cfg["p_list"] if p == 0), default=0.0)
     if any(p == 0 for p in cfg["p_list"]):
@@ -415,15 +424,11 @@ def _run_kinetic(cfg: dict, outdir: Path):
     d = cfg["d"]
     ens0 = sample_vmf(np.eye(d + 1)[-1], _DENSITY.build(cfg["initial"]), cfg["N"], cfg["seed"])
     run = (cfg["t_end"], cfg["dt"], cfg["record_every"], cfg["epsilon"])
-    if "delta" in cfg:
-        # the series and the instability branches stepped as one stack
-        series, _, rep = _series_with_instability(ens0, cfg["kappa"], *run, cfg["delta"], cfg["seed"])
-    else:
-        series, _ = order_parameter_series(ens0, MeanField(cfg["kappa"]), *run)
+    series, _, rep = _series_with_instability(ens0, cfg["kappa"], *run, cfg.get("delta"),
+                                              cfg["seed"])
     out_csv = write_csv(outdir / "order_parameter.csv",
                         ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"], series.rows())
-    increments = np.diff(series.R2)
-    min_increment = float(np.min(increments)) if increments.size else 0.0
+    min_increment = float(np.min(np.diff(series.R2)))
     r2_0, r_end = float(series.R2[0]), math.sqrt(float(series.R2[-1]))
     summary = {
         "R_initial": math.sqrt(r2_0),
@@ -444,7 +449,7 @@ def _run_kinetic(cfg: dict, outdir: Path):
         gates["bipolar_masses"] = _gate(mass_defect, 0.05)
         summary["bipolar_mass_defect"] = mass_defect
     outputs = [out_csv]
-    if "delta" in cfg:
+    if rep is not None:
         summary["instability"] = {
             "R_max_symmetric": rep.R_max_symmetric,
             "R_initial_perturbed": rep.R_initial_perturbed,
@@ -505,29 +510,29 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
 # the experiments: each one's key table and runner
 _CONFIG = _Kinds("experiment", {
     "simulate": (_SIMULATE, _run_simulate),
-    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, stepped=True), **_ENSEMBLE,
+    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 2), **_ENSEMBLE,
                    "field": (_ENSEMBLE["field"][0], _replayable, None),
-                   "checkpoints": (10, *_int_at_least(1)),
-                   "tol_mismatch": (1e-5, *_POSITIVE), "tol_conjugacy": (1e-4, *_POSITIVE)},
+                   "checkpoints": (10, *_int_at_least(1))},
                   _run_ws_verify),
-    "functional": ({**_SIMULATE, **_span(_REQUIRED, 1e-3, stepped=True),
-                    "p_list": (_REQUIRED, *_NUMBERS),
+    "functional": ({**_SIMULATE, **_span(_REQUIRED, 1e-3, 1),
+                    # each (p, k) writes drift_p{p:g}_k{k}.csv
+                    "p_list": (_REQUIRED, lambda v, cfg: _NUMBERS[0](v, cfg)
+                               and _distinct(v, "p_list", [f"{p:g}" for p in v]), _NUMBERS[1]),
                     "k_list": ([2], lambda v, cfg: isinstance(v, list) and v
-                               and all(_is_int(k) and k >= 2 for k in v),
-                               "a list of integers >= 2"),
+                               and all(_is_int(k) and k >= 2 for k in v)
+                               and _distinct(v, "k_list", v), "a list of integers >= 2"),
                     "m": (10000, *_int_at_least(1)), "drift_tuples": (100, *_int_at_least(1)),
-                    "drift_tol": (1e-6, *_POSITIVE),
                     "sampler": ({"kind": "uniform"}, _DENSITY, None)},
                    _run_functional),
     "existence": ({**_COMMON, "d": (_REQUIRED, *_EXISTENCE_D), "p_list": (_p_grid, *_NUMBERS)},
                   _run_existence),
-    "kinetic": ({**_COMMON, **_N, **_KAPPA, **_span(50.0, 1e-2), **_RECORD,
+    "kinetic": ({**_COMMON, **_N, **_KAPPA, **_span(50.0, 1e-2, 2), **_RECORD,
                  "epsilon": (0.5, lambda v, cfg: _is_num(v) and 0 < v < 2, "a number in (0, 2)"),
                  "initial": ({"kind": "vmf", "concentration": 1.0}, _DENSITY, None),
                  "delta": (_OPTIONAL, _instability, "a positive number")},
                 _run_kinetic),
     "heterogeneous": ({**_COMMON, "groups": (_REQUIRED, _groups, "a nonempty list"), **_KAPPA,
-                       **_span(5.0, 1e-3), **_RECORD, "p": (0.3, *_NUMBER),
+                       **_span(5.0, 1e-3, 1), **_RECORD, "p": (0.3, *_NUMBER),
                        "k": (2, *_int_at_least(2)), "m": (50, *_int_at_least(1))},
                       _run_heterogeneous),
 }, lambda names: f"one of {names}")

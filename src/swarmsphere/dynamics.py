@@ -115,15 +115,12 @@ def _coupling(kappa) -> float:
 class DrivingField:
     """Common driving vector X for the population.
 
-    ``state_dependent`` distinguishes fields computed from the ensemble
-    (evaluated per integrator stage from the stage points, or from the
-    run's history) from fields that only read the clock.  A field with
-    ``_reads_mean`` set uses the exact mean of every accepted state (in
-    ``_at_state``, or for a delayed field's history), which the stepping
-    loop computes once per state and hands over.
+    Only a clock-driven field (prescribed or replayed) has a value at a time
+    alone (``_at_times``).  A field with ``_reads_mean`` set uses the exact
+    mean of every accepted state (in ``_at_state``, or for a delayed field's
+    history), which the stepping loop computes once per state and hands over.
     """
 
-    state_dependent = True
     _reads_mean = False
 
     def evaluate(self, points: np.ndarray, t: float) -> np.ndarray:
@@ -134,17 +131,9 @@ class DrivingField:
         return self.evaluate(points, t)
 
     def _at_times(self, ts: np.ndarray) -> np.ndarray:
-        """A clock-driven field at every time of ``ts``, one row per time; a
-        field computed from the ensemble has no value at a time alone."""
-        if self.state_dependent:
-            raise ValueError("ws evolution needs a prescribed or replayed driving field, "
-                             f"not {type(self).__name__}")
-        xs = [np.asarray(self.evaluate(None, t), dtype=float) for t in ts.tolist()]
-        shapes = sorted({x.shape for x in xs})
-        if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 2:
-            raise ValueError(f"{type(self).__name__} must return one vector of a fixed width "
-                             f"d+1 >= 2, not arrays of shape {', '.join(map(str, shapes))}")
-        return np.array(xs)
+        """The field at every time of ``ts``, one row per time; only a clock-driven field has it."""
+        raise ValueError("ws evolution needs a prescribed or replayed driving field, "
+                         f"not {type(self).__name__}")
 
 
 class MeanField(DrivingField):
@@ -213,13 +202,19 @@ class WinfreeField(DrivingField):
 class PrescribedField(DrivingField):
     """X given in closed form as a function of time."""
 
-    state_dependent = False
-
     def __init__(self, func):
         self.func = func
 
     def evaluate(self, points, t):
         return np.asarray(self.func(t), dtype=float)
+
+    def _at_times(self, ts):
+        xs = [self.evaluate(None, t) for t in ts.tolist()]
+        shapes = sorted({x.shape for x in xs})
+        if len(shapes) != 1 or len(shapes[0]) != 1 or shapes[0][0] < 2:
+            raise ValueError(f"{type(self).__name__} must return one vector of a fixed width "
+                             f"d+1 >= 2, not arrays of shape {', '.join(map(str, shapes))}")
+        return np.array(xs)
 
 
 class ReplayField(DrivingField):
@@ -227,8 +222,6 @@ class ReplayField(DrivingField):
 
     Queries outside the recorded span raise, extrapolation is never silent.
     """
-
-    state_dependent = False
 
     def __init__(self, times, values):
         times = np.asarray(times, dtype=float)

@@ -236,17 +236,13 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     reject_cap = 100 * m
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(blocks))
 
     def run_block(args):  # the ratios and rejections of one block; its cycles are dropped
         b, need = args
         return _draw_cycles(rng_stream(seed, stream=b + 1), draw_from, need, k, reject_cap)[1:]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(args) for args in blocks]
+    with ThreadPoolExecutor(max_workers=min(cpus or 1, len(blocks))) as pool:
+        results = list(pool.map(run_block, blocks))
     ratios = np.empty(m)
     rejected_total = 0
     for b, (vals, rej) in enumerate(results):
@@ -355,15 +351,16 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     a constant positive difference means logarithmic divergence (the p = d/2
     boundary), geometric growth means a power divergence with the estimated
     exponent 2p - d, fitted as the mean log10 ratio of consecutive positive
-    differences (NaN, with its residual, where no such pair was measured).
+    differences (NaN, with its residual, where no such pair was measured or
+    a value is infinite).
     The moment symmetry under p -> -p lets the probe work with |p|.
     """
     q = abs(float(p))
     cutoffs = tuple(10.0 ** (-e) for e in range(2, 7))
     values = tuple(reduced_pair_integral(q, d, c) for c in cutoffs)
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
-    if not all(math.isfinite(v) for v in values):
-        return DivergenceReport(float(p), d, "power-divergent", 2.0 * q - d, math.nan,
+    if not all(math.isfinite(v) for v in values):  # an infinite value: nothing to fit
+        return DivergenceReport(float(p), d, "power-divergent", math.nan, math.nan,
                                 cutoffs, values, diffs)
     exps = [math.log10(b / a) for a, b in zip(diffs, diffs[1:]) if a > 0 and b > 0]
     est = float(np.mean(exps)) if exps else math.nan
@@ -403,8 +400,6 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     drift from its initial value and the worst per-tuple relative drift of
     the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
-    if len(traj.times) < 2:
-        raise ValueError("need at least two snapshots")
     rng = rng_stream(seed, stream=0)
     tuples, _, _ = _draw_cycles(rng, traj.points[0], m, k, 100 * m)
     return _drift_report(traj, tuples, ps, k)
@@ -420,7 +415,9 @@ def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[Drif
     one report per p.  The ratios are formed for a block of snapshots at a
     time (``_snapshot_cycle_ratios``), so the working set does not grow with
     the trajectory; each snapshot's values are those of a single
-    all-snapshot array."""
+    all-snapshot array.  A drift needs at least two snapshots."""
+    if len(traj.times) < 2:
+        raise ValueError("need at least two snapshots")
     if not all(map(math.isfinite, ps)):
         raise ValueError("p must be finite")
     all_estimates = np.empty((len(ps), len(traj.times)))

@@ -297,13 +297,13 @@ class SkewMatrix:
         return cls(d + 1, np.zeros((d + 1) * d // 2))
 
     @classmethod
-    def from_matrix(cls, a, tol: float = 1e-12) -> "SkewMatrix":
+    def from_matrix(cls, a) -> "SkewMatrix":
         a = np.asarray(a, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
         if not np.isfinite(a).all():
             raise ValueError("generator entries must be finite")
-        if np.max(np.abs(a + a.T)) > tol:
+        if np.max(np.abs(a + a.T)) > 1e-12:
             raise ValueError("matrix is not skew-symmetric")
         return cls(a.shape[0], a[np.tril_indices(a.shape[0], -1)])
 

@@ -87,7 +87,8 @@ class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
     axis and the chordal masses around it, with the derivative identity's
     defect: the largest gap between the analytic derivative and the central
-    difference of R^2 over the neighbouring steps."""
+    difference of R^2 over the neighbouring steps, NaN for a run of fewer
+    than two steps."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -143,7 +144,8 @@ class _SeriesRecorder:
     def finish(self) -> OrderParameterSeries:
         if self.last[0] % self.record_every:  # the final state is always recorded
             self._record()
-        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, self.defect)
+        defect = self.defect if len(self.recent) == 3 else math.nan  # no interior state
+        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, defect)
 
 
 def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -230,25 +232,26 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
 
 
 def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: float,
-                             record_every: int, epsilon: float, delta: float, seed: int
-                             ) -> tuple[OrderParameterSeries, Ensemble, InstabilityReport]:
+                             record_every: int, epsilon: float, delta: float | None, seed: int
+                             ) -> tuple[OrderParameterSeries, Ensemble, InstabilityReport | None]:
     """``order_parameter_series(ens0, MeanField(kappa), t_end, dt,
-    record_every, epsilon)`` and ``instability_experiment(ens0.n, ens0.d,
-    kappa, delta, seed, t_end, dt)`` from one run: the two branches and
-    ens0, a population without free flow at t = 0, are stepped as one
-    (3, N, d+1) stack, in which each member gets the bits of its own run."""
+    record_every, epsilon)`` and, for a ``delta`` (else None), the report of
+    ``instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)``
+    from one run: its two branches and ens0, a population without free flow
+    at t = 0, last, are stepped as one stack, each member with its own bits."""
     if ens0.omega is not None or ens0.time != 0.0:
         raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
-    branches = _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
+    branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
     recorder = _SeriesRecorder(record_every, epsilon)
     steps = _step_count(t_end, dt, 1)
-    stack = np.concatenate([branches.start, ens0.points[None]])
+    stack = ens0.points[None] if branches is None else \
+        np.concatenate([branches.start, ens0.points[None]])
     for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
-        if s % _RECORD_EVERY == 0 or s == steps:
+        if branches is not None and (s % _RECORD_EVERY == 0 or s == steps):
             branches.add(t, points, mean)
-        rows = points[2].copy()  # row-major, as _dR2_dt needs for its bits
-        recorder.add(s, t, rows, mean[2])
-    return recorder.finish(), ens0._at(rows, t), branches.report()
+        rows = points[-1].copy()  # row-major, as _dR2_dt needs for its bits
+        recorder.add(s, t, rows, mean[-1])
+    return recorder.finish(), ens0._at(rows, t), None if branches is None else branches.report()
 
 
 class _Branches:

@@ -221,11 +221,15 @@ def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
 
 
 def test_gate_failure_exit_code(tmp_path):
+    # three time units are too short for the population to synchronise
     path = write_config(tmp_path, "c.json", {
-        "experiment": "ws-verify", "d": 2, "N": 4, "t_end": 0.1, "dt": 1e-3,
-        "seed": 42, "tol_mismatch": 1e-30,
+        "experiment": "kinetic", "d": 2, "N": 32, "t_end": 3.0, "seed": 5,
     })
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert sorted(name for name, g in gates.items() if not g["passed"]) == \
+        ["bipolar_masses", "synchronization"]
 
 
 def test_missing_config_is_usage_error(tmp_path, capsys):
@@ -309,27 +313,60 @@ def test_derivative_identity_is_measured_at_the_step_spacing(tmp_path):
     assert manifest["gates"]["derivative_identity"]["value"] <= 1e-5
 
 
-def test_kinetic_run_with_delta_writes_the_bytes_of_the_separate_runs(tmp_path, monkeypatch):
+def kinetic_run_against_the_separate_calls(tmp_path, monkeypatch, delta):
+    """Run a kinetic config as the CLI steps it, one stack holding the series
+    population and the instability branches if any, and again through the
+    separate library calls; returns both exit codes and the stacked summary
+    after checking that both runs wrote the same bytes."""
     import swarmsphere.cli as cli
     from swarmsphere import MeanField, instability_experiment, order_parameter_series
 
-    # the series and the instability branches step as one stack; the same
-    # config run through the two separate calls writes the same bytes
-    path = write_config(tmp_path, "c.json", {"experiment": "kinetic", "d": 2, "N": 200, "t_end": 6,
-                                             "dt": 1e-2, "delta": 1e-3, "seed": 3})
-    # six time units are too short for the instability gates to pass
+    cfg = {"experiment": "kinetic", "d": 2, "N": 200, "t_end": 6, "dt": 1e-2, "seed": 3}
+    path = write_config(tmp_path, "c.json", cfg if delta is None else {**cfg, "delta": delta})
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "stacked")])
 
     def separate(ens0, kappa, t_end, dt, record_every, epsilon, delta, seed):
         series, final = order_parameter_series(ens0, MeanField(kappa), t_end, dt, record_every, epsilon)
-        return series, final, instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
+        return series, final, None if delta is None else \
+            instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
 
     monkeypatch.setattr(cli, "_series_with_instability", separate)
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "separate")]) == code == 1
+    separate_code = main(["run", "--config", str(path), "--out", str(tmp_path / "separate")])
     for name in ("order_parameter.csv", "kinetic_summary.json"):
         assert (tmp_path / "stacked" / name).read_bytes() == (tmp_path / "separate" / name).read_bytes()
-    summary = json.loads((tmp_path / "stacked" / "kinetic_summary.json").read_text())
+    return code, separate_code, json.loads((tmp_path / "stacked" / "kinetic_summary.json").read_text())
+
+
+def test_kinetic_run_with_delta_writes_the_bytes_of_the_separate_runs(tmp_path, monkeypatch):
+    code, separate_code, summary = kinetic_run_against_the_separate_calls(tmp_path, monkeypatch, 1e-3)
+    # six time units are too short for the instability gates to pass
+    assert code == separate_code == 1
     assert summary["instability"]["R_max_symmetric"] == 0.0
+
+
+def test_kinetic_run_without_delta_writes_the_bytes_of_order_parameter_series(tmp_path, monkeypatch):
+    # the series population alone steps as a stack of one
+    code, separate_code, summary = kinetic_run_against_the_separate_calls(tmp_path, monkeypatch, None)
+    assert code == separate_code == 0
+    assert "instability" not in summary
+
+
+@pytest.mark.parametrize("cfg, steps", [
+    # within_group_drift would compare the initial snapshot with itself
+    ({"experiment": "heterogeneous", "d": 2, "groups": [{"count": 8, "omega_spec": {"kind": "zero"}}],
+      "t_end": 0.0, "seed": 8}, "one step of dt = 0.001, not 0.0"),
+    # one step leaves the conjugacy residual no central difference
+    ({"experiment": "ws-verify", "d": 2, "N": 8, "t_end": 0.001, "dt": 0.001, "seed": 3},
+     "two steps of dt = 0.001, not 0.001"),
+    # two states leave the derivative identity no central difference
+    ({"experiment": "kinetic", "d": 2, "N": 4000, "t_end": 0.01, "initial": {"kind": "uniform"},
+      "seed": 3}, "two steps of dt = 0.01, not 0.01"),
+])
+def test_a_run_too_short_for_its_gates_is_refused(tmp_path, capsys, cfg, steps):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: t_end: expected at least {steps}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_wrong_derivative_fails_the_identity_gate(tmp_path, monkeypatch):

@@ -120,8 +120,9 @@ CASES = [
      "field.variant: time_delay is not replayable into the reduced system"),
     ({**WS, "field": {"variant": "time_delay"}}, "field.tau: expected a number >= dt"),
     ({**WS, "checkpoints": 0}, "checkpoints: expected an integer >= 1"),
-    ({**WS, "tol_mismatch": 0.0}, "tol_mismatch: expected a positive number"),
-    ({**WS, "tol_conjugacy": -1.0}, "tol_conjugacy: expected a positive number"),
+    # gate thresholds are constants, not keys
+    ({**WS, "tol_mismatch": 0.0}, "unknown key: tol_mismatch"),
+    ({**WS, "tol_conjugacy": -1.0}, "unknown key: tol_conjugacy"),
     # functional
     (drop(FUN, "p_list"), "p_list: expected a list of numbers"),
     ({**FUN, "p_list": []}, "p_list: expected a list of numbers"),
@@ -130,7 +131,7 @@ CASES = [
     ({**FUN, "k_list": []}, "k_list: expected a list of integers >= 2"),
     ({**FUN, "m": 0}, "m: expected an integer >= 1"),
     ({**FUN, "drift_tuples": 0}, "drift_tuples: expected an integer >= 1"),
-    ({**FUN, "drift_tol": 0}, "drift_tol: expected a positive number"),
+    ({**FUN, "drift_tol": 0}, "unknown key: drift_tol"),
     ({**FUN, "sampler": []}, "sampler: expected an object"),
     ({**FUN, "sampler": {"kind": "gauss"}}, "sampler.kind: expected uniform|vmf"),
     ({**FUN, "sampler": {"kind": "uniform", "concentration": 1.0}},
@@ -179,12 +180,27 @@ CASES = [
     ({**HET, "p": "0.3"}, "p: expected a number"),
     ({**HET, "k": 1}, "k: expected an integer >= 2"),
     ({**HET, "m": 0}, "m: expected an integer >= 1"),
-    # ws-verify and functional: a t_end that rounds to zero steps is refused before the run
-    ({**WS, "t_end": 0}, "t_end: expected at least one step of dt = 0.001, not 0"),
-    ({**WS, "t_end": 0.05, "dt": 0.1}, "t_end: expected at least one step of dt = 0.1, not 0.05"),
+    # a t_end that rounds to fewer steps than the gates need is refused before the run
+    ({**WS, "t_end": 0}, "t_end: expected at least two steps of dt = 0.001, not 0"),
+    ({**WS, "t_end": 0.05, "dt": 0.1}, "t_end: expected at least two steps of dt = 0.1, not 0.05"),
     ({**WS, "t_end": 0, "dt": 0}, "dt: expected a positive number"),
     ({**FUN, "t_end": 0.0}, "t_end: expected at least one step of dt = 0.001, not 0.0"),
     ({**FUN, "t_end": 0.0005}, "t_end: expected at least one step of dt = 0.001, not 0.0005"),
+    ({**WS, "t_end": 0.0006}, "t_end: expected at least two steps of dt = 0.001, not 0.0006"),
+    ({**HET, "t_end": 0.0}, "t_end: expected at least one step of dt = 0.001, not 0.0"),
+    ({**KIN, "t_end": 0.01}, "t_end: expected at least two steps of dt = 0.01, not 0.01"),
+    ({**KIN, "t_end": 0.0, "dt": 0.5}, "t_end: expected at least two steps of dt = 0.5, not 0.0"),
+    # each functional (p, k) writes drift_p{p:g}_k{k}.csv, so no two may share a name
+    ({**FUN, "p_list": [0.1234561, 0.1234562]},
+     "p_list: expected distinct values that name distinct files, not [0.1234561, 0.1234562]"),
+    ({**FUN, "p_list": [0.3, -0.3, 0.3]},
+     "p_list: expected distinct values that name distinct files, not [0.3, -0.3, 0.3]"),
+    ({**FUN, "p_list": [0.0, -0.0]},
+     "p_list: expected distinct values that name distinct files, not [0.0, -0.0]"),
+    ({**FUN, "p_list": [1, 1.0]},
+     "p_list: expected distinct values that name distinct files, not [1, 1.0]"),
+    ({**FUN, "k_list": [2, 3, 2]},
+     "k_list: expected distinct values that name distinct files, not [2, 3, 2]"),
 ]
 
 
@@ -206,10 +222,14 @@ ACCEPTED = [
     {**KIN, "initial": {"kind": "vmf"}, "delta": 1e-3, "N": 4, "seed": 2**64 - 2},
     group({"kind": "random", "seed": 5}),
     {**SIM, "seed": 2**64 - 1, "output_dir": "runs/a"},
-    # a run of zero steps is a single snapshot for simulate, one step suffices elsewhere
+    # simulate may run zero steps; ws-verify and kinetic need two, the others one
     {**SIM, "t_end": 0},
-    {**WS, "t_end": 0.0006},
+    {**WS, "t_end": 0.0016},
     {**FUN, "t_end": 0.0006},
+    {**HET, "t_end": 0.0006},
+    {**KIN, "t_end": 0.016},
+    # the existence grid writes no file per p
+    {**EXI, "p_list": [0.5, 0.5]},
 ]
 
 

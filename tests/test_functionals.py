@@ -173,8 +173,8 @@ def test_ensemble_estimate_thread_invariant(monkeypatch):
     assert _estimate_bits(threaded) == _estimate_bits(base)
 
 
-@pytest.mark.parametrize("cpus, m, workers", [(1, 50_000, None), (4, 50_000, 4), (4, 20_000, 2),
-                                              (4, 100, None)])
+@pytest.mark.parametrize("cpus, m, workers", [(1, 50_000, 1), (4, 50_000, 4), (4, 20_000, 2),
+                                              (4, 100, 1)])
 def test_worker_count_is_the_cpu_set_capped_by_the_blocks(monkeypatch, cpus, m, workers):
     import swarmsphere.functionals as functionals
 
@@ -188,7 +188,7 @@ def test_worker_count_is_the_cpu_set_capped_by_the_blocks(monkeypatch, cpus, m, 
     monkeypatch.setattr(functionals, "ThreadPoolExecutor", pool)
     use_cpus(monkeypatch, cpus)
     estimate_cycle_moment(UNIFORM, 0.3, 2, m, seed=1)  # blocks of 2**14
-    assert seen == ([] if workers is None else [workers])
+    assert seen == [workers]
 
 
 def test_estimate_reports_median_of_means_for_heavy_tails():
@@ -445,6 +445,15 @@ def test_divergence_probe_classifies_a_power_beyond_the_float_range():
     rep = divergence_probe(60.0, 1)
     assert rep.classification == "power-divergent"
     assert rep.values[-1] == math.inf
+
+
+def test_divergence_probe_fits_no_exponent_past_an_infinite_value():
+    # four of the five values are infinite, so no decade ratio was measured;
+    # the closed form 2|p| - d is not an estimate
+    rep = divergence_probe(-60.0, 1)
+    assert sum(map(math.isinf, rep.values)) == 4
+    assert rep.classification == "power-divergent"
+    assert math.isnan(rep.exponent_estimate) and math.isnan(rep.fit_residual)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 64])

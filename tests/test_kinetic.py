@@ -25,6 +25,7 @@ from swarmsphere import (
 )
 from swarmsphere.dynamics import _run
 from swarmsphere.functionals import _draw_cycles
+from swarmsphere.geometry import _FOLD_MIN_ROWS
 from swarmsphere.kinetic import _RECORD_EVERY, _mixed_tuple_values, _series_with_instability
 
 
@@ -81,6 +82,17 @@ def test_derivative_defect_is_measured_at_the_step_spacing():
     assert np.array_equal(spaced.R2, every.R2[kept])
     assert np.array_equal(spaced.dR2_analytic, every.dR2_analytic[kept])
     assert final.time == every.times[-1]
+
+
+@pytest.mark.parametrize("t_end", [0.0, 1e-2])
+def test_derivative_defect_of_fewer_than_three_states_is_nan(t_end):
+    # no interior state, so no central difference was compared
+    ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 16, 5)
+    series, _ = order_parameter_series(ens, MeanField(1.0), t_end, 1e-2)
+    assert series.times.size == round(t_end / 1e-2) + 1
+    assert math.isnan(series.derivative_defect)
+    two_steps, _ = order_parameter_series(ens, MeanField(1.0), 2e-2, 1e-2)
+    assert math.isfinite(two_steps.derivative_defect)
 
 
 def test_dR2_analytic_free_rotation_term_cancels():
@@ -239,6 +251,20 @@ def test_series_and_branches_stacked_equal_the_separate_calls():
         _series_with_instability(ens0.with_omega(SkewMatrix.zero(2)), 1.0, 0.1, 1e-2, 1, 0.5, 1e-3, 3)
 
 
+@pytest.mark.parametrize("n, kappa", [(32, 1.0), (2 * _FOLD_MIN_ROWS, 0.0)])
+def test_series_alone_is_a_stack_of_one_with_the_bits_of_the_single_run(n, kappa):
+    # without delta the series population steps as a (1, N, d+1) stack; both
+    # sides of the exact mean's switch to vector extraction are covered
+    ens0 = sample_vmf([0.0, 0.0, 1.0], kappa, n, 6)
+    series, final, rep = _series_with_instability(ens0, 1.0, 0.6, 1e-2, 7, 0.5, None, 3)
+    want, want_final = order_parameter_series(ens0, MeanField(1.0), 0.6, 1e-2, 7, 0.5)
+    assert rep is None
+    for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
+        assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
+    assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
+
+
 def test_series_masses_are_the_ball_masses_of_each_state():
     ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 64, 9)
     series, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=10)
@@ -285,6 +311,14 @@ def two_group_trajectory(t_end=3.0, dt=1e-3, record_every=10, n_per=24):
     pts = sample_uniform(2, 2 * n_per, 31).points
     ens = Ensemble(pts, (om_a,) * n_per + (om_b,) * n_per)
     return simulate(ens, MeanField(1.0), t_end, dt, record_every)
+
+
+def test_per_omega_conservation_needs_two_snapshots():
+    # one snapshot has no drift to measure; it used to report drift 0
+    traj = two_group_trajectory(t_end=0.0)
+    assert traj.times.size == 1
+    with pytest.raises(ValueError, match="two snapshots"):
+        per_omega_conservation(traj, 0.3, 2, 40, seed=5)
 
 
 def test_per_omega_conservation_two_groups():
