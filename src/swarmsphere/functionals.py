@@ -45,7 +45,8 @@ __all__ = [
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
 # _snapshot_cycle_ratios: floats of a block of snapshots, its points and
-# the chord endpoints it gathers (512 kB)
+# the chord endpoints it gathers; kinetic._closest_pairs: the chord vectors
+# of a block of rows (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
 # the pair integral is scaled by the area |S^(d-1)|, a float only up to this d
 _MAX_PAIR_D = 343

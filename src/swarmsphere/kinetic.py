@@ -18,9 +18,10 @@ import numpy as np
 
 from .dynamics import (DrivingField, MeanField, Trajectory, _record_count, _run, _step_count,
                        simulate)
-from .functionals import (DriftReport, _draw_cycles, _drift_report, _snapshot_cycle_ratios,
-                          conservation_drift)
-from .geometry import Ensemble, exact_mean, renormalize, rng_stream, sample_uniform, sample_vmf, tangent_project
+from .functionals import (_DRIFT_BLOCK_FLOATS, DriftReport, _draw_cycles, _drift_report,
+                          _snapshot_cycle_ratios, conservation_drift)
+from .geometry import (Ensemble, _component_dot, exact_mean, renormalize, rng_stream,
+                       sample_uniform, sample_vmf, tangent_project)
 
 __all__ = [
     "InstabilityReport",
@@ -68,9 +69,13 @@ def _chordal_radius(epsilon) -> float:
 
 
 def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
-    """Fraction of particles within chordal distance epsilon of a center."""
+    """Fraction of particles within chordal distance epsilon of a center,
+    a finite vector of width d+1."""
     epsilon = _chordal_radius(epsilon)
-    return float(_ball_masses(ens.points, np.asarray(center, dtype=float)[None], epsilon)[0])
+    center = np.asarray(center, dtype=float)
+    if center.shape != (ens.d + 1,) or not np.isfinite(center).all():
+        raise ValueError(f"ball center must be a finite vector of width d+1 = {ens.d + 1}")
+    return float(_ball_masses(ens.points, center[None], epsilon)[0])
 
 
 def _ball_masses(points: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:
@@ -165,16 +170,29 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
-    """Globally closest index pairs inside a subset, by squared chord."""
+    """The ``count`` closest index pairs (i, j), i < j, inside a subset, in
+    the order of (squared chord, i, j).
+
+    A squared chord is summed from its chord vector x_i - x_j by
+    ``_component_dot``, the rule of the cycle ratios, so exactly coincident
+    points are at distance 0.  Rows are compared with every later member a
+    block at a time, the block sized to ``_DRIFT_BLOCK_FLOATS``, and only
+    the pairs below the count-th best so far are kept: a later row cannot
+    win a tie with it.  The search never holds an n x n array.
+    """
     sub = points[idx]
-    gram = sub @ sub.T
-    d2 = np.maximum(0.0, 2.0 - 2.0 * gram)
-    iu = np.triu_indices(idx.size, 1)
-    order = np.argsort(d2[iu], kind="stable")
-    pairs = []
-    for r in order[:count]:
-        pairs.append((int(idx[iu[0][r]]), int(idx[iu[1][r]])))
-    return pairs
+    n, dim = sub.shape
+    rows = max(1, _DRIFT_BLOCK_FLOATS // (dim * n))
+    d2, i, j = np.empty(0), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    for i0 in range(0, n - 1, rows):
+        chords = sub[i0:i0 + rows, :, None] - sub[i0:].T  # (b, d+1, n - i0): j = i0 + column
+        block = _component_dot(chords, chords)
+        block[np.tri(*block.shape, dtype=bool)] = np.inf  # j <= i
+        r, c = np.nonzero(block < (d2[-1] if d2.size == count else np.inf))
+        d2, i, j = (np.concatenate(v) for v in ((d2, block[r, c]), (i, r + i0), (j, c + i0)))
+        best = np.lexsort((j, i, d2))[:count]
+        d2, i, j = d2[best], i[best], j[best]
+    return [(int(idx[a]), int(idx[b])) for a, b in zip(i, j)]
 
 
 def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:

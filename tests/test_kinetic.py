@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from swarmsphere import (
 from swarmsphere.dynamics import _run
 from swarmsphere.functionals import _draw_cycles
 from swarmsphere.geometry import _FOLD_MIN_ROWS
-from swarmsphere.kinetic import _RECORD_EVERY, _mixed_tuple_values, _series_with_instability
+from swarmsphere import kinetic
+from swarmsphere.kinetic import (_RECORD_EVERY, _closest_pairs, _mixed_tuple_values,
+                                 _series_with_instability)
 
 
 def consensus(d, n):
@@ -197,6 +200,79 @@ def test_mixed_tuple_values_are_the_unguarded_chord_quotients():
                      for u, v in ((i, j), (j, k), (k, l), (l, i))]
             assert got.tobytes() == np.float64(chord[0] * chord[2] / (chord[1] * chord[3])).tobytes()
         assert 0.0 < vals[1] < math.inf and vals[2] == math.inf and vals[3] == math.inf
+
+
+def _closest_pairs_brute(points, idx, count):
+    """Every pair i < j of the subset, ordered by (squared chord, i, j),
+    the squared chord summed row-major from the chord vector."""
+    i, j = np.triu_indices(idx.size, 1)
+    chords = points[idx[i]] - points[idx[j]]
+    d2 = np.einsum("ij,ij->i", chords, chords)
+    return [(int(idx[a]), int(idx[b])) for _, a, b in sorted(zip(d2, i, j))[:count]]
+
+
+def _closest_pairs_gram(points, idx, count):
+    """The former selection rule, kept as a reference: squared chords as
+    2 - 2<x, y> from the subset's full Gram matrix, pairs taken in stable
+    order over the row-major upper triangle."""
+    sub = points[idx]
+    d2 = np.maximum(0.0, 2.0 - 2.0 * (sub @ sub.T))
+    i, j = np.triu_indices(idx.size, 1)
+    order = np.argsort(d2[i, j], kind="stable")[:count]
+    return [(int(idx[i[r]]), int(idx[j[r]])) for r in order]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_closest_pairs_of_two_and_three_members(size):
+    points = sample_uniform(2, 10, 4).points
+    idx = np.array([7, 2, 5])[:size]
+    for count in range(1, size * (size - 1) // 2 + 1):
+        pairs = _closest_pairs(points, idx, count)
+        assert pairs == _closest_pairs_brute(points, idx, count)
+        assert len(pairs) == count
+
+
+def test_closest_pairs_orders_exact_coincidences_by_index():
+    base = sample_uniform(3, 6, 8).points
+    points = np.vstack([base, base[[4, 1]], base[[4]]])  # 6 and 8 repeat 4, 7 repeats 1
+    idx = np.arange(points.shape[0])
+    pairs = _closest_pairs(points, idx, 6)
+    assert pairs[:4] == [(1, 7), (4, 6), (4, 8), (6, 8)]  # zero chords, by (i, j)
+    assert pairs == _closest_pairs_brute(points, idx, 6)
+
+
+def test_closest_pairs_over_many_blocks(monkeypatch):
+    base = sample_vmf([0.0, 0.0, 1.0], 20.0, 80, 12).points
+    points = np.vstack([base, base[[10, 10, 50]]])  # 80 and 81 repeat 10, 82 repeats 50
+    idx = np.r_[np.arange(0, 80, 2), 80, 81, 82]  # 43 members, not a multiple of the 4-row block
+    want = {count: _closest_pairs_brute(points, idx, count) for count in (3, 5)}
+    assert want[3] == [(10, 80), (10, 81), (50, 82)]  # (80, 81), a later block's zero, ties out
+    monkeypatch.setattr(kinetic, "_DRIFT_BLOCK_FLOATS", 4 * 3 * idx.size)
+    for count in (3, 5):
+        assert _closest_pairs(points, idx, count) == want[count]
+
+
+def test_closest_pairs_agree_with_the_gram_rule_without_duplicates():
+    rng = rng_stream(21)
+    for trial in range(40):
+        d = int(rng.integers(1, 5))
+        points = sample_vmf(np.eye(d + 1)[-1], float(rng.uniform(0.0, 50.0)), 60, trial).points
+        idx = np.sort(rng.choice(60, size=int(rng.integers(2, 61)), replace=False))
+        count = int(rng.integers(1, 6))
+        assert _closest_pairs(points, idx, count) == _closest_pairs_brute(points, idx, count)
+        assert _closest_pairs(points, idx, count) == _closest_pairs_gram(points, idx, count)
+
+
+def test_closest_pairs_memory_is_bounded_by_a_block():
+    points = sample_uniform(2, 3000, 6).points
+    idx = np.arange(3000)
+    tracemalloc.start()
+    try:
+        _closest_pairs(points, idx, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6  # an n x n array of float64 alone is 72 MB
 
 
 def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
@@ -403,3 +479,13 @@ def test_a_chordal_radius_outside_zero_to_two_is_refused_by_name(epsilon):
         _series_with_instability(ens, 1.0, 0.1, 1e-2, 1, epsilon, 1e-3, 3)
     with pytest.raises(ValueError, match=message):
         ball_mass(ens, [0.0, 0.0, 1.0], epsilon)
+
+
+@pytest.mark.parametrize("center", [[0.0, math.nan, 1.0], [0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+                                    [[0.0, 0.0, 1.0]]])
+def test_a_ball_center_that_is_not_a_finite_vector_of_width_d_plus_one_is_refused(center):
+    # a NaN center used to give a mass of 0.0, a wrong width numpy's broadcast error
+    ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 16, 9)
+    with pytest.raises(ValueError, match=r"^ball center must be a finite vector of width "
+                                         r"d\+1 = 3$"):
+        ball_mass(ens, center, 0.5)
