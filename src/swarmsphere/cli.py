@@ -7,7 +7,8 @@ preconditions of the operations they feed), artifacts are CSV/JSON written
 deterministically, and a manifest recording the config hash, tool version,
 wall time, output hashes and gate verdicts is written last.
 
-Exit codes: 0 all gates pass, 1 a gate failed, 2 usage/config error or an
+Exit codes: 0 all gates pass, 1 a gate failed, 2 usage/config error (an
+unreadable config included), an output directory that cannot be made, or an
 aborted run.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -275,6 +277,8 @@ def parse_config(path) -> dict:
         cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read as UTF-8 text: {exc}") from exc
     _require(isinstance(cfg, dict), "config must be a JSON object")
     _CONFIG.check(cfg, "", cfg)
     return cfg
@@ -450,15 +454,7 @@ def _run_kinetic(cfg: dict, outdir: Path):
         summary["bipolar_mass_defect"] = mass_defect
     outputs = [out_csv]
     if rep is not None:
-        summary["instability"] = {
-            "R_max_symmetric": rep.R_max_symmetric,
-            "R_initial_perturbed": rep.R_initial_perturbed,
-            "R_end_perturbed": rep.R_end_perturbed,
-            "mixed_tuple_max": rep.mixed_tuple_max,
-            "mixed_tuple_unbounded": rep.mixed_tuple_unbounded,
-            "selection_time": rep.selection_time,
-            "control_max_drift": rep.control_max_drift,
-        }
+        summary["instability"] = dataclasses.asdict(rep)
         gates["instability_symmetric"] = _gate(rep.R_max_symmetric, 1e-6)
         gates["instability_perturbed"] = _gate(rep.R_end_perturbed, 0.99, kind="min")
         gates["instability_growth"] = _gate(rep.mixed_tuple_max, 1e3, kind="min")
@@ -595,6 +591,11 @@ def main(argv=None) -> int:
         print(json.dumps(cfg, indent=2, sort_keys=True))
         return 0
     outdir = Path(args.out or cfg.get("output_dir", "out"))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make the output directory {outdir}: {exc}", file=sys.stderr)
+        return 2
     config_sha = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
     return run_experiment(cfg, outdir, config_sha)
 

@@ -279,10 +279,6 @@ class SkewMatrix:
         self._hash = hash((n, lower.tobytes()))
 
     @property
-    def d(self) -> int:
-        return self.n - 1
-
-    @property
     def matrix(self) -> np.ndarray:
         if self._full is None:
             m = np.zeros((self.n, self.n))

@@ -3,7 +3,7 @@
 The empirical measure of an ensemble stands in for the kinetic density, so
 all the integral diagnostics below are ensemble averages: the order
 parameter R^2 = |mean|^2, its analytic time derivative
-2 E[|x_c - <y, x_c> y|^2] (which is nonnegative, so R is monotone), chordal
+2 kappa E[|x_c - <y, x_c> y|^2] (which is nonnegative, so R is monotone), chordal
 ball masses around the polarisation axis, and the bipolar-instability
 experiment contrasting an exactly antipodal-symmetric population with a
 delta-perturbed one.
@@ -50,7 +50,9 @@ def order_parameter(ens: Ensemble) -> tuple[float, np.ndarray]:
 
 
 def dR2_dt_analytic(ens: Ensemble) -> float:
-    """Analytic derivative of R^2 for the mean-field swarm: always >= 0."""
+    """Analytic derivative of R^2 for the mean-field swarm at unit coupling,
+    2 E[|x_c - <y, x_c> y|^2]: always >= 0.  Under ``MeanField(kappa)`` the
+    derivative is kappa times this value."""
     return _dR2_dt(ens.points, exact_mean(ens.points))
 
 
@@ -93,7 +95,8 @@ class OrderParameterSeries:
     axis and the chordal masses around it, with the derivative identity's
     defect: the largest gap between the analytic derivative and the central
     difference of R^2 over the neighbouring steps, NaN for a run of fewer
-    than two steps."""
+    than two steps.  The analytic derivative and its defect are NaN under a
+    field other than ``MeanField``, where the identity does not hold."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -112,12 +115,14 @@ class _SeriesRecorder:
     """The order-parameter diagnostics of one population, fed every state
     of a run in order: R^2 and its analytic derivative at every state, for
     the derivative defect, and the recorded rows at every
-    ``record_every``-th state and the final one."""
+    ``record_every``-th state and the final one.  ``kappa`` is the mean
+    field's coupling, None under another field."""
 
-    def __init__(self, record_every: int, epsilon: float):
+    def __init__(self, record_every: int, epsilon: float, kappa: float | None):
         if record_every < 1:
             raise ValueError("record_every must be at least 1")
         self.record_every, self.epsilon = record_every, _chordal_radius(epsilon)
+        self.kappa = kappa
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.defect = 0.0
@@ -127,7 +132,7 @@ class _SeriesRecorder:
         """State s of the run, at time t, with row-major (n, d+1) ``points``
         and their exact mean ``x_c``."""
         r2 = float(x_c @ x_c)
-        dr2 = _dR2_dt(points, x_c)
+        dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(points, x_c)
         self.recent = self.recent[-2:] + [(t, r2, dr2)]
         if len(self.recent) == 3:
             (t0, a, _), (_, _, mid), (t2, b, _) = self.recent
@@ -149,7 +154,8 @@ class _SeriesRecorder:
     def finish(self) -> OrderParameterSeries:
         if self.last[0] % self.record_every:  # the final state is always recorded
             self._record()
-        defect = self.defect if len(self.recent) == 3 else math.nan  # no interior state
+        # no interior state, or no identity to compare (max drops a NaN gap)
+        defect = self.defect if len(self.recent) == 3 and self.kappa is not None else math.nan
         return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, defect)
 
 
@@ -162,8 +168,11 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     R^2 and its analytic derivative are evaluated at every step, so the
     derivative defect is measured at the step spacing whatever
     ``record_every`` is; the initial and final states are always recorded.
+    The derivative is the mean-field identity at the field's coupling, NaN
+    under any other field.
     """
-    recorder = _SeriesRecorder(record_every, epsilon)
+    recorder = _SeriesRecorder(record_every, epsilon,
+                               field.kappa if isinstance(field, MeanField) else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
         recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
@@ -206,24 +215,15 @@ def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class InstabilityReport:
-    """Outcome of the antipodal-symmetry instability experiment."""
+    """What the antipodal-symmetry instability experiment measured."""
 
-    N: int
-    d: int
-    kappa: float
-    delta: float
-    seed: int
     R_max_symmetric: float
     R_initial_perturbed: float
     R_end_perturbed: float
     mixed_tuple_max: float  # largest finite evaluation over tuples and snapshots
     mixed_tuple_unbounded: bool  # an exactly-zero denominator was reached
-    mixed_tuples: np.ndarray
     selection_time: float
     control_max_drift: float
-    control_per_tuple_drift: float
-    t_end: float
-    dt: float
 
 
 def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int,
@@ -240,7 +240,8 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     picked up at selection time is enormous because both intra-cluster chords
     are small, which is the finite-sample face of the blow-up of the cycle
     moments on two-cluster states.  A von Mises-Fisher control run checks
-    that ordinary fixed tuples stay conserved under the same integrator.
+    that ordinary fixed tuples stay conserved under the same integrator,
+    over kappa t in [0, 5].
     """
     branches = _Branches(N, d, kappa, delta, seed, t_end, dt)
     # both branches are stepped as one stack
@@ -260,7 +261,7 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     if ens0.omega is not None or ens0.time != 0.0:
         raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
     branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
-    recorder = _SeriesRecorder(record_every, epsilon)
+    recorder = _SeriesRecorder(record_every, epsilon, float(kappa))
     steps = _step_count(t_end, dt, 1)
     stack = ens0.points[None] if branches is None else \
         np.concatenate([branches.start, ens0.points[None]])
@@ -296,8 +297,7 @@ class _Branches:
         direction = direction / np.linalg.norm(direction)
         pert_points = sym_points.copy()
         pert_points[0] = renormalize(x0 + delta * direction)
-        self.N, self.d, self.kappa, self.delta, self.seed = N, d, float(kappa), float(delta), seed
-        self.t_end, self.dt = float(t_end), float(dt)
+        self.N, self.d, self.kappa, self.seed = N, d, float(kappa), seed
         self.start = np.stack([sym_points, pert_points])
         self.points = np.empty((_record_count(t_end, dt, _RECORD_EVERY), N, d + 1))
         self.r2_sym, self.times, self.means = [], [], []
@@ -311,16 +311,15 @@ class _Branches:
         self.means.append(mean[1])
 
     def report(self) -> InstabilityReport:
-        N, d, kappa, delta, seed = self.N, self.d, self.kappa, self.delta, self.seed
+        N, d, kappa, seed = self.N, self.d, self.kappa, self.seed
         means, points = self.means, self.points
         r_max_sym = math.sqrt(max(self.r2_sym))
         rs = np.array([math.sqrt(float(m @ m)) for m in means])
 
-        # mixed tuples: two indices per emergent cluster at the first snapshot
-        # where the population is visibly polarised and both caps are occupied
-        mixed_tuples = np.empty((0, 4), dtype=np.int64)
-        selection_time = math.nan
-        mixed_max = math.nan
+        # mixed tuples: two indices per emergent cluster, picked at the first
+        # snapshot where the population is visibly polarised and both caps are
+        # occupied, and evaluated at every snapshot
+        selection_time, mixed_max, unbounded = math.nan, math.nan, False
         for i in np.nonzero(rs >= 0.5)[0]:
             gamma = means[i] / rs[i]
             side = points[i] @ gamma
@@ -330,33 +329,29 @@ class _Branches:
                 n_pairs = min(3, plus.size // 2, minus.size // 2)
                 pp = _closest_pairs(points[i], plus, n_pairs)
                 mp = _closest_pairs(points[i], minus, n_pairs)
-                mixed_tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
-                                        dtype=np.int64)
+                tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
+                                  dtype=np.int64)
+                vals = _mixed_tuple_values(points, tuples)
+                unbounded = bool(np.any(np.isinf(vals)))
+                mixed_max = float(vals[np.isfinite(vals)].max(initial=0.0))
                 selection_time = float(self.times[i])
                 break
-        unbounded = False
-        if mixed_tuples.shape[0]:
-            vals = _mixed_tuple_values(points, mixed_tuples)
-            unbounded = bool(np.any(np.isinf(vals)))
-            mixed_max = float(vals[np.isfinite(vals)].max(initial=0.0))
 
-        # control: a smooth-density run where fixed tuples must hold steady
+        # control: a smooth-density run where fixed tuples must hold steady,
+        # 5000 steps over kappa t in [0, 5], before its population collapses
         control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)
-        control_traj = simulate(control_ens, MeanField(kappa), 5.0, 1e-3, record_every=10)
+        control_traj = simulate(control_ens, MeanField(kappa), 5.0 / kappa, 1e-3 / kappa,
+                                record_every=10)
         control = conservation_drift(control_traj, p=0.3, k=2, m=50, seed=seed)
 
         return InstabilityReport(
-            N=N, d=d, kappa=float(kappa), delta=float(delta), seed=int(seed),
             R_max_symmetric=r_max_sym,
             R_initial_perturbed=float(rs[0]),
             R_end_perturbed=float(rs[-1]),
             mixed_tuple_max=mixed_max,
             mixed_tuple_unbounded=unbounded,
-            mixed_tuples=mixed_tuples,
             selection_time=selection_time,
             control_max_drift=control.max_relative_drift,
-            control_per_tuple_drift=control.per_tuple_max_drift,
-            t_end=self.t_end, dt=self.dt,
         )
 
 

@@ -237,6 +237,28 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path} cannot be read as UTF-8 text:")
+    with pytest.raises(ConfigError, match="cannot be read"):
+        parse_config(path)
+
+
+def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "simulate", "d": 2, "N": 8, "t_end": 0.05, "dt": 0.01, "seed": 1})
+    taken = tmp_path / "F"
+    taken.write_text("kept")
+    assert main(["run", "--config", str(path), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == "kept"
+
+
 def test_aborted_run_leaves_partial_manifest(tmp_path):
     # a replay-incompatible field passes parse-time checks for simulate but
     # the ws-verify runner rejects time_delay at parse time; use a runtime
@@ -342,6 +364,9 @@ def test_kinetic_run_with_delta_writes_the_bytes_of_the_separate_runs(tmp_path, 
     # six time units are too short for the instability gates to pass
     assert code == separate_code == 1
     assert summary["instability"]["R_max_symmetric"] == 0.0
+    assert sorted(summary["instability"]) == [
+        "R_end_perturbed", "R_initial_perturbed", "R_max_symmetric", "control_max_drift",
+        "mixed_tuple_max", "mixed_tuple_unbounded", "selection_time"]
 
 
 def test_kinetic_run_without_delta_writes_the_bytes_of_order_parameter_series(tmp_path, monkeypatch):
@@ -393,6 +418,49 @@ def test_trajectory_csv_column_contract(tmp_path):
     assert traj_header == "t,particle_index,coordinate_0,coordinate_1,coordinate_2"
     field_header = (out / "field.csv").read_text().splitlines()[0]
     assert field_header == "t,X_0,X_1,X_2"
+
+
+def read_field_csv(out):
+    return np.loadtxt(out / "field.csv", delimiter=",", skiprows=1, ndmin=2)
+
+
+ROTATING = {"variant": "prescribed_rotating", "amplitude": 0.7, "rate": 2.0, "plane": [2, 0]}
+
+
+def test_rotating_field_turns_in_its_plane(tmp_path):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "simulate", "d": 2, "N": 4, "t_end": 0.5, "dt": 0.01, "seed": 5,
+        "field": ROTATING})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    field = read_field_csv(out)
+    t = field[:, 0]
+    assert t.size == 51
+    want = np.column_stack([0.7 * np.sin(2.0 * t), np.zeros_like(t), 0.7 * np.cos(2.0 * t)])
+    np.testing.assert_allclose(field[:, 1:], want, rtol=0, atol=1e-15)
+
+
+def test_ws_verify_replays_a_rotating_field(tmp_path):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "ws-verify", "d": 2, "N": 8, "t_end": 0.5, "dt": 1e-3,
+        "omega_spec": {"kind": "random", "seed": 3, "scale": 1.0}, "field": ROTATING, "seed": 6})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    gates = json.loads((out / "manifest.json").read_text())["gates"]
+    assert gates["pushforward_mismatch"]["value"] <= 1e-10
+    assert gates["conjugacy_residual"]["value"] <= 1e-5
+
+
+def test_winfree_field_points_along_its_pole(tmp_path):
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "simulate", "d": 2, "N": 8, "t_end": 0.1, "dt": 0.01, "seed": 2,
+        "field": {"variant": "winfree", "kappa": 1.5, "pole": [0.0, 3.0, 4.0]}})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    x = read_field_csv(out)[:, 1:]
+    pole = np.array([0.0, 0.6, 0.8])
+    assert np.all(x[:, 0] == 0.0) and np.all(x[:, 1] > 0.0)
+    np.testing.assert_allclose(x, np.outer(x @ pole, pole), rtol=1e-15, atol=0)
 
 
 def test_write_csv_header_only_for_empty_series(tmp_path):

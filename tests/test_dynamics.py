@@ -680,7 +680,11 @@ def test_simulate_matches_the_reference_step_bit_for_bit(case):
     series, final = order_parameter_series(ens, make_field(), 0.3, REF_DT)
     every = [st for st, _ in _reference_run(ens, make_field(), 0.3, REF_DT, 1)]
     assert series.R2.tobytes() == np.array([order_parameter(st)[0] for st in every]).tobytes()
-    assert series.dR2_analytic.tobytes() == np.array([dR2_dt_analytic(st) for st in every]).tobytes()
+    # the derivative identity holds under a mean field only, at its coupling
+    field = make_field()
+    want_dR2 = field.kappa * np.array([dR2_dt_analytic(st) for st in every]) \
+        if isinstance(field, MeanField) else np.full(len(every), np.nan)
+    assert series.dR2_analytic.tobytes() == want_dR2.tobytes()
     assert final.points.tobytes() == every[-1].points.tobytes()
 
 
