@@ -93,10 +93,12 @@ def _ball_masses(points: np.ndarray, centers: np.ndarray, epsilon: float) -> np.
 class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
     axis and the chordal masses around it, with the derivative identity's
-    defect: the largest gap between the analytic derivative and the central
-    difference of R^2 over the neighbouring steps, NaN for a run of fewer
-    than two steps.  The analytic derivative and its defect are NaN under a
-    field other than ``MeanField``, where the identity does not hold."""
+    defect: the largest gap between the change of R^2 over the two steps
+    around an interior state and Simpson's rule for the integral of the
+    analytic derivative over them, divided by their span; NaN for a run of
+    fewer than two steps.  The analytic derivative and its defect are NaN
+    under a field other than ``MeanField`` or with several generator groups,
+    where the identity does not hold."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -116,7 +118,7 @@ class _SeriesRecorder:
     of a run in order: R^2 and its analytic derivative at every state, for
     the derivative defect, and the recorded rows at every
     ``record_every``-th state and the final one.  ``kappa`` is the mean
-    field's coupling, None under another field."""
+    field's coupling, None where the identity does not hold."""
 
     def __init__(self, record_every: int, epsilon: float, kappa: float | None):
         if record_every < 1:
@@ -135,8 +137,9 @@ class _SeriesRecorder:
         dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(points, x_c)
         self.recent = self.recent[-2:] + [(t, r2, dr2)]
         if len(self.recent) == 3:
-            (t0, a, _), (_, _, mid), (t2, b, _) = self.recent
-            self.defect = max(self.defect, abs(mid - (b - a) / (t2 - t0)))
+            (t0, a, f0), (_, _, f1), (t2, b, f2) = self.recent
+            span = t2 - t0
+            self.defect = max(self.defect, abs(b - a - span / 6 * (f0 + 4 * f1 + f2)) / span)
         self.last = (s, t, points, r2, x_c, dr2)
         if s % self.record_every == 0:
             self._record()
@@ -169,10 +172,11 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     derivative defect is measured at the step spacing whatever
     ``record_every`` is; the initial and final states are always recorded.
     The derivative is the mean-field identity at the field's coupling, NaN
-    under any other field.
+    under any other field and with several generator groups, whose
+    differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
     """
-    recorder = _SeriesRecorder(record_every, epsilon,
-                               field.kappa if isinstance(field, MeanField) else None)
+    identity = isinstance(field, MeanField) and len(ens0.omega_groups()) == 1
+    recorder = _SeriesRecorder(record_every, epsilon, field.kappa if identity else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
         recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
@@ -362,8 +366,6 @@ class PerOmegaReport:
     groups: list  # (group_index, size, DriftReport)
     skipped: list  # (group_index, size) groups too small for 2k-cycles
     mixed_drift: DriftReport | None
-    fractions: np.ndarray
-    fractions_constant: bool
 
 
 def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int) -> PerOmegaReport:
@@ -371,9 +373,9 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     of deliberately mixed-group tuples.
 
     A trajectory carries one label set, so the group mass fractions are
-    constant by construction; tuples drawn within one group must be
-    conserved while mixed tuples are generally not.  A group with fewer
-    than 2k particles is skipped, and at least one must have 2k.
+    constant by construction and are not reported; tuples drawn within one
+    group must be conserved while mixed tuples are generally not.  A group
+    with fewer than 2k particles is skipped, and at least one must have 2k.
     """
     first = Ensemble(traj.points[0], traj.omega)
     groups = first.omega_groups()
@@ -400,6 +402,4 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
                                     label)
         mixed = _drift_report(traj, chosen, [p], k)[0]
 
-    fractions = np.array([idx.size / first.n for _, idx in groups])
-    return PerOmegaReport(groups=per_group, skipped=skipped, mixed_drift=mixed,
-                          fractions=fractions, fractions_constant=True)
+    return PerOmegaReport(groups=per_group, skipped=skipped, mixed_drift=mixed)

@@ -159,11 +159,9 @@ def test_criterion_09_heterogeneous_conservation():
     rep = ss.per_omega_conservation(traj, 0.3, 2, 50, seed=13)
     within = max(drift.per_tuple_max_drift for _, _, drift in rep.groups)
     mixed = rep.mixed_drift.per_tuple_max_drift
-    fractions_ok = rep.fractions_constant and np.array_equal(rep.fractions, [0.5, 0.5])
-    ok = within <= 1e-6 and mixed >= 1e-2 and fractions_ok
+    ok = within <= 1e-6 and mixed >= 1e-2
     check("criterion 9 (heterogeneous conservation)", ok,
-          f"within-group drift {within:.2e} (tol 1e-6); mixed-tuple drift {mixed:.2e} "
-          f"(>= 1e-2); group fractions constant: {fractions_ok}")
+          f"within-group drift {within:.2e} (tol 1e-6); mixed-tuple drift {mixed:.2e} (>= 1e-2)")
 
 
 def test_criterion_10_algebraic_identity_suite():

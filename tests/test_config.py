@@ -116,10 +116,10 @@ CASES = [
     (field("prescribed_rotating", amplitude=1.0), "field.rate: expected a number"),
     (field("prescribed_rotating", amplitude=1.0, rate=1.0, plane=[2, 2]), f"field.plane: {PLANE}"),
     # ws-verify
-    ({**WS, "field": {"variant": "time_delay", "tau": 0.1}, "checkpoints": 0},
+    ({**WS, "field": {"variant": "time_delay", "tau": 0.1}},
      "field.variant: time_delay is not replayable into the reduced system"),
     ({**WS, "field": {"variant": "time_delay"}}, "field.tau: expected a number >= dt"),
-    ({**WS, "checkpoints": 0}, "checkpoints: expected an integer >= 1"),
+    ({**WS, "checkpoints": 10}, "unknown key: checkpoints"),  # ten, a constant
     # gate thresholds are constants, not keys
     ({**WS, "tol_mismatch": 0.0}, "unknown key: tol_mismatch"),
     ({**WS, "tol_conjugacy": -1.0}, "unknown key: tol_conjugacy"),

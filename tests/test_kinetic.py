@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -83,6 +84,21 @@ def test_derivative_identity_is_nan_under_a_field_other_than_the_mean_field():
     assert np.isnan(series.dR2_analytic).all() and np.isfinite(series.R2).all()
 
 
+def test_derivative_identity_is_nan_with_several_generator_groups():
+    # differing rotations add 2<x_c, mean(Omega_i x_i)> to dR2/dt; the central
+    # difference read a defect of 6.2e-3 here
+    points = sample_vmf([0.0, 0.0, 1.0], 1.0, 64, 3).points
+    planar = SkewMatrix.planar(2, 1.0)
+    two = Ensemble(points, (SkewMatrix.zero(2),) * 32 + (planar,) * 32)
+    series, _ = order_parameter_series(two, MeanField(1.0), 1.0, 1e-3)
+    assert math.isnan(series.derivative_defect)
+    assert np.isnan(series.dR2_analytic).all() and np.isfinite(series.R2).all()
+    # one common generator rotates x_c with the points, so the identity holds
+    common, _ = order_parameter_series(Ensemble(points, planar), MeanField(1.0), 1.0, 1e-3)
+    assert common.derivative_defect <= 1e-12
+    assert common.dR2_analytic[0] == dR2_dt_analytic(Ensemble(points))
+
+
 def test_an_exactly_antipodal_population_records_no_axis():
     # R = 0: no polarisation axis, so the axis and the masses around it are NaN
     series, final = order_parameter_series(bipolar(2, 4, 4), MeanField(1.0), 0.05, 1e-2)
@@ -96,8 +112,12 @@ def test_an_exactly_antipodal_population_records_no_axis():
 def test_derivative_defect_is_measured_at_the_step_spacing():
     ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 64, 5)
     every, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=1)
-    fd = (every.R2[2:] - every.R2[:-2]) / (every.times[2:] - every.times[:-2])
-    assert every.derivative_defect == float(np.max(np.abs(every.dR2_analytic[1:-1] - fd)))
+    # Simpson's rule for the integral of dR2/dt over the two steps around each interior state
+    span = every.times[2:] - every.times[:-2]
+    f = every.dR2_analytic
+    simpson = span / 6 * (f[:-2] + 4 * f[1:-1] + f[2:])
+    gap = np.abs(every.R2[2:] - every.R2[:-2] - simpson) / span
+    assert every.derivative_defect == float(np.max(gap))
     spaced, final = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=7)
     assert spaced.derivative_defect == every.derivative_defect
     kept = np.r_[0:50:7, 50]  # every 7th of the 50 steps, and the last
@@ -432,8 +452,8 @@ def test_per_omega_conservation_two_groups():
         assert size == 24
         assert drift.per_tuple_max_drift <= 1e-6
     assert rep.mixed_drift.per_tuple_max_drift >= 1e-2
-    np.testing.assert_allclose(rep.fractions, [0.5, 0.5])
-    assert rep.fractions_constant
+    # one label set: the group mass fractions are constant, so none is reported
+    assert [f.name for f in dataclasses.fields(rep)] == ["groups", "skipped", "mixed_drift"]
 
 
 def test_per_omega_single_group_reduces_to_conservation_drift():
