@@ -424,7 +424,7 @@ def _run_kinetic(cfg: dict, outdir: Path):
                                               cfg["seed"])
     out_csv = write_csv(outdir / "order_parameter.csv",
                         ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"], series.rows())
-    min_increment = float(np.min(np.diff(series.R2)))
+    min_increment = series.min_R2_increment
     r2_0, r_end = float(series.R2[0]), math.sqrt(float(series.R2[-1]))
     summary = {
         "R_initial": math.sqrt(r2_0),

@@ -177,25 +177,15 @@ class FrustratedField(DrivingField):
 
 
 class WinfreeField(DrivingField):
-    """X = kappa * mean(influence(x_k)) * pole.
+    """X = kappa * mean(1 + <x_k, pole>) * pole; the influence 1 + <x, pole>
+    is smooth, nonnegative and symmetric about the pole axis."""
 
-    The default influence 1 + <x, pole> is smooth, nonnegative and symmetric
-    about the pole axis; pass any callable mapping an (n, d+1) array to (n,)
-    to override it.
-    """
-
-    def __init__(self, kappa: float, pole, influence=None):
+    def __init__(self, kappa: float, pole):
         self.kappa = _coupling(kappa)
         self.pole = renormalize(pole)
-        self.influence = influence
 
     def evaluate(self, points, t):
-        if self.influence is None:
-            # C-order rows: the product over a transposed view of stage
-            # columns runs another BLAS kernel, with other last bits
-            vals = 1.0 + np.ascontiguousarray(points) @ self.pole
-        else:
-            vals = np.asarray(self.influence(points), dtype=float)
+        vals = 1.0 + _component_dot(points.T, self.pole[:, None])
         return self.kappa * exact_mean(vals[:, None])[0] * self.pole
 
 
@@ -586,7 +576,7 @@ def collision_residual(traj: Trajectory, k: int, l: int) -> float:
     seps = np.linalg.norm(xk - xl, axis=1)
     if seps[0] < 1e-14:
         raise ValueError("coincident initial pair: identity is vacuous")
-    g = np.einsum("ij,ij->i", traj.field_samples, xk + xl)
+    g = _component_dot(traj.field_samples.T, (xk + xl).T)
     dt = np.diff(traj.times)
     integral = np.concatenate([[0.0], np.cumsum(0.5 * dt * (g[1:] + g[:-1]))])
     defect = np.log(seps) - np.log(seps[0]) + 0.5 * integral

@@ -53,13 +53,15 @@ def dR2_dt_analytic(ens: Ensemble) -> float:
     """Analytic derivative of R^2 for the mean-field swarm at unit coupling,
     2 E[|x_c - <y, x_c> y|^2]: always >= 0.  Under ``MeanField(kappa)`` the
     derivative is kappa times this value."""
-    return _dR2_dt(ens.points, exact_mean(ens.points))
+    return _dR2_dt(ens.points.T, exact_mean(ens.points))
 
 
-def _dR2_dt(points: np.ndarray, x_c: np.ndarray) -> float:
-    """``dR2_dt_analytic`` given the exact mean ``x_c`` of the points."""
-    resid = x_c - np.einsum("ij,j->i", points, x_c)[:, None] * points
-    return 2.0 * float(np.einsum("ij,ij->", resid, resid)) / points.shape[0]
+def _dR2_dt(cols: np.ndarray, x_c: np.ndarray) -> float:
+    """``dR2_dt_analytic`` of component-major (d+1, n) columns with exact
+    mean ``x_c``: each particle's term summed by ``_component_dot``, and
+    their total correctly rounded, so no layout or particle order changes it."""
+    resid = x_c[:, None] - _component_dot(cols, x_c[:, None]) * cols
+    return 2.0 * math.fsum(_component_dot(resid, resid).tolist()) / cols.shape[1]
 
 
 def _chordal_radius(epsilon) -> float:
@@ -77,28 +79,28 @@ def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
     center = np.asarray(center, dtype=float)
     if center.shape != (ens.d + 1,) or not np.isfinite(center).all():
         raise ValueError(f"ball center must be a finite vector of width d+1 = {ens.d + 1}")
-    return float(_ball_masses(ens.points, center[None], epsilon)[0])
+    return float(_ball_masses(ens.points.T, center[None], epsilon)[0])
 
 
-def _ball_masses(points: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:
-    """``ball_mass`` of (n, d+1) points around each row of ``centers`` in
-    one stacked pass; each value has the bits of its own call."""
-    diff = points - centers[:, None, :]
-    inside = np.einsum("...ij,...ij->...i", diff, diff) < epsilon * epsilon
+def _ball_masses(cols: np.ndarray, centers: np.ndarray, epsilon: float) -> np.ndarray:
+    """``ball_mass`` of component-major (d+1, n) columns around each row of
+    ``centers`` in one stacked pass; each value has the bits of its own call."""
+    diff = cols - centers[:, :, None]
+    inside = _component_dot(diff, diff) < epsilon * epsilon
     # a count over n rounds once, as the mean of the booleans does
-    return np.count_nonzero(inside, axis=-1) / points.shape[0]
+    return np.count_nonzero(inside, axis=-1) / cols.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
-    axis and the chordal masses around it, with the derivative identity's
+    axis and the chordal masses around it, with the smallest step-to-step
+    increment of R^2 (NaN for no steps) and the derivative identity's
     defect: the largest gap between the change of R^2 over the two steps
     around an interior state and Simpson's rule for the integral of the
-    analytic derivative over them, divided by their span; NaN for a run of
-    fewer than two steps.  The analytic derivative and its defect are NaN
-    under a field other than ``MeanField`` or with several generator groups,
-    where the identity does not hold."""
+    analytic derivative over them, divided by their span; NaN for fewer
+    than two steps.  The analytic derivative and its defect are NaN under a
+    field other than ``MeanField`` or with several generator groups."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -107,6 +109,7 @@ class OrderParameterSeries:
     mass_plus: np.ndarray
     mass_minus: np.ndarray
     epsilon: float
+    min_R2_increment: float
     derivative_defect: float
 
     def rows(self):
@@ -116,8 +119,8 @@ class OrderParameterSeries:
 class _SeriesRecorder:
     """The order-parameter diagnostics of one population, fed every state
     of a run in order: R^2 and its analytic derivative at every state, for
-    the derivative defect, and the recorded rows at every
-    ``record_every``-th state and the final one.  ``kappa`` is the mean
+    the smallest increment and the derivative defect, and the recorded rows
+    at every ``record_every``-th state and the final one.  ``kappa`` is the mean
     field's coupling, None where the identity does not hold."""
 
     def __init__(self, record_every: int, epsilon: float, kappa: float | None):
@@ -127,28 +130,30 @@ class _SeriesRecorder:
         self.kappa = kappa
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
-        self.defect = 0.0
+        self.min_increment, self.defect = math.inf, 0.0
         self.last = None
 
-    def add(self, s: int, t: float, points: np.ndarray, x_c: np.ndarray):
-        """State s of the run, at time t, with row-major (n, d+1) ``points``
-        and their exact mean ``x_c``."""
+    def add(self, s: int, t: float, cols: np.ndarray, x_c: np.ndarray):
+        """State s of the run, at time t, with component-major (d+1, n)
+        ``cols`` and their exact mean ``x_c``."""
         r2 = float(x_c @ x_c)
-        dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(points, x_c)
+        dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(cols, x_c)
+        if self.recent:
+            self.min_increment = min(self.min_increment, r2 - self.recent[-1][1])
         self.recent = self.recent[-2:] + [(t, r2, dr2)]
         if len(self.recent) == 3:
             (t0, a, f0), (_, _, f1), (t2, b, f2) = self.recent
             span = t2 - t0
             self.defect = max(self.defect, abs(b - a - span / 6 * (f0 + 4 * f1 + f2)) / span)
-        self.last = (s, t, points, r2, x_c, dr2)
+        self.last = (s, t, cols, r2, x_c, dr2)
         if s % self.record_every == 0:
             self._record()
 
     def _record(self):
-        _, t, points, r2, x_c, dr2 = self.last
+        _, t, cols, r2, x_c, dr2 = self.last
         if r2 > _R_POSITIVE ** 2:
             g = x_c / math.sqrt(r2)
-            plus, minus = _ball_masses(points, np.stack([g, -g]), self.epsilon).tolist()
+            plus, minus = _ball_masses(cols, np.stack([g, -g]), self.epsilon).tolist()
         else:
             g, plus, minus = np.full(x_c.size, np.nan), math.nan, math.nan
         for column, value in zip(self.columns, (t, r2, dr2, g, plus, minus)):
@@ -159,7 +164,8 @@ class _SeriesRecorder:
             self._record()
         # no interior state, or no identity to compare (max drops a NaN gap)
         defect = self.defect if len(self.recent) == 3 and self.kappa is not None else math.nan
-        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, defect)
+        increment = self.min_increment if len(self.recent) > 1 else math.nan  # no step
+        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, increment, defect)
 
 
 def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -169,8 +175,9 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     the full trajectory; returns the series and the final ensemble.
 
     R^2 and its analytic derivative are evaluated at every step, so the
-    derivative defect is measured at the step spacing whatever
-    ``record_every`` is; the initial and final states are always recorded.
+    smallest increment of R^2 and the derivative defect are measured at the
+    step spacing whatever ``record_every`` is; the initial and final states
+    are always recorded.
     The derivative is the mean-field identity at the field's coupling, NaN
     under any other field and with several generator groups, whose
     differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
@@ -178,7 +185,7 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     identity = isinstance(field, MeanField) and len(ens0.omega_groups()) == 1
     recorder = _SeriesRecorder(record_every, epsilon, field.kappa if identity else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
-        recorder.add(s, t, points, exact_mean(points) if mean is None else mean)
+        recorder.add(s, t, points.T, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
 
 
@@ -272,9 +279,9 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
         if branches is not None and (s % _RECORD_EVERY == 0 or s == steps):
             branches.add(t, points, mean)
-        rows = points[-1].copy()  # row-major, as _dR2_dt needs for its bits
-        recorder.add(s, t, rows, mean[-1])
-    return recorder.finish(), ens0._at(rows, t), None if branches is None else branches.report()
+        recorder.add(s, t, points[-1].T, mean[-1])  # the stack's own columns
+    return (recorder.finish(), ens0._at(points[-1].copy(), t),
+            None if branches is None else branches.report())
 
 
 class _Branches:

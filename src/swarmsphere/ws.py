@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DrivingField, _rk4, _step_count, _velocities
-from .geometry import Ensemble, SkewMatrix
+from .geometry import Ensemble, SkewMatrix, _component_dot
 
 __all__ = [
     "MobiusPoleError",
@@ -235,7 +235,8 @@ def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     the same map with -w.  Points numerically antipodal to the pole raise.
     """
     s = points + w[..., None, :]
-    q = np.einsum("...ij,...ij->...i", s, s)
+    s_cols = np.swapaxes(s, -1, -2)
+    q = _component_dot(s_cols, s_cols)
     if np.min(q) <= _POLE_TOL:
         raise MobiusPoleError("point is numerically antipodal to the map pole")
     # w @ w as a stack of (1, k) @ (k, 1) products: the same matmul loop a

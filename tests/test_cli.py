@@ -335,6 +335,24 @@ def test_derivative_identity_is_measured_at_the_step_spacing(tmp_path):
     assert manifest["gates"]["derivative_identity"]["value"] <= 1e-5
 
 
+def test_monotone_R2_is_measured_at_the_step_spacing(tmp_path):
+    # the smallest increment over the recorded rows (5 dt apart) exceeds the
+    # smallest step increment, as it would hide a dip between two records
+    from swarmsphere import MeanField, order_parameter_series, sample_vmf
+
+    path = write_config(tmp_path, "c.json", KINETIC_SPACED)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    ens0 = sample_vmf(np.eye(4)[-1], 1.0, 300, 5)
+    every, _ = order_parameter_series(ens0, MeanField(1.0), 10, 0.01, record_every=1)
+    want = float(np.min(np.diff(every.R2)))
+    recorded = np.loadtxt(out / "order_parameter.csv", delimiter=",", skiprows=1)[:, 1]
+    assert want < np.min(np.diff(recorded))
+    assert json.loads((out / "kinetic_summary.json").read_text())["min_R2_increment"] == want
+    gate = json.loads((out / "manifest.json").read_text())["gates"]["monotone_R2"]
+    assert gate["value"] == -want and gate["passed"]
+
+
 def kinetic_run_against_the_separate_calls(tmp_path, monkeypatch, delta):
     """Run a kinetic config as the CLI steps it, one stack holding the series
     population and the instability branches if any, and again through the

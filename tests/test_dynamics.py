@@ -46,13 +46,6 @@ def test_mean_field_antipodal_cancellation():
     assert np.all(x == 0.0)
 
 
-def test_winfree_constant_influence_gives_pole():
-    pole = np.array([0.0, 0.0, 1.0])
-    field = WinfreeField(1.0, pole, influence=lambda pts: np.ones(pts.shape[0]))
-    ens = sample_uniform(2, 17, 3)
-    np.testing.assert_allclose(eval_field(field, ens, 0.0), pole, atol=1e-15)
-
-
 def test_winfree_default_influence_is_affine_in_pole_alignment():
     pole = np.array([0.0, 0.0, 1.0])
     ens = sample_uniform(2, 50, 13)

@@ -77,6 +77,35 @@ def test_dR2_analytic_matches_finite_difference(kappa):
     assert series.dR2_analytic[0] == kappa * dR2_dt_analytic(ens)
 
 
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_dR2_analytic_is_the_rounded_total_of_the_particle_terms(d):
+    # each particle's |x_c - <y, x_c> y|^2 as einsum sums it, then one
+    # correctly rounded total: no order of the particles changes a bit
+    for seed in range(8):
+        ens = sample_vmf(np.eye(d + 1)[-1], 1.0, 500, seed)
+        x_c = exact_mean(ens.points)
+        resid = x_c - np.einsum("ij,j->i", ens.points, x_c)[:, None] * ens.points
+        terms = np.einsum("ij,ij->i", resid, resid).tolist()
+        value = dR2_dt_analytic(ens)
+        assert value == 2.0 * math.fsum(terms) / ens.n
+        perm = rng_stream(seed, stream=1).permutation(ens.n)
+        assert dR2_dt_analytic(Ensemble(ens.points[perm])) == value
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 9])
+def test_dR2_dt_and_ball_masses_take_either_layout(d):
+    # a stack's own columns and the transpose view of row-major points
+    rows = sample_vmf(np.eye(d + 1)[-1], 2.0, 301, d).points
+    cols = np.ascontiguousarray(rows.T)
+    x_c = exact_mean(rows)
+    assert kinetic._dR2_dt(cols, x_c) == kinetic._dR2_dt(rows.T, x_c)
+    g = x_c / np.linalg.norm(x_c)
+    centers = np.stack([g, -g, np.eye(d + 1)[0]])
+    masses = kinetic._ball_masses(cols, centers, 0.7)
+    assert masses.tobytes() == kinetic._ball_masses(rows.T, centers, 0.7).tobytes()
+    assert 0.0 < masses[0] < 1.0
+
+
 def test_derivative_identity_is_nan_under_a_field_other_than_the_mean_field():
     ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 32, 5)
     series, _ = order_parameter_series(ens, TimeDelayField(1.0, 0.05), 0.2, 1e-2)
@@ -120,6 +149,8 @@ def test_derivative_defect_is_measured_at_the_step_spacing():
     assert every.derivative_defect == float(np.max(gap))
     spaced, final = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=7)
     assert spaced.derivative_defect == every.derivative_defect
+    # so is the smallest increment of R^2
+    assert spaced.min_R2_increment == every.min_R2_increment == float(np.min(np.diff(every.R2)))
     kept = np.r_[0:50:7, 50]  # every 7th of the 50 steps, and the last
     assert np.array_equal(spaced.times, every.times[kept])
     assert np.array_equal(spaced.R2, every.R2[kept])
@@ -364,6 +395,7 @@ def test_series_and_branches_stacked_equal_the_separate_calls():
     for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
     assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert series.min_R2_increment == want.min_R2_increment
     assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
     alone = instability_experiment(200, 2, 1.0, 1e-3, 3, t_end=6.0, dt=1e-2)
     assert rep.R_max_symmetric == 0.0
@@ -385,6 +417,7 @@ def test_series_alone_is_a_stack_of_one_with_the_bits_of_the_single_run(n, kappa
     for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
     assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert series.min_R2_increment == want.min_R2_increment
     assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
 
 
