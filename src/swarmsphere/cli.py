@@ -28,12 +28,12 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
-                       TimeDelayField, WinfreeField, simulate)
-from .functionals import (_MAX_PAIR_D, conservation_drifts, divergence_probe,
+                       TimeDelayField, WinfreeField, _snapshot_blocks, _step_count, simulate)
+from .functionals import (_MAX_PAIR_D, _DriftRecorder, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, VmfSampler, sample_uniform, sample_vmf
 from .io import sha256_file, write_csv, write_json
-from .kinetic import _series_with_instability, per_omega_conservation
+from .kinetic import _PerOmegaRecorder, _series_with_instability
 from .ws import conjugacy_residual, push_forward, ws_evolve
 
 __all__ = ["ConfigError", "main", "parse_config", "run_experiment"]
@@ -301,40 +301,50 @@ def _export_trajectory(traj, outdir: Path):
     return [p1, p2]
 
 
-def _ensemble_run(cfg: dict, record_every: int):
-    """N uniform points under omega_spec, simulated in field."""
+def _ensemble(cfg: dict):
+    """omega_spec's generator, N uniform points under it, and the field."""
     omega = _OMEGA.build(cfg["omega_spec"], cfg["d"])
     ens0 = sample_uniform(cfg["d"], cfg["N"], cfg["seed"]).with_omega(omega)
-    field = _FIELD.build(cfg["field"], cfg["d"])
-    return omega, ens0, simulate(ens0, field, cfg["t_end"], cfg["dt"], record_every)
+    return omega, ens0, _FIELD.build(cfg["field"], cfg["d"])
 
 
 def _run_simulate(cfg: dict, outdir: Path):
     # no gates: the Trajectory constructor refuses a point off the unit sphere
-    _, _, traj = _ensemble_run(cfg, cfg["record_every"])
+    _, ens0, field = _ensemble(cfg)
+    traj = simulate(ens0, field, cfg["t_end"], cfg["dt"], cfg["record_every"])
     return _export_trajectory(traj, outdir), {}, {"snapshots": len(traj.times)}
 
 
 def _run_ws_verify(cfg: dict, outdir: Path):
     d = cfg["d"]
-    omega, ens0, traj = _ensemble_run(cfg, record_every=1)
-    replay = ReplayField.from_trajectory(traj)
+    omega, ens0, field = _ensemble(cfg)
+    # the run keeps its times, its field samples for the replay and the
+    # states at ten checkpoints spread evenly over it (every step of a shorter run)
+    steps = _step_count(cfg["t_end"], cfg["dt"], 1)
+    n_check = min(10, steps)
+    marks = [round(c * steps / n_check) for c in range(1, n_check + 1)]
+    times, samples, states = np.empty(steps + 1), np.empty((steps + 1, d + 1)), {}
+    s0 = 0
+    for ts, points, xs in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
+        times[s0:s0 + len(ts)], samples[s0:s0 + len(ts)] = ts, xs
+        for idx in marks:
+            if s0 <= idx < s0 + len(ts):
+                states[idx] = points[idx - s0].copy()
+        s0 += len(ts)
+    replay = ReplayField(times, samples)
     path = ws_evolve(omega, replay, cfg["t_end"], cfg["dt"])
-    steps = len(path) - 1
-    n_check = min(10, steps)  # checkpoints spread evenly over the run
     mismatch = 0.0
     checkpoints = []
-    for c in range(1, n_check + 1):
-        idx = round(c * steps / n_check)
+    for idx in marks:
         pushed = push_forward(path[idx], ens0)
-        diff = float(np.max(np.linalg.norm(pushed.points - traj.points[idx], axis=1)))
-        checkpoints.append({"t": float(traj.times[idx]), "mismatch": diff})
+        diff = float(np.max(np.linalg.norm(pushed.points - states[idx], axis=1)))
+        checkpoints.append({"t": float(times[idx]), "mismatch": diff})
         mismatch = max(mismatch, diff)
     conj = conjugacy_residual(path, replay, ens0)
     header = ["t"] + [f"w_{j}" for j in range(d + 1)] + \
         [f"r_{i}{j}" for i in range(d + 1) for j in range(d + 1)]
-    rows = np.column_stack((path.time, path.w, path.rotation.reshape(len(path), -1))).tolist()
-    out_states = write_csv(outdir / "ws_states.csv", header, rows)
+    table = np.column_stack((path.time, path.w, path.rotation.reshape(len(path), -1)))
+    out_states = write_csv(outdir / "ws_states.csv", header, (row.tolist() for row in table))
     report = {
         "max_mismatch": mismatch,
         "checkpoints": checkpoints,
@@ -353,15 +363,22 @@ def _run_ws_verify(cfg: dict, outdir: Path):
 
 def _run_functional(cfg: dict, outdir: Path):
     d = cfg["d"]
-    _, _, traj = _ensemble_run(cfg, cfg["record_every"])
+    _, ens0, field = _ensemble(cfg)
+    # conservation_drifts of the run for every k, each snapshot block fed to all
+    recorders = [_DriftRecorder.drawn(ens0.points, cfg["p_list"], k, cfg["drift_tuples"],
+                                      cfg["seed"]) for k in cfg["k_list"]]
+    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"],
+                                          cfg["record_every"]):
+        for recorder in recorders:
+            recorder.add(ts, points)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
     records = []
     outputs = []
     drift_max = 0.0
     estimates = {}
-    for k in cfg["k_list"]:
+    for k, recorder in zip(cfg["k_list"], recorders):
         ests = estimate_cycle_moments(sampler, cfg["p_list"], k, cfg["m"], cfg["seed"])
-        drifts = conservation_drifts(traj, cfg["p_list"], k, cfg["drift_tuples"], cfg["seed"])
+        drifts = recorder.finish()
         for p, est, drift in zip(cfg["p_list"], ests, drifts):
             if not est.existence_flag:
                 print(f"warning: moment p={p} d={d} lies outside the existence range |p| < d/2",
@@ -464,8 +481,12 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
         om = _OMEGA.build(g["omega_spec"], d)
         omegas.extend([om] * g["count"])
     ens0 = sample_uniform(d, total, cfg["seed"]).with_omega(tuple(omegas))
-    traj = simulate(ens0, MeanField(cfg["kappa"]), cfg["t_end"], cfg["dt"], cfg["record_every"])
-    rep = per_omega_conservation(traj, cfg["p"], cfg["k"], cfg["m"], cfg["seed"])
+    # per_omega_conservation of the run, fed a block of snapshots at a time
+    recorder = _PerOmegaRecorder(ens0, cfg["p"], cfg["k"], cfg["m"], cfg["seed"])
+    for ts, points, _ in _snapshot_blocks(ens0, MeanField(cfg["kappa"]), cfg["t_end"], cfg["dt"],
+                                          cfg["record_every"]):
+        recorder.add(ts, points)
+    rep = recorder.finish()
     outputs = []
     within_max = 0.0
     group_summaries = []

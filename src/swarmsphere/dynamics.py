@@ -35,6 +35,12 @@ __all__ = [
     "step",
 ]
 
+# floats in one block of snapshots: a block of _snapshot_blocks' recording;
+# in functionals._snapshot_cycle_ratios a block's points and the chord
+# endpoints it gathers; in kinetic._closest_pairs the chord vectors of a
+# block of rows (512 kB)
+_DRIFT_BLOCK_FLOATS = 1 << 16
+
 
 def _hermite_slopes(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Finite-difference slopes at every knot for cubic Hermite interpolation.
@@ -418,6 +424,18 @@ class _RunField(DrivingField):
         return self.at[1] if points is self.at[0] else self.x_at(points, t)
 
 
+def _check_snapshots(points: np.ndarray, fields: np.ndarray):
+    """The rules every recorded run obeys, as a ``Trajectory`` or a block of
+    ``_snapshot_blocks``: finite field samples (m, d+1), and points
+    (m, n, d+1) on the unit sphere within 1e-9."""
+    if not np.isfinite(fields).all():
+        raise ValueError("field samples must be finite")
+    dev = np.einsum("...i,...i->...", points, points)
+    np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)  # in place: one (m, n) array in all
+    if not np.abs(dev, out=dev).max() <= 1e-9:  # NaN fails too
+        raise ValueError("trajectory points must lie on the unit sphere")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded snapshots of a run as one stack: points (m, n, d+1) at times
@@ -444,12 +462,7 @@ class Trajectory:
             raise ValueError("times, points and field samples must have equal length")
         if fields.shape[1:] != points.shape[2:]:
             raise ValueError("field samples must be an (m, d+1) array matching the points")
-        if not np.isfinite(fields).all():
-            raise ValueError("field samples must be finite")
-        dev = np.einsum("...i,...i->...", points, points)
-        np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)  # in place: one (m, n) array in all
-        if not np.abs(dev, out=dev).max() <= 1e-9:  # NaN fails too
-            raise ValueError("trajectory points must lie on the unit sphere")
+        _check_snapshots(points, fields)
         object.__setattr__(self, "omega", _checked_omega(self.omega, *points.shape[1:]))
         for name, value in (("times", times), ("points", points), ("field_samples", fields)):
             value.flags.writeable = False
@@ -554,6 +567,30 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     for j, (t, pts, _, x) in enumerate(_run(ens0, field, t_end, dt, record_every)):
         times[j], points[j], fields[j] = t, pts, x
     return Trajectory(times, points, fields, ens0.omega)
+
+
+def _snapshot_blocks(start: Ensemble, field: DrivingField, t_end: float, dt: float,
+                     record_every: int):
+    """The snapshots ``simulate`` records, in run order, as blocks
+    (times, points, fields) of at most ``_DRIFT_BLOCK_FLOATS // (n (d+1))``
+    snapshots (at least one), each checked by the ``Trajectory`` rules
+    before it is yielded.  The three arrays are one buffer, overwritten by
+    the next block: a caller copies what it keeps.  The run is never held
+    whole, so an observer that reduces each block holds O(n) memory."""
+    n, dim = start.points.shape
+    rows = min(max(1, _DRIFT_BLOCK_FLOATS // (n * dim)), _record_count(t_end, dt, record_every))
+    times, points, fields = np.empty(rows), np.empty((rows, n, dim)), np.empty((rows, dim))
+    j = 0
+    for t, pts, _, x in _run(start, field, t_end, dt, record_every):
+        times[j], points[j], fields[j] = t, pts, x
+        j += 1
+        if j == rows:
+            _check_snapshots(points, fields)
+            yield times, points, fields
+            j = 0
+    if j:
+        _check_snapshots(points[:j], fields[:j])
+        yield times[:j], points[:j], fields[:j]
 
 
 def collision_residual(traj: Trajectory, k: int, l: int) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import _DRIFT_BLOCK_FLOATS, Trajectory
 from .geometry import Ensemble, _component_dot, rng_stream, sphere_surface
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
 
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
-# _snapshot_cycle_ratios: floats of a block of snapshots, its points and
-# the chord endpoints it gathers; kinetic._closest_pairs: the chord vectors
-# of a block of rows (512 kB)
-_DRIFT_BLOCK_FLOATS = 1 << 16
 # the pair integral is scaled by the area |S^(d-1)|, a float only up to this d
 _MAX_PAIR_D = 343
 
@@ -401,9 +397,9 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     drift from its initial value and the worst per-tuple relative drift of
     the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
-    rng = rng_stream(seed, stream=0)
-    tuples, _, _ = _draw_cycles(rng, traj.points[0], m, k, 100 * m)
-    return _drift_report(traj, tuples, ps, k)
+    recorder = _DriftRecorder.drawn(traj.points[0], ps, k, m, seed)
+    recorder.add(traj.times, traj.points)
+    return recorder.finish()
 
 
 def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) -> DriftReport:
@@ -411,36 +407,55 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
     return conservation_drifts(traj, [p], k, m, seed)[0]
 
 
-def _drift_report(traj: Trajectory, tuples: np.ndarray, ps, k: int) -> list[DriftReport]:
-    """Drift of the cycle ratios of fixed index tuples over every snapshot,
-    one report per p.  The ratios are formed for a block of snapshots at a
-    time (``_snapshot_cycle_ratios``), so the working set does not grow with
-    the trajectory; each snapshot's values are those of a single
-    all-snapshot array.  A drift needs at least two snapshots."""
-    if len(traj.times) < 2:
-        raise ValueError("need at least two snapshots")
-    if not all(map(math.isfinite, ps)):
-        raise ValueError("p must be finite")
-    all_estimates = np.empty((len(ps), len(traj.times)))
-    per_tuple = 0.0
-    for b0, ratios, bad in _snapshot_cycle_ratios(traj.points, tuples):
-        if bad.any():
-            t = traj.times[b0 + int(np.argmax(bad))]
-            raise ValueError(f"tuple became degenerate along the trajectory at t = {t}")
-        if b0 == 0:
-            ratios0 = ratios[0].copy()
-        # the per-tuple drift does not depend on p
-        dev = ratios - ratios0
-        np.abs(dev, out=dev)
-        dev /= ratios0
-        per_tuple = max(per_tuple, float(np.max(dev)))
-        for j, p in enumerate(ps):
-            all_estimates[j, b0:b0 + ratios.shape[0]] = (ratios ** p).mean(axis=1)
-    reports = []
-    for p, estimates in zip(ps, all_estimates):
-        rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
-        reports.append(DriftReport(
-            times=traj.times.copy(), estimates=estimates, relative_drift=rel,
-            max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,
-            tuples=tuples, p=float(p), k=int(k)))
-    return reports
+class _DriftRecorder:
+    """Drift of the cycle ratios of fixed index tuples (m, 2k) over the
+    snapshots of a run, fed in run order a block at a time; ``finish``
+    gives one report per p.  The ratios are formed by
+    ``_snapshot_cycle_ratios``, so a snapshot's values do not depend on
+    where the blocks break, and only the estimates are kept.  A drift needs
+    at least two snapshots."""
+
+    def __init__(self, tuples: np.ndarray, ps, k: int):
+        if not all(map(math.isfinite, ps)):
+            raise ValueError("p must be finite")
+        self.tuples, self.ps, self.k = tuples, list(ps), k
+        self.times, self.estimates = [], [[] for _ in self.ps]
+        self.ratios0, self.per_tuple = None, 0.0
+
+    @classmethod
+    def drawn(cls, first: np.ndarray, ps, k: int, m: int, seed: int) -> "_DriftRecorder":
+        """The recorder of ``conservation_drifts``: m index cycles drawn from
+        the points of the first snapshot."""
+        tuples, _, _ = _draw_cycles(rng_stream(seed, stream=0), first, m, k, 100 * m)
+        return cls(tuples, ps, k)
+
+    def add(self, times: np.ndarray, points: np.ndarray):
+        """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
+        for b0, ratios, bad in _snapshot_cycle_ratios(points, self.tuples):
+            if bad.any():
+                t = times[b0 + int(np.argmax(bad))]
+                raise ValueError(f"tuple became degenerate along the trajectory at t = {t}")
+            if self.ratios0 is None:
+                self.ratios0 = ratios[0].copy()
+            # the per-tuple drift does not depend on p
+            dev = ratios - self.ratios0
+            np.abs(dev, out=dev)
+            dev /= self.ratios0
+            self.per_tuple = max(self.per_tuple, float(np.max(dev)))
+            for estimates, p in zip(self.estimates, self.ps):
+                estimates.append((ratios ** p).mean(axis=1))
+        self.times.append(np.array(times, dtype=float))
+
+    def finish(self) -> list[DriftReport]:
+        times = np.concatenate(self.times or [np.empty(0)])
+        if times.size < 2:
+            raise ValueError("need at least two snapshots")
+        reports = []
+        for p, blocks in zip(self.ps, self.estimates):
+            estimates = np.concatenate(blocks)
+            rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
+            reports.append(DriftReport(
+                times=times.copy(), estimates=estimates, relative_drift=rel,
+                max_relative_drift=float(np.max(rel)), per_tuple_max_drift=self.per_tuple,
+                tuples=self.tuples, p=float(p), k=int(self.k)))
+        return reports

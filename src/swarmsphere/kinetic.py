@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (DrivingField, MeanField, Trajectory, _record_count, _run, _step_count,
-                       simulate)
-from .functionals import (_DRIFT_BLOCK_FLOATS, DriftReport, _draw_cycles, _drift_report,
-                          _snapshot_cycle_ratios, conservation_drift)
+from .dynamics import (_DRIFT_BLOCK_FLOATS, DrivingField, MeanField, Trajectory, _record_count,
+                       _run, _snapshot_blocks, _step_count)
+from .functionals import DriftReport, _draw_cycles, _DriftRecorder, _snapshot_cycle_ratios
 from .geometry import (Ensemble, _component_dot, exact_mean, renormalize, rng_stream,
                        sample_uniform, sample_vmf, tangent_project)
 
@@ -350,10 +349,12 @@ class _Branches:
 
         # control: a smooth-density run where fixed tuples must hold steady,
         # 5000 steps over kappa t in [0, 5], before its population collapses
+        # (``conservation_drift`` of its recording, fed a block at a time)
         control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)
-        control_traj = simulate(control_ens, MeanField(kappa), 5.0 / kappa, 1e-3 / kappa,
-                                record_every=10)
-        control = conservation_drift(control_traj, p=0.3, k=2, m=50, seed=seed)
+        control = _DriftRecorder.drawn(control_ens.points, [0.3], 2, 50, seed)
+        for times, snapshots, _ in _snapshot_blocks(control_ens, MeanField(kappa), 5.0 / kappa,
+                                                    1e-3 / kappa, 10):
+            control.add(times, snapshots)
 
         return InstabilityReport(
             R_max_symmetric=r_max_sym,
@@ -362,7 +363,7 @@ class _Branches:
             mixed_tuple_max=mixed_max,
             mixed_tuple_unbounded=unbounded,
             selection_time=selection_time,
-            control_max_drift=control.max_relative_drift,
+            control_max_drift=control.finish()[0].max_relative_drift,
         )
 
 
@@ -384,29 +385,49 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     group must be conserved while mixed tuples are generally not.  A group
     with fewer than 2k particles is skipped, and at least one must have 2k.
     """
-    first = Ensemble(traj.points[0], traj.omega)
-    groups = first.omega_groups()
-    per_group = []
-    skipped = []
-    for gi, (om, idx) in enumerate(groups):
-        if idx.size < 2 * k:
-            skipped.append((gi, int(idx.size)))
-            continue
-        rng = rng_stream(seed, stream=gi + 1)
-        local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
-        per_group.append((gi, int(idx.size), _drift_report(traj, idx[local], [p], k)[0]))
-    if not per_group:
-        raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
-                         "cycle can be drawn")
+    recorder = _PerOmegaRecorder(Ensemble(traj.points[0], traj.omega), p, k, m, seed)
+    recorder.add(traj.times, traj.points)
+    return recorder.finish()
 
-    mixed = None
-    if len(groups) >= 2:
-        label = np.empty(first.n, dtype=np.int64)
-        for gi, (_, idx) in enumerate(groups):
-            label[idx] = gi
-        # a mixed cycle may be rare (one member of a small group), hence the cap
-        chosen, _, _ = _draw_cycles(rng_stream(seed, stream=0), first.points, m, k, 800 * m,
-                                    label)
-        mixed = _drift_report(traj, chosen, [p], k)[0]
 
-    return PerOmegaReport(groups=per_group, skipped=skipped, mixed_drift=mixed)
+class _PerOmegaRecorder:
+    """``per_omega_conservation`` of a run from the labelled population
+    ``first``, fed the run's snapshots in order a block at a time: one
+    drift recorder per generator group of 2k members or more, and one for
+    the mixed-group tuples when there are two groups or more."""
+
+    def __init__(self, first: Ensemble, p: float, k: int, m: int, seed: int):
+        groups = first.omega_groups()
+        self.per_group, self.skipped = [], []
+        for gi, (om, idx) in enumerate(groups):
+            if idx.size < 2 * k:
+                self.skipped.append((gi, int(idx.size)))
+                continue
+            rng = rng_stream(seed, stream=gi + 1)
+            local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
+            self.per_group.append((gi, int(idx.size), _DriftRecorder(idx[local], [p], k)))
+        if not self.per_group:
+            raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
+                             "cycle can be drawn")
+        self.mixed = None
+        if len(groups) >= 2:
+            label = np.empty(first.n, dtype=np.int64)
+            for gi, (_, idx) in enumerate(groups):
+                label[idx] = gi
+            # a mixed cycle may be rare (one member of a small group), hence the cap
+            chosen, _, _ = _draw_cycles(rng_stream(seed, stream=0), first.points, m, k, 800 * m,
+                                        label)
+            self.mixed = _DriftRecorder(chosen, [p], k)
+
+    def add(self, times: np.ndarray, points: np.ndarray):
+        """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
+        for _, _, recorder in self.per_group:
+            recorder.add(times, points)
+        if self.mixed is not None:
+            self.mixed.add(times, points)
+
+    def finish(self) -> PerOmegaReport:
+        return PerOmegaReport(
+            groups=[(gi, size, recorder.finish()[0]) for gi, size, recorder in self.per_group],
+            skipped=self.skipped,
+            mixed_drift=None if self.mixed is None else self.mixed.finish()[0])

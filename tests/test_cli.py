@@ -550,3 +550,117 @@ def test_import_and_runs_other_than_existence_leave_scipy_unloaded(tmp_path):
         [(name, str(name == "existence")) for name in SCIPY_RUNS]
     # every run got through its work (exit 1 is a failed gate, 2 an abort)
     assert all(code in ("0", "1") for _, _, code in lines[1:])
+
+
+# The streamed runs against the library's Trajectory path: each CLI run
+# reduces its snapshots a block at a time, and its artifacts must hold the
+# values that a recorded Trajectory gives the public functions.
+
+def read_csv_floats(path) -> np.ndarray:
+    """A CSV of floats, parsed by ``float`` (17 significant digits round-trip)."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+def drift_rows(drift) -> np.ndarray:
+    return np.column_stack((drift.times, drift.estimates, drift.relative_drift))
+
+
+def test_streamed_heterogeneous_run_writes_per_omega_conservation(tmp_path):
+    from swarmsphere import MeanField, SkewMatrix, per_omega_conservation, sample_uniform, simulate
+
+    groups = [(10, {"kind": "zero"}, SkewMatrix.zero(3)),
+              (3, {"kind": "planar", "rate": 2.0}, SkewMatrix.planar(3, 2.0)),
+              (12, {"kind": "random", "seed": 2}, SkewMatrix.random(3, 2, 1.0))]
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "heterogeneous", "d": 3, "t_end": 0.4, "dt": 1e-2, "record_every": 3,
+        "m": 20, "seed": 9, "groups": [{"count": c, "omega_spec": spec} for c, spec, _ in groups]})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    omegas = tuple(om for count, _, om in groups for _ in range(count))
+    traj = simulate(sample_uniform(3, 25, 9).with_omega(omegas), MeanField(1.0), 0.4, 1e-2, 3)
+    rep = per_omega_conservation(traj, 0.3, 2, 20, 9)
+    summary = json.loads((out / "heterogeneous.json").read_text())
+    assert [g["group"] for g in summary["groups"]] == [gi for gi, _, _ in rep.groups] == [0, 2]
+    assert summary["skipped"] == [{"group": 1, "size": 3}]
+    for (gi, _, drift), written in zip(rep.groups, summary["groups"], strict=True):
+        assert read_csv_floats(out / f"drift_group{gi}.csv").tobytes() == drift_rows(drift).tobytes()
+        assert written["per_tuple_max_drift"] == drift.per_tuple_max_drift
+        assert written["max_relative_drift"] == drift.max_relative_drift
+    assert read_csv_floats(out / "drift_mixed.csv").tobytes() == \
+        drift_rows(rep.mixed_drift).tobytes()
+    assert summary["mixed_per_tuple_drift"] == rep.mixed_drift.per_tuple_max_drift
+
+
+def test_streamed_functional_run_writes_conservation_drifts(tmp_path):
+    from swarmsphere import MeanField, SkewMatrix, conservation_drifts, sample_uniform, simulate
+
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "functional", "d": 3, "N": 20, "t_end": 0.2, "dt": 1e-2, "record_every": 3,
+        "omega_spec": {"kind": "random", "seed": 2}, "p_list": [0.5, -0.5], "k_list": [2, 3],
+        "m": 100, "drift_tuples": 30, "seed": 5})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    ens0 = sample_uniform(3, 20, 5).with_omega(SkewMatrix.random(3, 2, 1.0))
+    traj = simulate(ens0, MeanField(1.0), 0.2, 1e-2, 3)
+    drift_max = 0.0
+    for k in (2, 3):
+        for drift in conservation_drifts(traj, [0.5, -0.5], k, 30, 5):
+            written = read_csv_floats(out / f"drift_p{drift.p:g}_k{k}.csv")
+            assert written.tobytes() == drift_rows(drift).tobytes()
+            drift_max = max(drift_max, drift.max_relative_drift)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"]["drift_max"] == manifest["gates"]["drift"]["value"] == drift_max
+
+
+def test_streamed_ws_verify_run_writes_the_replay_of_the_trajectory(tmp_path):
+    from swarmsphere import (MeanField, ReplayField, SkewMatrix, conjugacy_residual, push_forward,
+                             sample_uniform, simulate, ws_evolve)
+
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "ws-verify", "d": 2, "N": 12, "t_end": 0.05, "dt": 1e-3,
+        "omega_spec": {"kind": "random", "seed": 7}, "seed": 3})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    omega = SkewMatrix.random(2, 7, 1.0)
+    ens0 = sample_uniform(2, 12, 3).with_omega(omega)
+    traj = simulate(ens0, MeanField(1.0), 0.05, 1e-3)
+    replay = ReplayField.from_trajectory(traj)
+    path = ws_evolve(omega, replay, 0.05, 1e-3)
+    checkpoints = []
+    for c in range(1, 11):
+        idx = 5 * c  # ten checkpoints spread evenly over 50 steps
+        pushed = push_forward(path[idx], ens0)
+        checkpoints.append({"t": float(traj.times[idx]), "mismatch": float(
+            np.max(np.linalg.norm(pushed.points - traj.points[idx], axis=1)))})
+    report = json.loads((out / "report.json").read_text())
+    assert report["checkpoints"] == checkpoints
+    assert report["max_mismatch"] == max(c["mismatch"] for c in checkpoints)
+    assert report["conjugacy_residual"] == conjugacy_residual(path, replay, ens0)
+    states = np.column_stack((path.time, path.w, path.rotation.reshape(len(path), -1)))
+    assert read_csv_floats(out / "ws_states.csv").tobytes() == states.tobytes()
+
+
+# N = 256 over 2,000 steps: a recording of 2001 x 256 x 3 floats, about 12 MB
+_GROUPS_256 = [{"count": 128, "omega_spec": {"kind": "zero"}},
+               {"count": 128, "omega_spec": {"kind": "planar", "rate": 1.0}}]
+
+
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "heterogeneous", "d": 2, "groups": _GROUPS_256, "t_end": 2.0, "dt": 1e-3},
+    {"experiment": "ws-verify", "d": 2, "N": 256, "t_end": 2.0, "dt": 1e-3,
+     "omega_spec": {"kind": "random", "seed": 7}},
+], ids=lambda cfg: cfg["experiment"])
+def test_streamed_runs_hold_less_than_half_their_recording(tmp_path, cfg):
+    import tracemalloc
+
+    path = write_config(tmp_path, "c.json", {**cfg, "seed": 8})
+    recording = 2001 * 256 * 3 * 8
+    tracemalloc.start()
+    try:
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < recording / 2, f"traced peak {peak / 1e6:.1f} MB"

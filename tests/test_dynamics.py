@@ -271,6 +271,47 @@ def test_simulate_records_the_points_the_loop_yields():
             a[0] = 0.0
 
 
+@pytest.mark.parametrize("rows", [1, 7, 26])
+def test_snapshot_blocks_are_the_recording_of_simulate_in_blocks(monkeypatch, rows):
+    # one snapshot per block, blocks of 7 that leave a short last one of 5,
+    # and one block of all 26 snapshots
+    ens = Ensemble(sample_uniform(2, REF_N, 8).points, TWO_GROUPS)
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", rows * REF_N * 3)
+    traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
+    blocks = [tuple(a.copy() for a in block) for block in
+              dynamics._snapshot_blocks(ens, MeanField(1.0), 0.5, 1e-2, 2)]
+    sizes = [len(times) for times, _, _ in blocks]
+    assert sizes == [rows] * (26 // rows) + ([26 % rows] if 26 % rows else [])
+    for i, name in enumerate(("times", "points", "field_samples")):
+        whole = np.concatenate([block[i] for block in blocks])
+        assert whole.tobytes() == getattr(traj, name).tobytes(), name
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("point", "trajectory points must lie on the unit sphere"),
+    ("field", "field samples must be finite"),
+])
+def test_snapshot_blocks_check_each_block_by_the_trajectory_rules(monkeypatch, fault, message):
+    # the fault enters at the last step, so the first full blocks pass and
+    # the refusal comes from the check of the short last block
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", 4 * 8 * 3)
+    ens = sample_uniform(2, 8, 3)
+    run = dynamics._run
+
+    def faulty(*args):
+        for s, (t, points, mean, x) in enumerate(run(*args)):
+            if s == 9:
+                points = points * (1 + 1e-6) if fault == "point" else points
+                x = x * math.inf if fault == "field" else x
+            yield t, points, mean, x
+
+    monkeypatch.setattr(dynamics, "_run", faulty)
+    blocks = dynamics._snapshot_blocks(ens, MeanField(1.0), 0.09, 1e-2, 1)
+    assert [len(next(blocks)[0]) for _ in range(2)] == [4, 4]
+    with pytest.raises(ValueError, match=message):
+        next(blocks)
+
+
 def test_replay_field_roundtrip_and_span():
     om = SkewMatrix.random(2, 3, 1.0)
     ens = sample_uniform(2, 8, 5).with_omega(om)

@@ -31,7 +31,7 @@ from swarmsphere import (
     sphere_surface,
 )
 from swarmsphere import functionals
-from swarmsphere.functionals import _CHORD_TOL, _draw_cycles, _drift_report
+from swarmsphere.functionals import _CHORD_TOL, _draw_cycles, _DriftRecorder
 
 
 def _reference_cycle_ratios(pts):
@@ -531,6 +531,35 @@ def test_conservation_drifts_match_single_p_bitwise():
         assert rep.max_relative_drift.hex() == one.max_relative_drift.hex()
         assert rep.per_tuple_max_drift.hex() == one.per_tuple_max_drift.hex()
         assert rep.k == one.k == 3
+
+
+def _drift_report(traj, tuples, ps, k):
+    """The reports of a drift recorder fed a whole trajectory as one block."""
+    recorder = _DriftRecorder(tuples, ps, k)
+    recorder.add(traj.times, traj.points)
+    return recorder.finish()
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(4, 20), k=st.integers(2, 4),
+       ps=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_drift_recorder_fed_in_blocks_gives_the_bits_of_conservation_drifts(n, k, ps, seed):
+    om = SkewMatrix.random(2, seed, 1.0)
+    traj = simulate(sample_uniform(2, n, seed).with_omega(om), MeanField(1.0), 0.3, 1e-2,
+                    record_every=2)
+    m = len(traj.times)
+    want = conservation_drifts(traj, ps, k, 30, seed)
+    # one snapshot per block, blocks of 7 and a short last one, one whole block
+    for size in (1, 7, m):
+        recorder = _DriftRecorder.drawn(traj.points[0], ps, k, 30, seed)
+        for b0 in range(0, m, size):
+            recorder.add(traj.times[b0:b0 + size], traj.points[b0:b0 + size])
+        for got, rep in zip(recorder.finish(), want, strict=True):
+            for name in ("times", "estimates", "relative_drift", "tuples"):
+                assert getattr(got, name).tobytes() == getattr(rep, name).tobytes(), name
+            assert got.max_relative_drift.hex() == rep.max_relative_drift.hex()
+            assert got.per_tuple_max_drift.hex() == rep.per_tuple_max_drift.hex()
+            assert (got.p, got.k) == (rep.p, rep.k)
 
 
 def _reference_drift(traj, tuples, p):

@@ -180,14 +180,14 @@ def farthest_pairs(mp):
 
 
 def uneven_control_speeds(mp):
-    simulate = kinetic.simulate
+    blocks = kinetic._snapshot_blocks
 
-    def control(*args, **kwargs):  # the control run is the kinetic run's only simulate call
+    def control(*args):  # the control run is the kinetic run's only snapshot stream
         with mp.context() as inner:
             uneven_speeds(inner)
-            return simulate(*args, **kwargs)
+            yield from blocks(*args)
 
-    mp.setattr(kinetic, "simulate", control)
+    mp.setattr(kinetic, "_snapshot_blocks", control)
 
 
 def one_generator_for_all(mp):
@@ -246,12 +246,16 @@ def non_orthogonal(mp):
 @pytest.mark.parametrize("experiment, plant, refusal", [
     ("simulate", off_sphere, "trajectory points must lie on the unit sphere"),
     ("ws-verify", non_orthogonal, "rotation is not orthogonal within tolerance"),
+    # the streamed runs check each block of snapshots by the Trajectory rules
+    ("ws-verify", off_sphere, "trajectory points must lie on the unit sphere"),
+    ("heterogeneous", off_sphere, "trajectory points must lie on the unit sphere"),
 ])
 def test_a_state_off_its_manifold_is_refused_by_its_constructor(tmp_path, monkeypatch,
                                                                 experiment, plant, refusal):
     # no gate re-measures these: the run aborts before it has a state to measure
     plant(monkeypatch)
-    code, manifest = run_manifest(tmp_path / "run", experiment, WS)
+    cfg = HETEROGENEOUS if experiment == "heterogeneous" else WS
+    code, manifest = run_manifest(tmp_path / "run", experiment, cfg)
     assert code == 2
     assert manifest["aborted"] == f"ValueError: {refusal}"
 
