@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
-                       TimeDelayField, WinfreeField, _snapshot_blocks, _step_count, simulate)
+                       TimeDelayField, WinfreeField, _snapshot_blocks, _step_count)
 from .functionals import (_MAX_PAIR_D, _DriftRecorder, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, VmfSampler, sample_uniform, sample_vmf
@@ -262,7 +262,6 @@ _RECORD = {"record_every": (1, *_int_at_least(1))}
 _KAPPA = {"kappa": (1.0, *_POSITIVE)}
 _ENSEMBLE = {"omega_spec": ({"kind": "zero"}, _OMEGA, None),
              "field": ({"variant": "mean_field", "kappa": 1.0}, _FIELD, None)}
-_SIMULATE = {**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 0), **_RECORD, **_ENSEMBLE}
 
 
 def parse_config(path) -> dict:
@@ -289,18 +288,6 @@ def _gate(value: float, threshold: float, kind: str = "max") -> dict:
     return {"value": value, "threshold": threshold, "kind": kind, "passed": passed}
 
 
-def _export_trajectory(traj, outdir: Path):
-    dim = traj.d + 1
-    rows = ((t, i) + tuple(row) for t, points in zip(traj.times, traj.points)
-            for i, row in enumerate(points))
-    header = ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)]
-    p1 = write_csv(outdir / "trajectory.csv", header, rows)
-    header_x = ["t"] + [f"X_{j}" for j in range(dim)]
-    p2 = write_csv(outdir / "field.csv", header_x,
-                   [(t,) + tuple(x) for t, x in zip(traj.times, traj.field_samples)])
-    return [p1, p2]
-
-
 def _ensemble(cfg: dict):
     """omega_spec's generator, N uniform points under it, and the field."""
     omega = _OMEGA.build(cfg["omega_spec"], cfg["d"])
@@ -309,10 +296,32 @@ def _ensemble(cfg: dict):
 
 
 def _run_simulate(cfg: dict, outdir: Path):
-    # no gates: the Trajectory constructor refuses a point off the unit sphere
+    # no gates: each block of snapshots is checked by the Trajectory rules,
+    # which refuse a point off the unit sphere, before its rows are written
     _, ens0, field = _ensemble(cfg)
-    traj = simulate(ens0, field, cfg["t_end"], cfg["dt"], cfg["record_every"])
-    return _export_trajectory(traj, outdir), {}, {"snapshots": len(traj.times)}
+    dim = cfg["d"] + 1
+    times, samples = [], []  # each block's times and field samples, for field.csv
+
+    def trajectory_rows():
+        for ts, points, xs in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"],
+                                               cfg["record_every"]):
+            times.append(ts.copy())
+            samples.append(xs.copy())
+            for t, pts in zip(ts.tolist(), points):
+                for i, row in enumerate(pts.tolist()):
+                    yield (t, i, *row)
+
+    header = ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)]
+    try:
+        out_traj = write_csv(outdir / "trajectory.csv", header, trajectory_rows())
+    except BaseException:
+        # a run aborted by a refused block leaves no partial trajectory.csv
+        (outdir / "trajectory.csv").unlink(missing_ok=True)
+        raise
+    times, samples = np.concatenate(times), np.concatenate(samples)
+    out_field = write_csv(outdir / "field.csv", ["t"] + [f"X_{j}" for j in range(dim)],
+                          ((t, *x) for t, x in zip(times.tolist(), samples.tolist())))
+    return [out_traj, out_field], {}, {"snapshots": len(times)}
 
 
 def _run_ws_verify(cfg: dict, outdir: Path):
@@ -361,14 +370,18 @@ def _run_ws_verify(cfg: dict, outdir: Path):
     return [out_states, out_report], gates, report
 
 
+def _write_drift(path: Path, drift) -> Path:
+    return write_csv(path, ["t", "estimate", "relative_drift"],
+                     zip(drift.times, drift.estimates, drift.relative_drift))
+
+
 def _run_functional(cfg: dict, outdir: Path):
     d = cfg["d"]
     _, ens0, field = _ensemble(cfg)
     # conservation_drifts of the run for every k, each snapshot block fed to all
     recorders = [_DriftRecorder.drawn(ens0.points, cfg["p_list"], k, cfg["drift_tuples"],
                                       cfg["seed"]) for k in cfg["k_list"]]
-    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"],
-                                          cfg["record_every"]):
+    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
         for recorder in recorders:
             recorder.add(ts, points)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
@@ -380,15 +393,16 @@ def _run_functional(cfg: dict, outdir: Path):
         ests = estimate_cycle_moments(sampler, cfg["p_list"], k, cfg["m"], cfg["seed"])
         drifts = recorder.finish()
         for p, est, drift in zip(cfg["p_list"], ests, drifts):
-            if not est.existence_flag:
+            finite = existence_check(p, d)
+            if not finite:
                 print(f"warning: moment p={p} d={d} lies outside the existence range |p| < d/2",
                       file=sys.stderr)
-            records.append(est.record())
+            records.append({"p": float(p), "k": k, "d": d, "m": cfg["m"], "seed": cfg["seed"],
+                            "value": est.value, "std_error": est.std_error,
+                            "median_of_means": est.median_of_means, "existence_flag": finite})
             estimates[(p, k)] = est
             drift_max = max(drift_max, drift.max_relative_drift)
-            name = f"drift_p{p:g}_k{k}.csv"
-            outputs.append(write_csv(outdir / name, ["t", "estimate", "relative_drift"],
-                                     drift.rows()))
+            outputs.append(_write_drift(outdir / f"drift_p{p:g}_k{k}.csv", drift))
     outputs.insert(0, write_json(outdir / "estimates.json", records))
     gates = {"drift": _gate(drift_max, 1e-6)}
     sym_defect = 0.0
@@ -436,11 +450,12 @@ def _run_existence(cfg: dict, outdir: Path):
 def _run_kinetic(cfg: dict, outdir: Path):
     d = cfg["d"]
     ens0 = sample_vmf(np.eye(d + 1)[-1], _DENSITY.build(cfg["initial"]), cfg["N"], cfg["seed"])
-    run = (cfg["t_end"], cfg["dt"], cfg["record_every"], cfg["epsilon"])
-    series, _, rep = _series_with_instability(ens0, cfg["kappa"], *run, cfg.get("delta"),
-                                              cfg["seed"])
+    series, _, rep = _series_with_instability(ens0, cfg["kappa"], cfg["t_end"], cfg["dt"],
+                                              cfg["record_every"], cfg.get("delta"), cfg["seed"])
     out_csv = write_csv(outdir / "order_parameter.csv",
-                        ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"], series.rows())
+                        ["t", "R2", "dR2_analytic", "mass_plus", "mass_minus"],
+                        zip(series.times, series.R2, series.dR2_analytic, series.mass_plus,
+                            series.mass_minus))
     min_increment = series.min_R2_increment
     r2_0, r_end = float(series.R2[0]), math.sqrt(float(series.R2[-1]))
     summary = {
@@ -483,8 +498,8 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
     ens0 = sample_uniform(d, total, cfg["seed"]).with_omega(tuple(omegas))
     # per_omega_conservation of the run, fed a block of snapshots at a time
     recorder = _PerOmegaRecorder(ens0, cfg["p"], cfg["k"], cfg["m"], cfg["seed"])
-    for ts, points, _ in _snapshot_blocks(ens0, MeanField(cfg["kappa"]), cfg["t_end"], cfg["dt"],
-                                          cfg["record_every"]):
+    field = MeanField(cfg["kappa"])
+    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
         recorder.add(ts, points)
     rep = recorder.finish()
     outputs = []
@@ -495,16 +510,14 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
         group_summaries.append({"group": gi, "size": size,
                                 "max_relative_drift": drift.max_relative_drift,
                                 "per_tuple_max_drift": drift.per_tuple_max_drift})
-        outputs.append(write_csv(outdir / f"drift_group{gi}.csv",
-                                 ["t", "estimate", "relative_drift"], drift.rows()))
+        outputs.append(_write_drift(outdir / f"drift_group{gi}.csv", drift))
     summary = {
         "groups": group_summaries,
         "skipped": [{"group": gi, "size": size} for gi, size in rep.skipped],
     }
     gates = {"within_group_drift": _gate(within_max, 1e-6)}
     if rep.mixed_drift is not None:
-        outputs.append(write_csv(outdir / "drift_mixed.csv",
-                                 ["t", "estimate", "relative_drift"], rep.mixed_drift.rows()))
+        outputs.append(_write_drift(outdir / "drift_mixed.csv", rep.mixed_drift))
         summary["mixed_per_tuple_drift"] = rep.mixed_drift.per_tuple_max_drift
         gates["mixed_tuple_drift"] = _gate(rep.mixed_drift.per_tuple_max_drift, 1e-2, kind="min")
     outputs.insert(0, write_json(outdir / "heterogeneous.json", summary))
@@ -513,11 +526,12 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
 
 # the experiments: each one's key table and runner
 _CONFIG = _Kinds("experiment", {
-    "simulate": (_SIMULATE, _run_simulate),
+    "simulate": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 0), **_RECORD, **_ENSEMBLE},
+                 _run_simulate),
     "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 2), **_ENSEMBLE,
                    "field": (_ENSEMBLE["field"][0], _replayable, None)},
                   _run_ws_verify),
-    "functional": ({**_SIMULATE, **_span(_REQUIRED, 1e-3, 1),
+    "functional": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 1), **_ENSEMBLE,
                     # each (p, k) writes drift_p{p:g}_k{k}.csv
                     "p_list": (_REQUIRED, lambda v, cfg: _NUMBERS[0](v, cfg)
                                and _distinct(v, "p_list", [f"{p:g}" for p in v]), _NUMBERS[1]),
@@ -530,12 +544,11 @@ _CONFIG = _Kinds("experiment", {
     "existence": ({**_COMMON, "d": (_REQUIRED, *_EXISTENCE_D), "p_list": (_p_grid, *_NUMBERS)},
                   _run_existence),
     "kinetic": ({**_COMMON, **_N, **_KAPPA, **_span(50.0, 1e-2, 2), **_RECORD,
-                 "epsilon": (0.5, lambda v, cfg: _is_num(v) and 0 < v < 2, "a number in (0, 2)"),
                  "initial": ({"kind": "vmf", "concentration": 1.0}, _DENSITY, None),
                  "delta": (_OPTIONAL, _instability, "a positive number")},
                 _run_kinetic),
     "heterogeneous": ({**_COMMON, "groups": (_REQUIRED, _groups, "a nonempty list"), **_KAPPA,
-                       **_span(5.0, 1e-3, 1), **_RECORD, "p": (0.3, *_NUMBER),
+                       **_span(5.0, 1e-3, 1), "p": (0.3, *_NUMBER),
                        "k": (2, *_int_at_least(2)), "m": (50, *_int_at_least(1))},
                       _run_heterogeneous),
 }, lambda names: f"one of {names}")

@@ -125,27 +125,8 @@ class FunctionalEstimate:
     value: float
     std_error: float
     samples: int
-    p: float
-    k: int
-    d: int
-    seed: int
-    existence_flag: bool
     median_of_means: float | None = None
     rejected: int = 0
-
-    def record(self) -> dict:
-        """JSON-ready record with the fixed export key set."""
-        return {
-            "p": self.p,
-            "k": self.k,
-            "d": self.d,
-            "m": self.samples,
-            "seed": self.seed,
-            "value": self.value,
-            "std_error": self.std_error,
-            "median_of_means": self.median_of_means,
-            "existence_flag": self.existence_flag,
-        }
 
 
 def _rejection_error(source, label: np.ndarray | None = None) -> ValueError:
@@ -228,7 +209,8 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     if m < 1:  # no block at all, so the drawer would never see it
         raise ValueError("need at least one tuple")
     d = source.d
-    flags = [existence_check(p, d) for p in ps]  # a non-finite p is refused before drawing
+    for p in ps:  # a non-finite p is refused before drawing
+        existence_check(p, d)
     draw_from = source.points if isinstance(source, Ensemble) else source
     reject_cap = 100 * m
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
@@ -250,17 +232,14 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
         raise _rejection_error(draw_from)
 
     estimates = []
-    for p, flag in zip(ps, flags):
+    for p in ps:
         values = ratios ** p
         value = float(np.mean(values))
         std_error = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
         mom = None
         if abs(p) >= d / 4.0 and m >= 32:
             mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
-        estimates.append(FunctionalEstimate(
-            value=value, std_error=std_error, samples=m, p=float(p), k=int(k), d=d,
-            seed=int(seed), existence_flag=flag, median_of_means=mom,
-            rejected=rejected_total))
+        estimates.append(FunctionalEstimate(value, std_error, m, mom, rejected_total))
     return estimates
 
 
@@ -330,8 +309,6 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
 class DivergenceReport:
     """Numerical small-cutoff behaviour of the reduced pair integral."""
 
-    p: float
-    d: int
     classification: str  # "convergent" | "log-divergent" | "power-divergent"
     exponent_estimate: float
     fit_residual: float
@@ -357,8 +334,7 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     values = tuple(reduced_pair_integral(q, d, c) for c in cutoffs)
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
     if not all(math.isfinite(v) for v in values):  # an infinite value: nothing to fit
-        return DivergenceReport(float(p), d, "power-divergent", math.nan, math.nan,
-                                cutoffs, values, diffs)
+        return DivergenceReport("power-divergent", math.nan, math.nan, cutoffs, values, diffs)
     exps = [math.log10(b / a) for a, b in zip(diffs, diffs[1:]) if a > 0 and b > 0]
     est = float(np.mean(exps)) if exps else math.nan
     res = float(np.std(exps)) if exps else math.nan
@@ -368,7 +344,7 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
         cls = "log-divergent"
     else:
         cls = "power-divergent"
-    return DivergenceReport(float(p), d, cls, est, res, cutoffs, values, diffs)
+    return DivergenceReport(cls, est, res, cutoffs, values, diffs)
 
 
 @dataclass(frozen=True)
@@ -381,11 +357,6 @@ class DriftReport:
     max_relative_drift: float
     per_tuple_max_drift: float
     tuples: np.ndarray
-    p: float
-    k: int
-
-    def rows(self):
-        return [(t, e, r) for t, e, r in zip(self.times, self.estimates, self.relative_drift)]
 
 
 def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list[DriftReport]:
@@ -415,10 +386,10 @@ class _DriftRecorder:
     where the blocks break, and only the estimates are kept.  A drift needs
     at least two snapshots."""
 
-    def __init__(self, tuples: np.ndarray, ps, k: int):
+    def __init__(self, tuples: np.ndarray, ps):
         if not all(map(math.isfinite, ps)):
             raise ValueError("p must be finite")
-        self.tuples, self.ps, self.k = tuples, list(ps), k
+        self.tuples, self.ps = tuples, list(ps)
         self.times, self.estimates = [], [[] for _ in self.ps]
         self.ratios0, self.per_tuple = None, 0.0
 
@@ -427,7 +398,7 @@ class _DriftRecorder:
         """The recorder of ``conservation_drifts``: m index cycles drawn from
         the points of the first snapshot."""
         tuples, _, _ = _draw_cycles(rng_stream(seed, stream=0), first, m, k, 100 * m)
-        return cls(tuples, ps, k)
+        return cls(tuples, ps)
 
     def add(self, times: np.ndarray, points: np.ndarray):
         """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
@@ -451,11 +422,11 @@ class _DriftRecorder:
         if times.size < 2:
             raise ValueError("need at least two snapshots")
         reports = []
-        for p, blocks in zip(self.ps, self.estimates):
+        for blocks in self.estimates:
             estimates = np.concatenate(blocks)
             rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
             reports.append(DriftReport(
                 times=times.copy(), estimates=estimates, relative_drift=rel,
                 max_relative_drift=float(np.max(rel)), per_tuple_max_drift=self.per_tuple,
-                tuples=self.tuples, p=float(p), k=int(self.k)))
+                tuples=self.tuples))
         return reports

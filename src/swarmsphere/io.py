@@ -64,4 +64,9 @@ def write_json(path, obj) -> Path:
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's sha256, read in chunks of 64 kB so no artifact is held whole."""
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -36,6 +36,7 @@ __all__ = [
 
 _R_POSITIVE = 1e-12
 _RECORD_EVERY = 50  # snapshot spacing, in steps, of the instability experiment's branches
+_BALL_RADIUS = 0.5  # chordal radius of the series' masses around the polarisation axis
 
 
 def order_parameter(ens: Ensemble) -> tuple[float, np.ndarray]:
@@ -63,18 +64,12 @@ def _dR2_dt(cols: np.ndarray, x_c: np.ndarray) -> float:
     return 2.0 * math.fsum(_component_dot(resid, resid).tolist()) / cols.shape[1]
 
 
-def _chordal_radius(epsilon) -> float:
-    """A ball radius epsilon as a float, refused by name outside (0, 2)."""
+def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
+    """Fraction of particles within chordal distance epsilon, in (0, 2), of
+    a center, a finite vector of width d+1."""
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 2.0:  # NaN fails too
         raise ValueError(f"chordal radius must lie in (0, 2), not {epsilon!r}")
-    return epsilon
-
-
-def ball_mass(ens: Ensemble, center, epsilon: float) -> float:
-    """Fraction of particles within chordal distance epsilon of a center,
-    a finite vector of width d+1."""
-    epsilon = _chordal_radius(epsilon)
     center = np.asarray(center, dtype=float)
     if center.shape != (ens.d + 1,) or not np.isfinite(center).all():
         raise ValueError(f"ball center must be a finite vector of width d+1 = {ens.d + 1}")
@@ -93,13 +88,14 @@ def _ball_masses(cols: np.ndarray, centers: np.ndarray, epsilon: float) -> np.nd
 @dataclass(frozen=True, eq=False)
 class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
-    axis and the chordal masses around it, with the smallest step-to-step
-    increment of R^2 (NaN for no steps) and the derivative identity's
-    defect: the largest gap between the change of R^2 over the two steps
-    around an interior state and Simpson's rule for the integral of the
-    analytic derivative over them, divided by their span; NaN for fewer
-    than two steps.  The analytic derivative and its defect are NaN under a
-    field other than ``MeanField`` or with several generator groups."""
+    axis and the masses of the chordal balls of radius ``_BALL_RADIUS``
+    around it, with the smallest step-to-step increment of R^2 (NaN for no
+    steps) and the derivative identity's defect: the largest gap between
+    the change of R^2 over the two steps around an interior state and
+    Simpson's rule for the integral of the analytic derivative over them,
+    divided by their span; NaN for fewer than two steps.  The analytic
+    derivative and its defect are NaN under a field other than
+    ``MeanField`` or with several generator groups."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -107,12 +103,8 @@ class OrderParameterSeries:
     gamma: np.ndarray  # (m, d+1), nan rows where R vanishes
     mass_plus: np.ndarray
     mass_minus: np.ndarray
-    epsilon: float
     min_R2_increment: float
     derivative_defect: float
-
-    def rows(self):
-        return list(zip(self.times, self.R2, self.dR2_analytic, self.mass_plus, self.mass_minus))
 
 
 class _SeriesRecorder:
@@ -122,11 +114,10 @@ class _SeriesRecorder:
     at every ``record_every``-th state and the final one.  ``kappa`` is the mean
     field's coupling, None where the identity does not hold."""
 
-    def __init__(self, record_every: int, epsilon: float, kappa: float | None):
+    def __init__(self, record_every: int, kappa: float | None):
         if record_every < 1:
             raise ValueError("record_every must be at least 1")
-        self.record_every, self.epsilon = record_every, _chordal_radius(epsilon)
-        self.kappa = kappa
+        self.record_every, self.kappa = record_every, kappa
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.min_increment, self.defect = math.inf, 0.0
@@ -152,7 +143,7 @@ class _SeriesRecorder:
         _, t, cols, r2, x_c, dr2 = self.last
         if r2 > _R_POSITIVE ** 2:
             g = x_c / math.sqrt(r2)
-            plus, minus = _ball_masses(cols, np.stack([g, -g]), self.epsilon).tolist()
+            plus, minus = _ball_masses(cols, np.stack([g, -g]), _BALL_RADIUS).tolist()
         else:
             g, plus, minus = np.full(x_c.size, np.nan), math.nan, math.nan
         for column, value in zip(self.columns, (t, r2, dr2, g, plus, minus)):
@@ -164,12 +155,11 @@ class _SeriesRecorder:
         # no interior state, or no identity to compare (max drops a NaN gap)
         defect = self.defect if len(self.recent) == 3 and self.kappa is not None else math.nan
         increment = self.min_increment if len(self.recent) > 1 else math.nan  # no step
-        return OrderParameterSeries(*map(np.asarray, self.columns), self.epsilon, increment, defect)
+        return OrderParameterSeries(*map(np.asarray, self.columns), increment, defect)
 
 
 def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
-                           record_every: int = 1, epsilon: float = 0.5
-                           ) -> tuple[OrderParameterSeries, Ensemble]:
+                           record_every: int = 1) -> tuple[OrderParameterSeries, Ensemble]:
     """Integrate and record the order-parameter diagnostics without storing
     the full trajectory; returns the series and the final ensemble.
 
@@ -182,7 +172,7 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
     """
     identity = isinstance(field, MeanField) and len(ens0.omega_groups()) == 1
-    recorder = _SeriesRecorder(record_every, epsilon, field.kappa if identity else None)
+    recorder = _SeriesRecorder(record_every, field.kappa if identity else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
         recorder.add(s, t, points.T, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
@@ -261,17 +251,17 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
 
 
 def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: float,
-                             record_every: int, epsilon: float, delta: float | None, seed: int
+                             record_every: int, delta: float | None, seed: int
                              ) -> tuple[OrderParameterSeries, Ensemble, InstabilityReport | None]:
     """``order_parameter_series(ens0, MeanField(kappa), t_end, dt,
-    record_every, epsilon)`` and, for a ``delta`` (else None), the report of
+    record_every)`` and, for a ``delta`` (else None), the report of
     ``instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)``
     from one run: its two branches and ens0, a population without free flow
     at t = 0, last, are stepped as one stack, each member with its own bits."""
     if ens0.omega is not None or ens0.time != 0.0:
         raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
     branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
-    recorder = _SeriesRecorder(record_every, epsilon, float(kappa))
+    recorder = _SeriesRecorder(record_every, float(kappa))
     steps = _step_count(t_end, dt, 1)
     stack = ens0.points[None] if branches is None else \
         np.concatenate([branches.start, ens0.points[None]])
@@ -405,7 +395,7 @@ class _PerOmegaRecorder:
                 continue
             rng = rng_stream(seed, stream=gi + 1)
             local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
-            self.per_group.append((gi, int(idx.size), _DriftRecorder(idx[local], [p], k)))
+            self.per_group.append((gi, int(idx.size), _DriftRecorder(idx[local], [p])))
         if not self.per_group:
             raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
                              "cycle can be drawn")
@@ -417,7 +407,7 @@ class _PerOmegaRecorder:
             # a mixed cycle may be rare (one member of a small group), hence the cap
             chosen, _, _ = _draw_cycles(rng_stream(seed, stream=0), first.points, m, k, 800 * m,
                                         label)
-            self.mixed = _DriftRecorder(chosen, [p], k)
+            self.mixed = _DriftRecorder(chosen, [p])
 
     def add(self, times: np.ndarray, points: np.ndarray):
         """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""

@@ -44,7 +44,7 @@ def kinetic_run():
     t0 = time.perf_counter()
     ens0 = ss.sample_vmf([0.0, 0.0, 1.0], 1.0, 1000, 2025)
     series, final = ss.order_parameter_series(ens0, ss.MeanField(1.0), 50.0, 1e-2,
-                                              record_every=1, epsilon=0.5)
+                                              record_every=1)
     elapsed = time.perf_counter() - t0
     return {"ens0": ens0, "series": series, "final": final, "elapsed": elapsed}
 

@@ -143,7 +143,7 @@ def test_ws_verify_small_run_fast_and_accurate(tmp_path):
 def test_run_outputs_byte_identical(tmp_path):
     path = write_config(tmp_path, "c.json", {
         "experiment": "functional", "d": 2, "N": 16, "t_end": 0.2, "dt": 1e-3,
-        "record_every": 20, "p_list": [0.0, 0.3, -0.3], "m": 5000, "seed": 9,
+        "p_list": [0.0, 0.3, -0.3], "m": 5000, "seed": 9,
     })
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(path), "--out", str(out_a)]) == 0
@@ -203,7 +203,7 @@ def test_existence_run_classifies_a_large_exponent_as_power_divergent(tmp_path):
 def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
     from swarmsphere import VmfSampler, estimate_cycle_moment
 
-    p_list, k_list = [0.3, 0.0, -0.3], [3, 2]
+    p_list, k_list = [0.3, 0, -0.3], [3, 2]  # an integer p is written as a float
     path = write_config(tmp_path, "c.json", {
         "experiment": "functional", "d": 2, "N": 16, "t_end": 0.05, "dt": 1e-2,
         "p_list": p_list, "k_list": k_list, "m": 3000, "drift_tuples": 20, "seed": 6,
@@ -213,6 +213,10 @@ def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
     records = json.loads((out / "estimates.json").read_text())
     assert [(r["k"], r["p"]) for r in records] == [(k, p) for k in k_list for p in p_list]
     for r in records:
+        assert set(r) == {"p", "k", "d", "m", "seed", "value", "std_error",
+                          "median_of_means", "existence_flag"}
+        assert isinstance(r["p"], float) and (r["d"], r["m"], r["seed"]) == (2, 3000, 6)
+        assert r["existence_flag"] is True  # every |p| < d/2
         est = estimate_cycle_moment(VmfSampler(np.eye(3)[-1], 0.0), r["p"], r["k"], 3000, 6)
         assert r["value"] == est.value and r["std_error"] == est.std_error
     for k in k_list:
@@ -365,8 +369,8 @@ def kinetic_run_against_the_separate_calls(tmp_path, monkeypatch, delta):
     path = write_config(tmp_path, "c.json", cfg if delta is None else {**cfg, "delta": delta})
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "stacked")])
 
-    def separate(ens0, kappa, t_end, dt, record_every, epsilon, delta, seed):
-        series, final = order_parameter_series(ens0, MeanField(kappa), t_end, dt, record_every, epsilon)
+    def separate(ens0, kappa, t_end, dt, record_every, delta, seed):
+        series, final = order_parameter_series(ens0, MeanField(kappa), t_end, dt, record_every)
         return series, final, None if delta is None else \
             instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
 
@@ -502,6 +506,25 @@ def test_write_json_sorted_and_nan_safe(tmp_path):
     assert json.loads(text) == {"a": 1.5, "b": None, "c": [1, 2]}
 
 
+def test_sha256_file_hashes_in_chunks_without_holding_the_file(tmp_path):
+    import hashlib
+    import tracemalloc
+
+    from swarmsphere.io import sha256_file
+
+    data = np.random.default_rng(0).bytes(40 * (1 << 16) + 123)  # forty 64 kB chunks and a bit
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert peak < len(data) / 4, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_write_json_writes_numpy_nan_and_infinity_as_null(tmp_path):
     # a NumPy scalar used to come out as bare NaN or Infinity, which is not JSON
     p = write_json(tmp_path / "x.json", {"a": np.float64("nan"), "b": np.float32("-inf"),
@@ -573,12 +596,12 @@ def test_streamed_heterogeneous_run_writes_per_omega_conservation(tmp_path):
               (3, {"kind": "planar", "rate": 2.0}, SkewMatrix.planar(3, 2.0)),
               (12, {"kind": "random", "seed": 2}, SkewMatrix.random(3, 2, 1.0))]
     path = write_config(tmp_path, "c.json", {
-        "experiment": "heterogeneous", "d": 3, "t_end": 0.4, "dt": 1e-2, "record_every": 3,
-        "m": 20, "seed": 9, "groups": [{"count": c, "omega_spec": spec} for c, spec, _ in groups]})
+        "experiment": "heterogeneous", "d": 3, "t_end": 0.4, "dt": 1e-2, "m": 20, "seed": 9,
+        "groups": [{"count": c, "omega_spec": spec} for c, spec, _ in groups]})
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     omegas = tuple(om for count, _, om in groups for _ in range(count))
-    traj = simulate(sample_uniform(3, 25, 9).with_omega(omegas), MeanField(1.0), 0.4, 1e-2, 3)
+    traj = simulate(sample_uniform(3, 25, 9).with_omega(omegas), MeanField(1.0), 0.4, 1e-2)
     rep = per_omega_conservation(traj, 0.3, 2, 20, 9)
     summary = json.loads((out / "heterogeneous.json").read_text())
     assert [g["group"] for g in summary["groups"]] == [gi for gi, _, _ in rep.groups] == [0, 2]
@@ -596,17 +619,17 @@ def test_streamed_functional_run_writes_conservation_drifts(tmp_path):
     from swarmsphere import MeanField, SkewMatrix, conservation_drifts, sample_uniform, simulate
 
     path = write_config(tmp_path, "c.json", {
-        "experiment": "functional", "d": 3, "N": 20, "t_end": 0.2, "dt": 1e-2, "record_every": 3,
+        "experiment": "functional", "d": 3, "N": 20, "t_end": 0.2, "dt": 1e-2,
         "omega_spec": {"kind": "random", "seed": 2}, "p_list": [0.5, -0.5], "k_list": [2, 3],
         "m": 100, "drift_tuples": 30, "seed": 5})
     out = tmp_path / "o"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     ens0 = sample_uniform(3, 20, 5).with_omega(SkewMatrix.random(3, 2, 1.0))
-    traj = simulate(ens0, MeanField(1.0), 0.2, 1e-2, 3)
+    traj = simulate(ens0, MeanField(1.0), 0.2, 1e-2)
     drift_max = 0.0
     for k in (2, 3):
-        for drift in conservation_drifts(traj, [0.5, -0.5], k, 30, 5):
-            written = read_csv_floats(out / f"drift_p{drift.p:g}_k{k}.csv")
+        for p, drift in zip([0.5, -0.5], conservation_drifts(traj, [0.5, -0.5], k, 30, 5)):
+            written = read_csv_floats(out / f"drift_p{p:g}_k{k}.csv")
             assert written.tobytes() == drift_rows(drift).tobytes()
             drift_max = max(drift_max, drift.max_relative_drift)
     manifest = json.loads((out / "manifest.json").read_text())
@@ -641,12 +664,49 @@ def test_streamed_ws_verify_run_writes_the_replay_of_the_trajectory(tmp_path):
     assert read_csv_floats(out / "ws_states.csv").tobytes() == states.tobytes()
 
 
-# N = 256 over 2,000 steps: a recording of 2001 x 256 x 3 floats, about 12 MB
+def export_trajectory(traj, outdir):
+    """trajectory.csv and field.csv of a recorded run, each row formatted as
+    the simulate run formats it."""
+    dim = traj.points.shape[2]
+    write_csv(outdir / "trajectory.csv",
+              ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)],
+              ((t, i, *row) for t, points in zip(traj.times, traj.points)
+               for i, row in enumerate(points)))
+    write_csv(outdir / "field.csv", ["t"] + [f"X_{j}" for j in range(dim)],
+              ((t, *x) for t, x in zip(traj.times, traj.field_samples)))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_streamed_simulate_run_writes_the_export_of_simulate(tmp_path, monkeypatch, record_every):
+    import swarmsphere.dynamics as dynamics
+    from swarmsphere import SkewMatrix, WinfreeField, sample_uniform, simulate
+
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "simulate", "d": 2, "N": 12, "t_end": 0.2, "dt": 1e-2,
+        "record_every": record_every, "omega_spec": {"kind": "random", "seed": 4},
+        "field": {"variant": "winfree", "kappa": 2.0}, "seed": 6})
+    # blocks of five snapshots, so the rows are written across several blocks
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", 5 * 12 * 3)
+    out, want = tmp_path / "o", tmp_path / "want"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    ens0 = sample_uniform(2, 12, 6).with_omega(SkewMatrix.random(2, 4, 1.0))
+    traj = simulate(ens0, WinfreeField(2.0, np.eye(3)[-1]), 0.2, 1e-2, record_every)
+    want.mkdir()
+    export_trajectory(traj, want)
+    for name in ("trajectory.csv", "field.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["summary"] == {"snapshots": len(traj.times)}
+
+
+# N = 256 on S^2: over 2,000 steps a recording of 2001 x 256 x 3 floats, about 12 MB;
+# simulate runs 750 steps (4.6 MB), since writing its rows costs more than stepping them
 _GROUPS_256 = [{"count": 128, "omega_spec": {"kind": "zero"}},
                {"count": 128, "omega_spec": {"kind": "planar", "rate": 1.0}}]
 
 
 @pytest.mark.parametrize("cfg", [
+    {"experiment": "simulate", "d": 2, "N": 256, "t_end": 0.75, "dt": 1e-3},
     {"experiment": "heterogeneous", "d": 2, "groups": _GROUPS_256, "t_end": 2.0, "dt": 1e-3},
     {"experiment": "ws-verify", "d": 2, "N": 256, "t_end": 2.0, "dt": 1e-3,
      "omega_spec": {"kind": "random", "seed": 7}},
@@ -655,7 +715,7 @@ def test_streamed_runs_hold_less_than_half_their_recording(tmp_path, cfg):
     import tracemalloc
 
     path = write_config(tmp_path, "c.json", {**cfg, "seed": 8})
-    recording = 2001 * 256 * 3 * 8
+    recording = (round(cfg["t_end"] / cfg["dt"]) + 1) * 256 * 3 * 8
     tracemalloc.start()
     try:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])

@@ -77,7 +77,7 @@ CASES = [
     ({**SIM, "dt": 0}, "dt: expected a positive number"),
     ({**HET, "dt": float("inf")}, "dt: expected a positive number"),
     ({**SIM, "record_every": 0}, "record_every: expected an integer >= 1"),
-    ({**HET, "record_every": 2.0}, "record_every: expected an integer >= 1"),
+    ({**HET, "record_every": 2.0}, "unknown key: record_every"),
     # omega_spec
     ({**SIM, "omega_spec": None}, "omega_spec: expected an object"),
     ({**SIM, "omega_spec": {"scale": 1.0}}, "omega_spec.kind: expected zero|random|planar"),
@@ -143,8 +143,8 @@ CASES = [
     ({**EXI, "p_list": [None]}, "p_list: expected a list of numbers"),
     # kinetic
     ({**KIN, "kappa": 0}, "kappa: expected a positive number"),
-    ({**KIN, "epsilon": 2}, "epsilon: expected a number in (0, 2)"),
-    ({**KIN, "epsilon": 0}, "epsilon: expected a number in (0, 2)"),
+    ({**KIN, "epsilon": 0.5}, "unknown key: epsilon"),  # the ball radius, a constant
+    ({**FUN, "record_every": 1}, "unknown key: record_every"),  # drift gates read every step
     ({**KIN, "initial": "vmf"}, "initial: expected an object"),
     ({**KIN, "initial": {}}, "initial.kind: expected uniform|vmf"),
     ({**KIN, "initial": {"kind": "vmf", "mu": [0, 0, 1]}}, "unknown key: initial.mu"),

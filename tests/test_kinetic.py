@@ -390,11 +390,11 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
 def test_series_and_branches_stacked_equal_the_separate_calls():
     # 600 steps, recorded every 7th (the final state apart) and every 50th
     ens0 = sample_vmf([0.0, 0.0, 1.0], 1.0, 200, 4)
-    series, final, rep = _series_with_instability(ens0, 1.0, 6.0, 1e-2, 7, 0.5, 1e-3, 3)
-    want, want_final = order_parameter_series(ens0, MeanField(1.0), 6.0, 1e-2, 7, 0.5)
+    series, final, rep = _series_with_instability(ens0, 1.0, 6.0, 1e-2, 7, 1e-3, 3)
+    want, want_final = order_parameter_series(ens0, MeanField(1.0), 6.0, 1e-2, 7)
     for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
-    assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert series.derivative_defect == want.derivative_defect
     assert series.min_R2_increment == want.min_R2_increment
     assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
     alone = instability_experiment(200, 2, 1.0, 1e-3, 3, t_end=6.0, dt=1e-2)
@@ -403,7 +403,7 @@ def test_series_and_branches_stacked_equal_the_separate_calls():
         got = getattr(rep, name)
         assert got == value or (math.isnan(got) and math.isnan(value)), name
     with pytest.raises(ValueError, match="without free flow"):
-        _series_with_instability(ens0.with_omega(SkewMatrix.zero(2)), 1.0, 0.1, 1e-2, 1, 0.5, 1e-3, 3)
+        _series_with_instability(ens0.with_omega(SkewMatrix.zero(2)), 1.0, 0.1, 1e-2, 1, 1e-3, 3)
 
 
 @pytest.mark.parametrize("n, kappa", [(32, 1.0), (2 * _FOLD_MIN_ROWS, 0.0)])
@@ -411,12 +411,12 @@ def test_series_alone_is_a_stack_of_one_with_the_bits_of_the_single_run(n, kappa
     # without delta the series population steps as a (1, N, d+1) stack; both
     # sides of the exact mean's switch to vector extraction are covered
     ens0 = sample_vmf([0.0, 0.0, 1.0], kappa, n, 6)
-    series, final, rep = _series_with_instability(ens0, 1.0, 0.6, 1e-2, 7, 0.5, None, 3)
-    want, want_final = order_parameter_series(ens0, MeanField(1.0), 0.6, 1e-2, 7, 0.5)
+    series, final, rep = _series_with_instability(ens0, 1.0, 0.6, 1e-2, 7, None, 3)
+    want, want_final = order_parameter_series(ens0, MeanField(1.0), 0.6, 1e-2, 7)
     assert rep is None
     for name in ("times", "R2", "dR2_analytic", "gamma", "mass_plus", "mass_minus"):
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
-    assert series.derivative_defect == want.derivative_defect and series.epsilon == want.epsilon
+    assert series.derivative_defect == want.derivative_defect
     assert series.min_R2_increment == want.min_R2_increment
     assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
 
@@ -552,12 +552,7 @@ def test_per_omega_conservation_refuses_a_bad_cycle_size_by_name(k, m, message):
 @pytest.mark.parametrize("epsilon", [-1.0, 0.0, 2.0, math.nan, math.inf])
 def test_a_chordal_radius_outside_zero_to_two_is_refused_by_name(epsilon):
     ens = sample_vmf([0.0, 0.0, 1.0], 2.0, 16, 9)
-    message = r"^chordal radius must lie in \(0, 2\), not "
-    with pytest.raises(ValueError, match=message):
-        order_parameter_series(ens, MeanField(1.0), 0.1, 1e-2, epsilon=epsilon)
-    with pytest.raises(ValueError, match=message):
-        _series_with_instability(ens, 1.0, 0.1, 1e-2, 1, epsilon, 1e-3, 3)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"^chordal radius must lie in \(0, 2\), not "):
         ball_mass(ens, [0.0, 0.0, 1.0], epsilon)
 
 

@@ -258,6 +258,8 @@ def test_a_state_off_its_manifold_is_refused_by_its_constructor(tmp_path, monkey
     code, manifest = run_manifest(tmp_path / "run", experiment, cfg)
     assert code == 2
     assert manifest["aborted"] == f"ValueError: {refusal}"
+    # and leaves no partial artifact behind
+    assert [f.name for f in (tmp_path / "run" / "o").iterdir()] == ["manifest.json"]
 
 
 def test_library_quick_tour_runs_as_written():
