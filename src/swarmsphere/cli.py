@@ -385,14 +385,16 @@ def _run_functional(cfg: dict, outdir: Path):
         for recorder in recorders:
             recorder.add(ts, points)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
+    p_list = cfg["p_list"]
+    # the positions (i, j) of each p > 0 and its -p, whose estimates must agree within 3 sigma
+    pairs = [(i, p_list.index(-p)) for i, p in enumerate(p_list) if p > 0 and -p in p_list]
     records = []
     outputs = []
-    drift_max = 0.0
-    estimates = {}
+    drift_max = sym_defect = 0.0
     for k, recorder in zip(cfg["k_list"], recorders):
-        ests = estimate_cycle_moments(sampler, cfg["p_list"], k, cfg["m"], cfg["seed"])
+        ests = estimate_cycle_moments(sampler, p_list, k, cfg["m"], cfg["seed"])
         drifts = recorder.finish()
-        for p, est, drift in zip(cfg["p_list"], ests, drifts):
+        for p, est, drift in zip(p_list, ests, drifts):
             finite = existence_check(p, d)
             if not finite:
                 print(f"warning: moment p={p} d={d} lies outside the existence range |p| < d/2",
@@ -400,21 +402,13 @@ def _run_functional(cfg: dict, outdir: Path):
             records.append({"p": float(p), "k": k, "d": d, "m": cfg["m"], "seed": cfg["seed"],
                             "value": est.value, "std_error": est.std_error,
                             "median_of_means": est.median_of_means, "existence_flag": finite})
-            estimates[(p, k)] = est
             drift_max = max(drift_max, drift.max_relative_drift)
             outputs.append(_write_drift(outdir / f"drift_p{p:g}_k{k}.csv", drift))
+        for a, b in ((ests[i], ests[j]) for i, j in pairs):
+            sym_defect = max(sym_defect, abs(a.value - b.value) - 3.0 * (a.std_error + b.std_error))
     outputs.insert(0, write_json(outdir / "estimates.json", records))
     gates = {"drift": _gate(drift_max, 1e-6)}
-    sym_defect = 0.0
-    has_pair = False
-    for k in cfg["k_list"]:
-        for p in cfg["p_list"]:
-            if p > 0 and any(q == -p for q in cfg["p_list"]):
-                has_pair = True
-                a, b = estimates[(p, k)], estimates[(-p, k)]
-                sigma = 3.0 * (a.std_error + b.std_error)
-                sym_defect = max(sym_defect, abs(a.value - b.value) - sigma)
-    if has_pair:
+    if pairs:
         gates["p_symmetry_3sigma"] = _gate(sym_defect, 0.0)
     return outputs, gates, {"estimates": len(records), "drift_max": drift_max}
 
@@ -504,17 +498,16 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
     rep = recorder.finish()
     outputs = []
     within_max = 0.0
-    group_summaries = []
-    for gi, size, drift in rep.groups:
+    summary = {"groups": [], "skipped": []}
+    for gi, ((_, idx), drift) in enumerate(zip(ens0.omega_groups(), rep.groups, strict=True)):
+        if drift is None:  # fewer than 2k members
+            summary["skipped"].append({"group": gi, "size": idx.size})
+            continue
         within_max = max(within_max, drift.per_tuple_max_drift)
-        group_summaries.append({"group": gi, "size": size,
-                                "max_relative_drift": drift.max_relative_drift,
-                                "per_tuple_max_drift": drift.per_tuple_max_drift})
+        summary["groups"].append({"group": gi, "size": idx.size,
+                                  "max_relative_drift": drift.max_relative_drift,
+                                  "per_tuple_max_drift": drift.per_tuple_max_drift})
         outputs.append(_write_drift(outdir / f"drift_group{gi}.csv", drift))
-    summary = {
-        "groups": group_summaries,
-        "skipped": [{"group": gi, "size": size} for gi, size in rep.skipped],
-    }
     gates = {"within_group_drift": _gate(within_max, 1e-6)}
     if rep.mixed_drift is not None:
         outputs.append(_write_drift(outdir / "drift_mixed.csv", rep.mixed_drift))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (Ensemble, SkewMatrix, _checked_omega, _component_dot,
+from .geometry import (Ensemble, SkewMatrix, _checked_omega, _component_dot, _on_unit_sphere,
                        _renormalize_columns_in_place, exact_mean, renormalize)
 
 __all__ = [
@@ -36,9 +36,8 @@ __all__ = [
 ]
 
 # floats in one block of snapshots: a block of _snapshot_blocks' recording;
-# in functionals._snapshot_cycle_ratios a block's points and the chord
-# endpoints it gathers; in kinetic._closest_pairs the chord vectors of a
-# block of rows (512 kB)
+# in functionals._snapshot_cycle_ratios the chord endpoints a block gathers;
+# in kinetic._closest_pairs the chord vectors of a block of rows (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
 
 
@@ -430,9 +429,7 @@ def _check_snapshots(points: np.ndarray, fields: np.ndarray):
     (m, n, d+1) on the unit sphere within 1e-9."""
     if not np.isfinite(fields).all():
         raise ValueError("field samples must be finite")
-    dev = np.einsum("...i,...i->...", points, points)
-    np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)  # in place: one (m, n) array in all
-    if not np.abs(dev, out=dev).max() <= 1e-9:  # NaN fails too
+    if not _on_unit_sphere(points):
         raise ValueError("trajectory points must lie on the unit sphere")
 
 
@@ -496,6 +493,11 @@ def _record_count(t_end: float, dt: float, record_every: int) -> int:
     return -(-_step_count(t_end, dt, record_every) // record_every) + 1
 
 
+def _recorded(s: int, steps: int, record_every: int) -> bool:
+    """Whether state s of ``steps`` is recorded: every ``record_every``-th and the final one."""
+    return s % record_every == 0 or s == steps
+
+
 def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int):
     """Step with RK4 and yield (time, points, exact mean, X) for the initial
     state, every ``record_every``-th state and the final state.
@@ -551,7 +553,7 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
             means.append(mean)
         x = _driving_vector(x_at(points, t) if delayed else field._at_state(points, t, mean),
                             points.shape[:-2] + points.shape[-1:])
-        if s % record_every == 0 or s == steps:
+        if _recorded(s, steps, record_every):
             yield t, points, mean, x
 
 

@@ -102,16 +102,19 @@ def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
     block's first index, its ratios (b, m), and whether each of its
     snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
 
-    A block's points are read component-major, (b, d+1, n), and the two
-    endpoints of every chord taken from them with one gather, position-major,
-    (b, d+1, 2, 2k m), by an index array built once for all blocks.
+    Each chord's two endpoints are taken straight from the row-major
+    snapshots, rows of n (d+1) floats, by one flat index array built once
+    for all blocks, component-major and position-major, (b, d+1, 2, 2k m):
+    no block is copied whole, and the kernel reads contiguous chords.
     """
     m, width = tuples.shape
     ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
     _, n, dim = snapshots.shape
-    rows = max(1, _DRIFT_BLOCK_FLOATS // (dim * (n + ends.size)))
+    flat = ends * dim + np.arange(dim)[:, None, None]
+    rows = max(1, _DRIFT_BLOCK_FLOATS // flat.size)
     for b0 in range(0, len(snapshots), rows):
-        chords = np.take(snapshots[b0:b0 + rows].swapaxes(-1, -2), ends, axis=-1)
+        block = snapshots[b0:b0 + rows]
+        chords = np.take(block.reshape(len(block), n * dim), flat, axis=1)
         diffs = chords[..., 0, :]
         np.subtract(diffs, chords[..., 1, :], out=diffs)
         ratios, ch2 = _cycle_ratios(diffs, width)
@@ -248,10 +251,15 @@ def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> Functi
     return estimate_cycle_moments(source, [p], k, m, seed)[0]
 
 
+def _check_dimension(d):
+    """Refuse a sphere dimension d that is not an integer >= 1, by name."""
+    if isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"need an integer d >= 1, not {d!r}")
+
+
 def existence_check(p: float, d: int) -> bool:
     """Whether the p-th cycle moment of any smooth density on S^d is finite."""
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_dimension(d)
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     return -d / 2.0 < p < d / 2.0
@@ -270,8 +278,7 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
     # costs every other run its import time and memory
     from scipy.integrate import IntegrationWarning, quad
 
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_dimension(d)
     if d > _MAX_PAIR_D:
         raise ValueError(f"need d <= {_MAX_PAIR_D}: the area of S^(d-1) overflows a float beyond")
     if not math.isfinite(p):

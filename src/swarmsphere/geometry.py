@@ -145,6 +145,8 @@ def tangent_project(x, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape or x.ndim != 1:
         raise ValueError("dimension mismatch between point and vector")
+    if not (np.isfinite(x).all() and np.isfinite(v).all()):
+        raise ValueError("tangent projection needs a finite point and vector")
     return v - float(x @ v) * x
 
 
@@ -178,8 +180,8 @@ def reorthonormalize(r) -> np.ndarray:
 
 def sphere_surface(n: int) -> float:
     """Surface measure of the unit n-sphere embedded in R^{n+1}."""
-    if n < 0:
-        raise ValueError("sphere dimension must be nonnegative")
+    if not 0 <= n < math.inf:  # NaN fails too
+        raise ValueError(f"sphere dimension must be nonnegative and finite, not {n!r}")
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
@@ -335,6 +337,14 @@ class SkewMatrix:
         return f"SkewMatrix(n={self.n}, |lower|={np.linalg.norm(self._lower):.3g})"
 
 
+def _on_unit_sphere(points: np.ndarray) -> bool:
+    """Whether every point of a nonempty (..., d+1) array has norm within
+    1e-9 of 1; a NaN point fails.  Formed in place: one (...) array in all."""
+    dev = np.einsum("...i,...i->...", points, points)
+    np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)
+    return bool(np.abs(dev, out=dev).max() <= 1e-9)
+
+
 def _checked_omega(omega, n: int, dim: int):
     """Generator labels for n particles in R^dim: None, one SkewMatrix, or
     one per particle, which a list or tuple becomes a tuple of."""
@@ -371,8 +381,7 @@ class Ensemble:
         pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 2:
             raise ValueError("points must be an (n, d+1) array with d >= 1")
-        norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        if not _on_unit_sphere(pts):
             raise ValueError("ensemble points must lie on the unit sphere")
         if not math.isfinite(self.time):
             raise ValueError(f"ensemble time must be finite, not {self.time!r}")

@@ -18,6 +18,8 @@ __all__ = ["fmt_value", "sha256_file", "write_csv", "write_json"]
 
 
 def fmt_value(x) -> str:
+    if isinstance(x, float):  # np.float64 too: the common value takes one test
+        return format(float(x), ".17g")
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):

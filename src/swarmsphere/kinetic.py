@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_DRIFT_BLOCK_FLOATS, DrivingField, MeanField, Trajectory, _record_count,
-                       _run, _snapshot_blocks, _step_count)
+                       _recorded, _run, _snapshot_blocks, _step_count)
 from .functionals import DriftReport, _draw_cycles, _DriftRecorder, _snapshot_cycle_ratios
 from .geometry import (Ensemble, _component_dot, exact_mean, renormalize, rng_stream,
                        sample_uniform, sample_vmf, tangent_project)
@@ -108,20 +108,18 @@ class OrderParameterSeries:
 
 
 class _SeriesRecorder:
-    """The order-parameter diagnostics of one population, fed every state
-    of a run in order: R^2 and its analytic derivative at every state, for
-    the smallest increment and the derivative defect, and the recorded rows
-    at every ``record_every``-th state and the final one.  ``kappa`` is the mean
-    field's coupling, None where the identity does not hold."""
+    """The order-parameter diagnostics of one population over a run to
+    t_end at step dt, fed every state in order: R^2 and its analytic
+    derivative at every state, for the smallest increment and the derivative
+    defect, and the rows at the states ``_recorded`` picks.  ``kappa`` is the
+    mean field's coupling, None where the identity does not hold."""
 
-    def __init__(self, record_every: int, kappa: float | None):
-        if record_every < 1:
-            raise ValueError("record_every must be at least 1")
+    def __init__(self, t_end: float, dt: float, record_every: int, kappa: float | None):
+        self.steps = _step_count(t_end, dt, record_every)
         self.record_every, self.kappa = record_every, kappa
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.min_increment, self.defect = math.inf, 0.0
-        self.last = None
 
     def add(self, s: int, t: float, cols: np.ndarray, x_c: np.ndarray):
         """State s of the run, at time t, with component-major (d+1, n)
@@ -135,12 +133,8 @@ class _SeriesRecorder:
             (t0, a, f0), (_, _, f1), (t2, b, f2) = self.recent
             span = t2 - t0
             self.defect = max(self.defect, abs(b - a - span / 6 * (f0 + 4 * f1 + f2)) / span)
-        self.last = (s, t, cols, r2, x_c, dr2)
-        if s % self.record_every == 0:
-            self._record()
-
-    def _record(self):
-        _, t, cols, r2, x_c, dr2 = self.last
+        if not _recorded(s, self.steps, self.record_every):
+            return
         if r2 > _R_POSITIVE ** 2:
             g = x_c / math.sqrt(r2)
             plus, minus = _ball_masses(cols, np.stack([g, -g]), _BALL_RADIUS).tolist()
@@ -150,8 +144,6 @@ class _SeriesRecorder:
             column.append(value)
 
     def finish(self) -> OrderParameterSeries:
-        if self.last[0] % self.record_every:  # the final state is always recorded
-            self._record()
         # no interior state, or no identity to compare (max drops a NaN gap)
         defect = self.defect if len(self.recent) == 3 and self.kappa is not None else math.nan
         increment = self.min_increment if len(self.recent) > 1 else math.nan  # no step
@@ -172,7 +164,7 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
     """
     identity = isinstance(field, MeanField) and len(ens0.omega_groups()) == 1
-    recorder = _SeriesRecorder(record_every, field.kappa if identity else None)
+    recorder = _SeriesRecorder(t_end, dt, record_every, field.kappa if identity else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
         recorder.add(s, t, points.T, exact_mean(points) if mean is None else mean)
     return recorder.finish(), ens0._at(points, t)
@@ -261,12 +253,11 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     if ens0.omega is not None or ens0.time != 0.0:
         raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
     branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
-    recorder = _SeriesRecorder(record_every, float(kappa))
-    steps = _step_count(t_end, dt, 1)
+    recorder = _SeriesRecorder(t_end, dt, record_every, float(kappa))
     stack = ens0.points[None] if branches is None else \
         np.concatenate([branches.start, ens0.points[None]])
     for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
-        if branches is not None and (s % _RECORD_EVERY == 0 or s == steps):
+        if branches is not None and _recorded(s, recorder.steps, _RECORD_EVERY):
             branches.add(t, points, mean)
         recorder.add(s, t, points[-1].T, mean[-1])  # the stack's own columns
     return (recorder.finish(), ens0._at(points[-1].copy(), t),
@@ -359,10 +350,11 @@ class _Branches:
 
 @dataclass(frozen=True, eq=False)
 class PerOmegaReport:
-    """Per-generator-group conservation summary for a labelled trajectory."""
+    """Per-generator-group conservation of a labelled trajectory: a drift,
+    or None below 2k members, per entry of ``omega_groups()``, by position,
+    and the mixed-group tuples' drift, None for a single group."""
 
-    groups: list  # (group_index, size, DriftReport)
-    skipped: list  # (group_index, size) groups too small for 2k-cycles
+    groups: list
     mixed_drift: DriftReport | None
 
 
@@ -383,20 +375,21 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
 class _PerOmegaRecorder:
     """``per_omega_conservation`` of a run from the labelled population
     ``first``, fed the run's snapshots in order a block at a time: one
-    drift recorder per generator group of 2k members or more, and one for
-    the mixed-group tuples when there are two groups or more."""
+    drift recorder per generator group of 2k members or more (None for a
+    smaller one), and one for the mixed-group tuples when there are two
+    groups or more."""
 
     def __init__(self, first: Ensemble, p: float, k: int, m: int, seed: int):
         groups = first.omega_groups()
-        self.per_group, self.skipped = [], []
-        for gi, (om, idx) in enumerate(groups):
-            if idx.size < 2 * k:
-                self.skipped.append((gi, int(idx.size)))
-                continue
-            rng = rng_stream(seed, stream=gi + 1)
-            local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
-            self.per_group.append((gi, int(idx.size), _DriftRecorder(idx[local], [p])))
-        if not self.per_group:
+        self.per_group = []
+        for gi, (_, idx) in enumerate(groups):
+            recorder = None
+            if idx.size >= 2 * k:
+                rng = rng_stream(seed, stream=gi + 1)
+                local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
+                recorder = _DriftRecorder(idx[local], [p])
+            self.per_group.append(recorder)
+        if all(r is None for r in self.per_group):
             raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
                              "cycle can be drawn")
         self.mixed = None
@@ -411,13 +404,10 @@ class _PerOmegaRecorder:
 
     def add(self, times: np.ndarray, points: np.ndarray):
         """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
-        for _, _, recorder in self.per_group:
-            recorder.add(times, points)
-        if self.mixed is not None:
-            self.mixed.add(times, points)
+        for recorder in self.per_group + [self.mixed]:
+            if recorder is not None:
+                recorder.add(times, points)
 
     def finish(self) -> PerOmegaReport:
-        return PerOmegaReport(
-            groups=[(gi, size, recorder.finish()[0]) for gi, size, recorder in self.per_group],
-            skipped=self.skipped,
-            mixed_drift=None if self.mixed is None else self.mixed.finish()[0])
+        drifts = [None if r is None else r.finish()[0] for r in self.per_group + [self.mixed]]
+        return PerOmegaReport(groups=drifts[:-1], mixed_drift=drifts[-1])

@@ -157,7 +157,7 @@ def test_criterion_09_heterogeneous_conservation():
     ens0 = ss.Ensemble(pts, (om_a,) * 32 + (om_b,) * 32)
     traj = ss.simulate(ens0, ss.MeanField(1.0), 5.0, 1e-3, record_every=10)
     rep = ss.per_omega_conservation(traj, 0.3, 2, 50, seed=13)
-    within = max(drift.per_tuple_max_drift for _, _, drift in rep.groups)
+    within = max(drift.per_tuple_max_drift for drift in rep.groups)
     mixed = rep.mixed_drift.per_tuple_max_drift
     ok = within <= 1e-6 and mixed >= 1e-2
     check("criterion 9 (heterogeneous conservation)", ok,

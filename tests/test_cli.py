@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -498,6 +499,27 @@ def test_float_formatting_17_digits(tmp_path):
     assert p.read_text().splitlines()[1] == "0.10000000000000001"
 
 
+def _fmt_value_chain(x) -> str:
+    """fmt_value as it was, each type tested in turn before a float."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
+    return format(float(x), ".17g")
+
+
+def test_fmt_value_tests_float_first_with_the_strings_of_the_chain():
+    values = [True, False, np.bool_(True), np.bool_(False), 7, -3, np.int64(-12), None, "",
+              "text", 0.1, np.float64(1.0 / 3.0), np.float32(0.1), 0.0, -0.0, np.float64(-0.0),
+              math.nan, np.float64(math.nan), math.inf, -math.inf, 1e-310, 2**70]
+    for x in values:
+        assert fmt_value(x) == _fmt_value_chain(x), repr(x)
+
+
 def test_write_json_sorted_and_nan_safe(tmp_path):
     p = write_json(tmp_path / "x.json", {"b": float("nan"), "a": np.float64(1.5),
                                          "c": np.array([1, 2])})
@@ -604,15 +626,43 @@ def test_streamed_heterogeneous_run_writes_per_omega_conservation(tmp_path):
     traj = simulate(sample_uniform(3, 25, 9).with_omega(omegas), MeanField(1.0), 0.4, 1e-2)
     rep = per_omega_conservation(traj, 0.3, 2, 20, 9)
     summary = json.loads((out / "heterogeneous.json").read_text())
-    assert [g["group"] for g in summary["groups"]] == [gi for gi, _, _ in rep.groups] == [0, 2]
+    assert [drift is None for drift in rep.groups] == [False, True, False]
+    assert [g["group"] for g in summary["groups"]] == [0, 2]
+    assert [g["size"] for g in summary["groups"]] == [10, 12]
     assert summary["skipped"] == [{"group": 1, "size": 3}]
-    for (gi, _, drift), written in zip(rep.groups, summary["groups"], strict=True):
+    for gi, written in zip([0, 2], summary["groups"], strict=True):
+        drift = rep.groups[gi]
         assert read_csv_floats(out / f"drift_group{gi}.csv").tobytes() == drift_rows(drift).tobytes()
         assert written["per_tuple_max_drift"] == drift.per_tuple_max_drift
         assert written["max_relative_drift"] == drift.max_relative_drift
     assert read_csv_floats(out / "drift_mixed.csv").tobytes() == \
         drift_rows(rep.mixed_drift).tobytes()
     assert summary["mixed_per_tuple_drift"] == rep.mixed_drift.per_tuple_max_drift
+
+
+def test_cycle_ratio_kernel_runs_once_per_stream_block_per_recorder(tmp_path, monkeypatch):
+    from swarmsphere import functionals
+    from swarmsphere.dynamics import _DRIFT_BLOCK_FLOATS, _record_count
+
+    # CI's N = 2000 heterogeneous config: a stream block of 10 snapshots used to
+    # split into 9 + 1 in the gather, which counted the block's points
+    kernel, callers = functionals._cycle_ratios, []
+
+    def counted(chords, width):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kernel(chords, width)
+
+    monkeypatch.setattr(functionals, "_cycle_ratios", counted)
+    groups = [{"count": 1000, "omega_spec": {"kind": "zero"}},
+              {"count": 1000, "omega_spec": {"kind": "planar", "rate": 1.0}}]
+    path = write_config(tmp_path, "c.json", {"experiment": "heterogeneous", "d": 2,
+                                             "groups": groups, "t_end": 0.1, "dt": 1e-3,
+                                             "seed": 8})
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    blocks = -(-_record_count(0.1, 1e-3, 1) // (_DRIFT_BLOCK_FLOATS // (2000 * 3)))
+    draws = callers.count("_draw_cycles")
+    assert blocks == 11 and draws >= 3
+    assert len(callers) == 3 * blocks + draws  # two groups and the mixed control
 
 
 def test_streamed_functional_run_writes_conservation_drifts(tmp_path):

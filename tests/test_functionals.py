@@ -338,6 +338,22 @@ def test_existence_and_divergence_reject_a_non_finite_exponent(p):
         divergence_probe(p, 2)
 
 
+@pytest.mark.parametrize("d", [math.nan, True, 2.0, 0])
+def test_existence_check_refuses_a_dimension_that_is_not_an_integer_of_at_least_one(d):
+    # nan used to read as False and True as d = 1
+    with pytest.raises(ValueError, match=rf"^need an integer d >= 1, not {d!r}$"):
+        existence_check(0.3, d)
+
+
+@pytest.mark.parametrize("d", [math.nan, True, 2.0, 0])
+def test_pair_integral_and_probe_refuse_a_dimension_that_is_not_an_integer_of_at_least_one(d):
+    # nan used to integrate to nan, which the probe classified "power-divergent"
+    with pytest.raises(ValueError, match=rf"^need an integer d >= 1, not {d!r}$"):
+        reduced_pair_integral(0.3, d)
+    with pytest.raises(ValueError, match=rf"^need an integer d >= 1, not {d!r}$"):
+        divergence_probe(0.3, d)
+
+
 @pytest.mark.parametrize("concentration", [-1.0, math.nan, math.inf])
 def test_vmf_sampler_rejects_a_negative_or_non_finite_concentration(concentration):
     with pytest.raises(ValueError, match="concentration must be nonnegative and finite"):
@@ -624,9 +640,27 @@ def _collapsing_trajectory(collapse_at):
     return Trajectory(0.25 * np.arange(40), points, np.zeros((40, 3)))
 
 
+def test_snapshot_cycle_ratios_hold_no_copy_of_the_block():
+    import tracemalloc
+
+    # the gather used to copy each sub-block of 21 snapshots into component-major
+    # order first (a 534 kB peak); the gathered endpoints are 58 kB
+    block = rng_stream(5).standard_normal((100, 1000, 3))
+    tuples = np.array([[0, 1, 2, 3], [10, 20, 30, 40], [999, 500, 7, 123]])
+    tracemalloc.start()
+    try:
+        for _ in functionals._snapshot_cycle_ratios(block, tuples):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes / 10
+
+
 def test_drift_report_names_the_first_degenerate_snapshot(monkeypatch):
-    # two snapshots per block, so the chord collapses inside block 11, not 0
-    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", 2 * 3 * (4 + 2 * 2 * 4))
+    # two snapshots per block of the two tuples' 16 endpoints, so the chord
+    # collapses inside block 11, not 0
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", 2 * 3 * (2 * 2 * 4))
     traj = _collapsing_trajectory(23)
     steady = np.array([[0, 2, 1, 3]])  # points 0 and 1 never adjacent
     assert _drift_report(traj, steady, [0.3])[0].estimates.size == 40

@@ -47,6 +47,14 @@ def test_tangent_project_dimension_mismatch():
         tangent_project(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("x, v", [([math.nan, 0.0, 1.0], [1.0, 0.0, 0.0]),
+                                  ([0.0, 0.0, 1.0], [math.inf, 0.0, 0.0])])
+def test_tangent_project_refuses_a_non_finite_vector(x, v):
+    # a NaN point used to give NaNs
+    with pytest.raises(ValueError, match="^tangent projection needs a finite point and vector$"):
+        tangent_project(x, v)
+
+
 def test_renormalize_basic():
     np.testing.assert_array_equal(renormalize([2.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
@@ -495,6 +503,14 @@ def test_sphere_surface_known_values():
     assert sphere_surface(0) == pytest.approx(2.0, rel=1e-15)
     assert sphere_surface(1) == pytest.approx(2 * math.pi, rel=1e-15)
     assert sphere_surface(2) == pytest.approx(4 * math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -1])
+def test_sphere_surface_refuses_a_negative_or_non_finite_dimension(n):
+    # nan used to give nan
+    with pytest.raises(ValueError, match=rf"^sphere dimension must be nonnegative and finite, "
+                                         rf"not {n!r}$"):
+        sphere_surface(n)
 
 
 def test_rng_stream_independence_and_validation():

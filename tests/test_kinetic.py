@@ -481,12 +481,12 @@ def test_per_omega_conservation_two_groups():
     traj = two_group_trajectory()
     rep = per_omega_conservation(traj, 0.3, 2, 40, seed=5)
     assert len(rep.groups) == 2
-    for _, size, drift in rep.groups:
-        assert size == 24
+    for drift in rep.groups:
         assert drift.per_tuple_max_drift <= 1e-6
     assert rep.mixed_drift.per_tuple_max_drift >= 1e-2
-    # one label set: the group mass fractions are constant, so none is reported
-    assert [f.name for f in dataclasses.fields(rep)] == ["groups", "skipped", "mixed_drift"]
+    # one label set: the group mass fractions are constant, so none is reported; a
+    # group is named by its position in omega_groups(), which holds its indices and size
+    assert [f.name for f in dataclasses.fields(rep)] == ["groups", "mixed_drift"]
 
 
 def test_per_omega_single_group_reduces_to_conservation_drift():
@@ -496,7 +496,7 @@ def test_per_omega_single_group_reduces_to_conservation_drift():
     rep = per_omega_conservation(traj, 0.3, 2, 30, seed=7)
     assert len(rep.groups) == 1
     assert rep.mixed_drift is None
-    assert rep.groups[0][2].max_relative_drift <= 1e-6
+    assert rep.groups[0].max_relative_drift <= 1e-6
     plain = conservation_drift(traj, 0.3, 2, 30, seed=7)
     assert plain.max_relative_drift <= 1e-6
 
@@ -508,7 +508,7 @@ def test_per_omega_mixed_tuples_reach_a_one_member_group():
     ens = Ensemble(sample_uniform(2, 1000, 8).points, (om_a,) * 999 + (om_b,))
     traj = simulate(ens, MeanField(1.0), 0.01, 1e-3, record_every=5)
     rep = per_omega_conservation(traj, 0.3, 2, 50, seed=8)
-    assert rep.skipped == [(1, 1)]
+    assert rep.groups[1] is None and rep.groups[0] is not None
     assert rep.mixed_drift.tuples.shape == (50, 4)
     assert np.all((rep.mixed_drift.tuples == 999).any(axis=1))
     label = np.r_[np.zeros(999, dtype=np.int64), 1]
@@ -524,8 +524,9 @@ def test_per_omega_small_group_skipped():
     ens = Ensemble(pts, (om_a,) * 17 + (om_b,) * 3)  # 3 < 2k for k = 2
     traj = simulate(ens, MeanField(1.0), 0.2, 1e-3, record_every=20)
     rep = per_omega_conservation(traj, 0.3, 2, 10, seed=9)
-    assert rep.skipped == [(1, 3)]
-    assert len(rep.groups) == 1
+    assert [group.size for _, group in ens.omega_groups()] == [17, 3]
+    assert len(rep.groups) == 2
+    assert rep.groups[0] is not None and rep.groups[1] is None
 
 
 def test_per_omega_conservation_refuses_when_no_group_has_2k_members():

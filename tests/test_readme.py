@@ -1,4 +1,5 @@
-"""README.md against the program: the gates table and the library quick tour.
+"""README.md against the program: the gates table, the result types and the
+library quick tour.
 
 The gates are the contract of the command line, so the table that states
 them is checked against what every experiment writes into its manifest, each
@@ -6,6 +7,7 @@ gate of it is made to fail by one planted fault (a gate that no fault makes
 fail checks nothing), and the quick tour runs as written.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import swarmsphere
 from swarmsphere import cli, dynamics, functionals, kinetic, ws
 from swarmsphere.cli import main
 from swarmsphere.dynamics import MeanField
@@ -269,3 +272,25 @@ def test_library_quick_tour_runs_as_written():
     mismatch = float(np.max(np.linalg.norm(scope["pushed"].points - scope["traj"].points[-1],
                                            axis=1)))
     assert mismatch <= 1e-10
+
+
+def top_level_names(cell: str) -> list[str]:
+    """The backticked names of a table cell outside its parentheses."""
+    depth, kept = 0, []
+    for ch in cell:
+        depth += ch == "("
+        if not depth:
+            kept.append(ch)
+        depth -= ch == ")" and depth > 0
+    return re.findall(r"`(\w+)`", "".join(kept))
+
+
+def test_result_types_table_lists_each_types_fields():
+    section = README.split("Results hold what was measured", 1)[1].split("\n\n", 2)[1]
+    # cells split at the unescaped pipes
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    assert len(rows) == 6
+    for name_cell, fields_cell in rows:
+        cls = getattr(swarmsphere, name_cell.strip().strip("`"))
+        assert top_level_names(fields_cell) == [f.name for f in dataclasses.fields(cls)], cls
