@@ -68,10 +68,8 @@ from .ws import (
     WsState,
     algebraic_identity_residuals,
     conjugacy_residual,
-    heterogeneous_push_forward,
     push_forward,
     ws_evolve,
-    ws_evolve_groups,
     ws_rhs,
 )
 

@@ -220,7 +220,7 @@ def _groups(groups, cfg: dict) -> bool:
 
 
 _EXISTENCE_D = (lambda v, cfg: _is_int(v) and 1 <= v <= _MAX_PAIR_D), \
-    f"an integer in [1, {_MAX_PAIR_D}] (the area of S^(d-1) overflows a float beyond)"
+    f"an integer in [1, {_MAX_PAIR_D}] (the area of S^(d-1) underflows beyond)"
 
 
 def _p_grid(cfg: dict) -> list:
@@ -342,13 +342,9 @@ def _run_ws_verify(cfg: dict, outdir: Path):
         s0 += len(ts)
     replay = ReplayField(times, samples)
     path = ws_evolve(omega, replay, cfg["t_end"], cfg["dt"])
-    mismatch = 0.0
-    checkpoints = []
-    for idx in marks:
-        pushed = push_forward(path[idx], ens0)
-        diff = float(np.max(np.linalg.norm(pushed.points - states[idx], axis=1)))
-        checkpoints.append({"t": float(times[idx]), "mismatch": diff})
-        mismatch = max(mismatch, diff)
+    checkpoints = [{"t": float(times[idx]), "mismatch": float(np.max(np.linalg.norm(
+        push_forward(path[idx], ens0).points - states[idx], axis=1)))} for idx in marks]
+    mismatch = max(c["mismatch"] for c in checkpoints)
     conj = conjugacy_residual(path, replay, ens0)
     header = ["t"] + [f"w_{j}" for j in range(d + 1)] + \
         [f"r_{i}{j}" for i in range(d + 1) for j in range(d + 1)]

@@ -44,8 +44,8 @@ __all__ = [
 
 _CHORD_TOL = 1e-14
 _BLOCK = 1 << 14
-# the pair integral is scaled by the area |S^(d-1)|, a float only up to this d
-_MAX_PAIR_D = 343
+# the pair integral is scaled by the area |S^(d-1)|, a normal float only up to this d
+_MAX_PAIR_D = 438
 
 
 class DivergentIntegralError(ValueError):
@@ -280,7 +280,7 @@ def reduced_pair_integral(p: float, d: int, cutoff: float = 0.0) -> float:
 
     _check_dimension(d)
     if d > _MAX_PAIR_D:
-        raise ValueError(f"need d <= {_MAX_PAIR_D}: the area of S^(d-1) overflows a float beyond")
+        raise ValueError(f"need d <= {_MAX_PAIR_D}: the area of S^(d-1) underflows beyond")
     if not math.isfinite(p):
         raise ValueError("p must be finite")
     if not 0.0 <= cutoff < math.pi:

@@ -182,7 +182,11 @@ def sphere_surface(n: int) -> float:
     """Surface measure of the unit n-sphere embedded in R^{n+1}."""
     if not 0 <= n < math.inf:  # NaN fails too
         raise ValueError(f"sphere dimension must be nonnegative and finite, not {n!r}")
-    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    if n >= 438:
+        raise ValueError(f"need n <= 437: the area of S^{n} falls below the smallest normal float")
+    if n <= 342:  # beyond, Gamma((n+1)/2) overflows and the area is formed in logs
+        return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    return math.exp(math.log(2.0) + (n + 1) / 2.0 * math.log(math.pi) - math.lgamma((n + 1) / 2.0))
 
 
 def exact_mean(points: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ obey the reduced system
     dR/dt = (Omega + X w^T - w X^T) R,                     R(0) = I,
 
 and the map itself is  x -> w + (R x + w)(1 - |w|^2) / |R x + w|^2.
-Pushing an initial ensemble through the map reproduces the direct particle
-simulation, which is what ``push_forward`` and ``conjugacy_residual`` verify.
+Each generator group has its own map, driven by the same X(t).  Pushing an
+initial ensemble through its maps reproduces the direct particle simulation,
+which is what ``push_forward`` and ``conjugacy_residual`` verify.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DrivingField, _rk4, _step_count, _velocities
-from .geometry import Ensemble, SkewMatrix, _component_dot
+from .geometry import Ensemble, SkewMatrix, _checked_omega, _component_dot
 
 __all__ = [
     "MobiusPoleError",
@@ -30,10 +31,8 @@ __all__ = [
     "WsState",
     "algebraic_identity_residuals",
     "conjugacy_residual",
-    "heterogeneous_push_forward",
     "push_forward",
     "ws_evolve",
-    "ws_evolve_groups",
     "ws_rhs",
 ]
 
@@ -154,9 +153,13 @@ def _cayley_factors(stage_w: np.ndarray, stage_x: np.ndarray, om_mat: np.ndarray
     return q
 
 
-def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: float) -> WsPath:
+def ws_evolve(omega: SkewMatrix | tuple | None, field: DrivingField, t_end: float, dt: float) -> WsPath:
     """Integrate the reduced system from (0, I) over round(t_end / dt) steps,
     returned as one validated stack of the states at t = s * dt.
+
+    ``omega`` is taken as ``Ensemble.omega`` is.  For G >= 2 generator
+    groups the path is their own runs stacked as (steps+1, G, ...), in the
+    order of ``Ensemble.omega_groups()``, with their guard events summed.
 
     R does not enter dw/dt, and dR/dt = A(t) R is linear in R once w is
     known.  So w alone is stepped by classical RK4, and R by the RKMK4
@@ -170,9 +173,16 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     """
     steps = _step_count(t_end, dt, 1)
     dim = field._at_times(np.array([0.0, t_end])).shape[1]  # fails fast on a short recording
-    if omega is not None and omega.n != dim:
-        raise ValueError("generator dimension must match the driving field")
-    om_mat = omega.matrix if omega is not None else None
+    if isinstance(omega, (list, tuple)):
+        groups = dict.fromkeys(_checked_omega(omega, len(omega), dim))
+        if not groups:
+            raise ValueError("need at least one generator label")
+        paths = [ws_evolve(om, field, t_end, dt) for om in groups]
+        if len(paths) == 1:
+            return paths[0]
+        stacked = (np.stack(a, axis=1) for a in zip(*((p.w, p.rotation, p.time) for p in paths)))
+        return WsPath(*stacked, sum(p.guard_events for p in paths))
+    om_mat = None if _checked_omega(omega, 1, dim) is None else omega.matrix
     ws = np.zeros((steps + 1, dim))
     rots = np.empty((steps + 1, dim, dim))
     rots[0] = np.eye(dim)
@@ -216,16 +226,6 @@ def ws_evolve(omega: SkewMatrix | None, field: DrivingField, t_end: float, dt: f
     return WsPath(ws, rots, np.arange(steps + 1) * dt, guard)
 
 
-def ws_evolve_groups(omegas, field: DrivingField, t_end: float, dt: float
-                     ) -> dict[SkewMatrix, WsPath]:
-    """Evolve one reduction per distinct generator, all driven by the same field."""
-    out: dict[SkewMatrix, WsPath] = {}
-    for om in omegas:
-        if om not in out:
-            out[om] = ws_evolve(om, field, t_end, dt)
-    return out
-
-
 def _mobius_rows(w: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The Moebius-type sphere map  x -> w + (x + w)(1 - |w|^2) / |x + w|^2
     on the rows of an (..., n, d+1) stack, one ball vector (..., d+1) per
@@ -259,43 +259,42 @@ def _apply_map(w: np.ndarray, rotation: np.ndarray, points: np.ndarray) -> np.nd
     return out
 
 
-def _check_state(state: WsState, ens0: Ensemble):
-    if state.w.shape != (ens0.d + 1,):
-        raise ValueError(f"need one state of dimension {ens0.d}, not w {state.w.shape}; index a path")
+def _push_groups(w: np.ndarray, rotation: np.ndarray, points: np.ndarray, groups) -> np.ndarray:
+    """``_apply_map`` with one map per entry of ``groups``: for G >= 2, w and rotation
+    carry a group axis, and map g moves the rows of group g's indices or slice."""
+    if len(groups) == 1:
+        return _apply_map(w, rotation, points)
+    out = np.empty(w.shape[:-2] + points.shape)
+    for g, (_, idx) in enumerate(groups):
+        out[..., idx, :] = _apply_map(w[..., g, :], rotation[..., g, :, :], points[idx])
+    return out
+
+
+def _group_time(state: WsState, ens0: Ensemble, stacked: bool):
+    """The time of a state, or the times of a stack of them, with one map per
+    generator group of ``ens0``: w (d+1,) for one group, (G, d+1) at one time for G >= 2."""
+    groups = len(ens0.omega_groups())
+    want = state.w.shape[:1] * stacked + (groups,) * (groups > 1) + (ens0.d + 1,)
+    if state.w.shape != want:
+        hint = "; index a path" if state.w.ndim > len(want) and not stacked else ""
+        raise ValueError(f"need {'a path' if stacked else 'one state'} with one map per generator "
+                         f"group of the ensemble, w {want}, not w {state.w.shape}{hint}")
+    if groups > 1 and (state.time != state.time[..., :1]).any():
+        raise ValueError("the group maps of a state must share its time")
+    return state.time[..., 0] if groups > 1 else state.time
 
 
 def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
-    """Apply the reduction map of ``state`` to every point of an ensemble.
+    """Move each generator group of an ensemble by its own map of ``state``,
+    one state of ``ws_evolve(ens0.omega, ...)``.
 
     At (w, R) = (0, I) the input ensemble is returned unchanged, bit for bit.
     """
-    _check_state(state, ens0)
-    points = _apply_map(state.w, state.rotation, ens0.points)
-    if points is ens0.points and state.time == ens0.time:
+    time = _group_time(state, ens0, stacked=False)
+    points = _push_groups(state.w, state.rotation, ens0.points, ens0._omega_slices())
+    if points is ens0.points and time == ens0.time:
         return ens0
-    return Ensemble(points, ens0.omega, state.time)
-
-
-def heterogeneous_push_forward(states: "dict[SkewMatrix, WsState]", ens0: Ensemble) -> Ensemble:
-    """Push each particle through its own generator group's map.
-
-    Every distinct generator label in the ensemble must have a state, all at
-    the same time; labels are carried to the output unchanged.
-    """
-    times = set()
-    out = np.empty_like(ens0.points)
-    for om, idx in ens0.omega_groups():
-        if om is None:
-            raise ValueError("ensemble carries no generator labels")
-        if om not in states:
-            raise ValueError("missing reduction state for a generator group")
-        st = states[om]
-        _check_state(st, ens0)
-        times.add(st.time)
-        out[idx] = _apply_map(st.w, st.rotation, ens0.points[idx])
-    if len(times) > 1:
-        raise ValueError("group states are not synchronous")
-    return Ensemble(out, ens0.omega, times.pop())
+    return Ensemble(points, ens0.omega, float(time))
 
 
 def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ensemble) -> float:
@@ -303,29 +302,31 @@ def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ense
 
     Central-differences the pushed samples in time and compares against
     Omega m + X - <m, X> m at the interior instants; the residual decays as
-    O(dt^2).  Needs a stack of at least three uniformly spaced states.
-    They are pushed forward as blocks, with the value of pushing them one
-    at a time; a NaN residual at any instant makes the result NaN.
+    O(dt^2).  Needs a stack of at least three uniformly spaced states, each
+    as ``push_forward`` takes it.  They are pushed forward as blocks, with
+    the value of pushing them one at a time; a NaN residual at any instant
+    makes the result NaN.
     """
-    if states.w.ndim != 2 or len(states) < 3:
-        raise ValueError("need a stack of at least three states for a central difference")
     if states.d != sample_points.d:
         raise ValueError("state and ensemble dimensions do not match")
-    dts = np.diff(states.time)
+    times = _group_time(states, sample_points, stacked=True)
+    if len(times) < 3:
+        raise ValueError("need a stack of at least three states for a central difference")
+    dts = np.diff(times)
     if not (dts > 0).all():
         raise ValueError("state times must increase")
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-30):
         raise ValueError("states are not uniformly spaced")
     dt = dts[0]
-    xs = field._at_times(states.time[1:-1])
+    xs = field._at_times(times[1:-1])
     points = sample_points.points
     groups = sample_points._omega_slices()
     block = max(1, _BLOCK_FLOATS // points.size)
     worst = []
     # block [b0, b1) of interior states, pushed with one neighbour on each side
-    for b0 in range(1, len(states) - 1, block):
-        b1 = min(b0 + block, len(states) - 1)
-        pushed = _apply_map(states.w[b0 - 1:b1 + 1], states.rotation[b0 - 1:b1 + 1], points)
+    for b0 in range(1, len(times) - 1, block):
+        b1 = min(b0 + block, len(times) - 1)
+        pushed = _push_groups(states.w[b0 - 1:b1 + 1], states.rotation[b0 - 1:b1 + 1], points, groups)
         fd = (pushed[2:] - pushed[:-2]) / (2.0 * dt)
         v = _velocities(pushed[1:-1].swapaxes(-1, -2), xs[b0 - 1:b1 - 1], groups)
         fd -= v.swapaxes(-1, -2)
@@ -347,8 +348,7 @@ def algebraic_identity_residuals(w, m_point, omega: SkewMatrix | None, x_field):
     w = np.asarray(w, dtype=float)
     m = np.asarray(m_point, dtype=float)
     x = np.asarray(x_field, dtype=float)
-    dim = w.size
-    dw, _ = ws_rhs(w, np.eye(dim), omega, x)
+    dw, _ = ws_rhs(w, np.eye(w.size), omega, x)
     w2 = float(w @ w)
     r1 = abs(float(w @ dw) - 0.5 * (1.0 - w2) * float(w @ x))
     diff = m - w

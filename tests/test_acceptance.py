@@ -210,3 +210,21 @@ def test_criterion_11_determinism(tmp_path):
     check("criterion 11 (determinism)", all_ok,
           "all artifacts byte-identical across reruns" if all_ok
           else f"differing artifacts: {details}")
+
+
+def test_criterion_12_non_identical_ws_transform():
+    # the heterogeneous-groups config: each generator group is moved by its own map,
+    # all driven by the run's replayed X(t)
+    groups = (ss.SkewMatrix.zero(2),) * 32 + (ss.SkewMatrix.planar(2, 1.0),) * 32
+    ens0 = ss.sample_uniform(2, 64, 8).with_omega(groups)
+    traj = ss.simulate(ens0, ss.MeanField(1.0), 5.0, 1e-3, record_every=1)
+    replay = ss.ReplayField.from_trajectory(traj)
+    path = ss.ws_evolve(ens0.omega, replay, 5.0, 1e-3)
+    worst = 0.0
+    for idx in range(500, len(path), 500):
+        pushed = ss.push_forward(path[idx], ens0)
+        worst = max(worst, float(np.max(np.linalg.norm(pushed.points - traj.points[idx], axis=1))))
+    conj = ss.conjugacy_residual(path, replay, ens0)
+    check("criterion 12 (non-identical WS transform)", worst <= 1e-5 and conj <= 1e-4,
+          f"push-forward mismatch {worst:.2e} at every 500th step (tol 1e-5); "
+          f"per-group conjugacy residual {conj:.2e} (tol 1e-4)")

@@ -264,10 +264,10 @@ def test_unreadable_config_messages(tmp_path):
                                "in double quotes: line 1 column 2 (char 1)")
 
 
-EXISTENCE_D = "d: expected an integer in [1, 343] (the area of S^(d-1) overflows a float beyond)"
+EXISTENCE_D = "d: expected an integer in [1, 438] (the area of S^(d-1) underflows beyond)"
 
 
-@pytest.mark.parametrize("d", [0, 344, 2**64])
+@pytest.mark.parametrize("d", [0, 439, 2**64])
 def test_existence_d_bound_rejected_before_the_default_grid(tmp_path, d):
     # no p_list: the default grid holds about 2d entries and is built after d is checked
     path = tmp_path / "c.json"
@@ -282,3 +282,10 @@ def test_existence_d_bound_accepts_343(tmp_path):
     path.write_text(json.dumps({**EXI, "d": 343}), encoding="utf-8")
     parsed = parse_config(path)
     assert parsed["p_list"][0] == -172.0 and parsed["p_list"][-1] == 0.0
+
+
+def test_existence_d_bound_accepts_438(tmp_path):
+    # |S^437| is a normal float, formed in logs past the overflow of Gamma
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**EXI, "d": 438}), encoding="utf-8")
+    assert parse_config(path)["d"] == 438

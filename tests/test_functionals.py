@@ -402,16 +402,17 @@ def test_reduced_pair_integral_validation():
 
 
 def test_pair_integral_and_probe_refuse_a_d_whose_sphere_area_overflows():
-    # |S^(d-1)| is a float up to d = 343, the existence experiment's bound
-    assert math.isfinite(reduced_pair_integral(0.0, 343, cutoff=0.5))
-    with pytest.raises(ValueError, match="need d <= 343"):
-        reduced_pair_integral(0.0, 344)
-    with pytest.raises(ValueError, match="need d <= 343"):
-        divergence_probe(0.0, 344)
+    # |S^(d-1)| is a normal float up to d = 438, the existence experiment's bound
+    assert math.isfinite(reduced_pair_integral(0.0, 438, cutoff=0.5))
+    with pytest.raises(ValueError, match="need d <= 438"):
+        reduced_pair_integral(0.0, 439)
+    with pytest.raises(ValueError, match="need d <= 438"):
+        divergence_probe(0.0, 439)
 
 
 @pytest.mark.parametrize("d, p, cutoff", [(200, 55.0, 1e-2), (343, 51.45, 1e-2),
-                                          (200, 55.0, 0.0), (343, 100.0, 0.0)])
+                                          (200, 55.0, 0.0), (343, 100.0, 0.0),
+                                          (400, 150.0, 1e-2), (438, 218.9, 0.0)])
 def test_reduced_pair_integral_matches_the_beta_integral_at_large_d(d, p, cutoff):
     # with u = cos^2(t/2) the integral is |S^(d-1)| 2^(d-2p-1) times the
     # incomplete Beta integral B(d/2, d/2 - p) I_{cos^2(c/2)}(d/2, d/2 - p);

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -503,6 +504,21 @@ def test_sphere_surface_known_values():
     assert sphere_surface(0) == pytest.approx(2.0, rel=1e-15)
     assert sphere_surface(1) == pytest.approx(2 * math.pi, rel=1e-15)
     assert sphere_surface(2) == pytest.approx(4 * math.pi, rel=1e-15)
+
+
+def test_sphere_surface_is_a_normal_float_up_to_n_437_and_refuses_beyond():
+    # math.gamma overflows from n = 343; below, the area keeps the bits of the Gamma formula
+    for n in (0, 1, 7, 100, 342):
+        assert sphere_surface(n) == 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+    # |S^n| = |S^(n-2)| 2 pi / (n - 1) carries the area past the overflow
+    for n in (343, 344, 400, 437):
+        assert sphere_surface(n) == pytest.approx(sphere_surface(n - 2) * 2 * math.pi / (n - 1),
+                                                  rel=1e-12)
+    assert sphere_surface(437) >= sys.float_info.min
+    for n in (438, 500):
+        with pytest.raises(ValueError, match=rf"^need n <= 437: the area of S\^{n} falls below "
+                                             r"the smallest normal float$"):
+            sphere_surface(n)
 
 
 @pytest.mark.parametrize("n", [math.nan, math.inf, -1])

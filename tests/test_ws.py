@@ -21,14 +21,12 @@ from swarmsphere import (
     algebraic_identity_residuals,
     conjugacy_residual,
     cross_ratio,
-    heterogeneous_push_forward,
     push_forward,
     renormalize,
     rng_stream,
     sample_uniform,
     simulate,
     ws_evolve,
-    ws_evolve_groups,
     ws_rhs,
 )
 from swarmsphere import ws as ws_module
@@ -283,11 +281,16 @@ def test_conjugacy_residual_second_order():
 
 
 def test_heterogeneous_push_forward_single_group_matches_plain():
+    # labels of one generator are one group: one map, the bits of the shared generator's
     om = SkewMatrix.random(2, 59, 1.0)
     ens0 = sample_uniform(2, 16, 61).with_omega(om)
     traj = simulate(ens0, MeanField(1.0), 0.5, 1e-3)
-    path = ws_evolve(om, ReplayField.from_trajectory(traj), 0.5, 1e-3)
-    a = heterogeneous_push_forward({om: path[-1]}, ens0)
+    replay = ReplayField.from_trajectory(traj)
+    path = ws_evolve(om, replay, 0.5, 1e-3)
+    labelled = ws_evolve((om,) * 16, replay, 0.5, 1e-3)
+    assert labelled.w.tobytes() == path.w.tobytes()
+    assert labelled.rotation.tobytes() == path.rotation.tobytes()
+    a = push_forward(labelled[-1], ens0.with_omega((om,) * 16))
     b = push_forward(path[-1], ens0)
     np.testing.assert_array_equal(a.points, b.points)
 
@@ -297,12 +300,12 @@ def test_heterogeneous_push_forward_identity_and_missing_group():
     om_b = SkewMatrix.planar(2, 1.0)
     pts = sample_uniform(2, 6, 67).points
     ens = Ensemble(pts, (om_a, om_b, om_a, om_b, om_a, om_b))
-    states = {om_a: WsState.initial(2), om_b: WsState.initial(2)}
-    out = heterogeneous_push_forward(states, ens)
+    identity = WsState(np.zeros((2, 3)), np.stack((np.eye(3),) * 2), np.zeros(2))
+    out = push_forward(identity, ens)
     np.testing.assert_array_equal(out.points, ens.points)
     assert out.omega == ens.omega
-    with pytest.raises(ValueError, match="missing"):
-        heterogeneous_push_forward({om_a: WsState.initial(2)}, ens)
+    with pytest.raises(ValueError, match="one map per generator group"):
+        push_forward(identity[:1], ens)
 
 
 def test_heterogeneous_push_forward_matches_direct_two_groups():
@@ -312,10 +315,70 @@ def test_heterogeneous_push_forward_matches_direct_two_groups():
     ens0 = Ensemble(pts, (om_a,) * 16 + (om_b,) * 16)
     traj = simulate(ens0, MeanField(1.0), 1.0, 1e-3)
     replay = ReplayField.from_trajectory(traj)
-    paths = ws_evolve_groups([om_a, om_b], replay, 1.0, 1e-3)
-    pushed = heterogeneous_push_forward({om: p[-1] for om, p in paths.items()}, ens0)
+    path = ws_evolve(ens0.omega, replay, 1.0, 1e-3)
+    pushed = push_forward(path[-1], ens0)
     mismatch = np.max(np.linalg.norm(pushed.points - traj.points[-1], axis=1))
     assert mismatch <= 1e-5
+
+
+def test_a_grouped_path_stacks_each_groups_own_run_bit_for_bit():
+    # groups in the order of omega_groups(): the planar generator comes first
+    planar, zero = SkewMatrix.planar(2, 1.0), SkewMatrix.zero(2)
+    field = PrescribedField(lambda t: np.array([0.0, 0.0, 20.0]))  # reaches the ball guard
+    labels = (planar, zero, planar, SkewMatrix.planar(2, 1.0))
+    assert [om for om, _ in Ensemble(sample_uniform(2, 4, 1).points, labels).omega_groups()] \
+        == [planar, zero]
+    path = ws_evolve(labels, field, 1.5, 1e-3)
+    assert type(path) is WsPath and path.w.shape == (1501, 2, 3)
+    assert path.rotation.shape == (1501, 2, 3, 3) and path.time.shape == (1501, 2)
+    guard = 0
+    for g, om in enumerate((planar, zero)):
+        own = ws_evolve(om, field, 1.5, 1e-3)
+        assert path.w[:, g].tobytes() == own.w.tobytes()
+        assert path.rotation[:, g].tobytes() == own.rotation.tobytes()
+        assert path.time[:, g].tobytes() == own.time.tobytes()
+        guard += own.guard_events
+    assert path.guard_events == guard > 0
+    assert ws_evolve([planar, zero], field, 0.01, 1e-3).w.shape == (11, 2, 3)
+    with pytest.raises(ValueError, match="^need at least one generator label$"):
+        ws_evolve((), field, 0.01, 1e-3)
+    with pytest.raises(ValueError, match="generator dimension must match the ambient dimension"):
+        ws_evolve((planar, SkewMatrix.zero(3)), field, 0.01, 1e-3)
+    with pytest.raises(TypeError, match="omega must be None, a SkewMatrix, or a tuple"):
+        ws_evolve("planar", field, 0.01, 1e-3)
+
+
+def _two_groups():
+    om = SkewMatrix.planar(2, 1.0)
+    ens = sample_uniform(2, 8, 3).with_omega((om, SkewMatrix.zero(2)) * 4)
+    field = PrescribedField(_smooth_field)
+    return ens, field, ws_evolve(om, field, 0.05, 1e-2), ws_evolve(ens.omega, field, 0.05, 1e-2)
+
+
+def test_push_forward_refuses_a_one_map_state_on_two_groups_by_name():
+    # it used to move every particle by the one map, whatever its generator
+    ens, _, one_map, grouped = _two_groups()
+    with pytest.raises(ValueError, match=r"^need one state with one map per generator group of the "
+                                         r"ensemble, w \(2, 3\), not w \(3,\)$"):
+        push_forward(one_map[-1], ens)
+    assert push_forward(grouped[-1], ens).time == grouped.time[-1, 0]
+
+
+def test_push_forward_refuses_group_maps_of_different_times_by_name():
+    ens, _, _, grouped = _two_groups()
+    st = grouped[-1]
+    with pytest.raises(ValueError, match="^the group maps of a state must share its time$"):
+        push_forward(WsState(st.w, st.rotation, st.time + np.array([0.0, 1e-2])), ens)
+
+
+def test_conjugacy_residual_refuses_a_one_map_path_on_two_groups_by_name():
+    # it used to push every sample through the one map: 1.0 at the
+    # heterogeneous-groups config over t in [0, 1], where each group's own map gives 2.1e-7
+    ens, field, one_map, grouped = _two_groups()
+    with pytest.raises(ValueError, match=r"^need a path with one map per generator group of the "
+                                         r"ensemble, w \(6, 2, 3\), not w \(6, 3\)$"):
+        conjugacy_residual(one_map, field, ens)
+    assert conjugacy_residual(grouped, field, ens) <= 1e-3
 
 
 def test_algebraic_identity_residuals_random_states():
@@ -399,8 +462,9 @@ def test_push_forwards_refuse_a_stack_of_states():
     ens = sample_uniform(2, 6, 3).with_omega(om)
     with pytest.raises(ValueError, match=r"not w \(6, 3\); index a path"):
         push_forward(path, ens)
-    with pytest.raises(ValueError, match=r"not w \(6, 3\); index a path"):
-        heterogeneous_push_forward({om: path}, ens)
+    grouped = ens.with_omega((om, SkewMatrix.zero(2)) * 3)
+    with pytest.raises(ValueError, match=r"not w \(6, 2, 3\); index a path"):
+        push_forward(ws_evolve(grouped.omega, PrescribedField(_smooth_field), 0.05, 1e-2), grouped)
     assert push_forward(path[-1], ens).time == path.time[-1]
 
 
@@ -500,13 +564,24 @@ def test_stacked_map_matches_the_one_state_push_bit_for_bit(d):
         assert push_forward(st, Ensemble(pts)).points.tobytes() == want.tobytes()
 
 
+# Reference push of one state with a map per generator group: each group's
+# points on their own, through the group's map.
+def _reference_group_push(st, samples):
+    if st.w.ndim == 1:
+        return _reference_push(st, samples.points)
+    out = np.empty_like(samples.points)
+    for g, (_, idx) in enumerate(samples.omega_groups()):
+        out[idx] = _reference_push(st[g], samples.points[idx])
+    return out
+
+
 # Reference conjugacy check that conjugacy_residual replaced: every state
 # pushed on its own, one central difference and field call per state.
 def _reference_conjugacy(states, field, samples):
-    times = np.array([st.time for st in states])
+    times = np.array([np.ravel(st.time)[0] for st in states])
     dt = np.diff(times)[0]
     pts = samples.points
-    pushed = [_reference_push(st, pts) for st in states]
+    pushed = [_reference_group_push(st, samples) for st in states]
     worst = 0.0
     for i in range(1, len(states) - 1):
         fd = (pushed[i + 1] - pushed[i - 1]) / (2.0 * dt)
@@ -588,10 +663,14 @@ def test_conjugacy_residual_matches_the_per_state_loop_bit_for_bit(case):
     # interleaved labels (index arrays) and a contiguous run (a slice), several blocks of states
     labels = (SkewMatrix.planar(d, 1.0), SkewMatrix.zero(d)) * 4 + (SkewMatrix.random(d, 6, 0.5),) * 8
     mixed = Ensemble(sample_uniform(d, 16, 6).points, labels)
-    for samples in (one_group, mixed, sample_uniform(d, 3, 7)):
+    for samples in (one_group, sample_uniform(d, 3, 7)):
         got = conjugacy_residual(path, field, samples)
         assert got == _reference_conjugacy(path, field, samples)
-    assert conjugacy_residual(path[:3], field, mixed) == _reference_conjugacy(path[:3], field, mixed)
+    # the mixed samples' three groups each move by their own map
+    grouped = ws_evolve(mixed.omega, field, t_end, dt)
+    assert grouped.w.shape == (len(path), 3, d + 1)
+    assert conjugacy_residual(grouped, field, mixed) == _reference_conjugacy(grouped, field, mixed)
+    assert conjugacy_residual(grouped[:3], field, mixed) == _reference_conjugacy(grouped[:3], field, mixed)
 
 
 def test_conjugacy_residual_is_nan_when_any_instant_is():
