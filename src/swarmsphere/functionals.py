@@ -219,31 +219,46 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     blocks = [(b, min(_BLOCK, m - b * _BLOCK)) for b in range((m + _BLOCK - 1) // _BLOCK)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
-    def run_block(args):  # the ratios and rejections of one block; its cycles are dropped
+    ratios = np.empty(m)
+
+    def run_block(args):  # a block's ratios go straight to its slice; its rejections are returned
         b, need = args
-        return _draw_cycles(rng_stream(seed, stream=b + 1), draw_from, need, k, reject_cap)[1:]
+        _, vals, rejected = _draw_cycles(rng_stream(seed, stream=b + 1), draw_from, need, k,
+                                         reject_cap)
+        ratios[b * _BLOCK : b * _BLOCK + need] = vals
+        return rejected
 
     with ThreadPoolExecutor(max_workers=min(cpus or 1, len(blocks))) as pool:
-        results = list(pool.map(run_block, blocks))
-    ratios = np.empty(m)
-    rejected_total = 0
-    for b, (vals, rej) in enumerate(results):
-        ratios[b * _BLOCK : b * _BLOCK + vals.size] = vals
-        rejected_total += rej
-    del results, vals  # free the block arrays before the per-p temporaries
+        rejected_total = sum(pool.map(run_block, blocks))
     if rejected_total > reject_cap:
         raise _rejection_error(draw_from)
 
+    values = np.empty(m)  # every p's powers, in turn
     estimates = []
     for p in ps:
-        values = ratios ** p
-        value = float(np.mean(values))
-        std_error = float(np.std(values, ddof=1) / math.sqrt(m)) if m > 1 else 0.0
-        mom = None
-        if abs(p) >= d / 4.0 and m >= 32:
-            mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
+        np.power(ratios, p, out=values)
+        value, std_error, mom = _moment_summary(values, abs(p) >= d / 4.0)
         estimates.append(FunctionalEstimate(value, std_error, m, mom, rejected_total))
     return estimates
+
+
+def _moment_summary(values: np.ndarray, heavy: bool) -> tuple[float, float, float | None]:
+    """The mean of ``values``, its standard error and, for a ``heavy`` tail
+    and at least 32 values, the median of the means of 32 chunks, with the
+    bits of ``np.mean``, ``np.std(values, ddof=1) / sqrt(m)`` and
+    ``np.median`` over ``np.array_split(values, 32)``.  The deviations are
+    formed in ``values``, which this overwrites once the median is read."""
+    m = values.size
+    mean = np.mean(values)
+    mom = None
+    if heavy and m >= 32:
+        mom = float(np.median([chunk.mean() for chunk in np.array_split(values, 32)]))
+    std_error = 0.0
+    if m > 1:  # np.std's own steps: squared deviations from the mean, summed by add.reduce
+        np.subtract(values, mean, out=values)
+        np.square(values, out=values)
+        std_error = float(np.sqrt(np.add.reduce(values) / (m - 1)) / math.sqrt(m))
+    return float(mean), std_error, mom
 
 
 def estimate_cycle_moment(source, p: float, k: int, m: int, seed: int) -> FunctionalEstimate:

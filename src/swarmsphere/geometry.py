@@ -73,10 +73,15 @@ def renormalize_rows(points: np.ndarray) -> np.ndarray:
     comes out as NaN, like a row holding NaN, so every finite row returned
     has unit norm.
     """
-    points = np.array(points, dtype=float)
+    return _renormalize_rows_in_place(np.array(points, dtype=float))
+
+
+def _renormalize_rows_in_place(rows: np.ndarray) -> np.ndarray:
+    """``renormalize_rows`` without its copy, for a float array the caller
+    has just made and may overwrite."""
     with np.errstate(over="ignore"):
-        _renormalize_columns_in_place(np.swapaxes(points, -1, -2))
-    return points
+        _renormalize_columns_in_place(np.swapaxes(rows, -1, -2))
+    return rows
 
 
 def _renormalize_columns_in_place(cols: np.ndarray) -> np.ndarray:
@@ -454,7 +459,7 @@ class Ensemble:
 
 
 def _uniform_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    return renormalize_rows(rng.standard_normal((n, d + 1)))
+    return _renormalize_rows_in_place(rng.standard_normal((n, d + 1)))
 
 
 def sample_uniform(d: int, n: int, seed: int) -> Ensemble:
@@ -489,9 +494,9 @@ def _vmf_rows(rng: np.random.Generator, mu: np.ndarray, concentration: float, n:
         have += accepted.size
     v = rng.standard_normal((n, m))
     v -= np.outer(v @ mu, mu)
-    v = renormalize_rows(v)
+    _renormalize_rows_in_place(v)
     pts = ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws * ws))[:, None] * v
-    return renormalize_rows(pts)
+    return _renormalize_rows_in_place(pts)
 
 
 class VmfSampler:

@@ -221,6 +221,56 @@ def test_sample_vmf_is_a_width_one_sampler_draw(concentration):
         assert points.tobytes() == sample_uniform(2, 50, 17).points.tobytes()
 
 
+
+def _reference_vmf_rows(rng, mu, kappa, n):
+    """The vMF sampler as written with the copying ``renormalize_rows``: the
+    same draws in the same order, every renormalisation on a copy."""
+    dm = mu.size - 1
+    b = dm / (math.sqrt(4.0 * kappa * kappa + dm * dm) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + dm * math.log(1.0 - x0 * x0)
+    ws = np.empty(n)
+    have = 0
+    while have < n:
+        draw = max(2 * (n - have), 64)
+        z = rng.beta(dm / 2.0, dm / 2.0, size=draw)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.random(draw)
+        accepted = w[kappa * w + dm * np.log1p(-x0 * w) - c >= np.log(u)][:n - have]
+        ws[have : have + accepted.size] = accepted
+        have += accepted.size
+    v = rng.standard_normal((n, mu.size))
+    v = renormalize_rows(v - np.outer(v @ mu, mu))
+    return renormalize_rows(ws[:, None] * mu + np.sqrt(np.maximum(0.0, 1.0 - ws * ws))[:, None] * v)
+
+
+@pytest.mark.parametrize("concentration", [0.0, 2.5, 40.0])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_samplers_give_the_bits_of_renormalize_rows_on_their_normals(concentration, d):
+    # the samplers renormalise their fresh draws in place; the points are
+    # those of renormalize_rows on the same seeded draws
+    mu = np.arange(1.0, d + 2.0)
+    if concentration == 0.0:
+        want = renormalize_rows(rng_stream(23).standard_normal((60, d + 1)))
+        assert sample_uniform(d, 60, 23).points.tobytes() == want.tobytes()
+    else:  # the sampler's own unit direction
+        unit = VmfSampler(mu, concentration).mu
+        want = _reference_vmf_rows(rng_stream(23), unit, concentration, 60)
+    assert sample_vmf(mu, concentration, 60, 23).points.tobytes() == want.tobytes()
+    drawn = VmfSampler(mu, concentration).draw(rng_stream(23), 20, 3)
+    assert drawn.shape == (20, 3, d + 1)
+    assert drawn.tobytes() == want.tobytes()
+
+
+def test_renormalize_rows_leaves_its_input_untouched():
+    pts = rng_stream(9).standard_normal((2, 7, 3))
+    before = pts.tobytes()
+    out = renormalize_rows(pts)
+    assert pts.tobytes() == before and not np.shares_memory(out, pts)
+    view = pts[0, ::2].T  # a strided, non-contiguous input
+    assert renormalize_rows(view).tobytes() == renormalize_rows(view.copy()).tobytes()
+    assert pts.tobytes() == before
+
 def test_sample_vmf_concentrated_mean_direction():
     mu = renormalize([1.0, 2.0, -0.5])
     ens = sample_vmf(mu, 50.0, 10**4, 7)
