@@ -236,7 +236,10 @@ def estimate_cycle_moments(source, ps, k: int, m: int, seed: int) -> list[Functi
     values = np.empty(m)  # every p's powers, in turn
     estimates = []
     for p in ps:
-        np.power(ratios, p, out=values)
+        # in-place ** takes the sqrt, square and reciprocal paths that
+        # ratios ** p takes for p = 0.5, 2 and -1; np.power(out=) calls pow
+        np.copyto(values, ratios)
+        values **= p
         value, std_error, mom = _moment_summary(values, abs(p) >= d / 4.0)
         estimates.append(FunctionalEstimate(value, std_error, m, mom, rejected_total))
     return estimates

@@ -32,24 +32,11 @@ def fmt_value(x) -> str:
 
 
 def write_csv(path, header, rows) -> Path:
-    """Write each row as it is formatted; ``rows`` may be a generator.  A row
-    of floats alone (``np.float64`` is one) takes one ``"%.17g"`` template,
-    which gives the bytes of ``fmt_value``; any other row goes through it."""
+    """Write each row as it is formatted; ``rows`` may be a generator."""
     path = Path(path)
-    templates = {}  # the float-row template of each row length
-
-    def line(row) -> str:
-        row = tuple(row)
-        if all(isinstance(v, float) for v in row):
-            template = templates.get(len(row))
-            if template is None:
-                template = templates[len(row)] = ",".join(["%.17g"] * len(row)) + "\n"
-            return template % row
-        return ",".join(map(fmt_value, row)) + "\n"
-
     with path.open("w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        f.writelines(map(line, rows))
+        f.writelines(",".join(fmt_value(v) for v in row) + "\n" for row in rows)
     return path
 
 

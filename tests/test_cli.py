@@ -520,24 +520,6 @@ def test_fmt_value_tests_float_first_with_the_strings_of_the_chain():
         assert fmt_value(x) == _fmt_value_chain(x), repr(x)
 
 
-
-def test_write_csv_float_rows_have_the_bytes_of_fmt_value(tmp_path):
-    # a row of floats alone is formatted by one template; every row must read
-    # as fmt_value gives it, value by value
-    floats = [0.1, 1.0 / 3.0, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-310, 2.0**70,
-              np.float64(-0.0), np.float64(math.nan), np.float64(1.0 / 7.0)]
-    rows = [
-        floats,  # a list row of floats and np.float64
-        tuple(np.random.default_rng(3).standard_normal(13) * 1e5),  # np.float64 alone
-        (0.5, 7, True, np.bool_(False), None, "text", np.int64(-12), np.float32(0.1), -0.0),
-        (math.nan, 2**70),  # a float and an int too large for any float template
-        (),
-        [1.5],
-    ]
-    path = write_csv(tmp_path / "rows.csv", ["h"], iter(rows))
-    want = "h\n" + "".join(",".join(fmt_value(v) for v in row) + "\n" for row in rows)
-    assert path.read_bytes() == want.encode()
-
 def test_write_json_sorted_and_nan_safe(tmp_path):
     p = write_json(tmp_path / "x.json", {"b": float("nan"), "a": np.float64(1.5),
                                          "c": np.array([1, 2])})

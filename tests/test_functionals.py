@@ -173,24 +173,6 @@ def test_ensemble_estimate_thread_invariant(monkeypatch):
     assert _estimate_bits(threaded) == _estimate_bits(base)
 
 
-
-def test_workers_writing_their_blocks_lose_no_block(monkeypatch):
-    import sys
-
-    # more workers than cores, switching threads as often as the interpreter
-    # allows: every block lands in its own slice of the shared ratio array
-    m = 12 * 2**14 + 5
-    use_cpus(monkeypatch, 1)
-    base = estimate_cycle_moments(UNIFORM, [0.0, 0.3], 2, m, seed=21)
-    use_cpus(monkeypatch, 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = estimate_cycle_moments(UNIFORM, [0.0, 0.3], 2, m, seed=21)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [_estimate_bits(e) for e in threaded] == [_estimate_bits(e) for e in base]
-
 @pytest.mark.parametrize("cpus, m, workers", [(1, 50_000, 1), (4, 50_000, 4), (4, 20_000, 2),
                                               (4, 100, 1)])
 def test_worker_count_is_the_cpu_set_capped_by_the_blocks(monkeypatch, cpus, m, workers):
@@ -273,7 +255,6 @@ def test_estimate_list_form_matches_single_p_bitwise(monkeypatch, cpus, source, 
         assert many[0].rejected > 0
 
 
-
 def _reference_moments(source, ps, k, m, seed):
     """The estimates as the blocks' ratios give them by the plain numpy
     formulas: ``ratios ** p``, ``np.mean``, ``np.std(ddof=1)`` and the median
@@ -296,7 +277,8 @@ def _reference_moments(source, ps, k, m, seed):
     return out
 
 
-# 0.5, 2 and -1 are the exponents numpy's ** computes by sqrt, square and reciprocal
+# 0.5, 2 and -1 are the exponents numpy's ** computes by sqrt, square and reciprocal,
+# in place as in ratios ** p
 @pytest.mark.parametrize("source, ps, k, m", [
     (UNIFORM, [0.0, 0.3, -0.3, 0.5, 0.6], 2, 40_000),
     (VmfSampler(np.eye(6)[-1], 1.5), [2, -1, 0.5, -2.4], 3, 16_385),
@@ -342,6 +324,7 @@ def test_moment_summary_is_numpys_mean_std_and_median_bit_for_bit(m, seed, tail,
         mean, se, mom = functionals._moment_summary(values.copy(), heavy)
     assert mean.hex() == want_mean.hex() and se.hex() == want_se.hex()
     assert (None if mom is None else mom.hex()) == (None if want_mom is None else want_mom.hex())
+
 
 @settings(deadline=None, max_examples=60)
 @given(data=st.data(), n=st.integers(2, 12), k=st.integers(2, 4), count=st.integers(1, 40),

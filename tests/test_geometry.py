@@ -221,7 +221,6 @@ def test_sample_vmf_is_a_width_one_sampler_draw(concentration):
         assert points.tobytes() == sample_uniform(2, 50, 17).points.tobytes()
 
 
-
 def _reference_vmf_rows(rng, mu, kappa, n):
     """The vMF sampler as written with the copying ``renormalize_rows``: the
     same draws in the same order, every renormalisation on a copy."""
@@ -270,6 +269,7 @@ def test_renormalize_rows_leaves_its_input_untouched():
     view = pts[0, ::2].T  # a strided, non-contiguous input
     assert renormalize_rows(view).tobytes() == renormalize_rows(view.copy()).tobytes()
     assert pts.tobytes() == before
+
 
 def test_sample_vmf_concentrated_mean_direction():
     mu = renormalize([1.0, 2.0, -0.5])
