@@ -382,11 +382,12 @@ def _run_functional(cfg: dict, outdir: Path):
             recorder.add(ts, points)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
     p_list = cfg["p_list"]
-    # the positions (i, j) of each p > 0 and its -p, whose estimates must agree within 3 sigma
+    # the positions (i, j) of each p > 0 and its -p, whose estimates must agree within 3 sigma:
+    # the gate reads the largest |a - b| / (sigma_a + sigma_b), 0 where a = b
     pairs = [(i, p_list.index(-p)) for i, p in enumerate(p_list) if p > 0 and -p in p_list]
     records = []
     outputs = []
-    drift_max = sym_defect = 0.0
+    drift_max = sym_ratio = 0.0
     for k, recorder in zip(cfg["k_list"], recorders):
         ests = estimate_cycle_moments(sampler, p_list, k, cfg["m"], cfg["seed"])
         drifts = recorder.finish()
@@ -401,11 +402,13 @@ def _run_functional(cfg: dict, outdir: Path):
             drift_max = max(drift_max, drift.max_relative_drift)
             outputs.append(_write_drift(outdir / f"drift_p{p:g}_k{k}.csv", drift))
         for a, b in ((ests[i], ests[j]) for i, j in pairs):
-            sym_defect = max(sym_defect, abs(a.value - b.value) - 3.0 * (a.std_error + b.std_error))
+            gap, sigma = abs(a.value - b.value), a.std_error + b.std_error
+            if gap:
+                sym_ratio = max(sym_ratio, gap / sigma if sigma else math.inf)
     outputs.insert(0, write_json(outdir / "estimates.json", records))
     gates = {"drift": _gate(drift_max, 1e-6)}
     if pairs:
-        gates["p_symmetry_3sigma"] = _gate(sym_defect, 0.0)
+        gates["p_symmetry_3sigma"] = _gate(sym_ratio, 3.0)
     return outputs, gates, {"estimates": len(records), "drift_max": drift_max}
 
 

@@ -286,15 +286,12 @@ class TimeDelayField(DrivingField):
         raise ValueError("a time-delay field reads its run's history; step it through "
                          "simulate() or order_parameter_series()")
 
-    def _in_run(self, means: list, dt: float, t0: float):
-        """X(points, t) of a run from t0 whose states at t = j * dt have the
-        exact means ``means[j]``; the loop extends the list as it goes.  The
-        knots j * dt need t0 = 0, and the window below a delay of at least
-        one step, so both are checked here."""
+    def _in_run(self, means: list, dt: float):
+        """X(points, t) of a run whose states at t = j * dt have the exact
+        means ``means[j]``; the loop extends the list as it goes.  The
+        window below needs a delay of at least one step, checked here."""
         if self.tau < dt - 1e-12:
             raise ValueError("delay shorter than the step size")
-        if t0 != 0.0:
-            raise ValueError("time-delay runs must start at t = 0")
         window = None  # (lo, hi), knots, means, slopes
 
         def x_at(points, t):
@@ -395,20 +392,22 @@ def _advance(cols: np.ndarray, t: float, field: DrivingField, dt: float, x1: np.
     return new
 
 
-def step(ens: Ensemble, field: DrivingField, dt: float) -> Ensemble:
-    """One classical RK4 step for every particle.
+def step(ens: Ensemble, field: DrivingField, dt: float, t: float = 0.0) -> Ensemble:
+    """One classical RK4 step for every particle, from ``ens`` at time t to t + dt.
 
     State-dependent fields are re-evaluated from each stage's (renormalized)
     points, clock-driven fields at the stage time; the final update is
     renormalized so the output sits exactly on the sphere.  A non-finite
-    update raises, naming the step time.  A delayed field needs its run's
-    history, which one step does not have, so it is refused.
+    update raises, naming the step time t + dt.  A delayed field needs its
+    run's history, which one step does not have, so it is refused.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    x1 = _driving_vector(field.evaluate(ens.points, ens.time), (ens.d + 1,))
-    cols = _advance(ens.points.T.copy(), ens.time, field, dt, x1, ens._omega_slices())
-    return ens._at(cols.T.copy(), ens.time + dt)
+    if not math.isfinite(t):
+        raise ValueError(f"step time t must be finite, not {t!r}")
+    x1 = _driving_vector(field.evaluate(ens.points, t), (ens.d + 1,))
+    cols = _advance(ens.points.T.copy(), t, field, dt, x1, ens._omega_slices())
+    return ens._at(cols.T.copy())
 
 
 class _RunField(DrivingField):
@@ -503,51 +502,48 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
     state, every ``record_every``-th state and the final state.
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
-    stack of populations without free flow, started at t = 0 and stepped as
-    one array under a field that reads the population mean (one X per
-    member) and is not delayed.  The number of steps is round(t_end / dt),
-    and step s is stamped t0 + s * dt, the grid of ``ws_evolve``.  The
-    exact mean of every state is computed once, for a field that reads it
-    (else it is None), and so is X: it feeds the next step's first stage
-    and the caller.  A delayed field reads the run's own history of means.
+    stack of populations without free flow, stepped as one array under a
+    field that reads the population mean (one X per member) and is not
+    delayed.  Every run starts at t = 0; the number of steps is
+    round(t_end / dt), and state s is at s * dt, the grid of ``ws_evolve``,
+    which is the time each step is handed.  The exact mean of every state
+    is computed once, for a field that reads it (else it is None), and so
+    is X: it feeds the next step's first stage and the caller.  A delayed
+    field reads the run's own history of means.
 
-    A single population is stepped as an Ensemble, ``step``'s result,
-    restamped where its time ``t + dt`` is not the grid's, since the next
-    step reads its clock; its points are yielded.  A stack is kept
-    component-major, (..., d+1, n), the layout ``_advance`` steps, so that
-    ``exact_mean`` reads its columns without a transpose copy; its points
-    are the (..., n, d+1) transpose views.  Each member gets the bits it
-    gets on its own, for any d.
+    A single population is stepped as an Ensemble, ``step``'s result, and
+    its points are yielded.  A stack is kept component-major, (..., d+1, n),
+    the layout ``_advance`` steps, so that ``exact_mean`` reads its columns
+    without a transpose copy; its points are the (..., n, d+1) transpose
+    views.  Each member gets the bits it gets on its own, for any d.
     """
     steps = _step_count(t_end, dt, record_every)
     single = isinstance(start, Ensemble)
     delayed = isinstance(field, TimeDelayField)
     if single:
-        state, points, t0 = start, start.points, start.time
+        state, points = start, start.points
     elif delayed:
         raise ValueError("a time-delay field steps a single population")
     elif not field._reads_mean:
         raise ValueError(f"a stack of populations steps only under a field that reads the "
                          f"population mean, not {type(field).__name__}")
     else:
-        cols, t0 = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy(), 0.0
+        cols = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy()
         points = np.swapaxes(cols, -1, -2)
     means = []
-    x_at = field._in_run(means, dt, t0) if delayed else field.evaluate
+    x_at = field._in_run(means, dt) if delayed else field.evaluate
     run_field = _RunField(x_at)
-    t = t0
+    t = 0.0
     for s in range(steps + 1):
         if s:
             if single:
                 run_field.at = points, x
-                state = step(state, run_field, dt)
-                if state.time != t0 + s * dt:
-                    state = start._at(state.points, t0 + s * dt)
+                state = step(state, run_field, dt, t)
                 points = state.points
             else:
                 cols = _advance(cols, t, field, dt, x)
                 points = cols.swapaxes(-1, -2)
-            t = t0 + s * dt
+            t = s * dt
         mean = exact_mean(points) if field._reads_mean else None
         if delayed:
             means.append(mean)

@@ -346,12 +346,13 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     """Classify the cutoff behaviour of the reduced pair integral.
 
     Evaluates the integral at cutoffs 1e-2 .. 1e-6 and inspects the decade
-    differences J(eps/10) - J(eps): vanishing differences mean convergence,
-    a constant positive difference means logarithmic divergence (the p = d/2
-    boundary), geometric growth means a power divergence with the estimated
-    exponent 2p - d, fitted as the mean log10 ratio of consecutive positive
-    differences (NaN, with its residual, where no such pair was measured or
-    a value is infinite).
+    differences J(eps/10) - J(eps): vanishing differences (at most 1e-8 of
+    the last value) mean convergence, a constant positive difference means
+    logarithmic divergence (the p = d/2 boundary), geometric growth means a
+    power divergence with the estimated exponent 2p - d, fitted as the mean
+    log10 ratio of consecutive differences that do not vanish, so that no
+    exponent is fitted to quadrature noise (NaN, with its residual, where no
+    such pair was measured or a value is infinite).
     The moment symmetry under p -> -p lets the probe work with |p|.
     """
     q = abs(float(p))
@@ -360,10 +361,11 @@ def divergence_probe(p: float, d: int) -> DivergenceReport:
     diffs = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
     if not all(math.isfinite(v) for v in values):  # an infinite value: nothing to fit
         return DivergenceReport("power-divergent", math.nan, math.nan, cutoffs, values, diffs)
-    exps = [math.log10(b / a) for a, b in zip(diffs, diffs[1:]) if a > 0 and b > 0]
+    vanishing = 1e-8 * abs(values[-1])
+    exps = [math.log10(b / a) for a, b in zip(diffs, diffs[1:]) if min(a, b) > vanishing]
     est = float(np.mean(exps)) if exps else math.nan
     res = float(np.std(exps)) if exps else math.nan
-    if diffs[-1] <= 1e-8 * abs(values[-1]) or est < -0.25:
+    if diffs[-1] <= vanishing or est < -0.25:
         cls = "convergent"
     elif est <= 0.25:
         cls = "log-divergent"

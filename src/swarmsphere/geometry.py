@@ -378,12 +378,12 @@ class Ensemble:
 
     ``omega`` is either None (no free flow), a single shared SkewMatrix, or a
     tuple with one SkewMatrix per particle.  Instances are immutable values;
-    the point array is copied on construction and marked read-only.
+    the point array is copied on construction and marked read-only.  An
+    ensemble has no clock: time belongs to the run that steps it.
     """
 
     points: np.ndarray
     omega: "SkewMatrix | tuple[SkewMatrix, ...] | None" = None
-    time: float = 0.0
     _groups = None  # (omega_groups(), _omega_slices()), once worked out; not a dataclass field
 
     def __post_init__(self):
@@ -392,8 +392,6 @@ class Ensemble:
             raise ValueError("points must be an (n, d+1) array with d >= 1")
         if not _on_unit_sphere(pts):
             raise ValueError("ensemble points must lie on the unit sphere")
-        if not math.isfinite(self.time):
-            raise ValueError(f"ensemble time must be finite, not {self.time!r}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "omega", _checked_omega(self.omega, *pts.shape))
@@ -407,10 +405,10 @@ class Ensemble:
         return self.points.shape[1] - 1
 
     def with_omega(self, omega) -> "Ensemble":
-        return Ensemble(self.points, omega, self.time)
+        return Ensemble(self.points, omega)
 
-    def _at(self, points: np.ndarray, time: float) -> "Ensemble":
-        """The same particles at other points and time, on a C-contiguous
+    def _at(self, points: np.ndarray) -> "Ensemble":
+        """The same particles at other points, on a C-contiguous
         float array that the caller hands over, finite and row-renormalised,
         so the unit-norm check is skipped.  The generators carry over, and
         so do their groups, worked out once."""
@@ -419,7 +417,6 @@ class Ensemble:
         points.flags.writeable = False
         put(ens, "points", points)
         put(ens, "omega", self.omega)
-        put(ens, "time", time)
         put(ens, "_groups", self._grouping())
         return ens
 

@@ -167,7 +167,7 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     recorder = _SeriesRecorder(t_end, dt, record_every, field.kappa if identity else None)
     for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
         recorder.add(s, t, points.T, exact_mean(points) if mean is None else mean)
-    return recorder.finish(), ens0._at(points, t)
+    return recorder.finish(), ens0._at(points)
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -248,10 +248,10 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     """``order_parameter_series(ens0, MeanField(kappa), t_end, dt,
     record_every)`` and, for a ``delta`` (else None), the report of
     ``instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)``
-    from one run: its two branches and ens0, a population without free flow
-    at t = 0, last, are stepped as one stack, each member with its own bits."""
-    if ens0.omega is not None or ens0.time != 0.0:
-        raise ValueError("the stacked kinetic run needs a population without free flow at t = 0")
+    from one run: its two branches and ens0, a population without free flow,
+    last, are stepped as one stack, each member with its own bits."""
+    if ens0.omega is not None:
+        raise ValueError("the stacked kinetic run needs a population without free flow")
     branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
     recorder = _SeriesRecorder(t_end, dt, record_every, float(kappa))
     stack = ens0.points[None] if branches is None else \
@@ -260,7 +260,7 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
         if branches is not None and _recorded(s, recorder.steps, _RECORD_EVERY):
             branches.add(t, points, mean)
         recorder.add(s, t, points[-1].T, mean[-1])  # the stack's own columns
-    return (recorder.finish(), ens0._at(points[-1].copy(), t),
+    return (recorder.finish(), ens0._at(points[-1].copy()),
             None if branches is None else branches.report())
 
 

@@ -288,13 +288,12 @@ def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:
     """Move each generator group of an ensemble by its own map of ``state``,
     one state of ``ws_evolve(ens0.omega, ...)``.
 
-    At (w, R) = (0, I) the input ensemble is returned unchanged, bit for bit.
+    At (w, R) = (0, I) the input ensemble itself is returned.  The state's
+    time is checked but not carried: an ensemble has no clock.
     """
-    time = _group_time(state, ens0, stacked=False)
+    _group_time(state, ens0, stacked=False)
     points = _push_groups(state.w, state.rotation, ens0.points, ens0._omega_slices())
-    if points is ens0.points and time == ens0.time:
-        return ens0
-    return Ensemble(points, ens0.omega, float(time))
+    return ens0 if points is ens0.points else Ensemble(points, ens0.omega)
 
 
 def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ensemble) -> float:

@@ -225,6 +225,34 @@ def test_functional_records_keep_k_outer_p_inner_order(tmp_path):
             assert (out / f"drift_p{p:g}_k{k}.csv").is_file()
 
 
+def test_functional_symmetry_gate_shows_its_margin(tmp_path):
+    # the largest |a - b| / (sigma_a + sigma_b) over the p and -p estimates, against 3
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "functional", "d": 2, "N": 16, "t_end": 0.05, "dt": 1e-2,
+        "p_list": [0.3, 0, -0.3], "k_list": [3, 2], "m": 3000, "drift_tuples": 20, "seed": 6,
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    est = {(r["k"], r["p"]): r for r in json.loads((out / "estimates.json").read_text())}
+    want = max(abs(a["value"] - b["value"]) / (a["std_error"] + b["std_error"])
+               for a, b in ((est[k, 0.3], est[k, -0.3]) for k in (3, 2)))
+    gate = json.loads((out / "manifest.json").read_text())["gates"]["p_symmetry_3sigma"]
+    assert gate == {"value": want, "threshold": 3.0, "kind": "max", "passed": True}
+    assert 0.0 < want < 3.0
+
+
+def test_functional_symmetry_gate_fails_estimates_that_differ_without_an_error(tmp_path):
+    # one cycle per estimate: a standard error of 0, so any gap is an infinite ratio
+    path = write_config(tmp_path, "c.json", {
+        "experiment": "functional", "d": 2, "N": 16, "t_end": 0.01, "dt": 1e-2,
+        "p_list": [0.3, -0.3], "k_list": [2], "m": 1, "drift_tuples": 5, "seed": 6,
+    })
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    gate = json.loads((out / "manifest.json").read_text())["gates"]["p_symmetry_3sigma"]
+    assert gate == {"value": None, "threshold": 3.0, "kind": "max", "passed": False}
+
+
 def test_gate_failure_exit_code(tmp_path):
     # three time units are too short for the population to synchronise
     path = write_config(tmp_path, "c.json", {

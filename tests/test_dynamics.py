@@ -156,7 +156,7 @@ def test_step_is_fixed_point_without_forcing():
     ens = sample_uniform(2, 12, 5)
     out = step(ens, PrescribedField(lambda t: np.zeros(3)), 1e-2)
     assert np.max(np.abs(out.points - ens.points)) <= 1e-15
-    assert out.time == pytest.approx(1e-2)
+    assert not hasattr(out, "time")  # the run keeps the clock
 
 
 def test_step_matches_planar_rotation_oracle():
@@ -448,8 +448,8 @@ def test_time_delay_slopes_match_reference_stencil(tau):
     ens = sample_uniform(2, 16, 21).with_omega(SkewMatrix.random(2, 5, 1.0))
     got = simulate(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
     want = _reference_run(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, 3)
-    assert got.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
-    assert got.points[-1].tobytes() == want[-1][0].points.tobytes()
+    assert got.field_samples.tobytes() == np.array([x for *_, x in want]).tobytes()
+    assert got.points[-1].tobytes() == want[-1][1].points.tobytes()
 
 
 DELAY_IN_RUN = r"a time-delay field reads its run's history; step it through simulate\(\)"
@@ -528,8 +528,6 @@ def test_time_delay_runs_and_errors():
     assert np.max(np.abs(np.linalg.norm(traj.points[-1], axis=1) - 1.0)) <= 1e-12
     with pytest.raises(ValueError, match="delay shorter than the step size"):
         simulate(ens, TimeDelayField(1.0, 1e-3), 0.1, 1e-2)
-    with pytest.raises(ValueError, match="time-delay runs must start at t = 0"):
-        simulate(Ensemble(ens.points, None, 0.5), field, 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
@@ -597,7 +595,7 @@ def test_simulate_deterministic():
 # Reference particle step that reuses nothing: every stage evaluated afresh
 # from its points, the groups worked out per step, out-of-place arithmetic,
 # every state validated.  The stepping loop must reproduce it bit for bit.
-def _reference_step(ens, evaluate, dt, t_next):
+def _reference_step(ens, evaluate, dt, t):
     groups = ens.omega_groups()
 
     def rhs(pts, ts):
@@ -615,12 +613,12 @@ def _reference_step(ens, evaluate, dt, t_next):
     def project(pts):
         return pts / np.sqrt(np.einsum("ij,ij->i", pts, pts))[:, None]
 
-    y, t = ens.points, ens.time
+    y = ens.points
     k1 = rhs(y, t)
     k2 = rhs(project(y + (0.5 * dt) * k1), t + 0.5 * dt)
     k3 = rhs(project(y + (0.5 * dt) * k2), t + 0.5 * dt)
     k4 = rhs(project(y + dt * k3), t + dt)
-    return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega, t_next)
+    return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega)
 
 
 def _reference_delay(field, times, means, dt):
@@ -641,8 +639,8 @@ def _reference_delay(field, times, means, dt):
 
 
 def _reference_run(ens0, field, t_end, dt, record_every):
-    """(state, field sample) pairs as recorded with the reference step, step
-    s stamped t0 + s * dt; the history a delayed field reads is kept here."""
+    """(time, state, field sample) triples as recorded with the reference
+    step, state s at s * dt; the history a delayed field reads is kept here."""
     steps = int(round(t_end / dt))
     times, means = [], []
     delayed = isinstance(field, TimeDelayField)
@@ -650,11 +648,11 @@ def _reference_run(ens0, field, t_end, dt, record_every):
     ens, out = ens0, []
     for s in range(steps + 1):
         if s:
-            ens = _reference_step(ens, evaluate, dt, ens0.time + s * dt)
-        times.append(ens.time)
+            ens = _reference_step(ens, evaluate, dt, times[-1])
+        times.append(s * dt)
         means.append(exact_mean(ens.points))
         if s % record_every == 0 or s == steps:
-            out.append((ens, np.asarray(evaluate(ens.points, ens.time), dtype=float)))
+            out.append((times[-1], ens, np.asarray(evaluate(ens.points, times[-1]), dtype=float)))
     return out
 
 
@@ -695,7 +693,7 @@ def test_group_views_turn_contiguous_runs_into_slices():
     (_, whole), = sample_uniform(2, 5, 4)._omega_slices()
     assert whole == slice(0, 5)
     # worked out once with the groups, and shared with the states made from them
-    later = ens._at(ens.points.copy(), 1.0)
+    later = ens._at(ens.points.copy())
     assert later._omega_slices() is groups and later.omega_groups() is ens.omega_groups()
 
 
@@ -705,14 +703,14 @@ def test_simulate_matches_the_reference_step_bit_for_bit(case):
     ens = Ensemble(sample_uniform(2, REF_N, 17).points, omega)
     traj = simulate(ens, make_field(), 0.3, REF_DT, record_every=4)
     want = _reference_run(ens, make_field(), 0.3, REF_DT, 4)
-    assert traj.times.tobytes() == np.array([st.time for st, _ in want]).tobytes()
-    for got, (st, _) in zip(traj.points, want, strict=True):
+    assert traj.times.tobytes() == np.array([t for t, _, _ in want]).tobytes()
+    for got, (_, st, _) in zip(traj.points, want, strict=True):
         assert got.tobytes() == st.points.tobytes()
     assert traj.omega is ens.omega
-    assert traj.field_samples.tobytes() == np.array([x for _, x in want]).tobytes()
+    assert traj.field_samples.tobytes() == np.array([x for *_, x in want]).tobytes()
 
     series, final = order_parameter_series(ens, make_field(), 0.3, REF_DT)
-    every = [st for st, _ in _reference_run(ens, make_field(), 0.3, REF_DT, 1)]
+    every = [st for _, st, _ in _reference_run(ens, make_field(), 0.3, REF_DT, 1)]
     assert series.R2.tobytes() == np.array([order_parameter(st)[0] for st in every]).tobytes()
     # the derivative identity holds under a mean field with one generator group
     # only, at its coupling
@@ -728,23 +726,41 @@ def test_step_keeps_its_single_population_contract():
     # a bare step works out groups and the first stage itself
     ens = Ensemble(sample_uniform(2, REF_N, 4).points, TWO_GROUPS)
     got = step(ens, MeanField(1.0), REF_DT)
-    want = _reference_step(ens, MeanField(1.0).evaluate, REF_DT, ens.time + REF_DT)
-    assert got.points.tobytes() == want.points.tobytes() and got.time == want.time
+    want = _reference_step(ens, MeanField(1.0).evaluate, REF_DT, 0.0)
+    assert got.points.tobytes() == want.points.tobytes()
     assert not got.points.flags.writeable
     with pytest.raises(ValueError, match="dt must be positive"):
         step(ens, MeanField(1.0), 0.0)
 
 
+def test_step_evaluates_a_clock_driven_field_at_its_time():
+    # X(t) = t e: a step from t = 1 reads X at the stage times 1, 1 + dt/2 and 1 + dt
+    ens = Ensemble(sample_uniform(2, REF_N, 4).points, TWO_GROUPS)
+    e, seen = np.array([0.0, 0.6, 0.8]), []
+    field = PrescribedField(lambda t: seen.append(t) or t * e)
+    got = step(ens, field, REF_DT, 1.0)
+    assert seen == [1.0, 1.0 + 0.5 * REF_DT, 1.0 + 0.5 * REF_DT, 1.0 + REF_DT]
+    want = _reference_step(ens, field.evaluate, REF_DT, 1.0)
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.points.tobytes() != step(ens, field, REF_DT).points.tobytes()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_step_refuses_a_non_finite_time_by_name(t):
+    with pytest.raises(ValueError, match="step time t must be finite"):
+        step(sample_uniform(2, 4, 3), MeanField(1.0), REF_DT, t)
+
+
 @pytest.mark.parametrize("case", ["mean", "delay_5dt", "two_groups"])
 def test_a_single_population_steps_through_the_public_step(case, monkeypatch):
-    # one call of step per particle step, each on the state the loop stamped
+    # one call of step per particle step, each handed the grid time of its state
     make_field, omega = FIELD_CASES[case]
     ens = Ensemble(sample_uniform(2, REF_N, 6).points, omega)
     calls = []
 
-    def counted(state, field, dt):
-        calls.append(state.time)
-        return step(state, field, dt)
+    def counted(state, field, dt, t):
+        calls.append(t)
+        return step(state, field, dt, t)
 
     monkeypatch.setattr(dynamics, "step", counted)
     simulate(ens, make_field(), 0.1, REF_DT, record_every=3)
@@ -843,26 +859,3 @@ def test_a_stack_refuses_a_field_that_does_not_read_the_mean(monkeypatch, field)
     with pytest.raises(ValueError, match=f"field that reads the population mean, not {name}"):
         next(_run(stack, field, 0.02, 0.01, 1))
     assert calls == []  # refused before the first evaluation
-
-
-def test_the_loop_keeps_steps_state_when_its_time_is_on_the_grid(monkeypatch):
-    # with dt = 1/4 every t + dt is exactly t0 + s * dt: one Ensemble a step
-    given, made = [], []
-
-    def kept(state, field, dt):
-        given.append(state)
-        made.append(step(state, field, dt))
-        return made[-1]
-
-    monkeypatch.setattr(dynamics, "step", kept)
-    points = [p for _, p, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 2.0, 0.25, 1)]
-    assert len(made) == 8 and all(got is want for got, want in zip(given[1:], made[:-1], strict=True))
-    assert all(p is st.points for p, st in zip(points[1:], made, strict=True))
-    # off the grid the loop restamps the successor, whose clock the next
-    # step reads: 0.5 + 0.1 != 6 * 0.1
-    given.clear(), made.clear()
-    points = [p for _, p, _, _ in _run(sample_uniform(2, 16, 3), MeanField(1.0), 0.8, 0.1, 1)]
-    kept_state = [got is want for got, want in zip(given[1:], made[:-1], strict=True)]
-    assert kept_state == [True] * 5 + [False] + [True]
-    assert given[6].time == 6 * 0.1 != made[5].time and given[6].points is made[5].points
-    assert all(p is st.points for p, st in zip(points[1:], made, strict=True))

@@ -526,6 +526,15 @@ def test_divergence_probe_reports_an_unmeasured_exponent_as_nan():
     assert math.isnan(rep.exponent_estimate) and math.isnan(rep.fit_residual)
 
 
+def test_divergence_probe_fits_no_exponent_to_vanishing_differences():
+    # at d = 64, p = -27.5 every decade difference is at most 1e-8 of the last
+    # value, at quadrature noise: a fit to them read -0.30103, not 2|p| - d = -9
+    rep = divergence_probe(-27.5, 64)
+    assert max(rep.decade_differences) <= 1e-8 * abs(rep.values[-1])
+    assert rep.classification == "convergent"
+    assert math.isnan(rep.exponent_estimate) and math.isnan(rep.fit_residual)
+
+
 def test_divergence_probe_classifies_a_power_beyond_the_float_range():
     # the integrand's sin(t/2) ** (d - 2p - 1) overflows near small cutoffs
     assert reduced_pair_integral(60.0, 1, 1e-6) == math.inf

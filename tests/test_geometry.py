@@ -374,18 +374,12 @@ def test_skew_hash_by_bit_pattern():
 
 def test_ensemble_validation_and_immutability():
     pts = sample_uniform(2, 4, 3).points
-    ens = Ensemble(pts, SkewMatrix.zero(2), 0.0)
+    ens = Ensemble(pts, SkewMatrix.zero(2))
     assert not ens.points.flags.writeable
     with pytest.raises(ValueError):
         Ensemble(2.0 * pts)
     with pytest.raises(ValueError):
         Ensemble(pts, (SkewMatrix.zero(2),) * 3)
-
-
-@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
-def test_ensemble_rejects_a_non_finite_time_by_name(time):
-    with pytest.raises(ValueError, match="ensemble time must be finite"):
-        Ensemble(sample_uniform(2, 4, 3).points, None, time=time)
 
 
 def test_ensemble_rejects_nan_points():
@@ -404,8 +398,8 @@ def test_ensemble_omega_groups():
     np.testing.assert_array_equal(groups[1][1], [1, 3])
     # worked out once, read-only, and shared with the states derived by _at
     assert not groups[0][1].flags.writeable
-    later = ens._at(ens.points, 1.0)
-    assert later.time == 1.0 and later.omega is ens.omega
+    later = ens._at(ens.points)
+    assert later.omega is ens.omega
     assert all(a is b for (_, a), (_, b) in zip(later.omega_groups(), groups))
 
 

@@ -140,7 +140,7 @@ def test_an_exactly_antipodal_population_records_no_axis():
 
 def test_derivative_defect_is_measured_at_the_step_spacing():
     ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 64, 5)
-    every, _ = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=1)
+    every, every_final = order_parameter_series(ens, MeanField(1.0), 0.5, 1e-2, record_every=1)
     # Simpson's rule for the integral of dR2/dt over the two steps around each interior state
     span = every.times[2:] - every.times[:-2]
     f = every.dR2_analytic
@@ -155,7 +155,7 @@ def test_derivative_defect_is_measured_at_the_step_spacing():
     assert np.array_equal(spaced.times, every.times[kept])
     assert np.array_equal(spaced.R2, every.R2[kept])
     assert np.array_equal(spaced.dR2_analytic, every.dR2_analytic[kept])
-    assert final.time == every.times[-1]
+    assert final.points.tobytes() == every_final.points.tobytes()
 
 
 @pytest.mark.parametrize("t_end", [0.0, 1e-2])
@@ -201,14 +201,14 @@ def test_ball_mass_two_blob_construction():
 
 def test_order_parameter_series_monotone_and_bounds():
     ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 128, 19)
-    series, final = order_parameter_series(ens, MeanField(1.0), 5.0, 1e-2, record_every=5)
+    series, _ = order_parameter_series(ens, MeanField(1.0), 5.0, 1e-2, record_every=5)
     assert np.all(np.diff(series.R2) >= -1e-10)
     assert np.all(series.R2 <= 1.0 + 1e-12)
     assert np.all(series.dR2_analytic >= 0.0)
     alive = ~np.isnan(series.gamma[:, 0])
     norms = np.linalg.norm(series.gamma[alive], axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    assert final.time == pytest.approx(5.0)
+    assert series.times[-1] == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize("make_field", [lambda: MeanField(1.0), lambda: TimeDelayField(1.0, 0.01)])
@@ -396,7 +396,7 @@ def test_series_and_branches_stacked_equal_the_separate_calls():
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
     assert series.derivative_defect == want.derivative_defect
     assert series.min_R2_increment == want.min_R2_increment
-    assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
+    assert final.points.tobytes() == want_final.points.tobytes()
     alone = instability_experiment(200, 2, 1.0, 1e-3, 3, t_end=6.0, dt=1e-2)
     assert rep.R_max_symmetric == 0.0
     for name, value in vars(alone).items():
@@ -418,7 +418,7 @@ def test_series_alone_is_a_stack_of_one_with_the_bits_of_the_single_run(n, kappa
         assert getattr(series, name).tobytes() == getattr(want, name).tobytes(), name
     assert series.derivative_defect == want.derivative_defect
     assert series.min_R2_increment == want.min_R2_increment
-    assert final.points.tobytes() == want_final.points.tobytes() and final.time == want_final.time
+    assert final.points.tobytes() == want_final.points.tobytes()
 
 
 def test_series_masses_are_the_ball_masses_of_each_state():
