@@ -300,15 +300,14 @@ def _run_simulate(cfg: dict, outdir: Path):
     # which refuse a point off the unit sphere, before its rows are written
     _, ens0, field = _ensemble(cfg)
     dim = cfg["d"] + 1
-    times, samples = [], []  # each block's times and field samples, for field.csv
+    kept = []  # each block's times and field samples, for field.csv
 
     def trajectory_rows():
-        for ts, points, xs in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"],
-                                               cfg["record_every"]):
-            times.append(ts.copy())
-            samples.append(xs.copy())
-            for t, pts in zip(ts.tolist(), points):
-                for i, row in enumerate(pts.tolist()):
+        for ts, points, xs, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"],
+                                                  cfg["record_every"]):
+            kept.append((ts.copy(), xs.copy()))
+            for t, cols in zip(ts.tolist(), points):
+                for i, row in enumerate(cols.T.tolist()):
                     yield (t, i, *row)
 
     header = ["t", "particle_index"] + [f"coordinate_{j}" for j in range(dim)]
@@ -318,7 +317,7 @@ def _run_simulate(cfg: dict, outdir: Path):
         # a run aborted by a refused block leaves no partial trajectory.csv
         (outdir / "trajectory.csv").unlink(missing_ok=True)
         raise
-    times, samples = np.concatenate(times), np.concatenate(samples)
+    times, samples = (np.concatenate(arrays) for arrays in zip(*kept))
     out_field = write_csv(outdir / "field.csv", ["t"] + [f"X_{j}" for j in range(dim)],
                           ((t, *x) for t, x in zip(times.tolist(), samples.tolist())))
     return [out_traj, out_field], {}, {"snapshots": len(times)}
@@ -333,13 +332,11 @@ def _run_ws_verify(cfg: dict, outdir: Path):
     n_check = min(10, steps)
     marks = [round(c * steps / n_check) for c in range(1, n_check + 1)]
     times, samples, states = np.empty(steps + 1), np.empty((steps + 1, d + 1)), {}
-    s0 = 0
-    for ts, points, xs in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
-        times[s0:s0 + len(ts)], samples[s0:s0 + len(ts)] = ts, xs
-        for idx in marks:
-            if s0 <= idx < s0 + len(ts):
-                states[idx] = points[idx - s0].copy()
-        s0 += len(ts)
+    at = slice(0, 0)
+    for ts, points, xs, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
+        at = slice(at.stop, at.stop + len(ts))
+        times[at], samples[at] = ts, xs
+        states.update((i, points[i - at.start].T.copy()) for i in marks if at.start <= i < at.stop)
     replay = ReplayField(times, samples)
     path = ws_evolve(omega, replay, cfg["t_end"], cfg["dt"])
     checkpoints = [{"t": float(times[idx]), "mismatch": float(np.max(np.linalg.norm(
@@ -377,9 +374,9 @@ def _run_functional(cfg: dict, outdir: Path):
     # conservation_drifts of the run for every k, each snapshot block fed to all
     recorders = [_DriftRecorder.drawn(ens0.points, cfg["p_list"], k, cfg["drift_tuples"],
                                       cfg["seed"]) for k in cfg["k_list"]]
-    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
+    for block in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
         for recorder in recorders:
-            recorder.add(ts, points)
+            recorder.add(*block)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
     p_list = cfg["p_list"]
     # the positions (i, j) of each p > 0 and its -p, whose estimates must agree within 3 sigma:
@@ -492,8 +489,8 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
     # per_omega_conservation of the run, fed a block of snapshots at a time
     recorder = _PerOmegaRecorder(ens0, cfg["p"], cfg["k"], cfg["m"], cfg["seed"])
     field = MeanField(cfg["kappa"])
-    for ts, points, _ in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
-        recorder.add(ts, points)
+    for block in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
+        recorder.add(*block)
     rep = recorder.finish()
     outputs = []
     within_max = 0.0

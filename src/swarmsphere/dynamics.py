@@ -35,7 +35,7 @@ __all__ = [
     "step",
 ]
 
-# floats in one block of snapshots: a block of _snapshot_blocks' recording;
+# floats in one block of snapshots: a block of _snapshot_blocks' feed;
 # in functionals._snapshot_cycle_ratios the chord endpoints a block gathers;
 # in kinetic._closest_pairs the chord vectors of a block of rows (512 kB)
 _DRIFT_BLOCK_FLOATS = 1 << 16
@@ -265,12 +265,10 @@ class ReplayField(DrivingField):
 class TimeDelayField(DrivingField):
     """Delayed mean field: X(t) = kappa * mean(points at t - tau).
 
-    The history belongs to the run: the stepping loop behind ``simulate``
-    and ``order_parameter_series`` keeps the exact population mean of every
-    accepted state and reads X from it (``_in_run``); before t = 0 the
-    history is the constant initial configuration.  The field holds only
-    kappa and tau, so ``evaluate``, a bare ``step`` and ``ws_evolve``
-    refuse it.
+    The history belongs to the run, which keeps the exact mean of every
+    accepted state and reads X from it (``_in_run``); before t = 0 it is the
+    initial configuration.  The field holds only kappa and tau, so
+    ``evaluate``, a bare ``step`` and ``ws_evolve`` refuse it.
     """
 
     _reads_mean = True
@@ -422,13 +420,12 @@ class _RunField(DrivingField):
         return self.at[1] if points is self.at[0] else self.x_at(points, t)
 
 
-def _check_snapshots(points: np.ndarray, fields: np.ndarray):
-    """The rules every recorded run obeys, as a ``Trajectory`` or a block of
-    ``_snapshot_blocks``: finite field samples (m, d+1), and points
-    (m, n, d+1) on the unit sphere within 1e-9."""
+def _check_snapshots(cols: np.ndarray, fields: np.ndarray):
+    """The rules of every recorded run, a ``Trajectory`` or a block of the feed: finite fields
+    (m, ..., d+1), and component-major points (m, ..., d+1, n) of norm within 1e-9 of 1."""
     if not np.isfinite(fields).all():
         raise ValueError("field samples must be finite")
-    if not _on_unit_sphere(points):
+    if not _on_unit_sphere(cols):
         raise ValueError("trajectory points must lie on the unit sphere")
 
 
@@ -458,7 +455,7 @@ class Trajectory:
             raise ValueError("times, points and field samples must have equal length")
         if fields.shape[1:] != points.shape[2:]:
             raise ValueError("field samples must be an (m, d+1) array matching the points")
-        _check_snapshots(points, fields)
+        _check_snapshots(points.swapaxes(1, 2), fields)
         object.__setattr__(self, "omega", _checked_omega(self.omega, *points.shape[1:]))
         for name, value in (("times", times), ("points", points), ("field_samples", fields)):
             value.flags.writeable = False
@@ -499,23 +496,19 @@ def _recorded(s: int, steps: int, record_every: int) -> bool:
 
 def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int):
     """Step with RK4 and yield (time, points, exact mean, X) for the initial
-    state, every ``record_every``-th state and the final state.
+    state, every ``record_every``-th state and the final state, to the one
+    reader of this loop, ``_snapshot_blocks``.
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
-    stack of populations without free flow, stepped as one array under a
-    field that reads the population mean (one X per member) and is not
-    delayed.  Every run starts at t = 0; the number of steps is
-    round(t_end / dt), and state s is at s * dt, the grid of ``ws_evolve``,
-    which is the time each step is handed.  The exact mean of every state
-    is computed once, for a field that reads it (else it is None), and so
-    is X: it feeds the next step's first stage and the caller.  A delayed
-    field reads the run's own history of means.
-
-    A single population is stepped as an Ensemble, ``step``'s result, and
-    its points are yielded.  A stack is kept component-major, (..., d+1, n),
-    the layout ``_advance`` steps, so that ``exact_mean`` reads its columns
-    without a transpose copy; its points are the (..., n, d+1) transpose
-    views.  Each member gets the bits it gets on its own, for any d.
+    stack of populations without free flow under a field that reads the
+    population mean (one X per member) and is not delayed, stepped as one
+    component-major (..., d+1, n) array by ``_advance``; its points are the
+    transpose views, and each member gets the bits it gets on its own.
+    Every run starts at t = 0 and has round(t_end / dt) steps; state s is at
+    s * dt, the grid of ``ws_evolve``, the time each step is handed.  The
+    exact mean of every state is computed once, for a field that reads it
+    (else it is None), and so is X, which feeds the next step's first stage.
+    A delayed field reads the run's own history of means.
     """
     steps = _step_count(t_end, dt, record_every)
     single = isinstance(start, Ensemble)
@@ -562,33 +555,41 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
     """
     m, (n, dim) = _record_count(t_end, dt, record_every), ens0.points.shape
     times, points, fields = np.empty(m), np.empty((m, n, dim)), np.empty((m, dim))
-    for j, (t, pts, _, x) in enumerate(_run(ens0, field, t_end, dt, record_every)):
-        times[j], points[j], fields[j] = t, pts, x
+    at = slice(0, 0)
+    for ts, cols, xs, _ in _snapshot_blocks(ens0, field, t_end, dt, record_every):
+        at = slice(at.stop, at.stop + len(ts))
+        times[at], points[at], fields[at] = ts, cols.swapaxes(1, 2), xs
     return Trajectory(times, points, fields, ens0.omega)
 
 
-def _snapshot_blocks(start: Ensemble, field: DrivingField, t_end: float, dt: float,
-                     record_every: int):
-    """The snapshots ``simulate`` records, in run order, as blocks
-    (times, points, fields) of at most ``_DRIFT_BLOCK_FLOATS // (n (d+1))``
-    snapshots (at least one), each checked by the ``Trajectory`` rules
-    before it is yielded.  The three arrays are one buffer, overwritten by
-    the next block: a caller copies what it keeps.  The run is never held
-    whole, so an observer that reduces each block holds O(n) memory."""
-    n, dim = start.points.shape
-    rows = min(max(1, _DRIFT_BLOCK_FLOATS // (n * dim)), _record_count(t_end, dt, record_every))
-    times, points, fields = np.empty(rows), np.empty((rows, n, dim)), np.empty((rows, dim))
+def _snapshot_blocks(start, field: DrivingField, t_end: float, dt: float, record_every: int):
+    """The one feed of every run: the states ``_run`` yields from ``start``,
+    an Ensemble or an (..., n, d+1) stack, as blocks (times, points, fields,
+    means) of at most ``_DRIFT_BLOCK_FLOATS`` floats of points (at least one
+    state), each checked by the ``Trajectory`` rules.  Points are
+    component-major, (b, ..., d+1, n), the layout ``_advance`` steps; fields
+    and exact means are (b, ..., d+1), the means None under a field that
+    does not read them.  The arrays are one buffer that the next block
+    overwrites, so an observer copies what it keeps."""
+    *stack, n, dim = np.shape(start.points if isinstance(start, Ensemble) else start)
+    rows = min(max(1, _DRIFT_BLOCK_FLOATS // math.prod((*stack, n, dim))),
+               _record_count(t_end, dt, record_every))
+    times, points = np.empty(rows), np.empty((rows, *stack, dim, n))
+    fields = np.empty((rows, *stack, dim))
+    means = np.empty_like(fields) if field._reads_mean else None
     j = 0
-    for t, pts, _, x in _run(start, field, t_end, dt, record_every):
-        times[j], points[j], fields[j] = t, pts, x
+    for t, pts, mean, x in _run(start, field, t_end, dt, record_every):
+        times[j], points[j], fields[j] = t, pts.swapaxes(-1, -2), x
+        if means is not None:
+            means[j] = mean
         j += 1
         if j == rows:
             _check_snapshots(points, fields)
-            yield times, points, fields
+            yield times, points, fields, means
             j = 0
     if j:
         _check_snapshots(points[:j], fields[:j])
-        yield times[:j], points[:j], fields[:j]
+        yield times[:j], points[:j], fields[:j], None if means is None else means[:j]
 
 
 def collision_residual(traj: Trajectory, k: int, l: int) -> float:

@@ -98,19 +98,22 @@ def _cycle_ratios(chords: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
 
 def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
     """``_cycle_ratios`` of fixed index tuples (m, 2k) at every snapshot of
-    an (s, n, d+1) stack, a block of snapshots at a time: yields the
-    block's first index, its ratios (b, m), and whether each of its
-    snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
+    a component-major (s, d+1, n) stack, a block of snapshots at a time:
+    yields the block's first index, its ratios (b, m), and whether each of
+    its snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
 
-    Each chord's two endpoints are taken straight from the row-major
-    snapshots, rows of n (d+1) floats, by one flat index array built once
-    for all blocks, component-major and position-major, (b, d+1, 2, 2k m):
-    no block is copied whole, and the kernel reads contiguous chords.
+    Each chord's two endpoints are taken straight from each snapshot's
+    n (d+1) floats as stored (row-major in a ``Trajectory``'s view) by one
+    flat index built once, component-major and position-major,
+    (b, d+1, 2, 2k m): no block is copied, and the kernel reads contiguous chords.
     """
     m, width = tuples.shape
     ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
-    _, n, dim = snapshots.shape
-    flat = ends * dim + np.arange(dim)[:, None, None]
+    _, dim, n = snapshots.shape
+    comp = np.arange(dim)[:, None, None]
+    flat = comp * n + ends
+    if snapshots.strides[1] < snapshots.strides[2]:  # a row-major stack's view
+        snapshots, flat = snapshots.swapaxes(1, 2), ends * dim + comp
     rows = max(1, _DRIFT_BLOCK_FLOATS // flat.size)
     for b0 in range(0, len(snapshots), rows):
         block = snapshots[b0:b0 + rows]
@@ -396,7 +399,7 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
     recorder = _DriftRecorder.drawn(traj.points[0], ps, k, m, seed)
-    recorder.add(traj.times, traj.points)
+    recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
     return recorder.finish()
 
 
@@ -406,8 +409,8 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
 
 
 class _DriftRecorder:
-    """Drift of the cycle ratios of fixed index tuples (m, 2k) over the
-    snapshots of a run, fed in run order a block at a time; ``finish``
+    """Drift of the cycle ratios of fixed index tuples (m, 2k) over a run,
+    an observer of its feed (``dynamics._snapshot_blocks``); ``finish``
     gives one report per p.  The ratios are formed by
     ``_snapshot_cycle_ratios``, so a snapshot's values do not depend on
     where the blocks break, and only the estimates are kept.  A drift needs
@@ -427,8 +430,8 @@ class _DriftRecorder:
         tuples, _, _ = _draw_cycles(rng_stream(seed, stream=0), first, m, k, 100 * m)
         return cls(tuples, ps)
 
-    def add(self, times: np.ndarray, points: np.ndarray):
-        """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
+    def add(self, times: np.ndarray, points: np.ndarray, fields, means):
+        """The component-major snapshots (b, d+1, n) at ``times`` that follow those fed before."""
         for b0, ratios, bad in _snapshot_cycle_ratios(points, self.tuples):
             if bad.any():
                 t = times[b0 + int(np.argmax(bad))]

@@ -346,10 +346,10 @@ class SkewMatrix:
         return f"SkewMatrix(n={self.n}, |lower|={np.linalg.norm(self._lower):.3g})"
 
 
-def _on_unit_sphere(points: np.ndarray) -> bool:
-    """Whether every point of a nonempty (..., d+1) array has norm within
-    1e-9 of 1; a NaN point fails.  Formed in place: one (...) array in all."""
-    dev = np.einsum("...i,...i->...", points, points)
+def _on_unit_sphere(cols: np.ndarray) -> bool:
+    """Whether every point, a column of a nonempty component-major (..., d+1, n)
+    array, has norm within 1e-9 of 1 (a NaN fails); in place past the products."""
+    dev = _component_dot(cols, cols)
     np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)
     return bool(np.abs(dev, out=dev).max() <= 1e-9)
 
@@ -390,7 +390,7 @@ class Ensemble:
         pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 2:
             raise ValueError("points must be an (n, d+1) array with d >= 1")
-        if not _on_unit_sphere(pts):
+        if not _on_unit_sphere(pts.T):
             raise ValueError("ensemble points must lie on the unit sphere")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

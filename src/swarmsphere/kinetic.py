@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (_DRIFT_BLOCK_FLOATS, DrivingField, MeanField, Trajectory, _record_count,
-                       _recorded, _run, _snapshot_blocks, _step_count)
+                       _recorded, _snapshot_blocks, _step_count)
 from .functionals import DriftReport, _draw_cycles, _DriftRecorder, _snapshot_cycle_ratios
 from .geometry import (Ensemble, _component_dot, exact_mean, renormalize, rng_stream,
                        sample_uniform, sample_vmf, tangent_project)
@@ -90,12 +90,11 @@ class OrderParameterSeries:
     """Streaming record of R^2, its analytic derivative, the polarisation
     axis and the masses of the chordal balls of radius ``_BALL_RADIUS``
     around it, with the smallest step-to-step increment of R^2 (NaN for no
-    steps) and the derivative identity's defect: the largest gap between
-    the change of R^2 over the two steps around an interior state and
-    Simpson's rule for the integral of the analytic derivative over them,
-    divided by their span; NaN for fewer than two steps.  The analytic
-    derivative and its defect are NaN under a field other than
-    ``MeanField`` or with several generator groups."""
+    steps) and the derivative identity's defect: the largest gap, over the
+    two steps around an interior state, between the change of R^2 and
+    Simpson's rule for the analytic derivative, divided by their span (NaN
+    for fewer than two steps, under a field other than ``MeanField`` or
+    with several generator groups, where the derivative is NaN too)."""
 
     times: np.ndarray
     R2: np.ndarray
@@ -109,39 +108,42 @@ class OrderParameterSeries:
 
 class _SeriesRecorder:
     """The order-parameter diagnostics of one population over a run to
-    t_end at step dt, fed every state in order: R^2 and its analytic
-    derivative at every state, for the smallest increment and the derivative
-    defect, and the rows at the states ``_recorded`` picks.  ``kappa`` is the
-    mean field's coupling, None where the identity does not hold."""
+    t_end at step dt, fed every state: R^2 and its analytic derivative at
+    every state, for the smallest increment and the derivative defect, and
+    the rows at the states ``_recorded`` picks.  ``kappa`` is the mean
+    field's coupling, None where the identity does not hold."""
 
     def __init__(self, t_end: float, dt: float, record_every: int, kappa: float | None):
         self.steps = _step_count(t_end, dt, record_every)
-        self.record_every, self.kappa = record_every, kappa
+        self.record_every, self.kappa, self.fed = record_every, kappa, 0
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.min_increment, self.defect = math.inf, 0.0
 
-    def add(self, s: int, t: float, cols: np.ndarray, x_c: np.ndarray):
-        """State s of the run, at time t, with component-major (d+1, n)
-        ``cols`` and their exact mean ``x_c``."""
-        r2 = float(x_c @ x_c)
-        dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(cols, x_c)
-        if self.recent:
-            self.min_increment = min(self.min_increment, r2 - self.recent[-1][1])
-        self.recent = self.recent[-2:] + [(t, r2, dr2)]
-        if len(self.recent) == 3:
-            (t0, a, f0), (_, _, f1), (t2, b, f2) = self.recent
-            span = t2 - t0
-            self.defect = max(self.defect, abs(b - a - span / 6 * (f0 + 4 * f1 + f2)) / span)
-        if not _recorded(s, self.steps, self.record_every):
-            return
-        if r2 > _R_POSITIVE ** 2:
-            g = x_c / math.sqrt(r2)
-            plus, minus = _ball_masses(cols, np.stack([g, -g]), _BALL_RADIUS).tolist()
-        else:
-            g, plus, minus = np.full(x_c.size, np.nan), math.nan, math.nan
-        for column, value in zip(self.columns, (t, r2, dr2, g, plus, minus)):
-            column.append(value)
+    def add(self, times: np.ndarray, points: np.ndarray, fields, means):
+        """The states at ``times`` that follow those fed before, with
+        component-major points (b, d+1, n) and exact means, or None."""
+        for j, t in enumerate(times.tolist()):
+            cols, x_c = points[j], exact_mean(points[j].T) if means is None else means[j]
+            r2 = float(x_c @ x_c)
+            dr2 = math.nan if self.kappa is None else self.kappa * _dR2_dt(cols, x_c)
+            if self.recent:
+                self.min_increment = min(self.min_increment, r2 - self.recent[-1][1])
+            self.recent = self.recent[-2:] + [(t, r2, dr2)]
+            if len(self.recent) == 3:
+                (t0, a, f0), (_, _, f1), (t2, b, f2) = self.recent
+                span = t2 - t0
+                self.defect = max(self.defect, abs(b - a - span / 6 * (f0 + 4 * f1 + f2)) / span)
+            self.fed += 1
+            if not _recorded(self.fed - 1, self.steps, self.record_every):
+                continue
+            if r2 > _R_POSITIVE ** 2:
+                g = x_c / math.sqrt(r2)
+                plus, minus = _ball_masses(cols, np.stack([g, -g]), _BALL_RADIUS).tolist()
+            else:
+                g, plus, minus = np.full(x_c.size, np.nan), math.nan, math.nan
+            for column, value in zip(self.columns, (t, r2, dr2, g, plus, minus)):
+                column.append(value)
 
     def finish(self) -> OrderParameterSeries:
         # no interior state, or no identity to compare (max drops a NaN gap)
@@ -158,16 +160,15 @@ def order_parameter_series(ens0: Ensemble, field: DrivingField, t_end: float, dt
     R^2 and its analytic derivative are evaluated at every step, so the
     smallest increment of R^2 and the derivative defect are measured at the
     step spacing whatever ``record_every`` is; the initial and final states
-    are always recorded.
-    The derivative is the mean-field identity at the field's coupling, NaN
-    under any other field and with several generator groups, whose
-    differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
+    are always recorded.  The derivative is the mean-field identity at the
+    field's coupling, NaN under any other field and with several generator
+    groups, whose differing rotations add 2<x_c, mean(Omega_i x_i)> to it.
     """
     identity = isinstance(field, MeanField) and len(ens0.omega_groups()) == 1
     recorder = _SeriesRecorder(t_end, dt, record_every, field.kappa if identity else None)
-    for s, (t, points, mean, _) in enumerate(_run(ens0, field, t_end, dt, 1)):
-        recorder.add(s, t, points.T, exact_mean(points) if mean is None else mean)
-    return recorder.finish(), ens0._at(points)
+    for block in _snapshot_blocks(ens0, field, t_end, dt, 1):
+        recorder.add(*block)
+    return recorder.finish(), ens0._at(block[1][-1].T.copy())
 
 
 def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -197,8 +198,8 @@ def _closest_pairs(points: np.ndarray, idx: np.ndarray, count: int) -> list[tupl
 
 
 def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:
-    """Cross ratios of index tuples (m, 4) at every snapshot of an
-    (s, n, d+1) stack, shape (s, m), without the degeneracy guard;
+    """Cross ratios of index tuples (m, 4) at every snapshot of a
+    component-major (s, d+1, n) stack, shape (s, m), without the degeneracy guard;
     an exactly zero denominator, 0/0 included, gives inf."""
     vals = np.concatenate([v for _, v, _ in _snapshot_cycle_ratios(snapshots, tuples)])
     vals[np.isnan(vals)] = np.inf
@@ -236,10 +237,9 @@ def instability_experiment(N: int, d: int, kappa: float, delta: float, seed: int
     over kappa t in [0, 5].
     """
     branches = _Branches(N, d, kappa, delta, seed, t_end, dt)
-    # both branches are stepped as one stack
-    for t, points, mean, _ in _run(branches.start, MeanField(kappa), t_end, dt, _RECORD_EVERY):
-        branches.add(t, points, mean)
-    return branches.report()
+    for block in _snapshot_blocks(branches.start, MeanField(kappa), t_end, dt, 1):
+        branches.add(*block)
+    return branches.finish()
 
 
 def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: float,
@@ -248,28 +248,27 @@ def _series_with_instability(ens0: Ensemble, kappa: float, t_end: float, dt: flo
     """``order_parameter_series(ens0, MeanField(kappa), t_end, dt,
     record_every)`` and, for a ``delta`` (else None), the report of
     ``instability_experiment(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)``
-    from one run: its two branches and ens0, a population without free flow,
-    last, are stepped as one stack, each member with its own bits."""
+    from one stack: the two branches and ens0, without free flow, last."""
     if ens0.omega is not None:
         raise ValueError("the stacked kinetic run needs a population without free flow")
     branches = None if delta is None else _Branches(ens0.n, ens0.d, kappa, delta, seed, t_end, dt)
     recorder = _SeriesRecorder(t_end, dt, record_every, float(kappa))
     stack = ens0.points[None] if branches is None else \
         np.concatenate([branches.start, ens0.points[None]])
-    for s, (t, points, mean, _) in enumerate(_run(stack, MeanField(kappa), t_end, dt, 1)):
-        if branches is not None and _recorded(s, recorder.steps, _RECORD_EVERY):
-            branches.add(t, points, mean)
-        recorder.add(s, t, points[-1].T, mean[-1])  # the stack's own columns
-    return (recorder.finish(), ens0._at(points[-1].copy()),
-            None if branches is None else branches.report())
+    for block in _snapshot_blocks(stack, MeanField(kappa), t_end, dt, 1):
+        recorder.add(block[0], *(a[:, -1] for a in block[1:]))  # the series population
+        if branches is not None:
+            branches.add(*block)
+    return (recorder.finish(), ens0._at(block[1][-1, -1].T.copy()),
+            None if branches is None else branches.finish())
 
 
 class _Branches:
     """The instability experiment's two branches over a run to t_end at
-    step dt: their start, a (2, N, d+1) stack, and what the run keeps of
-    each recorded state of it, which ``report`` turns into the experiment's
-    outcome.  (a) keeps its order parameter, (b) its points, in one
-    preallocated array, and its exact mean."""
+    step dt: their start, a (2, N, d+1) stack, and what is kept of its
+    states on the grid of every ``_RECORD_EVERY``-th step, fed every state
+    of a stack that they begin: (a) its order parameter, (b) its points in
+    one preallocated component-major array, and its exact mean."""
 
     def __init__(self, N: int, d: int, kappa: float, delta: float, seed: int,
                  t_end: float, dt: float):
@@ -283,27 +282,29 @@ class _Branches:
         sym_points = np.vstack([half, -half])
         # (b) displaces one particle by delta along a tangent direction
         x0 = sym_points[0]
-        axis = int(np.argmin(np.abs(x0)))
-        direction = tangent_project(x0, np.eye(d + 1)[axis])
+        direction = tangent_project(x0, np.eye(d + 1)[int(np.argmin(np.abs(x0)))])
         direction = direction / np.linalg.norm(direction)
         pert_points = sym_points.copy()
         pert_points[0] = renormalize(x0 + delta * direction)
         self.N, self.d, self.kappa, self.seed = N, d, float(kappa), seed
         self.start = np.stack([sym_points, pert_points])
-        self.points = np.empty((_record_count(t_end, dt, _RECORD_EVERY), N, d + 1))
+        self.steps, self.fed = _step_count(t_end, dt, _RECORD_EVERY), 0
+        self.points = np.empty((_record_count(t_end, dt, _RECORD_EVERY), d + 1, N))
         self.r2_sym, self.times, self.means = [], [], []
 
-    def add(self, t: float, points: np.ndarray, mean: np.ndarray):
-        """A recorded state at time t of a stack whose first two members are
-        the branches, with their exact means."""
-        self.points[len(self.times)] = points[1]
-        self.r2_sym.append(float(mean[0] @ mean[0]))
-        self.times.append(t)
-        self.means.append(mean[1])
+    def add(self, times: np.ndarray, points: np.ndarray, fields, means: np.ndarray):
+        """The states at ``times`` that follow those fed before, with the
+        stack's component-major points (b, S, d+1, N) and exact means."""
+        for j, t in enumerate(times.tolist()):
+            if _recorded(self.fed + j, self.steps, _RECORD_EVERY):
+                self.points[len(self.times)] = points[j, 1]
+                self.r2_sym.append(float(means[j, 0] @ means[j, 0]))
+                self.times.append(t)
+                self.means.append(means[j, 1].copy())
+        self.fed += len(times)
 
-    def report(self) -> InstabilityReport:
-        N, d, kappa, seed = self.N, self.d, self.kappa, self.seed
-        means, points = self.means, self.points
+    def finish(self) -> InstabilityReport:
+        kappa, seed, means, points = self.kappa, self.seed, self.means, self.points
         r_max_sym = math.sqrt(max(self.r2_sym))
         rs = np.array([math.sqrt(float(m @ m)) for m in means])
 
@@ -313,15 +314,14 @@ class _Branches:
         selection_time, mixed_max, unbounded = math.nan, math.nan, False
         for i in np.nonzero(rs >= 0.5)[0]:
             gamma = means[i] / rs[i]
-            side = points[i] @ gamma
-            plus = np.nonzero(side > 0)[0]
-            minus = np.nonzero(side <= 0)[0]
+            rows = points[i].T.copy()
+            side = rows @ gamma
+            plus, minus = np.nonzero(side > 0)[0], np.nonzero(side <= 0)[0]
             if plus.size >= 2 and minus.size >= 2:
                 n_pairs = min(3, plus.size // 2, minus.size // 2)
-                pp = _closest_pairs(points[i], plus, n_pairs)
-                mp = _closest_pairs(points[i], minus, n_pairs)
-                tuples = np.array([[a[0], b[0], b[1], a[1]] for a, b in zip(pp, mp)],
-                                  dtype=np.int64)
+                pp = _closest_pairs(rows, plus, n_pairs)
+                mp = _closest_pairs(rows, minus, n_pairs)
+                tuples = np.array([[a[0], *b, a[1]] for a, b in zip(pp, mp)], dtype=np.int64)
                 vals = _mixed_tuple_values(points, tuples)
                 unbounded = bool(np.any(np.isinf(vals)))
                 mixed_max = float(vals[np.isfinite(vals)].max(initial=0.0))
@@ -331,11 +331,10 @@ class _Branches:
         # control: a smooth-density run where fixed tuples must hold steady,
         # 5000 steps over kappa t in [0, 5], before its population collapses
         # (``conservation_drift`` of its recording, fed a block at a time)
-        control_ens = sample_vmf(np.eye(d + 1)[-1], 4.0, min(256, N), seed + 1)
+        control_ens = sample_vmf(np.eye(self.d + 1)[-1], 4.0, min(256, self.N), seed + 1)
         control = _DriftRecorder.drawn(control_ens.points, [0.3], 2, 50, seed)
-        for times, snapshots, _ in _snapshot_blocks(control_ens, MeanField(kappa), 5.0 / kappa,
-                                                    1e-3 / kappa, 10):
-            control.add(times, snapshots)
+        for block in _snapshot_blocks(control_ens, MeanField(kappa), 5.0 / kappa, 1e-3 / kappa, 10):
+            control.add(*block)
 
         return InstabilityReport(
             R_max_symmetric=r_max_sym,
@@ -368,16 +367,15 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     with fewer than 2k particles is skipped, and at least one must have 2k.
     """
     recorder = _PerOmegaRecorder(Ensemble(traj.points[0], traj.omega), p, k, m, seed)
-    recorder.add(traj.times, traj.points)
+    recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
     return recorder.finish()
 
 
 class _PerOmegaRecorder:
     """``per_omega_conservation`` of a run from the labelled population
-    ``first``, fed the run's snapshots in order a block at a time: one
-    drift recorder per generator group of 2k members or more (None for a
-    smaller one), and one for the mixed-group tuples when there are two
-    groups or more."""
+    ``first``, fed as ``_DriftRecorder`` is: one drift recorder per group of
+    2k members or more (None for a smaller one), and one for the mixed-group
+    tuples when there are two groups or more."""
 
     def __init__(self, first: Ensemble, p: float, k: int, m: int, seed: int):
         groups = first.omega_groups()
@@ -402,11 +400,11 @@ class _PerOmegaRecorder:
                                         label)
             self.mixed = _DriftRecorder(chosen, [p])
 
-    def add(self, times: np.ndarray, points: np.ndarray):
-        """The snapshots (b, n, d+1) at ``times`` (b,) that follow those fed before."""
+    def add(self, times: np.ndarray, points: np.ndarray, fields, means):
+        """A block of the run's feed, as ``_DriftRecorder.add`` takes it."""
         for recorder in self.per_group + [self.mixed]:
             if recorder is not None:
-                recorder.add(times, points)
+                recorder.add(times, points, fields, means)
 
     def finish(self) -> PerOmegaReport:
         drifts = [None if r is None else r.finish()[0] for r in self.per_group + [self.mixed]]

@@ -802,3 +802,39 @@ def test_streamed_runs_hold_less_than_half_their_recording(tmp_path, cfg):
         tracemalloc.stop()
     assert code == 0
     assert peak < recording / 2, f"traced peak {peak / 1e6:.1f} MB"
+
+
+# one config per experiment that steps a run; kinetic with its instability branches
+_STEPPED = {
+    "simulate": {"experiment": "simulate", "d": 2, "N": 12, "t_end": 0.2, "dt": 1e-2,
+                 "record_every": 3, "omega_spec": {"kind": "random", "seed": 4}, "seed": 6},
+    "ws-verify": {"experiment": "ws-verify", "d": 2, "N": 12, "t_end": 0.05, "dt": 1e-3,
+                  "omega_spec": {"kind": "random", "seed": 7}, "seed": 3},
+    "functional": {"experiment": "functional", "d": 2, "N": 16, "t_end": 0.1, "dt": 1e-2,
+                   "p_list": [0.3, -0.3], "k_list": [2, 3], "m": 200, "drift_tuples": 20,
+                   "seed": 5},
+    "heterogeneous": {"experiment": "heterogeneous", "d": 2, "t_end": 0.1, "m": 10, "seed": 8,
+                      "groups": [{"count": 8, "omega_spec": {"kind": "zero"}},
+                                 {"count": 8, "omega_spec": {"kind": "planar", "rate": 1.0}}]},
+    "kinetic": {"experiment": "kinetic", "d": 2, "N": 40, "kappa": 2.0, "t_end": 10.0,
+                "record_every": 7, "delta": 1e-3, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_STEPPED))
+def test_every_run_writes_its_bytes_fed_one_state_at_a_time(tmp_path, monkeypatch, experiment):
+    # ws-verify's checkpoints, simulate's rows and every recorder read the
+    # run's feed; none may keep a view of its reused block buffer
+    import swarmsphere.dynamics as dynamics
+
+    path = write_config(tmp_path, "c.json", _STEPPED[experiment])
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "default")]) == 0
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", 1)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "one")]) == 0
+    names = sorted(f.name for f in (tmp_path / "default").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "one").iterdir()) and len(names) > 1
+    for name in names:
+        a, b = ((tmp_path / run / name).read_bytes() for run in ("default", "one"))
+        if name == "manifest.json":
+            a, b = ({**json.loads(m), "wall_time_s": None} for m in (a, b))
+        assert a == b, name

@@ -271,6 +271,14 @@ def test_simulate_records_the_points_the_loop_yields():
             a[0] = 0.0
 
 
+def _fed(start, field=MeanField(1.0)):
+    """The blocks of the feed of a run to t = 0.5 recorded every second
+    step, copied, and each of times, points, fields and means concatenated."""
+    blocks = [tuple(a.copy() for a in block)
+              for block in dynamics._snapshot_blocks(start, field, 0.5, 1e-2, 2)]
+    return blocks, [np.concatenate(arrays) for arrays in zip(*blocks)]
+
+
 @pytest.mark.parametrize("rows", [1, 7, 26])
 def test_snapshot_blocks_are_the_recording_of_simulate_in_blocks(monkeypatch, rows):
     # one snapshot per block, blocks of 7 that leave a short last one of 5,
@@ -278,13 +286,29 @@ def test_snapshot_blocks_are_the_recording_of_simulate_in_blocks(monkeypatch, ro
     ens = Ensemble(sample_uniform(2, REF_N, 8).points, TWO_GROUPS)
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", rows * REF_N * 3)
     traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
-    blocks = [tuple(a.copy() for a in block) for block in
-              dynamics._snapshot_blocks(ens, MeanField(1.0), 0.5, 1e-2, 2)]
-    sizes = [len(times) for times, _, _ in blocks]
+    blocks, (times, points, fields, means) = _fed(ens)
+    sizes = [len(block[0]) for block in blocks]
     assert sizes == [rows] * (26 // rows) + ([26 % rows] if 26 % rows else [])
-    for i, name in enumerate(("times", "points", "field_samples")):
-        whole = np.concatenate([block[i] for block in blocks])
-        assert whole.tobytes() == getattr(traj, name).tobytes(), name
+    assert times.tobytes() == traj.times.tobytes()
+    assert points.swapaxes(1, 2).tobytes() == traj.points.tobytes()  # component-major
+    assert fields.tobytes() == traj.field_samples.tobytes()
+    assert means.tobytes() == np.array([exact_mean(pts) for pts in traj.points]).tobytes()
+    # a stack of three, in blocks of a third as many states: member by member
+    # the blocks of each one's own run
+    members = [sample_uniform(2, REF_N, seed).points for seed in (8, 9, 10)]
+    _, stacked = _fed(np.stack(members))
+    assert stacked[1].shape == (26, 3, 3, REF_N)
+    for i, member in enumerate(members):
+        _, alone = _fed(Ensemble(member))
+        assert stacked[0].tobytes() == alone[0].tobytes()
+        for name, got, want in zip(("points", "fields", "means"), stacked[1:], alone[1:]):
+            assert got[:, i].tobytes() == want.tobytes(), name
+
+
+def test_snapshot_blocks_hand_no_means_for_a_field_that_does_not_read_them():
+    field = PrescribedField(lambda t: np.array([0.0, math.cos(t), math.sin(t)]))
+    blocks = dynamics._snapshot_blocks(sample_uniform(2, 8, 4), field, 0.5, 1e-2, 2)
+    assert all(means is None for *_, means in blocks)
 
 
 @pytest.mark.parametrize("fault, message", [

@@ -630,7 +630,7 @@ def test_conservation_drifts_match_single_p_bitwise():
 def _drift_report(traj, tuples, ps):
     """The reports of a drift recorder fed a whole trajectory as one block."""
     recorder = _DriftRecorder(tuples, ps)
-    recorder.add(traj.times, traj.points)
+    recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
     return recorder.finish()
 
 
@@ -647,7 +647,10 @@ def test_drift_recorder_fed_in_blocks_gives_the_bits_of_conservation_drifts(n, k
     for size in (1, 7, m):
         recorder = _DriftRecorder.drawn(traj.points[0], ps, k, 30, seed)
         for b0 in range(0, m, size):
-            recorder.add(traj.times[b0:b0 + size], traj.points[b0:b0 + size])
+            # the component-major blocks of the run's feed
+            recorder.add(traj.times[b0:b0 + size],
+                         np.ascontiguousarray(traj.points[b0:b0 + size].swapaxes(1, 2)),
+                         traj.field_samples[b0:b0 + size], None)
         for got, rep in zip(recorder.finish(), want, strict=True):
             for name in ("times", "estimates", "relative_drift", "tuples"):
                 assert getattr(got, name).tobytes() == getattr(rep, name).tobytes(), name
@@ -695,19 +698,21 @@ def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, 
     tuples = _draw_cycles(rng_stream(k), snapshots[0], 40, k, 10**4)[0]
     tuples[0, 1] = tuples[0, 0]  # a zero chord: masked, its ratio 0 or NaN
     tuples[1, 2] = tuples[1, 1]  # a zero denominator chord
-    blocks = list(functionals._snapshot_cycle_ratios(snapshots, tuples))
-    assert [b0 for b0, _, _ in blocks] == list(range(0, 9, blocks[0][1].shape[0]))
-    ratios = np.concatenate([vals for _, vals, _ in blocks])
-    bad = np.concatenate([mask for _, _, mask in blocks])
-    assert bad.all()
-    for pts, got in zip(snapshots, ratios):
-        vals, mask = _reference_cycle_ratios(pts[tuples])
-        assert got.tobytes() == vals.tobytes()
-        assert mask[:2].all() and not mask[2:].any()
-    # without the zero chords no snapshot is flagged
-    clean = np.concatenate([mask for _, _, mask in
-                            functionals._snapshot_cycle_ratios(snapshots, tuples[2:])])
-    assert clean.shape == (9,) and not clean.any()
+    # component-major snapshots as the feed yields them, and a Trajectory's swapaxes view
+    for stack in (np.ascontiguousarray(snapshots.swapaxes(1, 2)), snapshots.swapaxes(1, 2)):
+        blocks = list(functionals._snapshot_cycle_ratios(stack, tuples))
+        assert [b0 for b0, _, _ in blocks] == list(range(0, 9, blocks[0][1].shape[0]))
+        ratios = np.concatenate([vals for _, vals, _ in blocks])
+        bad = np.concatenate([mask for _, _, mask in blocks])
+        assert bad.all()
+        for pts, got in zip(snapshots, ratios):
+            vals, mask = _reference_cycle_ratios(pts[tuples])
+            assert got.tobytes() == vals.tobytes()
+            assert mask[:2].all() and not mask[2:].any()
+        # without the zero chords no snapshot is flagged
+        clean = np.concatenate([mask for _, _, mask in
+                                functionals._snapshot_cycle_ratios(stack, tuples[2:])])
+        assert clean.shape == (9,) and not clean.any()
 
 
 def _collapsing_trajectory(collapse_at):
@@ -725,17 +730,19 @@ def test_snapshot_cycle_ratios_hold_no_copy_of_the_block():
     import tracemalloc
 
     # the gather used to copy each sub-block of 21 snapshots into component-major
-    # order first (a 534 kB peak); the gathered endpoints are 58 kB
-    block = rng_stream(5).standard_normal((100, 1000, 3))
+    # order first (a 534 kB peak); the gathered endpoints are 58 kB.  Neither a
+    # component-major block of the feed nor a row-major stack's view is copied
+    rows = rng_stream(5).standard_normal((100, 1000, 3))
     tuples = np.array([[0, 1, 2, 3], [10, 20, 30, 40], [999, 500, 7, 123]])
-    tracemalloc.start()
-    try:
-        for _ in functionals._snapshot_cycle_ratios(block, tuples):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < block.nbytes / 10
+    for block in (np.ascontiguousarray(rows.swapaxes(1, 2)), rows.swapaxes(1, 2)):
+        tracemalloc.start()
+        try:
+            for _ in functionals._snapshot_cycle_ratios(block, tuples):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes / 10
 
 
 def test_drift_report_names_the_first_degenerate_snapshot(monkeypatch):

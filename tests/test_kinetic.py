@@ -273,7 +273,7 @@ def test_mixed_tuple_values_are_the_unguarded_chord_quotients():
                        [0, 5, 5, 1]])   # x1 = x2 = x3: 0/0
     turned = points[:, [1, 2, 0]]  # a rotation that keeps the chords exact
     snapshots = np.stack([points, turned])
-    values = _mixed_tuple_values(snapshots, tuples)
+    values = _mixed_tuple_values(snapshots.swapaxes(1, 2), tuples)
     assert values.shape == (2, 4)
     for pts, vals in zip(snapshots, values):
         for (i, j, k, l), got in zip(tuples[:2], vals[:2]):
@@ -360,13 +360,13 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     import swarmsphere.kinetic as kinetic
 
     built = []
-    report = kinetic._Branches.report
+    finish = kinetic._Branches.finish
 
     def recorded(branches):
         built.append(branches)
-        return report(branches)
+        return finish(branches)
 
-    monkeypatch.setattr(kinetic._Branches, "report", recorded)
+    monkeypatch.setattr(kinetic._Branches, "finish", recorded)
     n, seed, t_end, dt = 200, 3, 6.0, 1e-2
     rep = instability_experiment(N=n, d=2, kappa=1.0, delta=1e-3, seed=seed, t_end=t_end, dt=dt)
     (stacked,) = built
@@ -382,7 +382,7 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     pert[0] = renormalize(sym[0] + 1e-3 * direction / np.linalg.norm(direction))
     alone = simulate(Ensemble(pert), MeanField(1.0), t_end, dt, _RECORD_EVERY)
     assert np.array(stacked.times).tobytes() == alone.times.tobytes()
-    assert stacked.points.tobytes() == alone.points.tobytes()
+    assert stacked.points.swapaxes(1, 2).tobytes() == alone.points.tobytes()
     assert (1.0 * np.array(stacked.means)).tobytes() == alone.field_samples.tobytes()
     assert rep.R_end_perturbed == math.sqrt(order_parameter(Ensemble(alone.points[-1]))[0])
 
@@ -565,3 +565,43 @@ def test_a_ball_center_that_is_not_a_finite_vector_of_width_d_plus_one_is_refuse
     with pytest.raises(ValueError, match=r"^ball center must be a finite vector of width "
                                          r"d\+1 = 3$"):
         ball_mass(ens, center, 0.5)
+
+
+def _bits(value):
+    """A result as nested plain values, every float and array by its bits."""
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def test_every_public_function_gives_its_bits_fed_one_state_at_a_time(monkeypatch):
+    # an observer that kept a view of the reused block buffer would read the
+    # states fed after the one it meant to keep
+    from swarmsphere import conservation_drifts, dynamics
+
+    two = sample_uniform(2, 24, 3).with_omega((SkewMatrix.zero(2),) * 12
+                                              + (SkewMatrix.planar(2, 1.0),) * 12)
+    polarised = sample_vmf([0.0, 0.0, 1.0], 1.0, 40, 4)
+    calls = {
+        "simulate": lambda: simulate(two, MeanField(1.0), 0.3, 1e-2, 3),
+        "order_parameter_series": lambda: order_parameter_series(polarised, MeanField(1.0),
+                                                                 0.6, 1e-2, 7),
+        "instability_experiment": lambda: instability_experiment(40, 2, 2.0, 1e-3, 7, t_end=10.0),
+        "conservation_drifts": lambda: conservation_drifts(
+            simulate(two, MeanField(1.0), 0.3, 1e-2), [0.3, -0.3], 2, 20, 5),
+        "per_omega_conservation": lambda: per_omega_conservation(
+            simulate(two, MeanField(1.0), 0.3, 1e-2), 0.3, 2, 10, 5),
+        "series_with_instability": lambda: _series_with_instability(polarised, 2.0, 10.0, 1e-2,
+                                                                    7, 1e-3, 7),
+    }
+    want = {name: _bits(call()) for name, call in calls.items()}
+    assert want["instability_experiment"]["selection_time"] != math.nan.hex()  # a selection
+    monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", 1)
+    for name, call in calls.items():
+        assert _bits(call()) == want[name], name

@@ -185,10 +185,13 @@ def farthest_pairs(mp):
 def uneven_control_speeds(mp):
     blocks = kinetic._snapshot_blocks
 
-    def control(*args):  # the control run is the kinetic run's only snapshot stream
-        with mp.context() as inner:
+    def control(start, *args):
+        if not isinstance(start, Ensemble):  # the stack of the series and the branches
+            yield from blocks(start, *args)
+            return
+        with mp.context() as inner:  # the control run, the one that starts from an Ensemble
             uneven_speeds(inner)
-            yield from blocks(*args)
+            yield from blocks(start, *args)
 
     mp.setattr(kinetic, "_snapshot_blocks", control)
 
@@ -252,12 +255,13 @@ def non_orthogonal(mp):
     # the streamed runs check each block of snapshots by the Trajectory rules
     ("ws-verify", off_sphere, "trajectory points must lie on the unit sphere"),
     ("heterogeneous", off_sphere, "trajectory points must lie on the unit sphere"),
+    ("kinetic", off_sphere, "trajectory points must lie on the unit sphere"),
 ])
 def test_a_state_off_its_manifold_is_refused_by_its_constructor(tmp_path, monkeypatch,
                                                                 experiment, plant, refusal):
     # no gate re-measures these: the run aborts before it has a state to measure
     plant(monkeypatch)
-    cfg = HETEROGENEOUS if experiment == "heterogeneous" else WS
+    cfg = {"heterogeneous": HETEROGENEOUS, "kinetic": KINETIC}.get(experiment, WS)
     code, manifest = run_manifest(tmp_path / "run", experiment, cfg)
     assert code == 2
     assert manifest["aborted"] == f"ValueError: {refusal}"
