@@ -371,12 +371,11 @@ def _write_drift(path: Path, drift) -> Path:
 def _run_functional(cfg: dict, outdir: Path):
     d = cfg["d"]
     _, ens0, field = _ensemble(cfg)
-    # conservation_drifts of the run for every k, each snapshot block fed to all
-    recorders = [_DriftRecorder.drawn(ens0.points, cfg["p_list"], k, cfg["drift_tuples"],
-                                      cfg["seed"]) for k in cfg["k_list"]]
+    # conservation_drifts of the run for every k, one recorder over the sets of all k
+    recorder = _DriftRecorder.drawn(ens0.points, cfg["p_list"], cfg["k_list"],
+                                    cfg["drift_tuples"], cfg["seed"])
     for block in _snapshot_blocks(ens0, field, cfg["t_end"], cfg["dt"], 1):
-        for recorder in recorders:
-            recorder.add(*block)
+        recorder.add(*block)
     sampler = VmfSampler(np.eye(d + 1)[-1], _DENSITY.build(cfg["sampler"]))
     p_list = cfg["p_list"]
     # the positions (i, j) of each p > 0 and its -p, whose estimates must agree within 3 sigma:
@@ -385,9 +384,8 @@ def _run_functional(cfg: dict, outdir: Path):
     records = []
     outputs = []
     drift_max = sym_ratio = 0.0
-    for k, recorder in zip(cfg["k_list"], recorders):
+    for k, drifts in zip(cfg["k_list"], recorder.finish()):
         ests = estimate_cycle_moments(sampler, p_list, k, cfg["m"], cfg["seed"])
-        drifts = recorder.finish()
         for p, est, drift in zip(p_list, ests, drifts):
             finite = existence_check(p, d)
             if not finite:

@@ -80,48 +80,73 @@ def _cycle_ratios(chords: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarra
     squared chords (..., 2k, m), from the chord vectors x_j - x_{j+1},
     component-major and position-major: (..., d+1, 2k m), chord j of cycle
     i in column j m + i.  Squared chords are summed in einsum's order
-    (``_component_dot``) and the products formed position after position,
-    the order of numpy's product over a row, so each cycle gets the bits of
-    the row-major expression.  Unguarded: a zero denominator gives inf, 0/0
-    NaN; each caller judges degeneracy from the squared chords."""
+    (``_component_dot``), so each cycle gets the bits of the row-major
+    expression.  Unguarded, as ``_chord_ratios`` is."""
     ch2 = _component_dot(chords, chords)
     ch2 = ch2.reshape(ch2.shape[:-1] + (width, ch2.shape[-1] // width))
+    return _chord_ratios(ch2), ch2
+
+
+def _chord_ratios(ch2: np.ndarray) -> np.ndarray:
+    """Cycle ratios (..., m) from the squared chords (..., 2k, m) of m
+    cycles, the products formed position after position, the order of
+    numpy's product over a row.  Unguarded: a zero denominator gives inf,
+    0/0 NaN; each caller judges degeneracy from the squared chords."""
     num = ch2[..., 0, :] * ch2[..., 2, :]
     den = ch2[..., 1, :] * ch2[..., 3, :]
-    for j in range(4, width, 2):
+    for j in range(4, ch2.shape[-2], 2):
         num *= ch2[..., j, :]
         den *= ch2[..., j + 1, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         num /= den
-    return num, ch2
+    return num
 
 
-def _snapshot_cycle_ratios(snapshots: np.ndarray, tuples: np.ndarray):
-    """``_cycle_ratios`` of fixed index tuples (m, 2k) at every snapshot of
-    a component-major (s, d+1, n) stack, a block of snapshots at a time:
-    yields the block's first index, its ratios (b, m), and whether each of
-    its snapshots has a chord at most ``_CHORD_TOL``, shape (b,).
+def _pair_index(sets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct unordered point pairs that the chords x_j - x_{j+1} of
+    sets of index cycles (m, 2k) join, (2, P), and per set the position of
+    each chord's pair, (2k, m).  A chord read from its pair's other end is
+    negated exactly (IEEE subtraction is antisymmetric), and its squared
+    length keeps its bits."""
+    ends = [np.stack([t.T, np.roll(t, -1, axis=1).T]) for t in sets]  # (2, 2k, m) each
+    flat = np.concatenate([e.reshape(2, -1) for e in ends], axis=1)
+    base = int(flat.max()) + 1
+    keys, inverse = np.unique(flat.min(axis=0) * base + flat.max(axis=0), return_inverse=True)
+    cuts = np.cumsum([e[0].size for e in ends])[:-1]
+    return (np.stack(np.divmod(keys, base)),
+            [pos.reshape(e.shape[1:]) for pos, e in zip(np.split(inverse, cuts), ends)])
 
-    Each chord's two endpoints are taken straight from each snapshot's
-    n (d+1) floats as stored (row-major in a ``Trajectory``'s view) by one
-    flat index built once, component-major and position-major,
-    (b, d+1, 2, 2k m): no block is copied, and the kernel reads contiguous chords.
+
+def _snapshot_cycle_ratios(snapshots: np.ndarray, index):
+    """The cycle ratios of sets of fixed index cycles at every snapshot of
+    a component-major (s, d+1, n) stack, a block of snapshots at a time,
+    with ``index`` the sets' ``_pair_index``: yields the block's first
+    index, each set's ratios (b, m), and whether each of its snapshots has
+    a chord at most ``_CHORD_TOL`` in any set, shape (b,).
+
+    Each distinct pair's squared chord is formed once per snapshot, into a
+    table (b, P) that every set reads through its positions.  The pairs'
+    endpoints are taken straight from each snapshot's n (d+1) floats as
+    stored (row-major in a ``Trajectory``'s view) by one flat index built
+    once, component-major, (b, d+1, 2, P): no block is copied, and the
+    kernel reads contiguous chords.
     """
-    m, width = tuples.shape
-    ends = np.stack([tuples.T, np.roll(tuples, -1, axis=1).T]).reshape(2, width * m)
+    pairs, positions = index
     _, dim, n = snapshots.shape
     comp = np.arange(dim)[:, None, None]
-    flat = comp * n + ends
+    flat = comp * n + pairs
     if snapshots.strides[1] < snapshots.strides[2]:  # a row-major stack's view
-        snapshots, flat = snapshots.swapaxes(1, 2), ends * dim + comp
+        snapshots, flat = snapshots.swapaxes(1, 2), pairs * dim + comp
     rows = max(1, _DRIFT_BLOCK_FLOATS // flat.size)
     for b0 in range(0, len(snapshots), rows):
         block = snapshots[b0:b0 + rows]
         chords = np.take(block.reshape(len(block), n * dim), flat, axis=1)
         diffs = chords[..., 0, :]
         np.subtract(diffs, chords[..., 1, :], out=diffs)
-        ratios, ch2 = _cycle_ratios(diffs, width)
-        yield b0, ratios, (ch2 <= _CHORD_TOL).any(axis=(1, 2))
+        table = _component_dot(diffs, diffs)
+        # every pair of the table is a chord of some set
+        yield (b0, [_chord_ratios(np.take(table, pos, axis=1)) for pos in positions],
+               (table <= _CHORD_TOL).any(axis=1))
 
 
 @dataclass(frozen=True)
@@ -398,9 +423,9 @@ def conservation_drifts(traj: Trajectory, ps, k: int, m: int, seed: int) -> list
     drift from its initial value and the worst per-tuple relative drift of
     the raw cycle ratio.  Both are integrator error for the exact dynamics.
     """
-    recorder = _DriftRecorder.drawn(traj.points[0], ps, k, m, seed)
+    recorder = _DriftRecorder.drawn(traj.points[0], ps, [k], m, seed)
     recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
-    return recorder.finish()
+    return recorder.finish()[0]
 
 
 def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) -> DriftReport:
@@ -409,54 +434,60 @@ def conservation_drift(traj: Trajectory, p: float, k: int, m: int, seed: int) ->
 
 
 class _DriftRecorder:
-    """Drift of the cycle ratios of fixed index tuples (m, 2k) over a run,
-    an observer of its feed (``dynamics._snapshot_blocks``); ``finish``
-    gives one report per p.  The ratios are formed by
-    ``_snapshot_cycle_ratios``, so a snapshot's values do not depend on
-    where the blocks break, and only the estimates are kept.  A drift needs
-    at least two snapshots."""
+    """Drift of the cycle ratios of sets of fixed index tuples (m, 2k) over
+    a run, an observer of its feed (``dynamics._snapshot_blocks``);
+    ``finish`` gives per set one report per p.  The ratios are formed by
+    ``_snapshot_cycle_ratios`` from one squared-chord table of the pairs
+    that any set joins, so a snapshot's values depend neither on where the
+    blocks break nor on the other sets, and only the estimates are kept.
+    A drift needs at least two snapshots."""
 
-    def __init__(self, tuples: np.ndarray, ps):
+    def __init__(self, sets, ps):
         if not all(map(math.isfinite, ps)):
             raise ValueError("p must be finite")
-        self.tuples, self.ps = tuples, list(ps)
-        self.times, self.estimates = [], [[] for _ in self.ps]
-        self.ratios0, self.per_tuple = None, 0.0
+        self.sets, self.ps, self.index = list(sets), list(ps), _pair_index(sets)
+        self.times = []
+        self.estimates = [[[] for _ in self.ps] for _ in self.sets]
+        self.ratios0, self.per_tuple = None, [0.0] * len(self.sets)
 
     @classmethod
-    def drawn(cls, first: np.ndarray, ps, k: int, m: int, seed: int) -> "_DriftRecorder":
-        """The recorder of ``conservation_drifts``: m index cycles drawn from
-        the points of the first snapshot."""
-        tuples, _, _ = _draw_cycles(rng_stream(seed, stream=0), first, m, k, 100 * m)
-        return cls(tuples, ps)
+    def drawn(cls, first: np.ndarray, ps, ks, m: int, seed: int) -> "_DriftRecorder":
+        """The recorder of ``conservation_drifts`` for each k in ``ks``: m
+        index cycles drawn from the points of the first snapshot, each set
+        from the same stream."""
+        return cls([_draw_cycles(rng_stream(seed, stream=0), first, m, k, 100 * m)[0]
+                    for k in ks], ps)
 
     def add(self, times: np.ndarray, points: np.ndarray, fields, means):
         """The component-major snapshots (b, d+1, n) at ``times`` that follow those fed before."""
-        for b0, ratios, bad in _snapshot_cycle_ratios(points, self.tuples):
+        for b0, ratios, bad in _snapshot_cycle_ratios(points, self.index):
             if bad.any():
                 t = times[b0 + int(np.argmax(bad))]
                 raise ValueError(f"tuple became degenerate along the trajectory at t = {t}")
             if self.ratios0 is None:
-                self.ratios0 = ratios[0].copy()
-            # the per-tuple drift does not depend on p
-            dev = ratios - self.ratios0
-            np.abs(dev, out=dev)
-            dev /= self.ratios0
-            self.per_tuple = max(self.per_tuple, float(np.max(dev)))
-            for estimates, p in zip(self.estimates, self.ps):
-                estimates.append((ratios ** p).mean(axis=1))
+                self.ratios0 = [r[0].copy() for r in ratios]
+            for i, (r, r0, estimates) in enumerate(zip(ratios, self.ratios0, self.estimates)):
+                # the per-tuple drift does not depend on p
+                dev = r - r0
+                np.abs(dev, out=dev)
+                dev /= r0
+                self.per_tuple[i] = max(self.per_tuple[i], float(np.max(dev)))
+                for blocks, p in zip(estimates, self.ps):
+                    blocks.append((r ** p).mean(axis=1))
         self.times.append(np.array(times, dtype=float))
 
-    def finish(self) -> list[DriftReport]:
+    def finish(self) -> list[list[DriftReport]]:
         times = np.concatenate(self.times or [np.empty(0)])
         if times.size < 2:
             raise ValueError("need at least two snapshots")
         reports = []
-        for blocks in self.estimates:
-            estimates = np.concatenate(blocks)
-            rel = np.abs(estimates - estimates[0]) / abs(estimates[0])
-            reports.append(DriftReport(
-                times=times.copy(), estimates=estimates, relative_drift=rel,
-                max_relative_drift=float(np.max(rel)), per_tuple_max_drift=self.per_tuple,
-                tuples=self.tuples))
+        for tuples, estimates, per_tuple in zip(self.sets, self.estimates, self.per_tuple):
+            reports.append([])
+            for blocks in estimates:
+                values = np.concatenate(blocks)
+                rel = np.abs(values - values[0]) / abs(values[0])
+                reports[-1].append(DriftReport(
+                    times=times.copy(), estimates=values, relative_drift=rel,
+                    max_relative_drift=float(np.max(rel)), per_tuple_max_drift=per_tuple,
+                    tuples=tuples))
         return reports

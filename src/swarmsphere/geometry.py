@@ -348,8 +348,10 @@ class SkewMatrix:
 
 def _on_unit_sphere(cols: np.ndarray) -> bool:
     """Whether every point, a column of a nonempty component-major (..., d+1, n)
-    array, has norm within 1e-9 of 1 (a NaN fails); in place past the products."""
-    dev = _component_dot(cols, cols)
+    array, has norm within 1e-9 of 1 (a NaN fails); in place past the sums.
+    A tolerance needs no particular summation order, so the squares are
+    summed by einsum's column reduction, not by ``_component_dot``."""
+    dev = np.einsum("...ij,...ij->...j", cols, cols)
     np.subtract(np.sqrt(dev, out=dev), 1.0, out=dev)
     return bool(np.abs(dev, out=dev).max() <= 1e-9)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dynamics import (_DRIFT_BLOCK_FLOATS, DrivingField, MeanField, Trajectory, _record_count,
                        _recorded, _snapshot_blocks, _step_count)
-from .functionals import DriftReport, _draw_cycles, _DriftRecorder, _snapshot_cycle_ratios
+from .functionals import (DriftReport, _draw_cycles, _DriftRecorder, _pair_index,
+                          _snapshot_cycle_ratios)
 from .geometry import (Ensemble, _component_dot, exact_mean, renormalize, rng_stream,
                        sample_uniform, sample_vmf, tangent_project)
 
@@ -201,7 +202,8 @@ def _mixed_tuple_values(snapshots, tuples: np.ndarray) -> np.ndarray:
     """Cross ratios of index tuples (m, 4) at every snapshot of a
     component-major (s, d+1, n) stack, shape (s, m), without the degeneracy guard;
     an exactly zero denominator, 0/0 included, gives inf."""
-    vals = np.concatenate([v for _, v, _ in _snapshot_cycle_ratios(snapshots, tuples)])
+    vals = np.concatenate([v for _, (v,), _ in
+                           _snapshot_cycle_ratios(snapshots, _pair_index([tuples]))])
     vals[np.isnan(vals)] = np.inf
     return vals
 
@@ -332,7 +334,7 @@ class _Branches:
         # 5000 steps over kappa t in [0, 5], before its population collapses
         # (``conservation_drift`` of its recording, fed a block at a time)
         control_ens = sample_vmf(np.eye(self.d + 1)[-1], 4.0, min(256, self.N), seed + 1)
-        control = _DriftRecorder.drawn(control_ens.points, [0.3], 2, 50, seed)
+        control = _DriftRecorder.drawn(control_ens.points, [0.3], [2], 50, seed)
         for block in _snapshot_blocks(control_ens, MeanField(kappa), 5.0 / kappa, 1e-3 / kappa, 10):
             control.add(*block)
 
@@ -343,7 +345,7 @@ class _Branches:
             mixed_tuple_max=mixed_max,
             mixed_tuple_unbounded=unbounded,
             selection_time=selection_time,
-            control_max_drift=control.finish()[0].max_relative_drift,
+            control_max_drift=control.finish()[0][0].max_relative_drift,
         )
 
 
@@ -371,26 +373,23 @@ def per_omega_conservation(traj: Trajectory, p: float, k: int, m: int, seed: int
     return recorder.finish()
 
 
-class _PerOmegaRecorder:
+class _PerOmegaRecorder(_DriftRecorder):
     """``per_omega_conservation`` of a run from the labelled population
-    ``first``, fed as ``_DriftRecorder`` is: one drift recorder per group of
-    2k members or more (None for a smaller one), and one for the mixed-group
-    tuples when there are two groups or more."""
+    ``first``: one drift recorder over a set of tuples per group of 2k
+    members or more (a smaller one is skipped) and, when there are two
+    groups or more, the mixed-group tuples."""
 
     def __init__(self, first: Ensemble, p: float, k: int, m: int, seed: int):
         groups = first.omega_groups()
-        self.per_group = []
+        self.has_set, sets = [idx.size >= 2 * k for _, idx in groups], []
         for gi, (_, idx) in enumerate(groups):
-            recorder = None
-            if idx.size >= 2 * k:
+            if self.has_set[gi]:
                 rng = rng_stream(seed, stream=gi + 1)
                 local, _, _ = _draw_cycles(rng, first.points[idx], m, k, 100 * m)
-                recorder = _DriftRecorder(idx[local], [p])
-            self.per_group.append(recorder)
-        if all(r is None for r in self.per_group):
+                sets.append(idx[local])
+        if not sets:
             raise ValueError(f"no generator group has 2k = {2 * k} members, so no within-group "
                              "cycle can be drawn")
-        self.mixed = None
         if len(groups) >= 2:
             label = np.empty(first.n, dtype=np.int64)
             for gi, (_, idx) in enumerate(groups):
@@ -398,14 +397,10 @@ class _PerOmegaRecorder:
             # a mixed cycle may be rare (one member of a small group), hence the cap
             chosen, _, _ = _draw_cycles(rng_stream(seed, stream=0), first.points, m, k, 800 * m,
                                         label)
-            self.mixed = _DriftRecorder(chosen, [p])
-
-    def add(self, times: np.ndarray, points: np.ndarray, fields, means):
-        """A block of the run's feed, as ``_DriftRecorder.add`` takes it."""
-        for recorder in self.per_group + [self.mixed]:
-            if recorder is not None:
-                recorder.add(times, points, fields, means)
+            sets.append(chosen)
+        super().__init__(sets, [p])
 
     def finish(self) -> PerOmegaReport:
-        drifts = [None if r is None else r.finish()[0] for r in self.per_group + [self.mixed]]
-        return PerOmegaReport(groups=drifts[:-1], mixed_drift=drifts[-1])
+        drifts = iter([reports[0] for reports in super().finish()])
+        groups = [next(drifts) if has else None for has in self.has_set]
+        return PerOmegaReport(groups=groups, mixed_drift=next(drifts, None))

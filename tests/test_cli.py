@@ -673,14 +673,15 @@ def test_cycle_ratio_kernel_runs_once_per_stream_block_per_recorder(tmp_path, mo
     from swarmsphere.dynamics import _DRIFT_BLOCK_FLOATS, _record_count
 
     # CI's N = 2000 heterogeneous config: a stream block of 10 snapshots used to
-    # split into 9 + 1 in the gather, which counted the block's points
-    kernel, callers = functionals._cycle_ratios, []
+    # split into 9 + 1 in the gather, which counted the block's points, and
+    # each of the two groups and the mixed control formed its own chords
+    kernel, callers = functionals._component_dot, []
 
-    def counted(chords, width):
+    def counted(a, b):
         callers.append(sys._getframe(1).f_code.co_name)
-        return kernel(chords, width)
+        return kernel(a, b)
 
-    monkeypatch.setattr(functionals, "_cycle_ratios", counted)
+    monkeypatch.setattr(functionals, "_component_dot", counted)
     groups = [{"count": 1000, "omega_spec": {"kind": "zero"}},
               {"count": 1000, "omega_spec": {"kind": "planar", "rate": 1.0}}]
     path = write_config(tmp_path, "c.json", {"experiment": "heterogeneous", "d": 2,
@@ -688,9 +689,11 @@ def test_cycle_ratio_kernel_runs_once_per_stream_block_per_recorder(tmp_path, mo
                                              "seed": 8})
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     blocks = -(-_record_count(0.1, 1e-3, 1) // (_DRIFT_BLOCK_FLOATS // (2000 * 3)))
-    draws = callers.count("_draw_cycles")
+    draws = callers.count("_cycle_ratios")  # the chords of the drawn cycles
     assert blocks == 11 and draws >= 3
-    assert len(callers) == 3 * blocks + draws  # two groups and the mixed control
+    # one squared-chord table per stream block for the three tuple sets
+    assert callers.count("_snapshot_cycle_ratios") == blocks
+    assert len(callers) == blocks + draws
 
 
 def test_streamed_functional_run_writes_conservation_drifts(tmp_path):

@@ -32,7 +32,8 @@ from swarmsphere import (
     sphere_surface,
 )
 from swarmsphere import functionals
-from swarmsphere.functionals import _CHORD_TOL, _draw_cycles, _DriftRecorder
+from swarmsphere.functionals import _CHORD_TOL, _draw_cycles, _DriftRecorder, _pair_index
+from swarmsphere.geometry import _component_dot
 
 
 def _reference_cycle_ratios(pts):
@@ -629,9 +630,9 @@ def test_conservation_drifts_match_single_p_bitwise():
 
 def _drift_report(traj, tuples, ps):
     """The reports of a drift recorder fed a whole trajectory as one block."""
-    recorder = _DriftRecorder(tuples, ps)
+    recorder = _DriftRecorder([tuples], ps)
     recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
-    return recorder.finish()
+    return recorder.finish()[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -645,13 +646,13 @@ def test_drift_recorder_fed_in_blocks_gives_the_bits_of_conservation_drifts(n, k
     want = conservation_drifts(traj, ps, k, 30, seed)
     # one snapshot per block, blocks of 7 and a short last one, one whole block
     for size in (1, 7, m):
-        recorder = _DriftRecorder.drawn(traj.points[0], ps, k, 30, seed)
+        recorder = _DriftRecorder.drawn(traj.points[0], ps, [k], 30, seed)
         for b0 in range(0, m, size):
             # the component-major blocks of the run's feed
             recorder.add(traj.times[b0:b0 + size],
                          np.ascontiguousarray(traj.points[b0:b0 + size].swapaxes(1, 2)),
                          traj.field_samples[b0:b0 + size], None)
-        for got, rep in zip(recorder.finish(), want, strict=True):
+        for got, rep in zip(recorder.finish()[0], want, strict=True):
             for name in ("times", "estimates", "relative_drift", "tuples"):
                 assert getattr(got, name).tobytes() == getattr(rep, name).tobytes(), name
             assert got.max_relative_drift.hex() == rep.max_relative_drift.hex()
@@ -667,21 +668,23 @@ def _reference_drift(traj, tuples, p):
     return estimates, per_tuple
 
 
-# the floats one snapshot of the drift test below gathers: its 24 points and
-# both endpoints of the 60 * 6 chords, 3 components each
-_SNAPSHOT_FLOATS = 3 * (24 + 2 * 60 * 6)
+# the floats one snapshot of the drift test below gathers: both endpoints of
+# the 206 distinct pairs that its 60 * 6 chords join, 3 components each
+_SNAPSHOT_FLOATS = 3 * 2 * 206
 
 
-@pytest.mark.parametrize("block_floats", [1, 7 * _SNAPSHOT_FLOATS, 1 << 16])
+@pytest.mark.parametrize("block_floats", [1, 15624, 1 << 16])
 def test_drift_report_blocks_match_one_array_bitwise(monkeypatch, block_floats):
-    # one snapshot per block, blocks of 7 that leave a short last one of 5,
+    # one snapshot per block, blocks of 12 that leave a short last one of 2,
     # and one block of all 26 snapshots
     monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
     om = SkewMatrix.random(2, 31, 1.0)
     ens = sample_uniform(2, 24, 43).with_omega(om)
     traj = simulate(ens, MeanField(1.0), 0.5, 1e-2, record_every=2)
     assert len(traj.times) == 26 and 26 * _SNAPSHOT_FLOATS <= 1 << 16
+    assert 15624 // _SNAPSHOT_FLOATS == 12
     tuples = _draw_cycles(rng_stream(8, stream=0), ens.points, 60, 3, 6000)[0]
+    assert _pair_index([tuples])[0].shape == (2, 206)
     ps = [0.0, 0.4, -1.1]
     for p, rep in zip(ps, _drift_report(traj, tuples, ps)):
         estimates, per_tuple = _reference_drift(traj, tuples, p)
@@ -700,9 +703,9 @@ def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, 
     tuples[1, 2] = tuples[1, 1]  # a zero denominator chord
     # component-major snapshots as the feed yields them, and a Trajectory's swapaxes view
     for stack in (np.ascontiguousarray(snapshots.swapaxes(1, 2)), snapshots.swapaxes(1, 2)):
-        blocks = list(functionals._snapshot_cycle_ratios(stack, tuples))
-        assert [b0 for b0, _, _ in blocks] == list(range(0, 9, blocks[0][1].shape[0]))
-        ratios = np.concatenate([vals for _, vals, _ in blocks])
+        blocks = list(functionals._snapshot_cycle_ratios(stack, _pair_index([tuples])))
+        assert [b0 for b0, _, _ in blocks] == list(range(0, 9, blocks[0][1][0].shape[0]))
+        ratios = np.concatenate([vals for _, (vals,), _ in blocks])
         bad = np.concatenate([mask for _, _, mask in blocks])
         assert bad.all()
         for pts, got in zip(snapshots, ratios):
@@ -711,7 +714,8 @@ def test_snapshot_cycle_ratios_are_each_snapshots_batch_bitwise(monkeypatch, d, 
             assert mask[:2].all() and not mask[2:].any()
         # without the zero chords no snapshot is flagged
         clean = np.concatenate([mask for _, _, mask in
-                                functionals._snapshot_cycle_ratios(stack, tuples[2:])])
+                                functionals._snapshot_cycle_ratios(stack,
+                                                                   _pair_index([tuples[2:]]))])
         assert clean.shape == (9,) and not clean.any()
 
 
@@ -737,7 +741,7 @@ def test_snapshot_cycle_ratios_hold_no_copy_of_the_block():
     for block in (np.ascontiguousarray(rows.swapaxes(1, 2)), rows.swapaxes(1, 2)):
         tracemalloc.start()
         try:
-            for _ in functionals._snapshot_cycle_ratios(block, tuples):
+            for _ in functionals._snapshot_cycle_ratios(block, _pair_index([tuples])):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -746,14 +750,101 @@ def test_snapshot_cycle_ratios_hold_no_copy_of_the_block():
 
 
 def test_drift_report_names_the_first_degenerate_snapshot(monkeypatch):
-    # two snapshots per block of the two tuples' 16 endpoints, so the chord
-    # collapses inside block 11, not 0
-    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", 2 * 3 * (2 * 2 * 4))
+    # two snapshots per block of the endpoints of the two tuples' six pairs,
+    # so the chord collapses inside block 11, not 0
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", 2 * 3 * (2 * 6))
     traj = _collapsing_trajectory(23)
     steady = np.array([[0, 2, 1, 3]])  # points 0 and 1 never adjacent
     assert _drift_report(traj, steady, [0.3])[0].estimates.size == 40
     with pytest.raises(ValueError, match=r"^tuple became degenerate along the trajectory at t = 5\.75$"):
         _drift_report(traj, np.vstack([steady, [0, 1, 2, 3]]), [0.3])
+
+
+# coordinates at the edges of the float range: signed zeros, subnormals and
+# the smallest normals, beside any finite float
+_EDGE_COORDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                2.2250738585072014e-308, -2.2250738585072014e-308])
+_COORDS = st.one_of(_EDGE_COORDS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 17), n=st.integers(1, 9))
+def test_a_squared_chord_has_the_bits_of_the_reversed_chord(data, dim, n):
+    # the squared-chord table forms each pair (i, j) once, and a cycle may
+    # read it as (j, i): x_i - x_j is -(x_j - x_i), and _component_dot adds
+    # the same squares in the same lane order
+    x, y = (np.array(data.draw(st.lists(_COORDS, min_size=dim * n, max_size=dim * n)))
+            .reshape(dim, n) for _ in range(2))
+    with np.errstate(over="ignore"):
+        ij, ji = x - y, y - x
+        assert np.array_equal(ij, -ji)
+        assert _component_dot(ij, ij).tobytes() == _component_dot(ji, ji).tobytes()
+
+
+def _shared_pair_sets(points):
+    """Three tuple sets over one population that share pairs: k = 2 and
+    k = 3 cycles from one stream, as the functional run draws them, and the
+    k = 2 cycles reversed, which read each of their pairs from its other end."""
+    two = _draw_cycles(rng_stream(4, stream=0), points, 40, 2, 10**4)[0]
+    three = _draw_cycles(rng_stream(4, stream=0), points, 30, 3, 10**4)[0]
+    return [two, three, np.ascontiguousarray(two[:, ::-1])]
+
+
+def _fed_reports(traj, sets, ps, feed):
+    """The reports of one drift recorder over ``sets``, fed the run's
+    component-major blocks of 7 snapshots or a Trajectory's swapaxes view."""
+    recorder = _DriftRecorder(sets, ps)
+    if feed:
+        for b0 in range(0, len(traj.times), 7):
+            recorder.add(traj.times[b0:b0 + 7],
+                         np.ascontiguousarray(traj.points[b0:b0 + 7].swapaxes(1, 2)),
+                         traj.field_samples[b0:b0 + 7], None)
+    else:
+        recorder.add(traj.times, traj.points.swapaxes(1, 2), traj.field_samples, None)
+    return recorder.finish()
+
+
+@pytest.mark.parametrize("block_floats", [1, 1 << 16])
+@pytest.mark.parametrize("feed", [True, False])
+def test_a_drift_recorder_over_several_sets_gives_each_the_bits_of_its_own(monkeypatch,
+                                                                          block_floats, feed):
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
+    om = SkewMatrix.random(2, 31, 1.0)
+    traj = simulate(sample_uniform(2, 12, 43).with_omega(om), MeanField(1.0), 0.5, 1e-2,
+                    record_every=2)
+    sets = _shared_pair_sets(traj.points[0])
+    # 66 pairs among 12 points, so the sets' 560 chords share them
+    assert _pair_index(sets)[0].shape[1] <= 66
+    ps = [0.0, 0.4, -1.1]
+    together = _fed_reports(traj, sets, ps, feed)
+    for tuples, reports in zip(sets, together, strict=True):
+        alone = _fed_reports(traj, [tuples], ps, feed)[0]
+        for p, got, want in zip(ps, reports, alone, strict=True):
+            for name in ("times", "estimates", "relative_drift", "tuples"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert got.max_relative_drift.hex() == want.max_relative_drift.hex()
+            assert got.per_tuple_max_drift.hex() == want.per_tuple_max_drift.hex()
+            # and the bits of the row-major chords, read in the set's own orientation
+            estimates, per_tuple = _reference_drift(traj, tuples, p)
+            assert got.estimates.tobytes() == estimates.tobytes()
+            assert got.per_tuple_max_drift.hex() == per_tuple.hex()
+
+
+@pytest.mark.parametrize("block_floats", [2 * 3 * (2 * 6), 1 << 16])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_a_degenerate_chord_in_any_set_names_the_first_degenerate_snapshot(monkeypatch,
+                                                                          block_floats, position):
+    # two snapshots per sub-block of the six pairs' endpoints, or all of a
+    # feed block of 7, in which snapshot 23 is the third
+    monkeypatch.setattr(functionals, "_DRIFT_BLOCK_FLOATS", block_floats)
+    traj = _collapsing_trajectory(23)
+    sets = [np.array([[0, 2, 1, 3]]), np.array([[2, 0, 3, 1]])]  # points 0 and 1 never adjacent
+    assert all(r[0].estimates.size == 40 for r in _fed_reports(traj, sets, [0.3], True))
+    sets.insert(position, np.array([[0, 1, 2, 3]]))
+    for feed in (True, False):
+        with pytest.raises(ValueError,
+                           match=r"^tuple became degenerate along the trajectory at t = 5\.75$"):
+            _fed_reports(traj, sets, [0.3], feed)
 
 
 @settings(max_examples=25, deadline=None)

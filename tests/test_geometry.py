@@ -21,7 +21,8 @@ from swarmsphere import (
     sphere_surface,
     tangent_project,
 )
-from swarmsphere.geometry import _FOLD_MIN_ROWS, _component_dot, _renormalize_columns_in_place
+from swarmsphere.geometry import (_FOLD_MIN_ROWS, _component_dot, _on_unit_sphere,
+                                 _renormalize_columns_in_place)
 
 
 def test_tangent_project_radial_vector_vanishes():
@@ -109,6 +110,19 @@ def test_component_dot_is_einsum(m):
         (_component_dot(a.swapaxes(-1, -2), a.swapaxes(-1, -2)), np.einsum("...ij,...ij->...i", a, a)),
     ]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 64), (7, 3, 3, 50), (2, 9, 5)])
+def test_on_unit_sphere_holds_every_norm_within_1e_9_and_fails_a_nan(shape):
+    # the feed's check of every block, in any column layout it reads
+    cols = rng_stream(len(shape)).standard_normal(shape)
+    cols /= np.sqrt(np.einsum("...ij,...ij->...j", cols, cols))[..., None, :]
+    assert _on_unit_sphere(cols)
+    for scale, holds in ((1 + 5e-10, True), (1 - 5e-10, True), (1 + 2e-9, False),
+                         (1 - 2e-9, False), (math.nan, False)):
+        off = cols.copy()
+        off.reshape(-1, *shape[-2:])[0, :, -1] *= scale  # one point of the first population
+        assert _on_unit_sphere(off) is holds, scale
 
 
 def test_renormalize_columns_is_renormalize_rows_of_the_transpose():
