@@ -14,7 +14,6 @@ from .dynamics import (
     MeanField,
     PrescribedField,
     ReplayField,
-    TimeDelayField,
     Trajectory,
     WinfreeField,
     collision_residual,

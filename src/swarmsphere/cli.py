@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField,
-                       TimeDelayField, WinfreeField, _snapshot_blocks, _step_count)
+from .dynamics import (FrustratedField, MeanField, PrescribedField, ReplayField, WinfreeField,
+                       _snapshot_blocks, _step_count)
 from .functionals import (_MAX_PAIR_D, _DriftRecorder, divergence_probe,
                           estimate_cycle_moments, existence_check)
 from .geometry import SkewMatrix, VmfSampler, sample_uniform, sample_vmf
@@ -172,9 +172,6 @@ _FIELD = _Kinds("variant", {
         "a nonzero numeric vector of length d+1")},
         lambda spec, d: WinfreeField(_kappa(spec), np.array(spec["pole"], dtype=float)
                                      if "pole" in spec else np.eye(d + 1)[-1])),
-    "time_delay": ({**_COUPLED, "tau": (
-        _REQUIRED, lambda v, cfg: _is_num(v) and v >= cfg["dt"], "a number >= dt")},
-        lambda spec, d: TimeDelayField(_kappa(spec), float(spec["tau"]))),
     "prescribed_constant": ({"vector": (_REQUIRED, _vector, "a numeric vector of length d+1")},
                             _constant_field),
     "prescribed_rotating": ({"amplitude": (_REQUIRED, *_NUMBER), "rate": (_REQUIRED, *_NUMBER),
@@ -189,13 +186,6 @@ _DENSITY = _Kinds("kind", {
                                "a nonnegative number")},
             lambda spec: float(spec.get("concentration", 1.0))),
 }, "|".join)
-
-
-def _replayable(spec, cfg: dict) -> bool:
-    _FIELD.check(spec, "field", cfg)
-    _require(spec["variant"] != "time_delay",
-             "field.variant: time_delay is not replayable into the reduced system")
-    return True
 
 
 def _instability(delta, cfg: dict) -> bool:
@@ -515,9 +505,7 @@ def _run_heterogeneous(cfg: dict, outdir: Path):
 _CONFIG = _Kinds("experiment", {
     "simulate": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 0), **_RECORD, **_ENSEMBLE},
                  _run_simulate),
-    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 2), **_ENSEMBLE,
-                   "field": (_ENSEMBLE["field"][0], _replayable, None)},
-                  _run_ws_verify),
+    "ws-verify": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 2), **_ENSEMBLE}, _run_ws_verify),
     "functional": ({**_COMMON, **_N, **_span(_REQUIRED, 1e-3, 1), **_ENSEMBLE,
                     # each (p, k) writes drift_p{p:g}_k{k}.csv
                     "p_list": (_REQUIRED, lambda v, cfg: _NUMBERS[0](v, cfg)

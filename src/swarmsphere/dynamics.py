@@ -1,10 +1,10 @@
 """Particle dynamics on the sphere driven by a common field.
 
 Each particle obeys  dx/dt = Omega x + X - <x, X> x,  where X is the driving
-vector shared by the whole population.  The driving field classes below cover
-the standard variants (plain mean field, frustrated mean field, Winfree-type
-aggregate, delayed mean field) plus prescribed and replayed fields of time,
-which make a recorded run replayable into other integrators.
+vector shared by the whole population.  A driving field is a function of the
+current state (plain mean field, frustrated mean field, Winfree-type
+aggregate) or of the clock (prescribed and replayed fields of time, which make
+a recorded run replayable into other integrators).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "MeanField",
     "PrescribedField",
     "ReplayField",
-    "TimeDelayField",
     "Trajectory",
     "WinfreeField",
     "collision_residual",
@@ -48,12 +47,10 @@ def _hermite_slopes(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     fourth-order stencil, so the interpolant error is O(h^4).  Elsewhere the
     interior slopes are centered (weighted) differences and the end slopes
     are one-sided: second order when the two steps next to the end agree,
-    else first order.  A single sample has slope zero.
+    else first order.
     """
     m = times.size
     slopes = np.zeros_like(values)
-    if m < 2:
-        return slopes
     h = np.diff(times)
     h0 = h[0]
     if m >= 3 and abs(h[1] - h0) < 1e-12 * h0:
@@ -122,8 +119,8 @@ class DrivingField:
 
     Only a clock-driven field (prescribed or replayed) has a value at a time
     alone (``_at_times``).  A field with ``_reads_mean`` set uses the exact
-    mean of every accepted state (in ``_at_state``, or for a delayed field's
-    history), which the stepping loop computes once per state and hands over.
+    mean of every accepted state in ``_at_state``, which the stepping loop
+    computes once per state and hands over.
     """
 
     _reads_mean = False
@@ -262,56 +259,6 @@ class ReplayField(DrivingField):
         return out
 
 
-class TimeDelayField(DrivingField):
-    """Delayed mean field: X(t) = kappa * mean(points at t - tau).
-
-    The history belongs to the run, which keeps the exact mean of every
-    accepted state and reads X from it (``_in_run``); before t = 0 it is the
-    initial configuration.  The field holds only kappa and tau, so
-    ``evaluate``, a bare ``step`` and ``ws_evolve`` refuse it.
-    """
-
-    _reads_mean = True
-
-    def __init__(self, kappa: float, tau: float):
-        tau = float(tau)
-        if not 0 < tau < math.inf:
-            raise ValueError("delay must be positive and finite")
-        self.kappa = _coupling(kappa)
-        self.tau = tau
-
-    def evaluate(self, points, t):
-        raise ValueError("a time-delay field reads its run's history; step it through "
-                         "simulate() or order_parameter_series()")
-
-    def _in_run(self, means: list, dt: float):
-        """X(points, t) of a run whose states at t = j * dt have the exact
-        means ``means[j]``; the loop extends the list as it goes.  The
-        window below needs a delay of at least one step, checked here."""
-        if self.tau < dt - 1e-12:
-            raise ValueError("delay shorter than the step size")
-        window = None  # (lo, hi), knots, means, slopes
-
-        def x_at(points, t):
-            nonlocal window
-            s = t - self.tau
-            if s <= 0.0:
-                return self.kappa * means[0]
-            # the history is uniform at dt, so a six-sample window around the
-            # query suffices for the interpolation and keeps the lookup O(1)
-            center = int(s / dt)
-            lo, hi = max(0, center - 2), min(len(means), center + 4)
-            if window is None or window[0] != (lo, hi):
-                # the history only grows, so a window's slopes never change;
-                # the stages of one step mostly share a window
-                knots, vals = [j * dt for j in range(lo, hi)], np.asarray(means[lo:hi])
-                window = ((lo, hi), knots, vals, _hermite_slopes(np.asarray(knots), vals))
-            _, knots, vals, slopes = window
-            return self.kappa * _hermite_at(knots, vals, slopes, float(s))
-
-        return x_at
-
-
 def _driving_vector(x, shape: tuple) -> np.ndarray:
     """A field's driving vector, or stack of them, as a float array,
     refused by name unless it has ``shape``."""
@@ -396,8 +343,7 @@ def step(ens: Ensemble, field: DrivingField, dt: float, t: float = 0.0) -> Ensem
     State-dependent fields are re-evaluated from each stage's (renormalized)
     points, clock-driven fields at the stage time; the final update is
     renormalized so the output sits exactly on the sphere.  A non-finite
-    update raises, naming the step time t + dt.  A delayed field needs its
-    run's history, which one step does not have, so it is refused.
+    update raises, naming the step time t + dt.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -501,31 +447,25 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
 
     ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
     stack of populations without free flow under a field that reads the
-    population mean (one X per member) and is not delayed, stepped as one
-    component-major (..., d+1, n) array by ``_advance``; its points are the
-    transpose views, and each member gets the bits it gets on its own.
+    population mean (one X per member), stepped as one component-major
+    (..., d+1, n) array by ``_advance``; its points are the transpose views,
+    and each member gets the bits it gets on its own.
     Every run starts at t = 0 and has round(t_end / dt) steps; state s is at
     s * dt, the grid of ``ws_evolve``, the time each step is handed.  The
     exact mean of every state is computed once, for a field that reads it
     (else it is None), and so is X, which feeds the next step's first stage.
-    A delayed field reads the run's own history of means.
     """
     steps = _step_count(t_end, dt, record_every)
     single = isinstance(start, Ensemble)
-    delayed = isinstance(field, TimeDelayField)
     if single:
         state, points = start, start.points
-    elif delayed:
-        raise ValueError("a time-delay field steps a single population")
     elif not field._reads_mean:
         raise ValueError(f"a stack of populations steps only under a field that reads the "
                          f"population mean, not {type(field).__name__}")
     else:
         cols = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy()
         points = np.swapaxes(cols, -1, -2)
-    means = []
-    x_at = field._in_run(means, dt) if delayed else field.evaluate
-    run_field = _RunField(x_at)
+    run_field = _RunField(field.evaluate)
     t = 0.0
     for s in range(steps + 1):
         if s:
@@ -538,10 +478,7 @@ def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int)
                 points = cols.swapaxes(-1, -2)
             t = s * dt
         mean = exact_mean(points) if field._reads_mean else None
-        if delayed:
-            means.append(mean)
-        x = _driving_vector(x_at(points, t) if delayed else field._at_state(points, t, mean),
-                            points.shape[:-2] + points.shape[-1:])
+        x = _driving_vector(field._at_state(points, t, mean), points.shape[:-2] + points.shape[-1:])
         if _recorded(s, steps, record_every):
             yield t, points, mean, x
 

@@ -97,6 +97,20 @@ def test_validate_echo_round_trips_for_every_experiment(tmp_path, capsys, experi
     assert parse_config(path2) == echoed
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("experiment", ["simulate", "functional", "ws-verify"])
+def test_a_time_delay_field_is_refused_by_its_kind(tmp_path, capsys, experiment, command):
+    # the retired variant is no kind of _FIELD: exit 2 naming the others, and no manifest
+    cfg = {**ECHO_CONFIGS[experiment], "field": {"variant": "time_delay", "kappa": 1.0, "tau": 0.05}}
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(write_config(tmp_path, "c.json", cfg)), *args]) == 2
+    assert capsys.readouterr().err == (
+        "config error: field.variant: expected one of ['frustrated', 'mean_field', "
+        "'prescribed_constant', 'prescribed_rotating', 'winfree']\n")
+    assert not out.exists() and not list(tmp_path.rglob("manifest.json"))
+
+
 def test_seed_override_beyond_64_bits_rejected_before_the_run(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", {
         "experiment": "kinetic", "d": 2, "N": 8, "t_end": 0.05, "seed": 1, "delta": 1e-3,
@@ -293,9 +307,7 @@ def test_output_path_that_is_a_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_aborted_run_leaves_partial_manifest(tmp_path):
-    # a replay-incompatible field passes parse-time checks for simulate but
-    # the ws-verify runner rejects time_delay at parse time; use a runtime
-    # failure instead: an ensemble too small for the drift tuples
+    # a runtime failure: an ensemble too small for the drift tuples
     path = write_config(tmp_path, "c.json", {
         "experiment": "functional", "d": 2, "N": 1, "t_end": 0.01, "dt": 1e-3,
         "p_list": [0.3], "m": 100, "seed": 4,

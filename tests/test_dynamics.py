@@ -11,7 +11,6 @@ from swarmsphere import (
     PrescribedField,
     ReplayField,
     SkewMatrix,
-    TimeDelayField,
     Trajectory,
     WinfreeField,
     collision_residual,
@@ -465,27 +464,13 @@ def test_replay_slope_table_matches_reference_stencil(kind):
             assert got.tobytes() == want.tobytes(), (kind, m, float(t))
 
 
-@pytest.mark.parametrize("tau", [1e-2, 5e-2])
-def test_time_delay_slopes_match_reference_stencil(tau):
-    # the reference run keeps its own history and interpolates it with the
-    # reference stencil
-    ens = sample_uniform(2, 16, 21).with_omega(SkewMatrix.random(2, 5, 1.0))
-    got = simulate(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, record_every=3)
-    want = _reference_run(ens, TimeDelayField(1.0, tau), 0.3, 1e-2, 3)
-    assert got.field_samples.tobytes() == np.array([x for *_, x in want]).tobytes()
-    assert got.points[-1].tobytes() == want[-1][1].points.tobytes()
-
-
-DELAY_IN_RUN = r"a time-delay field reads its run's history; step it through simulate\(\)"
-
-
 @pytest.mark.parametrize("make, message", [
     (lambda: MeanField(math.nan), "coupling kappa must be finite"),
     (lambda: FrustratedField(1.0, [[math.nan, 0.0], [0.0, 1.0]]), "frustration matrix entries"),
     (lambda: WinfreeField(math.nan, [0.0, 0.0, 1.0]), "coupling kappa must be finite"),
     (lambda: WinfreeField(1.0, [math.nan, 0.0, 1.0]), "non-finite entry"),
-    (lambda: TimeDelayField(math.inf, 0.1), "coupling kappa must be finite"),
-], ids=["mean", "frustrated", "winfree", "winfree_pole", "time_delay"])
+    (lambda: FrustratedField(math.inf, np.eye(3)), "coupling kappa must be finite"),
+], ids=["mean", "frustrated", "winfree", "winfree_pole", "frustrated_kappa"])
 def test_a_field_rejects_a_non_finite_parameter_by_name(make, message):
     with pytest.raises(ValueError, match=message):
         make()
@@ -542,30 +527,6 @@ def test_a_trajectory_takes_its_arrays_over_and_freezes_them():
     assert Trajectory([0], points[:1].tolist(), [[0, 0, 0]]).points.dtype == np.float64
 
 
-def test_time_delay_runs_and_errors():
-    field = TimeDelayField(1.0, 0.05)
-    ens = sample_uniform(2, 8, 9)
-    with pytest.raises(ValueError, match=DELAY_IN_RUN):
-        field.evaluate(ens.points, 0.0)
-    traj = simulate(ens, field, 0.3, 1e-2, record_every=5)
-    assert len(traj.times) == 7
-    assert np.max(np.abs(np.linalg.norm(traj.points[-1], axis=1) - 1.0)) <= 1e-12
-    with pytest.raises(ValueError, match="delay shorter than the step size"):
-        simulate(ens, TimeDelayField(1.0, 1e-3), 0.1, 1e-2)
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
-def test_time_delay_rejects_a_delay_outside_zero_to_infinity(tau):
-    with pytest.raises(ValueError, match="delay must be positive and finite"):
-        TimeDelayField(1.0, tau)
-
-
-def test_bare_step_past_tau_points_at_the_stepping_loop():
-    # a single step has no run history to read, even before t = tau
-    with pytest.raises(ValueError, match=DELAY_IN_RUN):
-        step(sample_uniform(2, 8, 9), TimeDelayField(1.0, 1e-2), 1e-2)
-
-
 def test_simulate_names_the_non_finite_step():
     # the field turns infinite inside the step from t = 0.04 to t = 0.05
     field = PrescribedField(lambda t: np.full(3, math.inf if t > 0.042 else 0.5))
@@ -598,14 +559,6 @@ def test_a_bare_step_names_its_blow_up_without_a_numpy_warning():
 def test_step_refuses_a_driving_vector_of_the_wrong_width(vector):
     with pytest.raises(ValueError, match="^driving field returned a vector of the wrong dimension$"):
         step(sample_uniform(2, 8, 3), PrescribedField(vector), 1e-2)
-
-
-def test_time_delay_constant_history_matches_plain_mean_field_initially():
-    # during t < tau the delayed field sees the frozen initial mean
-    ens = sample_uniform(2, 32, 12)
-    traj = simulate(ens, TimeDelayField(1.0, 0.5), 0.4, 1e-2, record_every=10)
-    x0 = eval_field(MeanField(1.0), ens, 0.0)
-    assert traj.field_samples.tobytes() == np.tile(x0, (5, 1)).tobytes()
 
 
 def test_simulate_deterministic():
@@ -645,38 +598,16 @@ def _reference_step(ens, evaluate, dt, t):
     return Ensemble(project(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), ens.omega)
 
 
-def _reference_delay(field, times, means, dt):
-    """X(points, t) of a delayed field from the history of a run whose
-    states at ``times`` have the exact means ``means``: the reference
-    stencil on the six-knot window that the stepping loop interpolates."""
-
-    def evaluate(points, t):
-        s = t - field.tau
-        if s <= 0.0:
-            return field.kappa * means[0]
-        center = int(s / dt)
-        lo, hi = max(0, center - 2), min(len(means), center + 4)
-        return field.kappa * _reference_hermite_point(
-            np.asarray(times[lo:hi]), np.asarray(means[lo:hi]), float(s))
-
-    return evaluate
-
-
 def _reference_run(ens0, field, t_end, dt, record_every):
     """(time, state, field sample) triples as recorded with the reference
-    step, state s at s * dt; the history a delayed field reads is kept here."""
+    step, state s at s * dt."""
     steps = int(round(t_end / dt))
-    times, means = [], []
-    delayed = isinstance(field, TimeDelayField)
-    evaluate = _reference_delay(field, times, means, dt) if delayed else field.evaluate
     ens, out = ens0, []
     for s in range(steps + 1):
         if s:
-            ens = _reference_step(ens, evaluate, dt, times[-1])
-        times.append(s * dt)
-        means.append(exact_mean(ens.points))
+            ens = _reference_step(ens, field.evaluate, dt, (s - 1) * dt)
         if s % record_every == 0 or s == steps:
-            out.append((times[-1], ens, np.asarray(evaluate(ens.points, times[-1]), dtype=float)))
+            out.append((s * dt, ens, np.asarray(field.evaluate(ens.points, s * dt), dtype=float)))
     return out
 
 
@@ -701,8 +632,6 @@ FIELD_CASES = {
     "frustrated": (lambda: FrustratedField(0.8, [[1.0, 0.3, 0.0], [-0.3, 1.0, 0.1], [0.0, -0.1, 1.0]]),
                    None),
     "winfree": (lambda: WinfreeField(1.1, [0.2, 0.0, 1.0]), None),
-    "delay_dt": (lambda: TimeDelayField(1.0, REF_DT), None),
-    "delay_5dt": (lambda: TimeDelayField(1.0, 5 * REF_DT), SkewMatrix.random(2, 6, 1.0)),
     "replay": (_replay_field, SkewMatrix.random(2, 7, 1.0)),
     "two_groups": (lambda: MeanField(1.0), TWO_GROUPS),
     "mixed_groups": (lambda: MeanField(1.0), MIXED_GROUPS),
@@ -775,7 +704,7 @@ def test_step_refuses_a_non_finite_time_by_name(t):
         step(sample_uniform(2, 4, 3), MeanField(1.0), REF_DT, t)
 
 
-@pytest.mark.parametrize("case", ["mean", "delay_5dt", "two_groups"])
+@pytest.mark.parametrize("case", ["mean", "winfree", "two_groups"])
 def test_a_single_population_steps_through_the_public_step(case, monkeypatch):
     # one call of step per particle step, each handed the grid time of its state
     make_field, omega = FIELD_CASES[case]
@@ -820,25 +749,6 @@ def test_a_run_leaves_its_field_as_it_was(case):
     simulate(ens, field, 0.1, REF_DT)
     order_parameter_series(ens, field, 0.1, REF_DT)
     assert _attributes(field) == before
-    if isinstance(field, TimeDelayField):
-        assert vars(field) == {"kappa": 1.0, "tau": field.tau}
-
-
-def _outputs(ens, field):
-    return _run(ens, field, 0.3, REF_DT, 1)
-
-
-def test_interleaved_delay_runs_equal_fresh_runs():
-    # two runs over one delayed field each read their own history
-    a, b = sample_uniform(2, 32, 1), sample_uniform(2, 32, 2).with_omega(SkewMatrix.random(2, 3, 1.0))
-    shared = TimeDelayField(1.0, 5 * REF_DT)
-    interleaved = list(zip(_outputs(a, shared), _outputs(b, shared), strict=True))
-    fresh = zip(_outputs(a, TimeDelayField(1.0, 5 * REF_DT)),
-                _outputs(b, TimeDelayField(1.0, 5 * REF_DT)), strict=True)
-    for got_pair, want_pair in zip(interleaved, fresh, strict=True):
-        for (t, points, mean, x), (t_w, points_w, mean_w, x_w) in zip(got_pair, want_pair):
-            assert t == t_w and points.tobytes() == points_w.tobytes()
-            assert mean.tobytes() == mean_w.tobytes() and x.tobytes() == x_w.tobytes()
 
 
 def _stack_field(kind, d):
@@ -862,12 +772,6 @@ def test_stack_members_equal_their_single_runs(kind, d):
             assert mean[i].tobytes() == mean_w.tobytes() and x[i].tobytes() == x_w.tobytes()
         traj = simulate(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3)
         assert traj.field_samples.tobytes() == np.array([x[i] for *_, x in stacked]).tobytes()
-
-
-def test_a_stack_refuses_a_delayed_field():
-    stack = np.stack([sample_uniform(2, 8, 1).points] * 4)
-    with pytest.raises(ValueError, match="time-delay field steps a single population"):
-        next(_run(stack, TimeDelayField(1.0, 5 * REF_DT), 0.1, REF_DT, 1))
 
 
 @pytest.mark.parametrize("field", [

@@ -597,7 +597,7 @@ def test_conservation_drift_swarm_run_and_zero_exponent():
 def test_conservation_holds_for_every_common_field_variant():
     # any common driving vector conserves the cross ratio; a per-particle
     # inconsistency in a field implementation would show up here
-    from swarmsphere import FrustratedField, TimeDelayField, WinfreeField
+    from swarmsphere import FrustratedField, WinfreeField
 
     om = SkewMatrix.random(2, 47, 1.0)
     ens = sample_uniform(2, 24, 53).with_omega(om)
@@ -605,7 +605,7 @@ def test_conservation_holds_for_every_common_field_variant():
     fields = [
         FrustratedField(1.0, v),
         WinfreeField(1.0, np.array([0.0, 0.0, 1.0])),
-        TimeDelayField(1.0, 0.05),
+        FrustratedField(0.7, [[0.5, 0.2, -0.1], [0.4, 1.0, 0.3], [0.0, -0.6, 0.8]]),
         PrescribedField(lambda t: np.array([0.2 * math.sin(t), 0.0, 0.4])),
     ]
     for field in fields:

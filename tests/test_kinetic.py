@@ -7,9 +7,10 @@ import pytest
 
 from swarmsphere import (
     Ensemble,
+    FrustratedField,
     MeanField,
     SkewMatrix,
-    TimeDelayField,
+    WinfreeField,
     ball_mass,
     conservation_drift,
     dR2_dt_analytic,
@@ -108,7 +109,8 @@ def test_dR2_dt_and_ball_masses_take_either_layout(d):
 
 def test_derivative_identity_is_nan_under_a_field_other_than_the_mean_field():
     ens = sample_vmf([0.0, 0.0, 1.0], 1.0, 32, 5)
-    series, _ = order_parameter_series(ens, TimeDelayField(1.0, 0.05), 0.2, 1e-2)
+    field = FrustratedField(1.0, [[1.0, 0.3, 0.0], [-0.3, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    series, _ = order_parameter_series(ens, field, 0.2, 1e-2)
     assert math.isnan(series.derivative_defect)
     assert np.isnan(series.dR2_analytic).all() and np.isfinite(series.R2).all()
 
@@ -211,7 +213,8 @@ def test_order_parameter_series_monotone_and_bounds():
     assert series.times[-1] == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("make_field", [lambda: MeanField(1.0), lambda: TimeDelayField(1.0, 0.01)])
+@pytest.mark.parametrize("make_field", [lambda: MeanField(1.0),
+                                        lambda: WinfreeField(1.0, [0.0, 0.0, 1.0])])
 def test_order_parameter_series_matches_simulate_snapshots(make_field):
     ens = sample_uniform(2, 40, 5)
     series, final = order_parameter_series(ens, make_field(), 0.5, 1e-2, record_every=3)
