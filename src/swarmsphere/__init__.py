@@ -28,7 +28,6 @@ from .functionals import (
     FunctionalEstimate,
     conservation_drift,
     conservation_drifts,
-    cross_ratio,
     cycle_ratio,
     divergence_probe,
     estimate_cycle_moment,

@@ -417,70 +417,29 @@ class Trajectory:
 
 
 def _step_count(t_end: float, dt: float, record_every: int) -> int:
-    """round(t_end / dt), once the run's arguments are checked; a NaN dt and
-    a NaN or infinite t_end are rejected here by name."""
+    """round(t_end / dt), once the run's arguments are checked; a NaN dt, a
+    NaN or infinite t_end and a ``record_every`` that is not an integer of at
+    least 1 (numpy integers are, a bool is not) are rejected here by name."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if not 0 <= t_end < math.inf:
         raise ValueError("t_end must be finite and nonnegative")
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
+    if isinstance(record_every, bool) or not isinstance(record_every, (int, np.integer)) \
+            or record_every < 1:
+        raise ValueError(f"record_every must be an integer of at least 1, not {record_every!r}")
     if t_end / dt == math.inf:
         raise ValueError("t_end / dt overflows")
     return int(round(t_end / dt))
 
 
 def _record_count(t_end: float, dt: float, record_every: int) -> int:
-    """The number of states ``_run`` yields: every ``record_every``-th and the final one."""
-    return -(-_step_count(t_end, dt, record_every) // record_every) + 1
+    """The number of states ``_snapshot_blocks`` yields: every ``record_every``-th and the final one."""
+    return -(-_step_count(t_end, dt, record_every) // int(record_every)) + 1
 
 
 def _recorded(s: int, steps: int, record_every: int) -> bool:
     """Whether state s of ``steps`` is recorded: every ``record_every``-th and the final one."""
     return s % record_every == 0 or s == steps
-
-
-def _run(start, field: DrivingField, t_end: float, dt: float, record_every: int):
-    """Step with RK4 and yield (time, points, exact mean, X) for the initial
-    state, every ``record_every``-th state and the final state, to the one
-    reader of this loop, ``_snapshot_blocks``.
-
-    ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
-    stack of populations without free flow under a field that reads the
-    population mean (one X per member), stepped as one component-major
-    (..., d+1, n) array by ``_advance``; its points are the transpose views,
-    and each member gets the bits it gets on its own.
-    Every run starts at t = 0 and has round(t_end / dt) steps; state s is at
-    s * dt, the grid of ``ws_evolve``, the time each step is handed.  The
-    exact mean of every state is computed once, for a field that reads it
-    (else it is None), and so is X, which feeds the next step's first stage.
-    """
-    steps = _step_count(t_end, dt, record_every)
-    single = isinstance(start, Ensemble)
-    if single:
-        state, points = start, start.points
-    elif not field._reads_mean:
-        raise ValueError(f"a stack of populations steps only under a field that reads the "
-                         f"population mean, not {type(field).__name__}")
-    else:
-        cols = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy()
-        points = np.swapaxes(cols, -1, -2)
-    run_field = _RunField(field.evaluate)
-    t = 0.0
-    for s in range(steps + 1):
-        if s:
-            if single:
-                run_field.at = points, x
-                state = step(state, run_field, dt, t)
-                points = state.points
-            else:
-                cols = _advance(cols, t, field, dt, x)
-                points = cols.swapaxes(-1, -2)
-            t = s * dt
-        mean = exact_mean(points) if field._reads_mean else None
-        x = _driving_vector(field._at_state(points, t, mean), points.shape[:-2] + points.shape[-1:])
-        if _recorded(s, steps, record_every):
-            yield t, points, mean, x
 
 
 def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
@@ -500,33 +459,65 @@ def simulate(ens0: Ensemble, field: DrivingField, t_end: float, dt: float,
 
 
 def _snapshot_blocks(start, field: DrivingField, t_end: float, dt: float, record_every: int):
-    """The one feed of every run: the states ``_run`` yields from ``start``,
-    an Ensemble or an (..., n, d+1) stack, as blocks (times, points, fields,
-    means) of at most ``_DRIFT_BLOCK_FLOATS`` floats of points (at least one
-    state), each checked by the ``Trajectory`` rules.  Points are
-    component-major, (b, ..., d+1, n), the layout ``_advance`` steps; fields
-    and exact means are (b, ..., d+1), the means None under a field that
-    does not read them.  The arrays are one buffer that the next block
-    overwrites, so an observer copies what it keeps."""
-    *stack, n, dim = np.shape(start.points if isinstance(start, Ensemble) else start)
-    rows = min(max(1, _DRIFT_BLOCK_FLOATS // math.prod((*stack, n, dim))),
-               _record_count(t_end, dt, record_every))
-    times, points = np.empty(rows), np.empty((rows, *stack, dim, n))
+    """The one stepping loop and the one feed of every run: step with RK4
+    from ``start`` and yield the initial state, every ``record_every``-th
+    state and the final state as blocks (times, points, fields, means) of at
+    most ``_DRIFT_BLOCK_FLOATS`` floats of points (at least one state), each
+    checked by the ``Trajectory`` rules.
+
+    ``start`` is an Ensemble, stepped through ``step``, or an (..., n, d+1)
+    stack of populations without free flow under a field that reads the
+    population mean (one X per member), stepped as one component-major
+    (..., d+1, n) array by ``_advance``; each member gets the bits it gets
+    on its own.  Every run starts at t = 0 and has round(t_end / dt) steps;
+    state s is at s * dt, the grid of ``ws_evolve``, the time each step is
+    handed.  The exact mean of every state is computed once, for a field
+    that reads it, and so is X, which feeds the next step's first stage.
+
+    Points are component-major, (b, ..., d+1, n), the layout ``_advance``
+    steps; fields and exact means are (b, ..., d+1), the means None under a
+    field that does not read them.  The arrays are one buffer that the next
+    block overwrites, so an observer copies what it keeps; a block is
+    yielded before the next step is taken."""
+    steps, every = _step_count(t_end, dt, record_every), int(record_every)
+    single = isinstance(start, Ensemble)
+    if single:
+        state, points = start, start.points
+    elif not field._reads_mean:
+        raise ValueError(f"a stack of populations steps only under a field that reads the "
+                         f"population mean, not {type(field).__name__}")
+    else:
+        cols = np.swapaxes(np.asarray(start, dtype=float), -1, -2).copy()
+        points = np.swapaxes(cols, -1, -2)
+    *stack, n, dim = points.shape
+    rows = min(max(1, _DRIFT_BLOCK_FLOATS // points.size), _record_count(t_end, dt, every))
+    times, block = np.empty(rows), np.empty((rows, *stack, dim, n))
     fields = np.empty((rows, *stack, dim))
     means = np.empty_like(fields) if field._reads_mean else None
-    j = 0
-    for t, pts, mean, x in _run(start, field, t_end, dt, record_every):
-        times[j], points[j], fields[j] = t, pts.swapaxes(-1, -2), x
+    run_field = _RunField(field.evaluate)
+    t, j = 0.0, 0
+    for s in range(steps + 1):
+        if s:
+            if single:
+                run_field.at = points, x
+                state = step(state, run_field, dt, t)
+                points = state.points
+            else:
+                cols = _advance(cols, t, field, dt, x)
+                points = cols.swapaxes(-1, -2)
+            t = s * dt
+        mean = exact_mean(points) if field._reads_mean else None
+        x = _driving_vector(field._at_state(points, t, mean), (*stack, dim))
+        if not _recorded(s, steps, every):
+            continue
+        times[j], block[j], fields[j] = t, points.swapaxes(-1, -2), x
         if means is not None:
             means[j] = mean
         j += 1
-        if j == rows:
-            _check_snapshots(points, fields)
-            yield times, points, fields, means
+        if j == rows or s == steps:
+            _check_snapshots(block[:j], fields[:j])
+            yield times[:j], block[:j], fields[:j], None if means is None else means[:j]
             j = 0
-    if j:
-        _check_snapshots(points[:j], fields[:j])
-        yield times[:j], points[:j], fields[:j], None if means is None else means[:j]
 
 
 def collision_residual(traj: Trajectory, k: int, l: int) -> float:

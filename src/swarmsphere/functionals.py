@@ -33,7 +33,6 @@ __all__ = [
     "FunctionalEstimate",
     "conservation_drift",
     "conservation_drifts",
-    "cross_ratio",
     "cycle_ratio",
     "divergence_probe",
     "estimate_cycle_moment",
@@ -50,12 +49,6 @@ _MAX_PAIR_D = 438
 
 class DivergentIntegralError(ValueError):
     """Raised when the requested singular integral does not exist."""
-
-
-def cross_ratio(x1, x2, x3, x4) -> float:
-    """Cross ratio of four sphere points (squared-chord convention): the
-    ``cycle_ratio`` of the 4-cycle, with its bits."""
-    return cycle_ratio([x1, x2, x3, x4])
 
 
 def cycle_ratio(points) -> float:

@@ -116,7 +116,7 @@ class _SeriesRecorder:
 
     def __init__(self, t_end: float, dt: float, record_every: int, kappa: float | None):
         self.steps = _step_count(t_end, dt, record_every)
-        self.record_every, self.kappa, self.fed = record_every, kappa, 0
+        self.record_every, self.kappa, self.fed = int(record_every), kappa, 0
         self.columns = tuple([] for _ in range(6))  # t, R2, dR2, gamma, mass_plus, mass_minus
         self.recent = []  # (time, R2, dR2) of the last three states
         self.min_increment, self.defect = math.inf, 0.0

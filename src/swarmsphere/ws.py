@@ -51,7 +51,8 @@ class MobiusPoleError(ValueError):
 @dataclass(frozen=True, eq=False)
 class WsState:
     """Parameters (w, R) of the reduction map at one instant, or a validated
-    stack of them: w (..., d+1), rotation (..., d+1, d+1) and time (...)."""
+    stack of them: w (..., d+1), rotation (..., d+1, d+1) and time (...),
+    or, with one map per generator group, time (...) for w (..., G, d+1)."""
 
     w: np.ndarray
     rotation: np.ndarray
@@ -59,7 +60,8 @@ class WsState:
 
     def __post_init__(self):
         w, rot, time = (np.array(a, dtype=float) for a in (self.w, self.rotation, self.time))
-        if w.ndim < 1 or rot.shape != w.shape + w.shape[-1:] or time.shape != w.shape[:-1]:
+        if w.ndim < 1 or rot.shape != w.shape + w.shape[-1:] \
+                or time.shape not in (w.shape[:-1], w.shape[:-2]):
             raise ValueError("w, rotation and time must be (..., d+1), (..., d+1, d+1) and "
                              f"(...) stacks, not {w.shape}, {rot.shape} and {time.shape}")
         if not np.isfinite(time).all():
@@ -158,8 +160,9 @@ def ws_evolve(omega: SkewMatrix | tuple | None, field: DrivingField, t_end: floa
     returned as one validated stack of the states at t = s * dt.
 
     ``omega`` is taken as ``Ensemble.omega`` is.  For G >= 2 generator
-    groups the path is their own runs stacked as (steps+1, G, ...), in the
-    order of ``Ensemble.omega_groups()``, with their guard events summed.
+    groups the path is their own maps stacked as (steps+1, G, ...), in the
+    order of ``Ensemble.omega_groups()``, at the one time (steps+1,) they
+    share, with their guard events summed.
 
     R does not enter dw/dt, and dR/dt = A(t) R is linear in R once w is
     known.  So w alone is stepped by classical RK4, and R by the RKMK4
@@ -180,8 +183,8 @@ def ws_evolve(omega: SkewMatrix | tuple | None, field: DrivingField, t_end: floa
         paths = [ws_evolve(om, field, t_end, dt) for om in groups]
         if len(paths) == 1:
             return paths[0]
-        stacked = (np.stack(a, axis=1) for a in zip(*((p.w, p.rotation, p.time) for p in paths)))
-        return WsPath(*stacked, sum(p.guard_events for p in paths))
+        stacked = (np.stack(a, axis=1) for a in zip(*((p.w, p.rotation) for p in paths)))
+        return WsPath(*stacked, paths[0].time, sum(p.guard_events for p in paths))
     om_mat = None if _checked_omega(omega, 1, dim) is None else omega.matrix
     ws = np.zeros((steps + 1, dim))
     rots = np.empty((steps + 1, dim, dim))
@@ -271,17 +274,16 @@ def _push_groups(w: np.ndarray, rotation: np.ndarray, points: np.ndarray, groups
 
 
 def _group_time(state: WsState, ens0: Ensemble, stacked: bool):
-    """The time of a state, or the times of a stack of them, with one map per
-    generator group of ``ens0``: w (d+1,) for one group, (G, d+1) at one time for G >= 2."""
+    """The time of one state (a float), or the times (m,) of a path, with one
+    map per generator group of ``ens0``: w (d+1,) for one group, (G, d+1) for G >= 2."""
     groups = len(ens0.omega_groups())
     want = state.w.shape[:1] * stacked + (groups,) * (groups > 1) + (ens0.d + 1,)
-    if state.w.shape != want:
-        hint = "; index a path" if state.w.ndim > len(want) and not stacked else ""
+    if state.w.shape != want or np.ndim(state.time) != stacked:
+        hint = f" and time {np.shape(state.time)}" if state.w.shape == want \
+            else "; index a path" if state.w.ndim > len(want) and not stacked else ""
         raise ValueError(f"need {'a path' if stacked else 'one state'} with one map per generator "
                          f"group of the ensemble, w {want}, not w {state.w.shape}{hint}")
-    if groups > 1 and (state.time != state.time[..., :1]).any():
-        raise ValueError("the group maps of a state must share its time")
-    return state.time[..., 0] if groups > 1 else state.time
+    return state.time
 
 
 def push_forward(state: WsState, ens0: Ensemble) -> Ensemble:

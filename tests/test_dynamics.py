@@ -25,7 +25,7 @@ from swarmsphere import (
     step,
 )
 from swarmsphere import dynamics
-from swarmsphere.dynamics import _run, _velocities
+from swarmsphere.dynamics import _velocities
 
 
 def consensus_ensemble(d, n, axis=-1):
@@ -190,6 +190,25 @@ def test_simulate_snapshot_count():
     assert len(traj.times) == 100 // 20 + 1
 
 
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "2", True])
+@pytest.mark.parametrize("run", [simulate, order_parameter_series])
+def test_a_run_refuses_a_record_every_that_is_no_integer_of_at_least_1_by_name(run, bad):
+    # 2.5 used to reach numpy as the float 5.0, and "2" a bare comparison
+    with pytest.raises(ValueError, match=f"^record_every must be an integer of at least 1, not {bad!r}$"):
+        run(sample_uniform(2, 4, 1), MeanField(1.0), 0.1, 0.01, record_every=bad)
+
+
+@pytest.mark.parametrize("every", [np.int64(7), np.uint8(7)])
+def test_a_run_takes_a_numpy_integer_record_every(every):
+    # 300 steps: past what a uint8 holds
+    ens = sample_uniform(2, 4, 1)
+    want = simulate(ens, MeanField(1.0), 3.0, 1e-2, record_every=7)
+    got = simulate(ens, MeanField(1.0), 3.0, 1e-2, record_every=every)
+    assert got.times.tobytes() == want.times.tobytes() and got.points.tobytes() == want.points.tobytes()
+    series, _ = order_parameter_series(ens, MeanField(1.0), 3.0, 1e-2, record_every=every)
+    assert series.times.tobytes() == want.times.tobytes()
+
+
 def test_simulate_rk4_self_convergence():
     # Richardson: halving dt shrinks the final-state defect by ~2^4
     om = SkewMatrix.random(2, 11, 1.0)
@@ -257,25 +276,26 @@ def test_collision_residual_takes_numpy_integers():
     assert collision_residual(traj, np.int64(1), np.uint8(4)) == want <= 1e-6
 
 
+def _fed(start, field=MeanField(1.0), t_end=0.5, dt=1e-2, record_every=2):
+    """The blocks of the feed of a run (to t = 0.5 recorded every second
+    step unless told otherwise), copied, and each of times, points, fields
+    and means concatenated."""
+    blocks = [tuple(a.copy() for a in block)
+              for block in dynamics._snapshot_blocks(start, field, t_end, dt, record_every)]
+    return blocks, [np.concatenate(arrays) for arrays in zip(*blocks)]
+
+
 def test_simulate_records_the_points_the_loop_yields():
     ens = Ensemble(sample_uniform(2, REF_N, 8).points, TWO_GROUPS)
     traj = simulate(ens, MeanField(1.0), 0.1, REF_DT, record_every=3)
-    yielded = list(_run(ens, MeanField(1.0), 0.1, REF_DT, 3))
-    assert len(traj.times) == len(yielded) == 5
-    for j, (t, points, _, x) in enumerate(yielded):
-        assert traj.times[j] == t and traj.points[j].tobytes() == points.tobytes()
-        assert traj.field_samples[j].tobytes() == x.tobytes()
+    _, (times, points, fields, _) = _fed(ens, MeanField(1.0), 0.1, REF_DT, 3)
+    assert len(traj.times) == len(times) == 5
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.points.tobytes() == points.swapaxes(1, 2).tobytes()  # component-major
+    assert traj.field_samples.tobytes() == fields.tobytes()
     for a in (traj.times, traj.points, traj.field_samples):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
-
-
-def _fed(start, field=MeanField(1.0)):
-    """The blocks of the feed of a run to t = 0.5 recorded every second
-    step, copied, and each of times, points, fields and means concatenated."""
-    blocks = [tuple(a.copy() for a in block)
-              for block in dynamics._snapshot_blocks(start, field, 0.5, 1e-2, 2)]
-    return blocks, [np.concatenate(arrays) for arrays in zip(*blocks)]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 26])
@@ -315,21 +335,30 @@ def test_snapshot_blocks_hand_no_means_for_a_field_that_does_not_read_them():
     ("field", "field samples must be finite"),
 ])
 def test_snapshot_blocks_check_each_block_by_the_trajectory_rules(monkeypatch, fault, message):
-    # the fault enters at the last step, so the first full blocks pass and
+    # the fault enters at the final state, so the first full blocks pass and
     # the refusal comes from the check of the short last block
     monkeypatch.setattr(dynamics, "_DRIFT_BLOCK_FLOATS", 4 * 8 * 3)
     ens = sample_uniform(2, 8, 3)
-    run = dynamics._run
+    public_step = dynamics.step
 
-    def faulty(*args):
-        for s, (t, points, mean, x) in enumerate(run(*args)):
-            if s == 9:
-                points = points * (1 + 1e-6) if fault == "point" else points
-                x = x * math.inf if fault == "field" else x
-            yield t, points, mean, x
+    def off_sphere(state, field, dt, t):
+        # the step from t = 0.08 to the final state lands off the sphere
+        out = public_step(state, field, dt, t)
+        return out._at(out.points * (1 + 1e-6)) if t > 0.075 else out
 
-    monkeypatch.setattr(dynamics, "_run", faulty)
-    blocks = dynamics._snapshot_blocks(ens, MeanField(1.0), 0.09, 1e-2, 1)
+    class FinalNaN(MeanField):
+        # the loop's X is NaN at the final state only, which no later step
+        # reads; the stages of the steps get the plain mean field
+        def _at_state(self, points, t, mean):
+            return super()._at_state(points, t, mean) * (math.nan if t > 0.085 else 1.0)
+
+        def evaluate(self, points, t):
+            return self.kappa * exact_mean(points)
+
+    if fault == "point":
+        monkeypatch.setattr(dynamics, "step", off_sphere)
+    blocks = dynamics._snapshot_blocks(ens, MeanField(1.0) if fault == "point" else FinalNaN(1.0),
+                                       0.09, 1e-2, 1)
     assert [len(next(blocks)[0]) for _ in range(2)] == [4, 4]
     with pytest.raises(ValueError, match=message):
         next(blocks)
@@ -763,15 +792,15 @@ def _stack_field(kind, d):
 def test_stack_members_equal_their_single_runs(kind, d):
     # the component-major stack sums its rows in einsum's order: same bits
     members = [sample_uniform(d, REF_N, seed).points for seed in (1, 2, 3)]
-    stacked = list(_run(np.stack(members), _stack_field(kind, d), 0.1, REF_DT, 3))
+    _, (times, points, fields, means) = _fed(np.stack(members), _stack_field(kind, d), 0.1, REF_DT, 3)
+    assert points.shape == (5, 3, d + 1, REF_N)
     for i, member in enumerate(members):
-        alone = list(_run(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3))
-        for (t, points, mean, x), (t_w, points_w, mean_w, x_w) in zip(stacked, alone, strict=True):
-            assert t == t_w and points.shape == (3, REF_N, d + 1)
-            assert points[i].copy().tobytes() == points_w.tobytes()
-            assert mean[i].tobytes() == mean_w.tobytes() and x[i].tobytes() == x_w.tobytes()
+        _, alone = _fed(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3)
+        assert times.tobytes() == alone[0].tobytes()
+        for name, got, want in zip(("points", "fields", "means"), (points, fields, means), alone[1:]):
+            assert got[:, i].tobytes() == want.tobytes(), name
         traj = simulate(Ensemble(member), _stack_field(kind, d), 0.1, REF_DT, 3)
-        assert traj.field_samples.tobytes() == np.array([x[i] for *_, x in stacked]).tobytes()
+        assert traj.field_samples.tobytes() == fields[:, i].tobytes()
 
 
 @pytest.mark.parametrize("field", [
@@ -785,5 +814,5 @@ def test_a_stack_refuses_a_field_that_does_not_read_the_mean(monkeypatch, field)
     stack = np.stack([sample_uniform(2, 8, seed).points for seed in (1, 2)])
     name = type(field).__name__
     with pytest.raises(ValueError, match=f"field that reads the population mean, not {name}"):
-        next(_run(stack, field, 0.02, 0.01, 1))
+        next(dynamics._snapshot_blocks(stack, field, 0.02, 0.01, 1))
     assert calls == []  # refused before the first evaluation

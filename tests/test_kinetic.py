@@ -26,7 +26,7 @@ from swarmsphere import (
     simulate,
     tangent_project,
 )
-from swarmsphere.dynamics import _run
+from swarmsphere.dynamics import _snapshot_blocks
 from swarmsphere.functionals import _draw_cycles
 from swarmsphere.geometry import _FOLD_MIN_ROWS
 from swarmsphere import kinetic
@@ -374,11 +374,12 @@ def test_instability_branches_stacked_equal_their_separate_runs(monkeypatch):
     rep = instability_experiment(N=n, d=2, kappa=1.0, delta=1e-3, seed=seed, t_end=t_end, dt=dt)
     (stacked,) = built
 
-    # the same two branches run one at a time: (a) through _run, (b) through simulate
+    # the same two branches run one at a time: (a) through the feed, (b) through simulate
     half = sample_uniform(2, n // 2, seed).points
     sym = np.vstack([half, -half])
-    r2 = [order_parameter(Ensemble(points))[0]
-          for _, points, _, _ in _run(Ensemble(sym), MeanField(1.0), t_end, dt, _RECORD_EVERY)]
+    r2 = [order_parameter(Ensemble(cols.T.copy()))[0]
+          for _, block, _, _ in _snapshot_blocks(Ensemble(sym), MeanField(1.0), t_end, dt, _RECORD_EVERY)
+          for cols in block]
     assert rep.R_max_symmetric == 0.0 and max(r2) == 0.0
     direction = tangent_project(sym[0], np.eye(3)[int(np.argmin(np.abs(sym[0])))])
     pert = sym.copy()

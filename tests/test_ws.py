@@ -19,7 +19,7 @@ from swarmsphere import (
     WsState,
     algebraic_identity_residuals,
     conjugacy_residual,
-    cross_ratio,
+    cycle_ratio,
     push_forward,
     renormalize,
     rng_stream,
@@ -179,8 +179,8 @@ def test_mobius_preserves_cross_ratio():
     for _ in range(50):
         w = random_ball_vector(rng, 3, rmax=0.9)
         pts = [renormalize(rng.standard_normal(3)) for _ in range(4)]
-        before = cross_ratio(*pts)
-        after = cross_ratio(*_apply_map(w, np.eye(3), np.array(pts)))
+        before = cycle_ratio(pts)
+        after = cycle_ratio(_apply_map(w, np.eye(3), np.array(pts)))
         assert abs(after - before) <= 1e-10 * max(1.0, before)
 
 
@@ -300,12 +300,12 @@ def test_heterogeneous_push_forward_identity_and_missing_group():
     om_b = SkewMatrix.planar(2, 1.0)
     pts = sample_uniform(2, 6, 67).points
     ens = Ensemble(pts, (om_a, om_b, om_a, om_b, om_a, om_b))
-    identity = WsState(np.zeros((2, 3)), np.stack((np.eye(3),) * 2), np.zeros(2))
+    identity = WsState(np.zeros((2, 3)), np.stack((np.eye(3),) * 2), 0.0)
     out = push_forward(identity, ens)
     np.testing.assert_array_equal(out.points, ens.points)
     assert out.omega == ens.omega
     with pytest.raises(ValueError, match="one map per generator group"):
-        push_forward(identity[:1], ens)
+        push_forward(WsState.initial(2), ens)
 
 
 def test_heterogeneous_push_forward_matches_direct_two_groups():
@@ -330,15 +330,22 @@ def test_a_grouped_path_stacks_each_groups_own_run_bit_for_bit():
         == [planar, zero]
     path = ws_evolve(labels, field, 1.5, 1e-3)
     assert type(path) is WsPath and path.w.shape == (1501, 2, 3)
-    assert path.rotation.shape == (1501, 2, 3, 3) and path.time.shape == (1501, 2)
+    assert path.rotation.shape == (1501, 2, 3, 3) and path.time.shape == (1501,)
     guard = 0
     for g, om in enumerate((planar, zero)):
         own = ws_evolve(om, field, 1.5, 1e-3)
         assert path.w[:, g].tobytes() == own.w.tobytes()
         assert path.rotation[:, g].tobytes() == own.rotation.tobytes()
-        assert path.time[:, g].tobytes() == own.time.tobytes()
+        assert path.time.tobytes() == own.time.tobytes()
         guard += own.guard_events
     assert path.guard_events == guard > 0
+    # one state of the path is one instant, not a stack of its groups
+    state = path[-1]
+    assert type(state.time) is float and state.w.shape == (2, 3)
+    with pytest.raises(TypeError):
+        len(state)
+    with pytest.raises(TypeError):
+        state[0]
     assert ws_evolve([planar, zero], field, 0.01, 1e-3).w.shape == (11, 2, 3)
     with pytest.raises(ValueError, match="^need at least one generator label$"):
         ws_evolve((), field, 0.01, 1e-3)
@@ -364,11 +371,21 @@ def test_push_forward_refuses_a_one_map_state_on_two_groups_by_name():
     assert push_forward(grouped[-1], ens).omega is ens.omega
 
 
-def test_push_forward_refuses_group_maps_of_different_times_by_name():
-    ens, _, _, grouped = _two_groups()
+def test_a_grouped_state_has_one_time_per_instant():
+    ens, field, _, grouped = _two_groups()
+    rot = np.stack((np.eye(3),) * 2)
+    assert len(WsState(np.zeros((4, 2, 3)), np.stack((rot,) * 4), np.arange(4) * 0.1)) == 4
+    with pytest.raises(ValueError, match=r"not \(4, 2, 3\), \(4, 2, 3, 3\) and \(2,\)"):
+        WsState(np.zeros((4, 2, 3)), np.stack((rot,) * 4), np.zeros(2))
+    # a time per group makes a stack of one-map states, which a push-forward refuses
     st = grouped[-1]
-    with pytest.raises(ValueError, match="^the group maps of a state must share its time$"):
-        push_forward(WsState(st.w, st.rotation, st.time + np.array([0.0, 1e-2])), ens)
+    with pytest.raises(ValueError, match=r"^need one state with one map per generator group of the "
+                                         r"ensemble, w \(2, 3\), not w \(2, 3\) and time \(2,\)$"):
+        push_forward(WsState(st.w, st.rotation, np.full(2, st.time)), ens)
+    per_group = np.stack((grouped.time,) * 2, axis=1)
+    with pytest.raises(ValueError, match=r"^need a path with one map per generator group of the "
+                                         r"ensemble, w \(6, 2, 3\), not w \(6, 2, 3\) and time \(6, 2\)$"):
+        conjugacy_residual(WsState(grouped.w, grouped.rotation, per_group), field, ens)
 
 
 def test_conjugacy_residual_refuses_a_one_map_path_on_two_groups_by_name():
@@ -571,7 +588,7 @@ def _reference_group_push(st, samples):
         return _reference_push(st, samples.points)
     out = np.empty_like(samples.points)
     for g, (_, idx) in enumerate(samples.omega_groups()):
-        out[idx] = _reference_push(st[g], samples.points[idx])
+        out[idx] = _reference_push(WsState(st.w[g], st.rotation[g], st.time), samples.points[idx])
     return out
 
 
@@ -579,7 +596,7 @@ def _reference_group_push(st, samples):
 # pushed on its own, one velocity and field call per state, and Simpson's
 # rule over the two steps around each interior state.
 def _reference_conjugacy(states, field, samples):
-    times = np.array([np.ravel(st.time)[0] for st in states])
+    times = np.array([st.time for st in states])
     dt = np.diff(times)[0]
     pushed = [_reference_group_push(st, samples) for st in states]
     v = []
@@ -756,8 +773,8 @@ def test_push_forward_preserves_cross_ratios(d, seed):
     ens = sample_uniform(d, 4, seed)
     gaps = [np.sum((ens.points[i] - ens.points[j]) ** 2) for i in range(4) for j in range(i)]
     assume(min(gaps) > 1e-3)
-    before = cross_ratio(*ens.points)
-    after = cross_ratio(*push_forward(state, ens).points)
+    before = cycle_ratio(ens.points)
+    after = cycle_ratio(push_forward(state, ens).points)
     assert abs(after - before) <= 1e-10 * before
 
 
