@@ -64,7 +64,6 @@ from .ws import (
     MobiusPoleError,
     WsPath,
     WsState,
-    algebraic_identity_residuals,
     conjugacy_residual,
     push_forward,
     ws_evolve,

@@ -457,6 +457,10 @@ def _run_kinetic(cfg: dict, outdir: Path):
     outputs = [out_csv]
     if rep is not None:
         summary["instability"] = dataclasses.asdict(rep)
+        if math.isnan(rep.selection_time):  # no mixed tuple, so instability_growth reads NaN
+            summary["instability"]["no_mixed_tuple"] = (
+                "did not reach R >= 0.5 by t_end" if not rep.R_end_perturbed >= 0.5
+                else "no state with R >= 0.5 had two particles on each side of the axis")
         gates["instability_symmetric"] = _gate(rep.R_max_symmetric, 1e-6)
         gates["instability_perturbed"] = _gate(rep.R_end_perturbed, 0.99, kind="min")
         gates["instability_growth"] = _gate(rep.mixed_tuple_max, 1e3, kind="min")

@@ -29,7 +29,6 @@ __all__ = [
     "MobiusPoleError",
     "WsPath",
     "WsState",
-    "algebraic_identity_residuals",
     "conjugacy_residual",
     "push_forward",
     "ws_evolve",
@@ -336,27 +335,3 @@ def conjugacy_residual(states: WsState, field: DrivingField, sample_points: Ense
         worst.append(np.max(np.linalg.norm(gap, axis=-1)) / (2.0 * dt))
     return float(np.max(worst))
 
-
-def algebraic_identity_residuals(w, m_point, omega: SkewMatrix | None, x_field):
-    """Residuals of two internal identities of the reduced system.
-
-    First, the radial growth of the ball vector:
-        <w, dw/dt> = (1 - |w|^2) <w, X> / 2.
-    Second, with  D := Omega (m - w) + (1 - |w|^2) X / 2 - <m, X> m + <w, X> w
-    (the algebraic form of d(m)/dt - dw/dt for a sphere point m moved by the
-    flow):
-        <D, m - w> = -|m - w|^2 <m + w, X> / 2.
-    Both must vanish to rounding for any |w| < 1, unit m, skew Omega and X.
-    """
-    w = np.asarray(w, dtype=float)
-    m = np.asarray(m_point, dtype=float)
-    x = np.asarray(x_field, dtype=float)
-    dw, _ = ws_rhs(w, np.eye(w.size), omega, x)
-    w2 = float(w @ w)
-    r1 = abs(float(w @ dw) - 0.5 * (1.0 - w2) * float(w @ x))
-    diff = m - w
-    d_vec = 0.5 * (1.0 - w2) * x - float(m @ x) * m + float(w @ x) * w
-    if omega is not None:
-        d_vec = d_vec + omega.matrix @ diff
-    r3 = abs(float(d_vec @ diff) + 0.5 * float(diff @ diff) * float((m + w) @ x))
-    return r1, r3

@@ -8,11 +8,13 @@ through module-scoped fixtures.
 
 import json
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 
+import exact_ws
 import swarmsphere as ss
 from swarmsphere.cli import main as cli_main
 
@@ -164,20 +166,16 @@ def test_criterion_09_heterogeneous_conservation():
           f"within-group drift {within:.2e} (tol 1e-6); mixed-tuple drift {mixed:.2e} (>= 1e-2)")
 
 
-def test_criterion_10_algebraic_identity_suite():
-    rng = ss.rng_stream(4096)
-    worst = 0.0
-    for _ in range(1000):
-        w = rng.standard_normal(3)
-        w *= 0.95 * rng.random() ** (1.0 / 3.0) / np.linalg.norm(w)
-        m = rng.standard_normal(3)
-        m /= np.linalg.norm(m)
-        x = rng.standard_normal(3)
-        om = ss.SkewMatrix(3, rng.standard_normal(3))
-        r1, r3 = ss.algebraic_identity_residuals(w, m, om, x)
-        worst = max(worst, r1, r3)
-    check("criterion 10 (algebraic identity suite)", worst <= 1e-12,
-          f"max residual {worst:.2e} over 1000 random states (tol 1e-12)")
+def test_criterion_10_exact_reduction_identity():
+    # y = M_w(R x0) with w and R moving at the reduced system's rates obeys
+    # dy/dt = Omega y + X - <y, X> y: checked in exact rational arithmetic
+    dims, draws = (1, 2, 3, 5, 8), 50
+    nonzero = 0
+    for d in dims:
+        rng = random.Random(d)
+        nonzero += sum(any(exact_ws.flow_residual(*exact_ws.draw(rng, d))) for _ in range(draws))
+    check("criterion 10 (exact reduction identity)", nonzero == 0,
+          f"{nonzero} of {draws * len(dims)} rational draws at d in {dims} with a nonzero residual")
 
 
 def test_criterion_11_determinism(tmp_path):

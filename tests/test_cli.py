@@ -429,7 +429,26 @@ def test_kinetic_run_with_delta_writes_the_bytes_of_the_separate_runs(tmp_path, 
     assert summary["instability"]["R_max_symmetric"] == 0.0
     assert sorted(summary["instability"]) == [
         "R_end_perturbed", "R_initial_perturbed", "R_max_symmetric", "control_max_drift",
-        "mixed_tuple_max", "mixed_tuple_unbounded", "selection_time"]
+        "mixed_tuple_max", "mixed_tuple_unbounded", "no_mixed_tuple", "selection_time"]
+
+
+@pytest.mark.parametrize("cfg, reason", [
+    ({"d": 2, "N": 100, "t_end": 10, "delta": 1e-3, "seed": 3}, "did not reach R >= 0.5 by t_end"),
+    # one cap: the population synchronises without splitting in two
+    ({"d": 4, "N": 20, "kappa": 3, "t_end": 20, "dt": 0.005, "delta": 1e-3, "seed": 607212},
+     "no state with R >= 0.5 had two particles on each side of the axis"),
+    # two caps: tuples are selected, and the summary gives no reason
+    ({"d": 2, "N": 40, "kappa": 2.0, "t_end": 10.0, "delta": 1e-3, "seed": 7}, None),
+])
+def test_a_kinetic_run_that_selects_no_mixed_tuple_says_why(tmp_path, cfg, reason):
+    path = write_config(tmp_path, "c.json", {"experiment": "kinetic", **cfg})
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == (reason is not None)
+    instability = json.loads((out / "kinetic_summary.json").read_text())["instability"]
+    assert (instability["selection_time"] is None) == (reason is not None)
+    assert instability.get("no_mixed_tuple") == reason
+    growth = json.loads((out / "manifest.json").read_text())["gates"]["instability_growth"]
+    assert growth["passed"] == (reason is None)
 
 
 def test_kinetic_run_without_delta_writes_the_bytes_of_order_parameter_series(tmp_path, monkeypatch):

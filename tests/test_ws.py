@@ -1,11 +1,14 @@
 import math
+import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import exact_ws
 from swarmsphere import (
     Ensemble,
     FrustratedField,
@@ -17,7 +20,6 @@ from swarmsphere import (
     WinfreeField,
     WsPath,
     WsState,
-    algebraic_identity_residuals,
     conjugacy_residual,
     cycle_ratio,
     push_forward,
@@ -398,19 +400,70 @@ def test_conjugacy_residual_refuses_a_one_map_path_on_two_groups_by_name():
     assert conjugacy_residual(grouped, field, ens) <= 1e-3
 
 
-def test_algebraic_identity_residuals_random_states():
-    rng = rng_stream(73)
-    worst1 = worst3 = 0.0
-    for _ in range(1000):
-        w = random_ball_vector(rng, 3)
-        m = renormalize(rng.standard_normal(3))
-        x = rng.standard_normal(3)
-        om = SkewMatrix(3, rng.standard_normal(3))
-        r1, r3 = algebraic_identity_residuals(w, m, om, x)
-        worst1 = max(worst1, r1)
-        worst3 = max(worst3, r3)
-    assert worst1 <= 1e-12
-    assert worst3 <= 1e-12
+def _ulps(got, want, scale) -> float:
+    """The largest |got - want| over entries, floats against exact
+    Fractions, in ulps of the largest entry of ``scale``."""
+    err = max(abs(Fraction(g) - e) for g, e in zip(np.ravel(got).tolist(), np.ravel(want)))
+    return float(err / Fraction(math.ulp(float(np.max(scale)))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_the_float_rates_and_map_match_the_exact_formulas(d):
+    # at float inputs read exactly as Fractions; a rate's scale is its terms
+    # at absolute values, the bound of a sum with cancellation, and the map's
+    # is its image, on the sphere
+    rng = rng_stream(d)
+    for _ in range(200):
+        w = random_ball_vector(rng, d + 1)
+        x = rng.standard_normal(d + 1)
+        om = SkewMatrix(d + 1, rng.standard_normal(d * (d + 1) // 2)).matrix
+        points = rng.standard_normal((2, d + 1))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        wq, xq = ([Fraction(v) for v in a.tolist()] for a in (w, x))
+        omq = [[Fraction(v) for v in row] for row in om.tolist()]
+        aw, ax = np.abs(w), np.abs(x)
+        dw_scale = np.abs(om) @ aw + 0.5 * (1.0 + w @ w) * ax + (aw @ ax) * aw
+        assert _ulps(ws_module._dw(w, om, x), exact_ws.exact_dw(wq, omq, xq), dw_scale) <= 16
+        gen_scale = np.abs(om) + ax[:, None] * aw + aw[:, None] * ax
+        assert _ulps(ws_module._generator(w, x, om), exact_ws.exact_generator(wq, xq, omq),
+                     gen_scale) <= 16
+        images = [exact_ws.mobius(wq, [Fraction(v) for v in p]) for p in points.tolist()]
+        assert _ulps(ws_module._mobius_rows(w, points), images, np.abs(np.ravel(images))) <= 16
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_the_reduction_map_keeps_cycle_ratios_exactly(d):
+    # the cross-ratio constants of motion, with no integrator in the way
+    rng = random.Random(d)
+    for k in (2, 3, 4):
+        for _ in range(10):
+            w, rot = exact_ws.draw(rng, d)[:2]
+            points = exact_ws.distinct_sphere_points(rng, d, 2 * k)
+            images = [exact_ws.mobius(w, exact_ws.matvec(rot, p)) for p in points]
+            assert all(exact_ws.dot(y, y) == 1 for y in images)
+            assert exact_ws.cycle_ratio(images) == exact_ws.cycle_ratio(points)
+
+
+def _dw_with_a_third(w, omega, x):
+    """dw/dt with 1/3 planted for its 1/2."""
+    ww, wx = exact_ws.dot(w, w), exact_ws.dot(w, x)
+    return [o + (1 + ww) * a / 3 - wx * b for o, a, b in zip(exact_ws.matvec(omega, w), x, w)]
+
+
+def _generator_with_w_xt_flipped(w, x, omega):
+    """A with the sign of its w X^T term planted as +."""
+    return [[o + x[i] * w[j] + w[i] * x[j] for j, o in enumerate(row)] for i, row in enumerate(omega)]
+
+
+@pytest.mark.parametrize("planted", [{"dw": _dw_with_a_third},
+                                     {"generator": _generator_with_w_xt_flipped}],
+                         ids=["dw-half-as-third", "generator-w-xT-sign"])
+def test_a_planted_rate_makes_the_exact_residual_nonzero(planted):
+    # the exact identity check can fail: each planted change is seen at every d
+    for d in (1, 2, 3, 5, 8):
+        draw = exact_ws.draw(random.Random(d), d)
+        assert not any(exact_ws.flow_residual(*draw))
+        assert any(exact_ws.flow_residual(*draw, **planted))
 
 
 def test_ws_state_validation():
